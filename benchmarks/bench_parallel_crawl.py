@@ -4,9 +4,11 @@ Not a paper figure; it records what the two scaling axes buy on this
 hardware.  Per-site seeding makes every engine's output bit-identical
 to the serial crawl, so the only variable is wall-clock:
 
-* **process workers** (``jobs``) — speedup tracks the machine's core
-  count: on a single-core runner the figures show pure process
-  overhead, on an M-core box jobs=M approaches M×.
+* **process workers** (``jobs``) — the crawl coordinator's
+  :class:`~repro.crawler.ProcessPoolBackend`, one shard per worker.
+  Speedup tracks the machine's core count: on a single-core runner the
+  figures show pure process overhead, on an M-core box jobs=M
+  approaches M×.
 * **async visits** (``concurrency``) — the cooperative engine overlaps
   in-flight visits on one core.  The simulator's waits are virtual, so
   on a single core this measures the engine's scheduling overhead:
@@ -17,9 +19,13 @@ to the serial crawl, so the only variable is wall-clock:
 
 import json
 import os
+import tempfile
 import time
+from dataclasses import replace
 
-from repro.crawler import CrawlConfig, Crawler, ParallelCrawler
+from repro.crawler import (Coordinator, CrawlConfig, Crawler,
+                           ProcessPoolBackend, load_logs)
+from repro.ecosystem import generate_population
 
 from conftest import banner
 
@@ -30,6 +36,27 @@ def _sample(population):
     return population.successful_sites()[:SAMPLE]
 
 
+def _sample_population(population):
+    """The top-ranked slice of ``population`` that holds the sample.
+
+    The coordinator crawls whole populations.  Sites synthesize per
+    rank, so this slice holds exactly the sample's sites plus the failed
+    crawls ranked between them, which retain no log and cost no visit.
+    """
+    last = _sample(population)[-1].rank
+    return generate_population(replace(population.config, n_sites=last))
+
+
+def _pool_crawl(population, jobs, concurrency=1):
+    """Crawl ``population`` over ``jobs`` pool workers, one shard each."""
+    coordinator = Coordinator(
+        population, CrawlConfig(seed=2025, concurrency=concurrency),
+        backend=ProcessPoolBackend(jobs=jobs))
+    with tempfile.TemporaryDirectory(prefix="bench-pool-") as out:
+        coordinator.run(out, n_shards=jobs)
+        return load_logs(out)
+
+
 def test_serial_crawl(benchmark, population):
     sites = _sample(population)
     crawler = Crawler(population, CrawlConfig(seed=2025))
@@ -38,16 +65,12 @@ def test_serial_crawl(benchmark, population):
 
 
 def test_parallel_crawl_two_jobs(benchmark, population):
-    sites = _sample(population)
-    crawler = ParallelCrawler(population, CrawlConfig(seed=2025), jobs=2)
-    logs = benchmark(crawler.crawl, sites)
+    logs = benchmark(_pool_crawl, _sample_population(population), 2)
     assert logs
 
 
 def test_parallel_crawl_four_jobs(benchmark, population):
-    sites = _sample(population)
-    crawler = ParallelCrawler(population, CrawlConfig(seed=2025), jobs=4)
-    logs = benchmark(crawler.crawl, sites)
+    logs = benchmark(_pool_crawl, _sample_population(population), 4)
     assert logs
 
 
@@ -100,12 +123,12 @@ def test_serial_vs_async_vs_process_summary(population):
         assert stream == reference
         timings["serial"] = min(timings["serial"],
                                 timings.pop(f"serial#{attempt}"))
+    sample_population = _sample_population(population)
     for jobs, concurrency in ((2, 1), (4, 1), (2, 16)):
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025),
-                                  jobs=jobs, concurrency=concurrency)
         label = (f"jobs={jobs}" if concurrency == 1
                  else f"jobs={jobs} async={concurrency}")
-        assert run(label, crawler.crawl, sites) == reference
+        assert run(label, _pool_crawl, sample_population, jobs,
+                   concurrency) == reference
 
     banner("Serial vs async vs process crawl",
            "crawl engines, not a paper figure")

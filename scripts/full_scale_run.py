@@ -7,19 +7,21 @@ Usage: full_scale_run.py [N] [OUT] [--jobs J] [--concurrency C]
                          [--shards S] [--backend B] [--cache-dir D]
                          [--crawl-dir W] [--max-retries R]
 
-``--jobs`` fans the crawl over J worker processes and ``--concurrency``
-overlaps C in-flight visits inside each worker via the cooperative
-visit engine (both bit-identical to the serial crawl); ``--shards``
-additionally aggregates the study shard by shard through
-``Study.from_shards`` — all paths produce identical tables by
-construction.
-
-``--cache-dir``/``--backend`` route the crawl through the distributed
-coordinator (``repro.crawler.distributed``): shard files are written
-under ``--crawl-dir`` (default ``full-scale-crawl``) with a durable
-work-queue and per-shard digests, and a re-run over the same population
-and crawl config reuses every cached shard without executing a single
-visit — repeated analysis passes become essentially free.
+The crawl runs through the crawl coordinator
+(``repro.crawler.distributed``): shard files are written under
+``--crawl-dir`` (default ``full-scale-crawl``) with a durable work-queue
+and per-shard digests.  A re-run into the same ``--crawl-dir`` resumes
+it; one with another N, shard count or crawl config is refused, so give
+it a fresh ``--crawl-dir``.  ``--jobs`` fans the shards over J worker
+processes (``--backend`` picks another worker backend) and
+``--concurrency`` overlaps C in-flight visits inside each worker via the
+cooperative visit engine, both bit-identical to the serial crawl.
+``--shards`` sets the coordinator's shard count and also aggregates the
+study shard by shard through ``Study.from_shards`` — all paths produce
+identical tables by construction.  With ``--cache-dir`` a re-run over
+the same population and crawl config reuses every cached shard without
+executing a single visit — repeated analysis passes become essentially
+free.
 """
 
 import sys
@@ -34,8 +36,8 @@ from repro.analysis.reports import (
 )
 from repro.cliutil import pop_choice_flag, pop_flag, pop_int_flag, \
     reject_unknown_flags
-from repro.crawler import (CrawlConfig, Coordinator, ParallelCrawler,
-                           ShardPlan, ShardStore, load_logs, make_backend)
+from repro.crawler import (CrawlConfig, Coordinator, ShardPlan, ShardStore,
+                           load_logs, make_backend)
 from repro.ecosystem import PopulationConfig, generate_population
 from repro.evaluation import (
     evaluate_access_control,
@@ -56,7 +58,6 @@ MAX_RETRIES = pop_int_flag(_ARGS, "--max-retries", 2, minimum=0)
 reject_unknown_flags(_ARGS)
 N = int(_ARGS[0]) if _ARGS else 20_000
 OUT = _ARGS[1] if len(_ARGS) > 1 else "results_full_scale.txt"
-DISTRIBUTED = BACKEND is not None or CACHE_DIR is not None
 
 
 def main():
@@ -72,28 +73,20 @@ def main():
 
     t0 = time.time()
     config = CrawlConfig(seed=2025, concurrency=CONCURRENCY)
-    if DISTRIBUTED:
-        backend = make_backend(BACKEND or "pool", jobs=JOBS,
-                               cache_dir=CACHE_DIR)
-        store = ShardStore(CACHE_DIR) if CACHE_DIR else None
-        coordinator = Coordinator(population, config, backend=backend,
-                                  max_retries=MAX_RETRIES, store=store)
-        report = coordinator.run(CRAWL_DIR,
-                                 n_shards=SHARDS if SHARDS > 0 else None)
-        logs = load_logs(CRAWL_DIR)
-        emit(f"crawl: retained {len(logs)}/{N} sites ({time.time()-t0:.0f}s, "
-             f"backend={backend.name}, jobs={JOBS}, "
-             f"concurrency={CONCURRENCY}, "
-             f"executed={report.executed_shards}, "
-             f"cached={report.cached_shards}, "
-             f"visits executed={report.visits_executed}) "
-             f"[paper: 14,917/20,000]")
-    else:
-        crawler = ParallelCrawler(population, config, jobs=JOBS)
-        logs = crawler.crawl()
-        emit(f"crawl: retained {len(logs)}/{N} sites ({time.time()-t0:.0f}s, "
-             f"jobs={JOBS}, concurrency={CONCURRENCY}) "
-             f"[paper: 14,917/20,000]")
+    backend = make_backend(BACKEND, jobs=JOBS, cache_dir=CACHE_DIR)
+    store = ShardStore(CACHE_DIR) if CACHE_DIR else None
+    coordinator = Coordinator(population, config, backend=backend,
+                              max_retries=MAX_RETRIES, store=store)
+    report = coordinator.run(CRAWL_DIR,
+                             n_shards=SHARDS if SHARDS > 0 else None)
+    logs = load_logs(CRAWL_DIR)
+    emit(f"crawl: retained {len(logs)}/{N} sites ({time.time()-t0:.0f}s, "
+         f"backend={backend.name}, jobs={JOBS}, "
+         f"concurrency={CONCURRENCY}, "
+         f"executed={report.executed_shards}, "
+         f"cached={report.cached_shards}, "
+         f"visits executed={report.visits_executed}) "
+         f"[paper: 14,917/20,000]")
 
     t0 = time.time()
     if SHARDS > 0:

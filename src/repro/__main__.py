@@ -2,19 +2,21 @@
 
 Commands
 --------
-study [N] [--jobs J]
-    run the §5 measurement study (default 2000 sites)
-evaluate [N]
-    run the §7 CookieGuard evaluation (default 1000 sites)
 crawl [N] [OUT] [--jobs J] [--concurrency C] [--shards S] [--gzip]
       [--progress] [--backend B] [--cache-dir D] [--max-retries R]
       [--task-timeout S] [--store-retries N] [--store-backoff S]
-    crawl and save raw visit logs.  OUT is a single ``.jsonl[.gz]``
-    file by default; with ``--shards`` it is a directory holding
-    ``shard-NNNN.jsonl[.gz]`` files plus a ``manifest.json``.  With
-    ``--backend``/``--cache-dir`` the crawl runs through the
-    distributed coordinator (durable queue.jsonl, idempotent shard
-    retry, content-addressed shard cache)
+    crawl N sites (default 2000) through the crawl coordinator and
+    save the raw visit logs.  OUT (default ``crawl``) is always a
+    sharded directory: ``shard-NNNN.jsonl[.gz]`` files with their
+    sidecar indexes, a digest-pinned ``manifest.json``, and the durable
+    work-queue ``queue.jsonl``.  A re-run into the same OUT resumes
+    from ``queue.jsonl``: finished shards are re-verified and kept,
+    lost ones are re-crawled.  A re-run that changes N, ``--shards``,
+    ``--gzip`` or ``--concurrency`` is refused (exit 1) rather than
+    mixing shard artifacts, and an OUT ending in ``.jsonl`` or
+    ``.jsonl.gz`` is refused (exit 2).  ``--shards``, not ``--jobs``,
+    sets how far a crawl fans out: the default is one shard per 256
+    sites, so a small crawl is one shard whatever ``--jobs`` says
 crawl-shard SPEC INDEX [--cache-dir D]
     worker entrypoint for the distributed coordinator: execute shard
     INDEX of a ``workspec.json``, write its shard file next to the
@@ -62,34 +64,30 @@ index-shards DIR [DIR ...] [--force]
     backfill sidecar seek indexes (``shard-NNNN.index.json``) for
     existing sharded crawl directories; shard bytes, digests, and
     manifests are untouched.  ``--force`` rewrites valid sidecars too
-full [N] [OUT] [--jobs J] [--concurrency C] [--shards S]
-    the complete paper reproduction in one shot
 
 Options
 -------
---jobs J         fan the crawl out over J worker processes (default
-                 1 = serial).  Per-site seeding makes the result
+--jobs J         run up to J shards at once (default 1 = serial).
+                 Without ``--backend``, J > 1 uses the ``pool``
+                 backend.  Per-site seeding makes the result
                  bit-identical to a serial crawl for any J.
 --concurrency C  overlap C in-flight visits per worker via the
                  cooperative visit engine (default 1 = serial inside
                  a worker).  Output is bit-identical for any C.
---shards S       split the saved dataset into S shard files + manifest
-                 (default: a single file; OUT is treated as a
-                 directory when --shards is given).
---gzip           gzip shard files (single-file output is gzipped when
-                 OUT ends in ``.gz``).
---progress       print one stderr line per completed shard batch.
---backend B      run the crawl through the distributed coordinator on
-                 backend B: ``inprocess`` (this process), ``pool``
-                 (local worker processes), or ``subprocess`` (each
-                 shard execs ``python -m repro crawl-shard``, the
-                 cross-machine worker protocol).  Implies a sharded
-                 OUT directory; the result is bit-identical to the
-                 serial pipeline for every backend.
+--shards S       split the crawl into S shards (default: one per 256
+                 sites).  Shard ranks key the shard cache, so the
+                 default never depends on --jobs.
+--gzip           gzip shard files.
+--progress       print one stderr line per completed shard.
+--backend B      the coordinator's worker backend: ``inprocess``
+                 (this process), ``pool`` (local worker processes),
+                 or ``subprocess`` (each shard execs ``python -m repro
+                 crawl-shard``, the cross-machine worker protocol).
+                 The result is bit-identical for every backend.
 --cache-dir D    content-addressed shard cache: shards already crawled
                  for the same population/config/ranks are reused
                  without executing a single visit, and new shards are
-                 stored for the next run.  Implies the coordinator.
+                 stored for the next run.
                  D is a local directory or an ``http(s)://`` URL of a
                  ``store-serve`` endpoint; with the subprocess backend
                  the value is forwarded to every worker, so workers
@@ -145,70 +143,52 @@ def _run_crawl(args: List[str]) -> None:
     store_backoff = pop_float_flag(args, "--store-backoff", 0.1, minimum=0)
     reject_unknown_flags(args)
     n_sites = int(args[0]) if args else 2000
-    distributed = (backend_name is not None or cache_dir is not None
-                   or task_timeout is not None)
-    # The shard count is deliberately NOT derived from --jobs: shard
-    # ranks are part of the cache key, so a jobs change must not change
-    # the plan (the coordinator's own default is population-sized).
-    default_out = "crawl" if (shards or distributed) else "crawl.jsonl.gz"
-    out = args[1] if len(args) > 1 else default_out
-    if compress and not shards and not str(out).endswith(".gz"):
-        out = f"{out}.gz"
+    out = args[1] if len(args) > 1 else "crawl"
+    if out.endswith((".jsonl", ".jsonl.gz")):
+        print(f"crawl: OUT is a sharded directory, not a single file; "
+              f"got {out!r}")
+        raise SystemExit(2)
 
-    from .crawler import (CrawlConfig, ParallelCrawler, print_progress,
-                          save_logs)
+    from pathlib import Path
+
+    from .crawler import (CoordinationError, Coordinator, CrawlConfig,
+                          HTTPStoreBackend, RetryPolicy, ShardStore,
+                          make_backend, print_progress)
     from .ecosystem import PopulationConfig, generate_population
     population = generate_population(PopulationConfig(n_sites=n_sites,
                                                       seed=2025))
     config = CrawlConfig(seed=2025, concurrency=concurrency)
+    backend = make_backend(backend_name, jobs=jobs, cache_dir=cache_dir)
+    store = None
+    if cache_dir:
+        # The CLI runs resilient by default: a store outage spills
+        # to OUT/store-overflow (reconciled by a later run) instead
+        # of failing the crawl.  Retry/backoff/overflow are pure
+        # scheduling — cache keys and shard bytes are unaffected.
+        target = (HTTPStoreBackend(
+            cache_dir, retry=RetryPolicy(attempts=store_retries,
+                                         backoff=store_backoff))
+            if "://" in cache_dir else cache_dir)
+        store = ShardStore(target, overflow_dir=Path(out) / "store-overflow")
     progress = print_progress if show_progress else None
-    if distributed:
-        from pathlib import Path
-
-        from .crawler import (Coordinator, HTTPStoreBackend, RetryPolicy,
-                              ShardStore, make_backend)
-        backend = make_backend(backend_name or "inprocess", jobs=jobs,
-                               cache_dir=cache_dir)
-        store = None
-        if cache_dir:
-            # The CLI runs resilient by default: a store outage spills
-            # to OUT/store-overflow (reconciled by a later run) instead
-            # of failing the crawl.  Retry/backoff/overflow are pure
-            # scheduling — cache keys and shard bytes are unaffected.
-            target = (HTTPStoreBackend(
-                cache_dir, retry=RetryPolicy(attempts=store_retries,
-                                             backoff=store_backoff))
-                if "://" in cache_dir else cache_dir)
-            store = ShardStore(target,
-                               overflow_dir=Path(out) / "store-overflow")
-        coordinator = Coordinator(population, config, backend=backend,
-                                  max_retries=max_retries, store=store,
-                                  compress=compress, progress=progress,
-                                  task_timeout=task_timeout)
+    coordinator = Coordinator(population, config, backend=backend,
+                              max_retries=max_retries, store=store,
+                              compress=compress, progress=progress,
+                              task_timeout=task_timeout)
+    try:
         report = coordinator.run(out, n_shards=shards)
-        print(f"saved {report.manifest.total} visit logs to {out}/ "
-              f"({report.manifest.n_shards} shards, "
-              f"backend={backend.name}, jobs={jobs}, "
-              f"concurrency={concurrency}, "
-              f"executed={report.executed_shards}, "
-              f"cached={report.cached_shards}, "
-              f"reused={report.reused_shards}, "
-              f"visits executed={report.visits_executed}, "
-              f"retries={report.retries})")
-        return
-    crawler = ParallelCrawler(population, config, jobs=jobs,
-                              progress=progress)
-    if shards:
-        manifest = crawler.crawl_to_dir(out, n_shards=shards,
-                                        compress=compress)
-        print(f"saved {manifest.total} visit logs to {out}/ "
-              f"({manifest.n_shards} shards, jobs={jobs}, "
-              f"concurrency={concurrency})")
-    else:
-        logs = crawler.crawl()
-        written = save_logs(logs, out)
-        print(f"saved {written} visit logs to {out} "
-              f"(jobs={jobs}, concurrency={concurrency})")
+    except CoordinationError as exc:
+        print(f"crawl: {exc}")
+        raise SystemExit(1)
+    print(f"saved {report.manifest.total} visit logs to {out}/ "
+          f"({report.manifest.n_shards} shards, "
+          f"backend={backend.name}, jobs={jobs}, "
+          f"concurrency={concurrency}, "
+          f"executed={report.executed_shards}, "
+          f"cached={report.cached_shards}, "
+          f"reused={report.reused_shards}, "
+          f"visits executed={report.visits_executed}, "
+          f"retries={report.retries})")
 
 
 def _run_analyze(args: List[str]) -> None:
@@ -406,11 +386,7 @@ def main(argv=None) -> None:
         _usage()
     command, *args = argv
 
-    if command == "study":
-        _run_example("measurement_study", args)
-    elif command == "evaluate":
-        _run_example("cookieguard_evaluation", args)
-    elif command == "crawl":
+    if command == "crawl":
         _run_crawl(args)
     elif command == "crawl-shard":
         _run_crawl_shard(args)
@@ -424,26 +400,8 @@ def main(argv=None) -> None:
         _run_store_serve(args)
     elif command == "index-shards":
         _run_index_shards(args)
-    elif command == "full":
-        from pathlib import Path
-        script = Path(__file__).resolve().parents[2] / "scripts" / "full_scale_run.py"
-        sys.argv = [str(script)] + args
-        exec(compile(script.read_text(), str(script), "exec"),
-             {"__name__": "__main__"})
     else:
         _usage()
-
-
-def _run_example(name: str, args) -> None:
-    """Execute an example script from the repository's examples/ dir."""
-    from pathlib import Path
-    script = Path(__file__).resolve().parents[2] / "examples" / f"{name}.py"
-    if not script.exists():
-        print(f"example not found: {script}")
-        raise SystemExit(1)
-    sys.argv = [str(script)] + list(args)
-    exec(compile(script.read_text(), str(script), "exec"),
-         {"__name__": "__main__"})
 
 
 if __name__ == "__main__":

@@ -50,10 +50,11 @@ __all__ = ["CrawlConfig", "Crawler", "config_fingerprint",
 class CrawlConfig:
     """Crawl-level switches.
 
-    ``shard_index``/``shard_count`` are informational labels attached by
-    the parallel engine (:mod:`repro.crawler.parallel`); the ``seed`` is
-    deliberately *not* derived per shard — every visit is seeded with
-    ``[seed, site.rank]``, so shard membership can never change a visit.
+    ``shard_index``/``shard_count`` are informational labels attached per
+    shard (:func:`~repro.crawler.parallel.derive_shard_config`); the
+    ``seed`` is deliberately *not* derived per shard — every visit is
+    seeded with ``[seed, site.rank]``, so shard membership can never
+    change a visit.
 
     ``concurrency`` is how many in-flight visits the cooperative
     scheduler (:mod:`repro.crawler.engine`) overlaps per worker;

@@ -43,9 +43,7 @@ points — ``worker.exec`` in :func:`run_shard_worker` (crash/hang),
 ``journal.append`` in :meth:`WorkQueue._append` (torn record) — so a
 seeded :class:`~repro.faults.FaultPlan` can drive reproducible chaos
 schedules (the chaos matrix in ``tests/test_faults.py`` and the
-``chaos-smoke`` CI job).  The legacy :data:`FAULT_ONCE_ENV` hook (a
-directory path; each shard worker crashes once) is kept as shorthand,
-reimplemented as an implicit crash-once plan.
+``chaos-smoke`` CI job).
 
 Resilience: ``Coordinator(task_timeout=...)`` arms a lease deadline —
 the subprocess backend kills a worker whose deadline passes (its log
@@ -75,10 +73,9 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 
 from ..ecosystem.population import (POPULATION_VERSION, Population,
                                     PopulationConfig)
-from ..faults import FaultPlan, FaultPoint, InjectedFault, maybe_fire
+from ..faults import InjectedFault, maybe_fire
 from .crawler import CrawlConfig, Crawler, config_fingerprint
-from .parallel import (CrawlProgress, Shard, ShardPlan, derive_shard_config,
-                       _init_worker, _WORKER)
+from .parallel import CrawlProgress, Shard, ShardPlan, derive_shard_config
 from .storage import (ManifestError, SHARD_FORMAT_VERSION, ShardIndex,
                       ShardManifest, ShardWriteResult, compute_digest,
                       index_filename, load_shard_index, shard_filename,
@@ -92,7 +89,6 @@ __all__ = [
     "CoordinationError",
     "Coordinator",
     "CrawlReport",
-    "FAULT_ONCE_ENV",
     "HTTPStoreBackend",
     "InMemoryBackend",
     "InProcessBackend",
@@ -125,12 +121,6 @@ WORKSPEC_NAME = "workspec.json"
 #: (``POPULATION_VERSION`` 2), changing site — and therefore shard —
 #: bytes, and task/spec rank lists gained a compact range encoding.
 QUEUE_VERSION = 3
-
-#: Test-only hook: a directory path; each shard worker crashes once.
-#: Shorthand for a ``FaultPlan([FaultPoint("worker.exec", kind="crash",
-#: times=1)], state_dir=<dir>)`` — the general mechanism is
-#: :data:`repro.faults.FAULT_PLAN_ENV`.
-FAULT_ONCE_ENV = "REPRO_FAULT_ONCE_DIR"
 
 # Task states (journal values, also in-memory).
 PENDING = "pending"
@@ -648,17 +638,8 @@ def _worker_exec_fault(index: int) -> None:
 
     ``crash`` hard-exits like a killed worker (no result line, exit 3);
     ``hang`` blocks like a wedged one (exercising ``--task-timeout``).
-    The legacy :data:`FAULT_ONCE_ENV` directory hook is shorthand for a
-    crash-once plan whose counters persist in that directory.
     """
     from .. import faults
-    fault_dir = os.environ.get(FAULT_ONCE_ENV)
-    if fault_dir:
-        plan = FaultPlan([FaultPoint("worker.exec", kind="crash", times=1)],
-                         state_dir=fault_dir)
-        if plan.fires("worker.exec", scope=str(index)) is not None:
-            # Simulate a killed worker: no result line, hard non-zero exit.
-            os._exit(3)
     point = maybe_fire("worker.exec", scope=str(index))
     if point is not None:
         if point.kind == "crash":
@@ -771,6 +752,16 @@ class InProcessBackend(WorkerBackend):
                                    sha256=written.sha256)
 
 
+# Populated once per pool worker by the initializer; workers then only
+# receive (small) task tuples per shard.
+_WORKER: Dict[str, object] = {}
+
+
+def _init_worker(population: Population, config: CrawlConfig) -> None:
+    _WORKER["population"] = population
+    _WORKER["config"] = config
+
+
 def _pool_run_shard(args) -> Tuple[int, bool, str, int, str]:
     """Pool task: crawl one shard; errors are values, not exceptions.
 
@@ -791,18 +782,16 @@ def _pool_run_shard(args) -> Tuple[int, bool, str, int, str]:
 class ProcessPoolBackend(WorkerBackend):
     """Fans shard tasks over a local multiprocessing pool.
 
-    This wraps the same worker plumbing as
-    :class:`~repro.crawler.parallel.ParallelCrawler` (population shipped
-    once via the pool initializer, small task tuples per shard).
+    The population and config are shipped once per worker via the pool
+    initializer; each task is a small tuple naming one shard's ranks.
     """
 
     name = "pool"
 
-    def __init__(self, jobs: int = 2, mp_context: Optional[str] = None):
+    def __init__(self, jobs: int = 2):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.mp_context = mp_context
 
     def run(self, ctx: WorkContext,
             tasks: Sequence[ShardTask]) -> Iterator[ShardOutcome]:
@@ -819,7 +808,7 @@ class ProcessPoolBackend(WorkerBackend):
             finally:
                 _WORKER.clear()
             return
-        context = multiprocessing.get_context(self.mp_context)
+        context = multiprocessing.get_context()
         processes = min(self.jobs, len(args_list))
         with context.Pool(processes=processes, initializer=_init_worker,
                           initargs=(ctx.population, ctx.config)) as pool:
@@ -983,20 +972,22 @@ class SubprocessBackend(WorkerBackend):
                   f"(worker log kept at {log_path})")
 
 
-def make_backend(name: str, jobs: int = 1,
-                 mp_context: Optional[str] = None,
+def make_backend(name: Optional[str] = None, jobs: int = 1,
                  cache_dir: Optional[Union[str, Path]] = None
                  ) -> WorkerBackend:
     """Backend factory for the CLI: inprocess | pool | subprocess.
 
-    ``cache_dir`` only reaches the subprocess backend (whose workers
-    speak ``--cache-dir`` themselves); in-process backends share the
-    coordinator's store object instead.
+    With no ``name``, ``jobs > 1`` picks ``pool`` and ``jobs == 1``
+    picks ``inprocess``.  ``cache_dir`` only reaches the subprocess
+    backend (whose workers speak ``--cache-dir`` themselves); in-process
+    backends share the coordinator's store object instead.
     """
+    if name is None:
+        name = "pool" if jobs > 1 else "inprocess"
     if name == "inprocess":
         return InProcessBackend()
     if name == "pool":
-        return ProcessPoolBackend(jobs=jobs, mp_context=mp_context)
+        return ProcessPoolBackend(jobs=jobs)
     if name == "subprocess":
         return SubprocessBackend(jobs=jobs, cache_dir=cache_dir)
     raise ValueError(f"unknown backend {name!r} "

@@ -1,48 +1,32 @@
-"""Parallel sharded crawl engine (divide-and-conquer over site ranks).
+"""Shard planning for the sharded crawl (divide-and-conquer over ranks).
 
 The crawl is embarrassingly parallel by construction: every visit is
 seeded with ``[seed, site.rank]`` (see :class:`~repro.crawler.crawler.
 Crawler.visit_site`), so no visit can observe another visit's state.
-This module exploits that:
+This module holds the pieces of that decomposition; the one executor
+is :class:`~repro.crawler.distributed.Coordinator`, whose worker
+backends run the shards in this process, over a process pool, or as
+``crawl-shard`` subprocesses, all with bit-identical output:
 
 * :class:`ShardPlan` deterministically partitions a population's site
   ranks into shards (contiguous rank ranges or a round-robin stride).
-* :class:`ParallelCrawler` fans the shards out over a pool of worker
-  processes — or an in-process serial executor — and merges the
-  resulting logs back into rank order.  Output is bit-for-bit identical
-  to a serial :class:`~repro.crawler.crawler.Crawler` run with the same
-  seed, for any worker count (``tests/test_parallel_crawl.py`` locks
-  this in).
-* :meth:`ParallelCrawler.crawl_to_dir` streams each shard's logs to its
-  own file (see :mod:`repro.crawler.storage`), so a full-scale crawl is
-  bounded by shard size, not crawl size, in memory.
-* Inside each worker, the cooperative visit engine
-  (:mod:`repro.crawler.engine`) can overlap ``concurrency`` in-flight
-  visits per shard; the two axes compose (``jobs`` × ``concurrency``)
-  without changing a single output byte.
-
-Workers receive the population once (pool initializer) and re-derive a
-per-shard :class:`CrawlConfig` via :func:`derive_shard_config`; the seed
-is never varied per shard, only the shard labels are attached.
+* :func:`derive_shard_config` attaches a shard's labels to the crawl
+  config; the seed is never varied per shard.
+* :class:`CrawlProgress` is the per-shard progress event, and
+  :func:`print_progress` a ready-made callback for it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
-import time
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from ..ecosystem.population import Population
-from ..ecosystem.site import SiteSpec
-from .crawler import CrawlConfig, Crawler
-from .logs import VisitLog
-from .storage import ShardManifest, write_shard
+from .crawler import CrawlConfig
 
-__all__ = ["Shard", "ShardPlan", "ParallelCrawler", "derive_shard_config",
-           "CrawlProgress", "print_progress"]
+__all__ = ["Shard", "ShardPlan", "derive_shard_config", "CrawlProgress",
+           "print_progress"]
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +39,7 @@ class Shard:
 
     ``ranks`` is any ordered int sequence — plans derived from a whole
     population keep it as a :class:`range`, so a shard of a 10M-site plan
-    is O(1) memory; explicit site lists yield tuples.
+    is O(1) memory; explicit rank lists yield tuples.
     """
 
     index: int
@@ -86,12 +70,6 @@ class ShardPlan:
 
     def __iter__(self):
         return iter(self.shards)
-
-    @classmethod
-    def for_sites(cls, sites: Sequence[SiteSpec], n_shards: int,
-                  strategy: str = "contiguous") -> "ShardPlan":
-        ranks = sorted(site.rank for site in sites)
-        return cls.for_ranks(ranks, n_shards, strategy)
 
     @classmethod
     def for_population(cls, population: Population, n_shards: int,
@@ -148,7 +126,7 @@ def derive_shard_config(config: CrawlConfig, shard: Shard) -> CrawlConfig:
 
 @dataclass(frozen=True)
 class CrawlProgress:
-    """One completed visit batch (= one shard) of a parallel crawl.
+    """One completed shard of a coordinator run (crawled or cache-served).
 
     Reporting only — arrival order depends on worker timing, so nothing
     downstream may consume these for anything but display.
@@ -163,198 +141,9 @@ class CrawlProgress:
 
 
 def print_progress(event: CrawlProgress) -> None:
-    """A ready-made ``progress`` callback: one stderr line per batch."""
+    """A ready-made ``progress`` callback: one stderr line per shard."""
     print(f"[crawl] shard {event.shard_index} done: "
           f"{event.shard_visits} visits "
           f"({event.done_shards}/{event.n_shards} shards, "
           f"{event.total_visits} visits, {event.elapsed:.1f}s)",
           file=sys.stderr, flush=True)
-
-
-# ---------------------------------------------------------------------------
-# Worker-process plumbing
-# ---------------------------------------------------------------------------
-
-# Populated once per worker by the pool initializer; workers then only
-# receive (small) Shard descriptions per task.
-_WORKER: Dict[str, object] = {}
-
-
-def _init_worker(population: Population, config: CrawlConfig) -> None:
-    _WORKER["population"] = population
-    _WORKER["config"] = config
-
-
-def _shard_sites(shard: Shard) -> List[SiteSpec]:
-    # Lazy synthesis: each worker materializes only its shard's ranks.
-    population: Population = _WORKER["population"]  # type: ignore[assignment]
-    return population.sites_for(shard.ranks)
-
-
-def _crawl_shard(args) -> Tuple[int, int, List[VisitLog]]:
-    """Crawl one shard and return its logs (pickled back to the parent)."""
-    shard, keep_incomplete = args
-    config = derive_shard_config(_WORKER["config"], shard)
-    crawler = Crawler(_WORKER["population"], config)
-    logs = crawler.crawl(_shard_sites(shard), keep_incomplete=keep_incomplete)
-    return shard.index, len(logs), logs
-
-
-def _crawl_shard_to_file(args) -> Tuple[int, int, str, str]:
-    """Crawl one shard, streaming logs to its shard file as visits finish.
-
-    ``Crawler.icrawl`` emits logs in rank order even while the engine
-    overlaps visits, so the shard file is written incrementally — peak
-    memory is the in-flight visits, not the whole shard.  Returns the
-    shard file's SHA-256 alongside name and count so the coordinator can
-    pin the bytes in the manifest.
-    """
-    shard, keep_incomplete, directory, compress = args
-    config = derive_shard_config(_WORKER["config"], shard)
-    crawler = Crawler(_WORKER["population"], config)
-    stream = crawler.icrawl(_shard_sites(shard),
-                            keep_incomplete=keep_incomplete)
-    written = write_shard(stream, directory, shard.index, compress=compress)
-    return shard.index, written.count, written.name, written.sha256
-
-
-# ---------------------------------------------------------------------------
-# The parallel crawler
-# ---------------------------------------------------------------------------
-
-class ParallelCrawler:
-    """Fans a crawl out over worker processes, deterministically.
-
-    ``executor`` selects the backend: ``"process"`` forces a
-    :mod:`multiprocessing` pool, ``"serial"`` runs every shard in this
-    process, and ``"auto"`` (default) uses a pool only when ``jobs > 1``.
-    Results are merged in rank order, so the executor choice never
-    changes the output.
-
-    ``concurrency`` (when given) overrides the config's in-flight visit
-    count per worker — the cooperative engine overlaps that many visits
-    inside each shard (:mod:`repro.crawler.engine`).  ``progress`` is an
-    optional callback receiving a :class:`CrawlProgress` per completed
-    shard batch (off by default; see :func:`print_progress`).
-    """
-
-    def __init__(self, population: Population,
-                 config: Optional[CrawlConfig] = None,
-                 jobs: int = 1,
-                 executor: str = "auto",
-                 strategy: str = "contiguous",
-                 mp_context: Optional[str] = None,
-                 concurrency: Optional[int] = None,
-                 progress: Optional[Callable[[CrawlProgress], None]] = None):
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if executor not in ("auto", "serial", "process"):
-            raise ValueError(f"unknown executor {executor!r}")
-        self.population = population
-        self.config = config or CrawlConfig()
-        if concurrency is not None:
-            if concurrency < 1:
-                raise ValueError(
-                    f"concurrency must be >= 1, got {concurrency}")
-            self.config = replace(self.config, concurrency=concurrency)
-        self.jobs = jobs
-        self.executor = executor
-        self.strategy = strategy
-        self.mp_context = mp_context
-        self.progress = progress
-
-    # ------------------------------------------------------------------
-    def plan(self, sites: Optional[Sequence[SiteSpec]] = None,
-             n_shards: Optional[int] = None) -> ShardPlan:
-        if n_shards is None:
-            n_shards = self.jobs
-        if sites is None:
-            return ShardPlan.for_population(self.population, n_shards,
-                                            self.strategy)
-        return ShardPlan.for_sites(sites, n_shards, self.strategy)
-
-    # ------------------------------------------------------------------
-    def crawl(self, sites: Optional[Sequence[SiteSpec]] = None,
-              keep_incomplete: bool = False,
-              n_shards: Optional[int] = None) -> List[VisitLog]:
-        """Crawl in parallel; returns retained logs in rank order."""
-        plan = self.plan(sites, n_shards)
-        tasks = [(shard, keep_incomplete) for shard in plan]
-        results = self._run(_crawl_shard, tasks)
-        logs: List[VisitLog] = []
-        for _index, _count, shard_logs in sorted(results, key=lambda r: r[0]):
-            logs.extend(shard_logs)
-        logs.sort(key=lambda log: log.rank)
-        return logs
-
-    # ------------------------------------------------------------------
-    def crawl_to_dir(self, directory: Union[str, Path],
-                     sites: Optional[Sequence[SiteSpec]] = None,
-                     keep_incomplete: bool = False,
-                     n_shards: Optional[int] = None,
-                     compress: bool = False) -> ShardManifest:
-        """Crawl and stream each shard to its own file under ``directory``.
-
-        Workers write their shard files directly, so peak memory is one
-        shard's logs per worker; the returned (and saved) manifest makes
-        the directory loadable via ``load_logs``/``iter_logs``.
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        plan = self.plan(sites, n_shards)
-        tasks = [(shard, keep_incomplete, str(directory), compress)
-                 for shard in plan]
-        results = sorted(self._run(_crawl_shard_to_file, tasks),
-                         key=lambda r: r[0])
-        manifest = ShardManifest(
-            n_shards=plan.n_shards,
-            total=sum(count for _i, count, _f, _d in results),
-            compress=compress,
-            files=tuple(name for _i, _c, name, _d in results),
-            counts=tuple(count for _i, count, _f, _d in results),
-            digests=tuple(digest for _i, _c, _f, digest in results),
-        )
-        manifest.save(directory)
-        return manifest
-
-    # ------------------------------------------------------------------
-    def _run(self, task, args_list: List) -> List:
-        """Execute shard tasks; returns their ``(index, count, ...)`` tuples.
-
-        Results arrive (and ``progress`` fires) in completion order —
-        callers sort by shard index, so the backend never changes the
-        output, only the reporting cadence.
-        """
-        use_pool = (self.executor == "process"
-                    or (self.executor == "auto"
-                        and self.jobs > 1 and len(args_list) > 1))
-        started = time.monotonic()
-        results: List = []
-
-        def collect(result) -> None:
-            results.append(result)
-            if self.progress is not None:
-                self.progress(CrawlProgress(
-                    shard_index=result[0],
-                    n_shards=len(args_list),
-                    shard_visits=result[1],
-                    done_shards=len(results),
-                    total_visits=sum(r[1] for r in results),
-                    elapsed=time.monotonic() - started,
-                ))
-
-        if not use_pool:
-            _init_worker(self.population, self.config)
-            try:
-                for args in args_list:
-                    collect(task(args))
-                return results
-            finally:
-                _WORKER.clear()
-        context = multiprocessing.get_context(self.mp_context)
-        processes = min(self.jobs, len(args_list))
-        with context.Pool(processes=processes, initializer=_init_worker,
-                          initargs=(self.population, self.config)) as pool:
-            for result in pool.imap_unordered(task, args_list):
-                collect(result)
-        return results

@@ -5,8 +5,8 @@ Two on-disk layouts are supported:
 * **Single file** — one JSON object per visit, the seed layout.
 * **Sharded directory** — ``shard-0000.jsonl[.gz] … shard-NNNN.jsonl[.gz]``
   plus a ``manifest.json`` describing the shards.  This is what the
-  parallel crawl engine streams to, so a full-scale crawl never has to
-  hold every :class:`VisitLog` in memory at once.
+  crawl coordinator's workers stream to, so a full-scale crawl never
+  has to hold every :class:`VisitLog` in memory at once.
 
 ``save_logs``/``load_logs`` speak both layouts: pass ``shards=N`` (or a
 directory path) to write the sharded form; ``load_logs`` detects a
@@ -356,7 +356,7 @@ def write_shard(logs: Iterable[VisitLog], directory: Union[str, Path],
                 index: int, compress: bool = False) -> ShardWriteResult:
     """Write one shard file into ``directory``; returns name/count/digest.
 
-    Used by parallel and distributed workers, which each own one shard;
+    Used by the coordinator's workers, which each own one shard;
     the coordinator assembles and saves the :class:`ShardManifest` from
     the returned digests afterwards.  Gzip output is deterministic
     (zeroed header), so the digest is a pure function of the logs.
@@ -377,12 +377,6 @@ def write_shard(logs: Iterable[VisitLog], directory: Union[str, Path],
             handle.truncate(max(handle.seek(0, 2) // 2, 1))
         raise InjectedFault(f"torn shard write: {name}")
     return result
-
-
-def save_shard(logs: Iterable[VisitLog], directory: Union[str, Path],
-               index: int, compress: bool = False) -> int:
-    """Back-compat wrapper around :func:`write_shard` (count only)."""
-    return write_shard(logs, directory, index, compress=compress).count
 
 
 def save_logs(logs: Iterable[VisitLog], path: Union[str, Path],

@@ -7,26 +7,31 @@ Two layers of guarantees:
   propagation and coroutine cleanup.
 * **Cross-engine equivalence matrix** — the crawl's ``VisitLog`` stream
   (and the merged ``Study`` output) is bit-identical across the serial
-  path, the async engine at concurrency 2/8/64, and process-worker ×
-  async combinations under both shard strategies.  This is the
-  within-shard analogue of ``tests/test_parallel_crawl.py``.
+  path, the async engine at concurrency 2/8/64, and the coordinator's
+  process-pool workers × async combinations under both shard
+  strategies.  This is the within-shard analogue of the backend matrix
+  in ``tests/test_distributed.py``.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis import Study
 from repro.crawler import (
+    Coordinator,
     CrawlConfig,
     Crawler,
-    ParallelCrawler,
+    ProcessPoolBackend,
     VisitEngine,
     WaitPoint,
     drive,
+    load_logs,
 )
+from repro.ecosystem import generate_population
 
 SEED_CFG = CrawlConfig(seed=2025)
 
@@ -201,6 +206,26 @@ def subset_stream(population, subset):
     return _stream(Crawler(population, SEED_CFG).crawl(subset))
 
 
+@pytest.fixture(scope="module")
+def subset_population(population, subset):
+    """The subset as a population of its own, for coordinator crawls.
+
+    Sites synthesize per rank, so the top-60 population holds exactly
+    the subset's sites.
+    """
+    return generate_population(replace(population.config,
+                                       n_sites=len(subset)))
+
+
+def _pool_crawl(population, out, jobs, concurrency, n_shards,
+                strategy="contiguous"):
+    """Crawl through the coordinator's process pool; the loaded logs."""
+    Coordinator(population, replace(SEED_CFG, concurrency=concurrency),
+                backend=ProcessPoolBackend(jobs=jobs),
+                strategy=strategy).run(out, n_shards=n_shards)
+    return load_logs(out)
+
+
 class TestCrossEngineEquivalence:
     @pytest.mark.parametrize("concurrency", [2, 8, 64])
     def test_async_matches_serial(self, population, subset, subset_stream,
@@ -210,17 +235,18 @@ class TestCrossEngineEquivalence:
                                      concurrency=concurrency)) == subset_stream
 
     @pytest.mark.parametrize("strategy", ["contiguous", "stride"])
-    def test_sharded_async_matches_serial(self, population, subset,
-                                          subset_stream, strategy):
-        crawler = ParallelCrawler(population, SEED_CFG, jobs=1,
-                                  strategy=strategy, concurrency=8)
-        assert _stream(crawler.crawl(subset, n_shards=3)) == subset_stream
+    def test_sharded_async_matches_serial(self, subset_population,
+                                          subset_stream, tmp_path,
+                                          strategy):
+        logs = _pool_crawl(subset_population, tmp_path, jobs=1,
+                           concurrency=8, n_shards=3, strategy=strategy)
+        assert _stream(logs) == subset_stream
 
-    def test_study_output_matches_serial(self, population, subset):
+    def test_study_output_matches_serial(self, population, subset,
+                                         subset_population, tmp_path):
         serial = Study(Crawler(population, SEED_CFG).crawl(subset))
-        crawler = ParallelCrawler(population, SEED_CFG, jobs=1,
-                                  concurrency=16)
-        merged = Study(crawler.crawl(subset, n_shards=4))
+        merged = Study(_pool_crawl(subset_population, tmp_path, jobs=1,
+                                   concurrency=16, n_shards=4))
         assert merged.table1() == serial.table1()
         assert merged.table2(20) == serial.table2(20)
         assert merged.sec51_prevalence() == serial.sec51_prevalence()
@@ -256,22 +282,22 @@ class TestCrossEngineEquivalence:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("concurrency", [2, 8, 64])
     @pytest.mark.parametrize("strategy", ["contiguous", "stride"])
-    def test_process_worker_matrix(self, population, subset, subset_stream,
-                                   jobs, concurrency, strategy):
-        """The full matrix: process executor × async engine × strategy."""
-        crawler = ParallelCrawler(population, SEED_CFG, jobs=jobs,
-                                  executor="process", strategy=strategy,
-                                  concurrency=concurrency)
-        logs = crawler.crawl(subset, n_shards=2 * jobs)
+    def test_process_worker_matrix(self, subset_population, subset_stream,
+                                   tmp_path, jobs, concurrency, strategy):
+        """The full matrix: pool workers × async engine × strategy."""
+        logs = _pool_crawl(subset_population, tmp_path, jobs=jobs,
+                           concurrency=concurrency, n_shards=2 * jobs,
+                           strategy=strategy)
         assert _stream(logs) == subset_stream
 
     @pytest.mark.slow
-    def test_process_async_study_matches_serial(self, population, subset):
+    def test_process_async_study_matches_serial(self, population, subset,
+                                                subset_population,
+                                                tmp_path):
         serial = Study(Crawler(population, SEED_CFG).crawl(subset))
-        crawler = ParallelCrawler(population, SEED_CFG, jobs=2,
-                                  executor="process", concurrency=8)
         merged = Study.from_shards(
-            [crawler.crawl(subset, n_shards=4)])
+            [_pool_crawl(subset_population, tmp_path, jobs=2,
+                         concurrency=8, n_shards=4)])
         assert merged.table1() == serial.table1()
         assert merged.sec52_api_usage() == serial.sec52_api_usage()
         assert merged.sec55_overwrite_attributes() == \

@@ -32,7 +32,6 @@ from repro.crawler import (
     population_fingerprint,
 )
 from repro.crawler.distributed import (
-    FAULT_ONCE_ENV,
     QUEUE_NAME,
     QUEUE_VERSION,
     ShardOutcome,
@@ -45,6 +44,7 @@ from repro.crawler.distributed import (
 )
 from repro.crawler.storage import ShardManifest
 from repro.ecosystem import PopulationConfig, generate_population
+from repro.faults import FAULT_PLAN_ENV, FaultPlan, FaultPoint
 
 N_SITES = 48
 SEED = 2025
@@ -181,6 +181,12 @@ class TestBackendEquivalence:
 
     def test_make_backend_respects_explicit_single_job(self):
         assert make_backend("pool", jobs=1).jobs == 1
+
+    def test_make_backend_without_a_name_picks_by_jobs(self):
+        assert make_backend().name == "inprocess"
+        assert make_backend(jobs=1).name == "inprocess"
+        pool = make_backend(jobs=3)
+        assert pool.name == "pool" and pool.jobs == 3
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +338,11 @@ class TestFaultInjection:
     def test_killed_subprocess_worker_is_retried(
             self, small_population, serial_stream, tmp_path, monkeypatch):
         """Every worker is hard-killed once; retries still converge."""
-        fault_dir = tmp_path / "faults"
-        monkeypatch.setenv(FAULT_ONCE_ENV, str(fault_dir))
+        # An ambient crash-once plan: the subprocess workers inherit it,
+        # and its state_dir keeps each shard's fire count across them.
+        plan = FaultPlan([FaultPoint("worker.exec", kind="crash", times=1)],
+                         state_dir=tmp_path / "faults")
+        monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps(plan.to_spec()))
         out = tmp_path / "out"
         coordinator = Coordinator(small_population, CrawlConfig(seed=SEED),
                                   backend=SubprocessBackend(jobs=2),

@@ -1,15 +1,14 @@
-"""Determinism of the parallel sharded crawl engine.
+"""Shard planning, progress reporting and merge determinism.
 
-The contract under test: for the same population and seed, the parallel
-crawler produces *bit-for-bit* the same ``VisitLog.to_dict()`` stream as
-the serial crawler (after ordering by rank), for any worker count, shard
-strategy, and executor — and ``Study`` aggregation is independent of the
-shard partition and merge order.
+The contract under test: a population's ranks partition deterministically
+into shards, the coordinator reports one progress event per shard without
+the callback ever changing a byte, and ``Study`` aggregation is
+independent of the shard partition and merge order.  Crawl output across
+worker backends is pinned by ``tests/test_distributed.py``.
 """
 
 from __future__ import annotations
 
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -18,20 +17,30 @@ import pytest
 
 from repro.analysis import Study, StudyAccumulator
 from repro.crawler import (
+    Coordinator,
     CrawlConfig,
     CrawlProgress,
     Crawler,
-    ParallelCrawler,
+    ProcessPoolBackend,
     ShardPlan,
+    ShardStore,
     derive_shard_config,
 )
 from repro.crawler.crawler import _stable_token
 from repro.crawler.parallel import print_progress
+from repro.ecosystem import PopulationConfig, generate_population
 
 
-def _stream(logs):
-    return [json.dumps(log.to_dict(), sort_keys=True)
-            for log in sorted(logs, key=lambda log: log.rank)]
+@pytest.fixture(scope="module")
+def small_population():
+    return generate_population(PopulationConfig(n_sites=24, seed=2025))
+
+
+def _dataset_bytes(out_dir):
+    """Shard, sidecar and manifest bytes (the journal keys on the config)."""
+    return {path.name: path.read_bytes()
+            for path in sorted(Path(out_dir).iterdir())
+            if path.name != "queue.jsonl"}
 
 
 # ---------------------------------------------------------------------------
@@ -88,43 +97,6 @@ class TestShardPlan:
 
 
 # ---------------------------------------------------------------------------
-# Crawl determinism
-# ---------------------------------------------------------------------------
-
-class TestParallelDeterminism:
-    @pytest.fixture(scope="class")
-    def serial_stream(self, crawl_logs):
-        return _stream(crawl_logs)
-
-    def test_serial_executor_matches(self, population, serial_stream):
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025), jobs=1)
-        assert _stream(crawler.crawl(n_shards=4)) == serial_stream
-
-    def test_two_workers_match(self, population, serial_stream):
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025), jobs=2)
-        assert _stream(crawler.crawl()) == serial_stream
-
-    def test_stride_strategy_matches(self, population):
-        sites = population.successful_sites()[:40]
-        serial = Crawler(population, CrawlConfig(seed=2025)).crawl(sites)
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025),
-                                  jobs=2, strategy="stride")
-        assert _stream(crawler.crawl(sites)) == _stream(serial)
-
-    @pytest.mark.slow
-    def test_four_workers_match(self, population, serial_stream):
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025), jobs=4)
-        assert _stream(crawler.crawl(n_shards=8)) == serial_stream
-
-    def test_forced_process_executor_single_job(self, population):
-        sites = population.successful_sites()[:12]
-        serial = Crawler(population, CrawlConfig(seed=2025)).crawl(sites)
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025),
-                                  jobs=1, executor="process")
-        assert _stream(crawler.crawl(sites, n_shards=2)) == _stream(serial)
-
-
-# ---------------------------------------------------------------------------
 # Study merge determinism
 # ---------------------------------------------------------------------------
 
@@ -177,33 +149,39 @@ class TestStudyMerge:
 # ---------------------------------------------------------------------------
 
 class TestProgressReporting:
-    def test_off_by_default(self, population):
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025))
-        assert crawler.progress is None
+    def test_off_by_default(self, small_population):
+        coordinator = Coordinator(small_population, CrawlConfig(seed=2025))
+        assert coordinator.progress is None
 
-    def test_one_event_per_shard_batch(self, population):
-        sites = population.sites[:24]
-        events = []
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025),
-                                  jobs=1, progress=events.append)
-        logs = crawler.crawl(sites, n_shards=3)
-        assert len(events) == 3
-        assert sorted(e.shard_index for e in events) == [0, 1, 2]
-        assert all(isinstance(e, CrawlProgress) for e in events)
-        assert all(e.n_shards == 3 for e in events)
-        assert events[-1].done_shards == 3
-        assert events[-1].total_visits == len(logs)
-        assert sum(e.shard_visits for e in events) == len(logs)
-        assert all(e.elapsed >= 0.0 for e in events)
+    def test_one_event_per_shard_batch(self, small_population, tmp_path):
+        store = ShardStore(tmp_path / "cache")
+        for run in ("cold", "warm"):
+            events = []
+            report = Coordinator(small_population, CrawlConfig(seed=2025),
+                                 store=store, progress=events.append).run(
+                tmp_path / run, n_shards=3)
+            total = report.manifest.total
+            # Store hits report progress just like crawled shards.
+            assert report.cached_shards == (3 if run == "warm" else 0)
+            assert len(events) == 3
+            assert sorted(e.shard_index for e in events) == [0, 1, 2]
+            assert all(isinstance(e, CrawlProgress) for e in events)
+            assert all(e.n_shards == 3 for e in events)
+            assert events[-1].done_shards == 3
+            assert events[-1].total_visits == total
+            assert sum(e.shard_visits for e in events) == total
+            assert all(e.elapsed >= 0.0 for e in events)
 
-    def test_callback_never_changes_the_output(self, population):
-        sites = population.sites[:24]
-        quiet = ParallelCrawler(population, CrawlConfig(seed=2025))
-        noisy = ParallelCrawler(population, CrawlConfig(seed=2025),
-                                jobs=1, concurrency=4,
-                                progress=lambda event: None)
-        assert _stream(noisy.crawl(sites, n_shards=3)) == \
-            _stream(quiet.crawl(sites, n_shards=3))
+    def test_callback_never_changes_the_output(self, small_population,
+                                               tmp_path):
+        Coordinator(small_population, CrawlConfig(seed=2025)).run(
+            tmp_path / "quiet", n_shards=3)
+        Coordinator(small_population,
+                    CrawlConfig(seed=2025, concurrency=4),
+                    progress=lambda event: None).run(
+            tmp_path / "noisy", n_shards=3)
+        assert _dataset_bytes(tmp_path / "noisy") == \
+            _dataset_bytes(tmp_path / "quiet")
 
     def test_print_progress_writes_one_line(self, capsys):
         print_progress(CrawlProgress(shard_index=1, n_shards=4,
@@ -214,15 +192,15 @@ class TestProgressReporting:
         assert "shard 1" in err and "2/4" in err and "33 visits" in err
 
     @pytest.mark.slow
-    def test_progress_fires_across_process_pool(self, population):
-        sites = population.sites[:24]
+    def test_progress_fires_across_process_pool(self, small_population,
+                                                tmp_path):
         events = []
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025),
-                                  jobs=2, executor="process",
-                                  progress=events.append)
-        logs = crawler.crawl(sites, n_shards=2)
+        report = Coordinator(small_population, CrawlConfig(seed=2025),
+                             backend=ProcessPoolBackend(jobs=2),
+                             progress=events.append).run(tmp_path,
+                                                         n_shards=2)
         assert sorted(e.shard_index for e in events) == [0, 1]
-        assert sum(e.shard_visits for e in events) == len(logs)
+        assert sum(e.shard_visits for e in events) == report.manifest.total
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,7 @@ import pytest
 
 from repro.analysis import Study
 from repro.crawler import (
-    CrawlConfig,
     ManifestError,
-    ParallelCrawler,
     ShardManifest,
     iter_logs,
     load_logs,
@@ -80,14 +78,6 @@ class TestShardedRoundTrip:
         assert [len(piece) for piece in pieces] == list(manifest.counts)
         flat = [log for piece in pieces for log in piece]
         assert _stream(flat) == _stream(crawl_logs)
-
-    def test_parallel_crawl_to_dir_matches_serial_save(self, population,
-                                                       crawl_logs, tmp_path):
-        directory = tmp_path / "parallel"
-        crawler = ParallelCrawler(population, CrawlConfig(seed=2025), jobs=2)
-        manifest = crawler.crawl_to_dir(directory, n_shards=3)
-        assert manifest.total == len(crawl_logs)
-        assert _stream(load_logs(directory)) == _stream(crawl_logs)
 
     def test_single_file_layout_unchanged(self, crawl_logs, tmp_path):
         path = tmp_path / "crawl.jsonl"
