@@ -6,14 +6,12 @@ instrumentation extension, and prints every §5 table/figure next to the
 paper's numbers.
 
 Run:  python examples/measurement_study.py [n_sites] [--jobs J]
-                                           [--concurrency C]
                                            [--cache-dir D] [--backend B]
       (default 2000; the paper's scale is 20000.  The crawl runs
       through the crawl coordinator: --jobs fans its shards over J
-      worker processes, --concurrency overlaps C in-flight visits per
-      worker — both with bit-identical results.  --cache-dir adds the
-      coordinator's shard cache, so re-running the analysis over the
-      same population performs zero visits)
+      worker processes with bit-identical results.  --cache-dir adds
+      the coordinator's shard cache, so re-running the analysis over
+      the same population performs zero visits)
 """
 
 import sys
@@ -37,7 +35,6 @@ from repro.ecosystem import PopulationConfig, generate_population
 def main():
     args = sys.argv[1:]
     jobs = pop_int_flag(args, "--jobs", 1, minimum=1)
-    concurrency = pop_int_flag(args, "--concurrency", 1, minimum=1)
     cache_dir = pop_flag(args, "--cache-dir")
     backend_name = pop_choice_flag(args, "--backend",
                                    ["inprocess", "pool", "subprocess"])
@@ -47,9 +44,9 @@ def main():
     population = generate_population(PopulationConfig(n_sites=n_sites,
                                                       seed=2025))
     print(f"Crawling (scroll + up to 3 link clicks per site, "
-          f"jobs={jobs}, concurrency={concurrency})...")
+          f"jobs={jobs})...")
     start = time.time()
-    config = CrawlConfig(seed=2025, concurrency=concurrency)
+    config = CrawlConfig(seed=2025)
     backend = make_backend(backend_name, jobs=jobs, cache_dir=cache_dir)
     store = ShardStore(cache_dir) if cache_dir else None
     coordinator = Coordinator(population, config, backend=backend,

@@ -3,8 +3,8 @@
 
 Writes all measured numbers to results_full_scale.txt for EXPERIMENTS.md.
 
-Usage: full_scale_run.py [N] [OUT] [--jobs J] [--concurrency C]
-                         [--shards S] [--backend B] [--cache-dir D]
+Usage: full_scale_run.py [N] [OUT] [--jobs J] [--shards S]
+                         [--backend B] [--cache-dir D]
                          [--crawl-dir W] [--max-retries R]
 
 The crawl runs through the crawl coordinator
@@ -13,9 +13,8 @@ The crawl runs through the crawl coordinator
 and per-shard digests.  A re-run into the same ``--crawl-dir`` resumes
 it; one with another N, shard count or crawl config is refused, so give
 it a fresh ``--crawl-dir``.  ``--jobs`` fans the shards over J worker
-processes (``--backend`` picks another worker backend) and
-``--concurrency`` overlaps C in-flight visits inside each worker via the
-cooperative visit engine, both bit-identical to the serial crawl.
+processes (``--backend`` picks another worker backend), bit-identical
+to the serial crawl.
 ``--shards`` sets the coordinator's shard count and also aggregates the
 study shard by shard through ``Study.from_shards`` — all paths produce
 identical tables by construction.  With ``--cache-dir`` a re-run over
@@ -48,7 +47,6 @@ from repro.evaluation import (
 
 _ARGS = sys.argv[1:]
 JOBS = pop_int_flag(_ARGS, "--jobs", 1, minimum=1)
-CONCURRENCY = pop_int_flag(_ARGS, "--concurrency", 1, minimum=1)
 SHARDS = pop_int_flag(_ARGS, "--shards", 0, minimum=1)
 BACKEND = pop_choice_flag(_ARGS, "--backend",
                           ["inprocess", "pool", "subprocess"])
@@ -72,7 +70,7 @@ def main():
     emit(f"population: {N} sites ({time.time()-t0:.0f}s)")
 
     t0 = time.time()
-    config = CrawlConfig(seed=2025, concurrency=CONCURRENCY)
+    config = CrawlConfig(seed=2025)
     backend = make_backend(BACKEND, jobs=JOBS, cache_dir=CACHE_DIR)
     store = ShardStore(CACHE_DIR) if CACHE_DIR else None
     coordinator = Coordinator(population, config, backend=backend,
@@ -82,7 +80,6 @@ def main():
     logs = load_logs(CRAWL_DIR)
     emit(f"crawl: retained {len(logs)}/{N} sites ({time.time()-t0:.0f}s, "
          f"backend={backend.name}, jobs={JOBS}, "
-         f"concurrency={CONCURRENCY}, "
          f"executed={report.executed_shards}, "
          f"cached={report.cached_shards}, "
          f"visits executed={report.visits_executed}) "

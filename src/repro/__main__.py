@@ -2,8 +2,8 @@
 
 Commands
 --------
-crawl [N] [OUT] [--jobs J] [--concurrency C] [--shards S] [--gzip]
-      [--progress] [--backend B] [--cache-dir D] [--max-retries R]
+crawl [N] [OUT] [--jobs J] [--shards S] [--gzip] [--progress]
+      [--backend B] [--cache-dir D] [--max-retries R]
       [--task-timeout S] [--store-retries N] [--store-backoff S]
     crawl N sites (default 2000) through the crawl coordinator and
     save the raw visit logs.  OUT (default ``crawl``) is always a
@@ -11,12 +11,14 @@ crawl [N] [OUT] [--jobs J] [--concurrency C] [--shards S] [--gzip]
     sidecar indexes, a digest-pinned ``manifest.json``, and the durable
     work-queue ``queue.jsonl``.  A re-run into the same OUT resumes
     from ``queue.jsonl``: finished shards are re-verified and kept,
-    lost ones are re-crawled.  A re-run that changes N, ``--shards``,
-    ``--gzip`` or ``--concurrency`` is refused (exit 1) rather than
-    mixing shard artifacts, and an OUT ending in ``.jsonl`` or
-    ``.jsonl.gz`` is refused (exit 2).  ``--shards``, not ``--jobs``,
-    sets how far a crawl fans out: the default is one shard per 256
-    sites, so a small crawl is one shard whatever ``--jobs`` says
+    lost ones are re-crawled.  A re-run that changes N, ``--shards``
+    or ``--gzip`` is refused (exit 1) rather than mixing shard
+    artifacts, and an OUT ending in ``.jsonl`` or ``.jsonl.gz`` is
+    refused (exit 2).  Shards are the unit of parallelism; the visits
+    inside a shard run one after another.  ``--shards``, not
+    ``--jobs``, sets how far a crawl fans out: the default is one shard
+    per 256 sites, so a small crawl is one shard whatever ``--jobs``
+    says
 crawl-shard SPEC INDEX [--cache-dir D]
     worker entrypoint for the distributed coordinator: execute shard
     INDEX of a ``workspec.json``, write its shard file next to the
@@ -71,9 +73,6 @@ Options
                  Without ``--backend``, J > 1 uses the ``pool``
                  backend.  Per-site seeding makes the result
                  bit-identical to a serial crawl for any J.
---concurrency C  overlap C in-flight visits per worker via the
-                 cooperative visit engine (default 1 = serial inside
-                 a worker).  Output is bit-identical for any C.
 --shards S       split the crawl into S shards (default: one per 256
                  sites).  Shard ranks key the shard cache, so the
                  default never depends on --jobs.
@@ -129,7 +128,6 @@ def _usage() -> None:
 
 def _run_crawl(args: List[str]) -> None:
     jobs = pop_int_flag(args, "--jobs", 1, minimum=1)
-    concurrency = pop_int_flag(args, "--concurrency", 1, minimum=1)
     shards = pop_int_flag(args, "--shards", 0, minimum=1) or None
     compress = pop_switch(args, "--gzip")
     show_progress = pop_switch(args, "--progress")
@@ -157,7 +155,7 @@ def _run_crawl(args: List[str]) -> None:
     from .ecosystem import PopulationConfig, generate_population
     population = generate_population(PopulationConfig(n_sites=n_sites,
                                                       seed=2025))
-    config = CrawlConfig(seed=2025, concurrency=concurrency)
+    config = CrawlConfig(seed=2025)
     backend = make_backend(backend_name, jobs=jobs, cache_dir=cache_dir)
     store = None
     if cache_dir:
@@ -183,7 +181,6 @@ def _run_crawl(args: List[str]) -> None:
     print(f"saved {report.manifest.total} visit logs to {out}/ "
           f"({report.manifest.n_shards} shards, "
           f"backend={backend.name}, jobs={jobs}, "
-          f"concurrency={concurrency}, "
           f"executed={report.executed_shards}, "
           f"cached={report.cached_shards}, "
           f"reused={report.reused_shards}, "

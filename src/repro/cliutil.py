@@ -13,7 +13,7 @@ Conventions (locked in by ``tests/test_cliutil.py``):
   invisible to ``pop_*`` and exempt from ``reject_unknown_flags`` (which
   removes the marker itself).
 * Integer flags validate their ``minimum`` (so ``--jobs 0``,
-  ``--concurrency -3`` etc. exit 2 with a one-line message).
+  ``--shards -3`` etc. exit 2 with a one-line message).
 """
 
 from __future__ import annotations

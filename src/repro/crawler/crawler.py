@@ -12,9 +12,8 @@ The same harness drives the CookieGuard evaluation crawls: pass
 
 Each visit is written as a resumable coroutine (:meth:`Crawler.
 visit_steps`) yielding :class:`~repro.crawler.engine.WaitPoint`\\ s at
-its simulated idle moments, so the cooperative engine can overlap many
-in-flight visits per worker; the serial API (:meth:`Crawler.visit_site`,
-``concurrency=1``) is the trivial schedule of the same coroutine.
+its simulated idle moments; :class:`~repro.crawler.engine.VisitEngine`
+runs the visits one after another, resuming every wait immediately.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -55,11 +54,6 @@ class CrawlConfig:
     ``seed`` is deliberately *not* derived per shard — every visit is
     seeded with ``[seed, site.rank]``, so shard membership can never
     change a visit.
-
-    ``concurrency`` is how many in-flight visits the cooperative
-    scheduler (:mod:`repro.crawler.engine`) overlaps per worker;
-    1 (the default) is the plain serial schedule.  Because visits are
-    independent, any value produces bit-identical logs.
     """
 
     seed: int = 2025
@@ -70,7 +64,6 @@ class CrawlConfig:
     guard_uncloak_dns: bool = False
     shard_index: int = 0
     shard_count: int = 1
-    concurrency: int = 1
 
 
 def config_fingerprint(config: CrawlConfig) -> str:
@@ -81,12 +74,9 @@ def config_fingerprint(config: CrawlConfig) -> str:
     fingerprint are promised to produce byte-identical shard files for
     the same population and ranks.  The shard labels
     (``shard_index``/``shard_count``) are excluded — the crawl output is
-    invariant to the shard layout by construction.  ``concurrency`` *is*
-    included even though the engine proves it never changes a byte:
-    cache correctness deliberately does not lean on that proof, so a
-    concurrency change re-crawls rather than trusting the equivalence.
-    Scheduling knobs that live outside :class:`CrawlConfig` (worker
-    count, backend choice) never enter the fingerprint.
+    invariant to the shard layout by construction.  Scheduling knobs
+    (worker count, backend choice) live outside :class:`CrawlConfig`
+    and never enter the fingerprint.
 
     An ``entity_of`` callable on the guard policy is recorded as a
     presence bit only — two different callables fingerprint alike — so
@@ -108,7 +98,6 @@ def config_fingerprint(config: CrawlConfig) -> str:
         "install_guard": config.install_guard,
         "guard_policy": policy_desc,
         "guard_uncloak_dns": config.guard_uncloak_dns,
-        "concurrency": config.concurrency,
     }
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
@@ -125,59 +114,49 @@ class Crawler:
         self.guards: List = []
 
     # ------------------------------------------------------------------
-    def crawl(self, sites: Optional[Sequence[SiteSpec]] = None,
-              keep_incomplete: bool = False,
-              concurrency: Optional[int] = None) -> List[VisitLog]:
+    def crawl(self, sites: Optional[Iterable[SiteSpec]] = None,
+              keep_incomplete: bool = False) -> List[VisitLog]:
         """Crawl ``sites`` (default: the whole population).
 
         Returns the retained visit logs — those with both cookie and
         network data, matching the paper's 14,917/20,000 criterion —
-        unless ``keep_incomplete`` is set.  ``concurrency`` overrides
-        the config's in-flight visit count; the output is identical for
-        any value (see :mod:`repro.crawler.engine`).
+        unless ``keep_incomplete`` is set.
 
         ``self.guards`` holds the guard instances of *this* crawl only;
         repeated ``crawl()`` calls start from an empty list.
         """
-        return list(self.icrawl(sites, keep_incomplete=keep_incomplete,
-                                concurrency=concurrency))
+        return list(self.icrawl(sites, keep_incomplete=keep_incomplete))
 
     # ------------------------------------------------------------------
-    def icrawl(self, sites: Optional[Sequence[SiteSpec]] = None,
+    def icrawl(self, sites: Optional[Iterable[SiteSpec]] = None,
                keep_incomplete: bool = False,
-               concurrency: Optional[int] = None,
                on_visit: Optional[Callable[[int, Optional[VisitLog]], None]]
                = None) -> Iterator[VisitLog]:
-        """Stream retained logs in site order while visits overlap.
+        """Stream retained logs in site order, one visit at a time.
 
-        The cooperative engine drives up to ``concurrency`` visit
-        coroutines at once and emits each finished log as soon as every
-        earlier site's log is out, so shard files can be written
-        incrementally in rank order.  ``on_visit(index, log)`` — if
-        given — fires per completed visit in completion order (progress
-        hooks; ``log`` is None for failed crawls).
+        Each log is yielded before the next site is visited, so shard
+        files can be written incrementally in rank order.
+        ``on_visit(index, log)`` — if given — fires once per site after
+        its visit (progress hooks; ``log`` is None for failed crawls).
         """
         if sites is None:
-            # Lazy stream: sites synthesize per rank as the engine admits
-            # them, so a whole-population crawl never materializes the list.
+            # Lazy stream: sites synthesize per rank as they are visited,
+            # so a whole-population crawl never materializes the list.
             sites = self.population.iter_sites()
-        if concurrency is None:
-            concurrency = self.config.concurrency
         self.guards = []
-        engine = VisitEngine(concurrency, on_complete=on_visit)
-        jobs = [(lambda s=site: self.visit_steps(s)) for site in sites]
-        for log in engine.run_ordered(jobs):
-            if log is None:
-                continue
-            if keep_incomplete or log.complete:
+        jobs = ((lambda s=site: self.visit_steps(s)) for site in sites)
+        for index, log in enumerate(VisitEngine().run_ordered(jobs)):
+            if on_visit is not None:
+                on_visit(index, log)
+            if log is not None and (keep_incomplete or log.complete):
                 yield log
 
     # ------------------------------------------------------------------
     def visit_site(self, site: SiteSpec) -> Optional[VisitLog]:
         """Visit one site; None when the crawl fails (timeout/bot wall).
 
-        The single-visit schedule: :meth:`visit_steps` run straight
-        through, every wait-point resuming immediately.
+        Runs :meth:`visit_steps` straight through, every wait-point
+        resuming immediately.
         """
         return drive(self.visit_steps(site))
 
@@ -187,10 +166,9 @@ class Crawler:
 
         Every simulated idle moment — the navigation round-trip, the
         parser hand-off before scripts run, the timing-model delays
-        between interactions — is a ``yield WaitPoint(...)`` at which
-        the engine may switch to another in-flight visit.  All visit
+        between interactions — is a ``yield WaitPoint(...)``.  All visit
         state (browser, jar, page clock, rng) is local to this
-        generator, which is what makes any interleaving safe.
+        generator, so visits never observe one another.
         """
         if site.crawl_fails:
             return None
@@ -298,9 +276,8 @@ class Crawler:
         """Scroll and click up to three links, two seconds apart (§4.2).
 
         Each two-second pause is a wait-point *and* a page-clock
-        advance: the engine may run other visits during the wait, while
-        this page's own virtual clock (hence every logged timestamp)
-        advances exactly as in the serial crawl.
+        advance: the page's own virtual clock (hence every logged
+        timestamp) moves by two seconds while no wall time passes.
         """
         yield WaitPoint(2.0, "scroll settle")
         page.clock.advance(2.0)

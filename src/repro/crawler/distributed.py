@@ -31,11 +31,11 @@ This module turns that contract into a coordinator/worker system:
   compress)``.  Population fingerprint covers every
   :class:`~repro.ecosystem.population.PopulationConfig` lever; config
   fingerprint is :func:`~repro.crawler.crawler.config_fingerprint`
-  (everything output-affecting, including the cookie-guard policy and
-  ``concurrency``, *excluding* shard labels).  Worker count and backend
-  choice are pure scheduling and never enter the key, so a warm cache
-  survives any ``--jobs``/``--backend`` change while a seed or policy
-  change re-crawls.  Stale entries (bytes that no longer hash to the
+  (everything output-affecting, including the cookie-guard policy,
+  *excluding* shard labels).  Worker count and backend choice are pure
+  scheduling and never enter the key, so a warm cache survives any
+  ``--jobs``/``--backend`` change while a seed or policy change
+  re-crawls.  Stale entries (bytes that no longer hash to the
   recorded digest) are evicted and treated as a miss.
 
 Fault injection: the runtime declares :mod:`repro.faults` injection
@@ -278,7 +278,6 @@ def _config_to_dict(config: CrawlConfig) -> Dict:
         "install_guard": config.install_guard,
         "guard_policy": policy_desc,
         "guard_uncloak_dns": config.guard_uncloak_dns,
-        "concurrency": config.concurrency,
     }
 
 
@@ -297,7 +296,6 @@ def _config_from_dict(data: Dict) -> CrawlConfig:
         install_guard=bool(data["install_guard"]),
         guard_policy=policy,
         guard_uncloak_dns=bool(data["guard_uncloak_dns"]),
-        concurrency=int(data["concurrency"]),
     )
 
 
@@ -326,7 +324,6 @@ class WorkSpec:
     config: Dict              # CrawlConfig as a JSON dict
     shards: Tuple[Sequence[int], ...]     # ranks per shard index
     compress: bool = False
-    keep_incomplete: bool = False
     #: Fingerprints computed once per plan by the coordinator and
     #: threaded through, so workers (and anything that keys the shard
     #: cache from a spec) never re-hash the population/config payloads.
@@ -335,7 +332,7 @@ class WorkSpec:
 
     @classmethod
     def build(cls, population: Population, config: CrawlConfig,
-              plan: ShardPlan, compress: bool, keep_incomplete: bool,
+              plan: ShardPlan, compress: bool,
               population_fp: Optional[str] = None,
               config_fp: Optional[str] = None) -> "WorkSpec":
         return cls(
@@ -345,7 +342,6 @@ class WorkSpec:
             shards=tuple(shard.ranks if isinstance(shard.ranks, range)
                          else tuple(shard.ranks) for shard in plan),
             compress=compress,
-            keep_incomplete=keep_incomplete,
             population_fp=population_fp,
             config_fp=config_fp,
         )
@@ -366,7 +362,6 @@ class WorkSpec:
             "config": self.config,
             "shards": [encode_ranks(ranks) for ranks in self.shards],
             "compress": self.compress,
-            "keep_incomplete": self.keep_incomplete,
         }
         if self.population_fp is not None:
             out["population_fp"] = self.population_fp
@@ -381,7 +376,6 @@ class WorkSpec:
             config=dict(data["config"]),
             shards=tuple(decode_ranks(ranks) for ranks in data["shards"]),
             compress=bool(data["compress"]),
-            keep_incomplete=bool(data.get("keep_incomplete", False)),
             population_fp=data.get("population_fp"),
             config_fp=data.get("config_fp"),
         )
@@ -459,8 +453,7 @@ class WorkQueue:
                  for shard in plan}
         queue = cls(path, run_key, tasks)
         records = [{"event": "plan", "version": QUEUE_VERSION,
-                    "run_key": run_key, "n_shards": plan.n_shards,
-                    "strategy": plan.strategy}]
+                    "run_key": run_key, "n_shards": plan.n_shards}]
         records += [{"event": "task", "index": shard.index,
                      "ranks": encode_ranks(shard.ranks)} for shard in plan]
         with open(path, "w", encoding="utf-8") as handle:
@@ -616,8 +609,8 @@ class WorkQueue:
 
 def _execute_shard(population: Population, config: CrawlConfig,
                    task_ranks: Sequence[int], index: int, of: int,
-                   out_dir: Union[str, Path], compress: bool,
-                   keep_incomplete: bool) -> ShardWriteResult:
+                   out_dir: Union[str, Path],
+                   compress: bool) -> ShardWriteResult:
     """Crawl one shard's ranks and stream them to its shard file.
 
     Sites synthesize lazily per rank — a worker executing one shard of a
@@ -629,7 +622,7 @@ def _execute_shard(population: Population, config: CrawlConfig,
     shard_config = derive_shard_config(config, shard)
     crawler = Crawler(population, shard_config)
     sites = population.sites_for(shard.ranks)
-    stream = crawler.icrawl(sites, keep_incomplete=keep_incomplete)
+    stream = crawler.icrawl(sites)
     return write_shard(stream, out_dir, index, compress=compress)
 
 
@@ -688,8 +681,7 @@ def run_shard_worker(spec_path: Union[str, Path], index: int,
         _population_config_from_dict(spec.population))
     config = _config_from_dict(spec.config)
     written = _execute_shard(population, config, spec.shards[index], index,
-                             len(spec.shards), target, spec.compress,
-                             spec.keep_incomplete)
+                             len(spec.shards), target, spec.compress)
     if store is not None and key is not None:
         store.put(key, target / written.name, written.count, spec.compress,
                   sha256=written.sha256)
@@ -709,7 +701,6 @@ class WorkContext:
     config: CrawlConfig
     out_dir: Path
     compress: bool
-    keep_incomplete: bool
     spec_path: Optional[Path] = None   # workspec.json (subprocess protocol)
     #: Lease deadline in seconds: a task still running past it is
     #: killed and re-pended (subprocess backend; see Coordinator).
@@ -742,7 +733,7 @@ class InProcessBackend(WorkerBackend):
             try:
                 written = _execute_shard(
                     ctx.population, ctx.config, task.ranks, task.index,
-                    task.of, ctx.out_dir, ctx.compress, ctx.keep_incomplete)
+                    task.of, ctx.out_dir, ctx.compress)
             except Exception as exc:           # noqa: BLE001 — reported
                 yield ShardOutcome(index=task.index, ok=False,
                                    error=f"{type(exc).__name__}: {exc}")
@@ -769,11 +760,10 @@ def _pool_run_shard(args) -> Tuple[int, bool, str, int, str]:
     iteration in the parent, losing the other shards' outcomes — so
     failures are returned as data and surfaced per-task.
     """
-    index, of, ranks, directory, compress, keep_incomplete = args
+    index, of, ranks, directory, compress = args
     try:
         written = _execute_shard(_WORKER["population"], _WORKER["config"],
-                                 ranks, index, of, directory, compress,
-                                 keep_incomplete)
+                                 ranks, index, of, directory, compress)
     except Exception as exc:                   # noqa: BLE001 — reported
         return index, False, "", 0, f"{type(exc).__name__}: {exc}"
     return index, True, written.name, written.count, written.sha256
@@ -797,7 +787,7 @@ class ProcessPoolBackend(WorkerBackend):
             tasks: Sequence[ShardTask]) -> Iterator[ShardOutcome]:
         import multiprocessing
         args_list = [(task.index, task.of, task.ranks, str(ctx.out_dir),
-                      ctx.compress, ctx.keep_incomplete) for task in tasks]
+                      ctx.compress) for task in tasks]
         if len(args_list) == 1 or self.jobs == 1:
             # One worker would only add pickling overhead; reuse the
             # in-process path through the same task function.
@@ -1282,8 +1272,6 @@ class Coordinator:
                  max_retries: int = 2,
                  store: Optional[ShardStore] = None,
                  compress: bool = False,
-                 keep_incomplete: bool = False,
-                 strategy: str = "contiguous",
                  progress: Optional[Callable[[CrawlProgress], None]] = None,
                  task_timeout: Optional[float] = None):
         if max_retries < 0:
@@ -1309,8 +1297,6 @@ class Coordinator:
         self.task_timeout = task_timeout
         self.store = store
         self.compress = compress
-        self.keep_incomplete = keep_incomplete
-        self.strategy = strategy
         self.progress = progress
         # Both fingerprints are computed exactly once per coordinator
         # (they hash the full population/config payloads); every shard
@@ -1323,15 +1309,13 @@ class Coordinator:
 
     # ------------------------------------------------------------------
     def plan(self, n_shards: int) -> ShardPlan:
-        return ShardPlan.for_population(self.population, n_shards,
-                                        self.strategy)
+        return ShardPlan.for_population(self.population, n_shards)
 
     def _run_key(self, plan: ShardPlan) -> str:
         payload = {
             "population": self.population_fp,
             "config": self.config_fp,
             "compress": self.compress,
-            "keep_incomplete": self.keep_incomplete,
             # encode_ranks normalizes ranges and arithmetic tuples to one
             # form, so the run key is O(shards) to compute and identical
             # however the plan's rank sequences are represented.
@@ -1442,11 +1426,10 @@ class Coordinator:
                   stats: Dict[str, int], started: float) -> None:
         ctx = WorkContext(population=self.population, config=self.config,
                           out_dir=out_dir, compress=self.compress,
-                          keep_incomplete=self.keep_incomplete,
                           task_timeout=self.task_timeout)
         if isinstance(self.backend, SubprocessBackend):
             spec = WorkSpec.build(self.population, self.config, plan,
-                                  self.compress, self.keep_incomplete,
+                                  self.compress,
                                   population_fp=self.population_fp,
                                   config_fp=self.config_fp)
             ctx.spec_path = spec.save(out_dir)

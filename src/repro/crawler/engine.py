@@ -1,55 +1,19 @@
-"""Deterministic cooperative visit engine (virtual-clock scheduler).
+"""The visit driver: runs visit coroutines one after another.
 
-ROADMAP rung 2: PR 1 parallelised the crawl *across* shards, this module
-overlaps visits *inside* a shard.  A visit is expressed as a resumable
-coroutine (a plain generator) that yields :class:`WaitPoint`\\ s wherever
-the simulated browser would sit idle — timing-model delays between
-interactions, network round-trips, event-loop drains.  The
-:class:`VisitEngine` drives up to ``concurrency`` such coroutines at
-once on a single core, resuming whichever in-flight visit's wait-point
-fires earliest on a shared *virtual* clock.
-
-The determinism contract
-------------------------
-
-The engine must never be able to change a crawl's output.  Three
-properties make that a theorem rather than a hope, and
-``tests/test_async_engine.py`` locks each one in:
-
-1. **Visit independence.**  Every visit is seeded with
-   ``[seed, site.rank]`` and owns its browser, cookie jar, page clock
-   and rng (:meth:`repro.crawler.crawler.Crawler.visit_steps`), so no
-   interleaving can leak state between visits.  Overlapping them is an
-   associative re-ordering of the same work — the divide-and-conquer
-   argument that made the shard merge exact applies within a shard.
-2. **Virtual time.**  The engine's clock is simulated: a
-   :class:`WaitPoint` of ``t`` seconds advances a heap key, never a
-   wall clock, so scheduling decisions are a pure function of the
-   submitted coroutines.  Host load, GC pauses and timers cannot
-   reorder anything.
-3. **Total order on wake-ups.**  Wake-ups are keyed ``(due, seq)``
-   where ``seq`` is a monotone schedule counter: equal due times
-   resume in the order the waits were scheduled (FIFO), and admission
-   follows submission order.  There are no unordered collections
-   anywhere in the loop.
-
-Consequently a crawl's ``VisitLog`` stream is bit-identical for *any*
-``(jobs, concurrency)`` combination, and the serial path is literally
-the ``concurrency=1`` schedule of the same engine.
-
-Results are emitted in **submission order** (the rank order of the
-shard), with out-of-order completions buffered, so callers can stream
-interleaved visits straight to shard files.
+A visit is a resumable coroutine (a plain generator,
+:meth:`repro.crawler.crawler.Crawler.visit_steps`) that yields a
+:class:`WaitPoint` wherever the simulated browser would sit idle.  A
+wait-point is simulated time only — the page clock advances, no wall
+time passes — and each visit is a CPU-bound simulation, so overlapping
+visits in one process cannot raise throughput: every wait resumes
+immediately and visits run in submission order.  Crawl parallelism
+comes from sharding ranks (:mod:`repro.crawler.parallel`).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import (Any, Callable, Generator, Iterable, Iterator, List,
-                    Optional)
+from typing import Any, Callable, Generator, Iterable, Iterator
 
 __all__ = ["WaitPoint", "VisitEngine", "drive"]
 
@@ -59,8 +23,7 @@ class WaitPoint:
     """One simulated wait inside a visit.
 
     ``seconds`` is virtual-clock time (the same unit as the page clock);
-    ``reason`` is a label for traces and tests, never used for
-    scheduling.
+    ``reason`` is a label for traces and tests.
     """
 
     seconds: float
@@ -75,9 +38,8 @@ class WaitPoint:
 def drive(coroutine: Generator) -> Any:
     """Run one visit coroutine to completion and return its value.
 
-    The degenerate single-visit schedule: every wait-point resumes
-    immediately because nothing else is in flight.  ``visit_site`` uses
-    this so the one-off API needs no engine instance.
+    Every wait-point resumes immediately; a yield that is not a
+    :class:`WaitPoint` closes the coroutine and raises ``TypeError``.
     """
     try:
         while True:
@@ -91,106 +53,20 @@ def drive(coroutine: Generator) -> Any:
 
 
 # A job is a zero-argument callable producing the visit coroutine; the
-# engine calls it only once the job is admitted, so at most
-# ``concurrency`` browsers exist at a time.
+# driver calls it only when the visit starts, so one browser exists at
+# a time.
 JobFactory = Callable[[], Generator]
 
 
-class _InFlight:
-    """Mutable per-visit scheduler state (identity object, not compared)."""
-
-    __slots__ = ("index", "gen")
-
-    def __init__(self, index: int, gen: Generator):
-        self.index = index
-        self.gen = gen
-
-
 class VisitEngine:
-    """Drives many visit coroutines on one core, deterministically.
+    """Drives visit coroutines serially, in submission order.
 
-    ``concurrency`` bounds how many visits are in flight at once;
-    ``on_complete(index, result)`` — optional — fires as each visit
-    finishes, in completion order (the hook behind per-batch progress
-    reporting).
-
-    An exception raised by a visit propagates unchanged to the caller
-    after every other in-flight coroutine has been closed; no further
-    visits are admitted.
+    An exception raised by a visit propagates unchanged to the caller;
+    later jobs never start.
     """
 
-    def __init__(self, concurrency: int = 1,
-                 on_complete: Optional[Callable[[int, Any], None]] = None):
-        if concurrency < 1:
-            raise ValueError(f"concurrency must be >= 1, got {concurrency}")
-        self.concurrency = concurrency
-        self.on_complete = on_complete
-
-    # ------------------------------------------------------------------
-    def run(self, jobs: Iterable[JobFactory]) -> List[Any]:
-        """Run every job; results in submission order."""
-        return list(self.run_ordered(jobs))
-
-    # ------------------------------------------------------------------
     def run_ordered(self, jobs: Iterable[JobFactory]) -> Iterator[Any]:
-        """Stream results in submission order as soon as they are ready.
-
-        Visits that complete ahead of an earlier, still-running visit
-        are buffered; in-flight visits plus buffered results together
-        never exceed ``concurrency``, so a consumer writing shard files
-        sees rank order — and a bounded memory footprint — even while
-        visits interleave.
-        """
-        pending = deque(enumerate(jobs))
-        ready = {}                  # index -> result, awaiting emission
-        emitted = 0                 # next index to emit
-        heap: List[tuple] = []      # (due, seq, _InFlight)
-        seq = itertools.count()
-        now = 0.0                   # the engine's virtual clock
-
-        def finish(state_index: int, result: Any) -> None:
-            ready[state_index] = result
-            if self.on_complete is not None:
-                self.on_complete(state_index, result)
-
-        def step(state: _InFlight) -> None:
-            """Resume one coroutine to its next wait-point (or its end)."""
-            try:
-                wait = next(state.gen)
-            except StopIteration as stop:
-                finish(state.index, stop.value)
-                return
-            if not isinstance(wait, WaitPoint):
-                state.gen.close()
-                raise TypeError(
-                    f"visit coroutine yielded {wait!r}, expected WaitPoint")
-            heapq.heappush(heap, (now + wait.seconds, next(seq), state))
-
-        try:
-            while pending or heap:
-                # Admission counts both in-flight visits and buffered
-                # out-of-order results toward ``concurrency``, so the
-                # memory bound holds even when a slow head-of-line visit
-                # blocks emission (no deadlock: the next index to emit
-                # is always either in ``ready`` or still in the heap,
-                # because admission follows submission order).
-                while pending and len(heap) + len(ready) < self.concurrency:
-                    index, factory = pending.popleft()
-                    step(_InFlight(index, factory()))
-                    # Emit eagerly so trivially-finished jobs (e.g. a
-                    # failed-crawl site) stream out before slower ones.
-                    while emitted in ready:
-                        yield ready.pop(emitted)
-                        emitted += 1
-                if heap:
-                    due, _seq, state = heapq.heappop(heap)
-                    now = max(now, due)
-                    step(state)
-                while emitted in ready:
-                    yield ready.pop(emitted)
-                    emitted += 1
-        finally:
-            # A failed (or abandoned) run must not leak suspended
-            # coroutines: close the survivors so their finally blocks run.
-            for _due, _seq, state in heap:
-                state.gen.close()
+        """Yield each job's result in turn, starting a job only once the
+        previous result has been taken."""
+        for job in jobs:
+            yield drive(job())

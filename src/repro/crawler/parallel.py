@@ -9,7 +9,7 @@ backends run the shards in this process, over a process pool, or as
 ``crawl-shard`` subprocesses, all with bit-identical output:
 
 * :class:`ShardPlan` deterministically partitions a population's site
-  ranks into shards (contiguous rank ranges or a round-robin stride).
+  ranks into shards of contiguous rank ranges.
 * :func:`derive_shard_config` attaches a shard's labels to the crawl
   config; the seed is never varied per shard.
 * :class:`CrawlProgress` is the per-shard progress event, and
@@ -54,15 +54,13 @@ class Shard:
 class ShardPlan:
     """A deterministic partition of site ranks into shards.
 
-    ``contiguous`` splits the rank-ordered site list into near-even
-    runs (shard files then hold adjacent ranks, which keeps the on-disk
-    layout browsable); ``stride`` deals sites round-robin, which
-    balances load when per-site cost correlates with rank.  Both are
-    pure functions of the site list and shard count.
+    The rank-ordered site list is split into near-even contiguous runs
+    (shard files then hold adjacent ranks, which keeps the on-disk
+    layout browsable); the plan is a pure function of the site list and
+    shard count.
     """
 
     shards: Tuple[Shard, ...]
-    strategy: str = "contiguous"
 
     @property
     def n_shards(self) -> int:
@@ -72,42 +70,32 @@ class ShardPlan:
         return iter(self.shards)
 
     @classmethod
-    def for_population(cls, population: Population, n_shards: int,
-                       strategy: str = "contiguous") -> "ShardPlan":
+    def for_population(cls, population: Population,
+                       n_shards: int) -> "ShardPlan":
         # population.ranks is a range — the plan's shards stay O(1) memory
         # (range slices), never materializing the population.
-        return cls.for_ranks(population.ranks, n_shards, strategy)
+        return cls.for_ranks(population.ranks, n_shards)
 
     @classmethod
-    def for_ranks(cls, ranks: Sequence[int], n_shards: int,
-                  strategy: str = "contiguous") -> "ShardPlan":
+    def for_ranks(cls, ranks: Sequence[int], n_shards: int) -> "ShardPlan":
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if strategy not in ("contiguous", "stride"):
-            raise ValueError(f"unknown shard strategy {strategy!r}")
         if not (isinstance(ranks, range) and ranks.step > 0):
             ranks = sorted(ranks)
         n_shards = min(n_shards, max(len(ranks), 1))
-        parts: List[Sequence[int]]
-        if strategy == "stride":
-            # Slicing a range yields ranges; slicing a list yields lists —
-            # freeze the latter to tuples so explicit plans stay hashable.
-            parts = [part if isinstance(part, range) else tuple(part)
-                     for part in (ranks[i::n_shards]
-                                  for i in range(n_shards))]
-        else:
-            base, extra = divmod(len(ranks), n_shards)
-            parts = []
-            start = 0
-            for index in range(n_shards):
-                size = base + (1 if index < extra else 0)
-                part = ranks[start:start + size]
-                parts.append(part if isinstance(part, range)
-                             else tuple(part))
-                start += size
+        base, extra = divmod(len(ranks), n_shards)
+        parts: List[Sequence[int]] = []
+        start = 0
+        for index in range(n_shards):
+            size = base + (1 if index < extra else 0)
+            part = ranks[start:start + size]
+            # Slicing a range yields a range; slicing a list yields a
+            # list — freeze it to a tuple so explicit plans stay hashable.
+            parts.append(part if isinstance(part, range) else tuple(part))
+            start += size
         shards = tuple(Shard(index=i, of=n_shards, ranks=part)
                        for i, part in enumerate(parts))
-        return cls(shards=shards, strategy=strategy)
+        return cls(shards=shards)
 
 
 def derive_shard_config(config: CrawlConfig, shard: Shard) -> CrawlConfig:

@@ -1,9 +1,9 @@
 """Built-in benchmark scenarios.
 
 These wrap the workloads the ``benchmarks/bench_*.py`` pytest files
-exercise (crawl throughput, async engine, study analysis, shard
-storage) plus micro-scenarios for the hot paths the optimization sweep
-targets (PSL matching, URL parsing, cookie-jar visibility).  Everything
+exercise (crawl throughput, study analysis, shard storage) plus
+micro-scenarios for the hot paths the optimization sweep targets (PSL
+matching, URL parsing, cookie-jar visibility).  Everything
 is seeded, so two runs on the same interpreter measure the same work.
 
 Scenario sizing: the default workloads aim at a few hundred
@@ -58,12 +58,11 @@ def _population(n_sites: int):
 # End-to-end crawl scenarios (the headline numbers)
 # ---------------------------------------------------------------------------
 
-def _crawl_state(n_sites: int, sample: int, concurrency: int = 1):
+def _crawl_state(n_sites: int, sample: int):
     from ..crawler import CrawlConfig, Crawler
     population = _population(n_sites)
     sites = population.successful_sites()[:sample]
-    crawler = Crawler(population, CrawlConfig(seed=SEED,
-                                              concurrency=concurrency))
+    crawler = Crawler(population, CrawlConfig(seed=SEED))
     return crawler, sites
 
 
@@ -80,16 +79,6 @@ register(Scenario(
                 "one core (the paper's §4.2 visit pipeline)",
     setup=lambda: _crawl_state(120, 100),
     quick_setup=lambda: _crawl_state(40, 25),
-    run=_crawl_run,
-    units="visits",
-))
-
-register(Scenario(
-    name="visit_throughput_async",
-    description="the same crawl through the cooperative engine with 16 "
-                "in-flight visits (bench_parallel_crawl's async axis)",
-    setup=lambda: _crawl_state(120, 100, concurrency=16),
-    quick_setup=lambda: _crawl_state(40, 25, concurrency=16),
     run=_crawl_run,
     units="visits",
 ))

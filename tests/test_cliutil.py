@@ -3,7 +3,7 @@
 Every consumer (``python -m repro``, the example/benchmark scripts, and
 ``scripts/full_scale_run.py``) funnels through these four functions, so
 the conventions — last-occurrence-wins repeats, ``--`` passthrough,
-minimum validation for ``--jobs``/``--concurrency`` — are locked in
+minimum validation for ``--jobs``/``--shards`` — are locked in
 here once.
 """
 
@@ -66,13 +66,13 @@ class TestPopIntFlag:
         assert pop_int_flag([], "--jobs", 1, minimum=1) == 1
 
     def test_parses_value(self):
-        args = ["--concurrency", "16"]
-        assert pop_int_flag(args, "--concurrency", 1, minimum=1) == 16
+        args = ["--shards", "16"]
+        assert pop_int_flag(args, "--shards", 1, minimum=1) == 16
         assert args == []
 
     def test_non_integer_exits_2(self):
         with pytest.raises(SystemExit) as exc:
-            pop_int_flag(["--concurrency", "many"], "--concurrency", 1)
+            pop_int_flag(["--shards", "many"], "--shards", 1)
         assert exc.value.code == 2
 
     def test_zero_below_minimum_exits_2(self):
@@ -81,7 +81,7 @@ class TestPopIntFlag:
         assert exc.value.code == 2
 
     def test_negative_below_minimum_exits_2(self):
-        for flag, raw in (("--jobs", "-2"), ("--concurrency", "-64")):
+        for flag, raw in (("--jobs", "-2"), ("--shards", "-64")):
             with pytest.raises(SystemExit) as exc:
                 pop_int_flag([flag, raw], flag, 1, minimum=1)
             assert exc.value.code == 2
@@ -90,8 +90,8 @@ class TestPopIntFlag:
         assert pop_int_flag(["--offset", "-5"], "--offset", 0) == -5
 
     def test_repeated_validates_the_winning_value(self):
-        args = ["--concurrency", "0", "--concurrency", "4"]
-        assert pop_int_flag(args, "--concurrency", 1, minimum=1) == 4
+        args = ["--shards", "0", "--shards", "4"]
+        assert pop_int_flag(args, "--shards", 1, minimum=1) == 4
 
 
 class TestPopSwitch:
@@ -172,11 +172,10 @@ class TestPopChoiceFlag:
 class TestEndToEndParse:
     def test_crawl_style_parse(self):
         """The exact sequence ``_run_crawl`` performs."""
-        args = ["--jobs", "2", "--concurrency=16", "--gzip", "120",
+        args = ["--jobs", "2", "--shards=16", "--gzip", "120",
                 "--progress", "--", "out dir"]
         assert pop_int_flag(args, "--jobs", 1, minimum=1) == 2
-        assert pop_int_flag(args, "--concurrency", 1, minimum=1) == 16
-        assert pop_int_flag(args, "--shards", 0, minimum=1) == 0
+        assert pop_int_flag(args, "--shards", 0, minimum=1) == 16
         assert pop_switch(args, "--gzip") is True
         assert pop_switch(args, "--progress") is True
         reject_unknown_flags(args)

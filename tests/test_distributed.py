@@ -216,8 +216,7 @@ class TestWorkQueue:
     def test_lost_lease_becomes_pending(self, tmp_path):
         path = tmp_path / QUEUE_NAME
         records = [
-            {"event": "plan", "version": QUEUE_VERSION, "run_key": "k", "n_shards": 2,
-             "strategy": "contiguous"},
+            {"event": "plan", "version": QUEUE_VERSION, "run_key": "k", "n_shards": 2},
             {"event": "task", "index": 0, "ranks": [1, 2]},
             {"event": "task", "index": 1, "ranks": [3, 4]},
             {"event": "lease", "index": 0, "attempt": 1, "worker": "w"},
@@ -236,8 +235,7 @@ class TestWorkQueue:
         """done → lease → crash: the retry must reproduce the old bytes."""
         path = tmp_path / QUEUE_NAME
         records = [
-            {"event": "plan", "version": QUEUE_VERSION, "run_key": "k", "n_shards": 1,
-             "strategy": "contiguous"},
+            {"event": "plan", "version": QUEUE_VERSION, "run_key": "k", "n_shards": 1},
             {"event": "task", "index": 0, "ranks": [1, 2]},
             {"event": "lease", "index": 0, "attempt": 1, "worker": "w"},
             {"event": "done", "index": 0, "file": "shard-0000.jsonl",
@@ -263,8 +261,7 @@ class TestWorkQueue:
         misleading determinism-break error."""
         path = tmp_path / QUEUE_NAME
         records = [
-            {"event": "plan", "version": 1, "run_key": "k", "n_shards": 1,
-             "strategy": "contiguous"},
+            {"event": "plan", "version": 1, "run_key": "k", "n_shards": 1},
             {"event": "task", "index": 0, "ranks": [1, 2]},
         ]
         path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
@@ -498,12 +495,6 @@ class TestShardStoreKeying:
         keys = {self._key(plain), self._key(guarded), self._key(permissive)}
         assert len(keys) == 3
 
-    def test_concurrency_changes_key(self):
-        # Deliberately conservative: the engine proves concurrency never
-        # changes a byte, but the cache does not lean on that proof.
-        assert self._key(CrawlConfig(seed=SEED, concurrency=1)) \
-            != self._key(CrawlConfig(seed=SEED, concurrency=8))
-
     def test_ranks_change_key(self):
         assert self._key(ranks=(1, 2, 3)) != self._key(ranks=(1, 2, 4))
 
@@ -524,17 +515,6 @@ class TestShardStoreKeying:
         assert report.cached_shards == 2
         assert report.visits_executed == 0
 
-    def test_concurrency_change_misses_the_warm_cache(self, small_population,
-                                                      tmp_path):
-        store = ShardStore(tmp_path / "cache")
-        Coordinator(small_population, CrawlConfig(seed=SEED),
-                    store=store).run(tmp_path / "cold", n_shards=2)
-        changed = Coordinator(small_population,
-                              CrawlConfig(seed=SEED, concurrency=4),
-                              store=store)
-        report = changed.run(tmp_path / "warm", n_shards=2)
-        assert report.cached_shards == 0
-        assert report.executed_shards == 2
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +526,7 @@ class TestWorkerProtocol:
         from repro.crawler import ShardPlan
         plan = ShardPlan.for_population(small_population, 3)
         spec = WorkSpec.build(small_population, CrawlConfig(seed=SEED),
-                              plan, compress=True, keep_incomplete=False)
+                              plan, compress=True)
         spec.save(tmp_path)
         loaded = WorkSpec.load(tmp_path / "workspec.json")
         assert loaded == spec
@@ -555,8 +535,7 @@ class TestWorkerProtocol:
         config = CrawlConfig(
             seed=7, max_clicks=1, install_guard=True,
             guard_policy=PolicyConfig(inline_mode=InlineMode.RELAXED,
-                                      owner_full_access=False),
-            concurrency=3)
+                                      owner_full_access=False))
         restored = _config_from_dict(_config_to_dict(config))
         assert restored.seed == 7
         assert restored.guard_policy.inline_mode is InlineMode.RELAXED
@@ -588,7 +567,7 @@ class TestWorkerProtocol:
         from repro.crawler import ShardPlan
         plan = ShardPlan.for_population(small_population, 2)
         spec = WorkSpec.build(small_population, CrawlConfig(seed=SEED),
-                              plan, compress=False, keep_incomplete=False)
+                              plan, compress=False)
         spec_path = spec.save(tmp_path)
         results = [run_shard_worker(spec_path, index) for index in range(2)]
         out = tmp_path / "coordinated"
@@ -604,7 +583,7 @@ class TestWorkerProtocol:
         from repro.crawler import ShardPlan
         plan = ShardPlan.for_population(small_population, 2)
         spec = WorkSpec.build(small_population, CrawlConfig(seed=SEED),
-                              plan, compress=False, keep_incomplete=False)
+                              plan, compress=False)
         spec_path = spec.save(tmp_path)
         with pytest.raises(CoordinationError, match="out of range"):
             run_shard_worker(spec_path, 5)
@@ -649,34 +628,29 @@ class TestFingerprints:
 
 @pytest.mark.slow
 class TestDistributedMatrix:
-    """Backend × shard strategy × compression, all bit-identical."""
+    """Backend × compression, all bit-identical."""
 
     @pytest.mark.parametrize("backend_name",
                              ["inprocess", "pool", "subprocess"])
-    @pytest.mark.parametrize("strategy", ["contiguous", "stride"])
     @pytest.mark.parametrize("compress", [False, True],
                              ids=["plain", "gzip"])
     def test_full_matrix_matches_serial(self, small_population,
                                         serial_stream, tmp_path,
-                                        backend_name, strategy, compress):
+                                        backend_name, compress):
         backend = make_backend(backend_name, jobs=2)
         coordinator = Coordinator(small_population, CrawlConfig(seed=SEED),
-                                  backend=backend, strategy=strategy,
-                                  compress=compress)
+                                  backend=backend, compress=compress)
         report = coordinator.run(tmp_path / "out", n_shards=N_SHARDS)
         assert report.executed_shards == N_SHARDS
         assert _stream(load_logs(tmp_path / "out")) == serial_stream
 
-    @pytest.mark.parametrize("strategy", ["contiguous", "stride"])
-    def test_warm_cache_matches_serial_per_strategy(self, small_population,
-                                                    serial_stream, tmp_path,
-                                                    strategy):
+    def test_warm_cache_matches_serial(self, small_population,
+                                       serial_stream, tmp_path):
         store = ShardStore(tmp_path / "cache")
-        Coordinator(small_population, CrawlConfig(seed=SEED), store=store,
-                    strategy=strategy).run(tmp_path / "cold",
-                                           n_shards=N_SHARDS)
+        Coordinator(small_population, CrawlConfig(seed=SEED),
+                    store=store).run(tmp_path / "cold", n_shards=N_SHARDS)
         warm = Coordinator(small_population, CrawlConfig(seed=SEED),
-                           store=store, strategy=strategy)
+                           store=store)
         report = warm.run(tmp_path / "warm", n_shards=N_SHARDS)
         assert report.visits_executed == 0
         assert _stream(load_logs(tmp_path / "warm")) == serial_stream
@@ -688,7 +662,7 @@ class TestDistributedMatrix:
 
 def _journal_header(n_shards=2):
     records = [{"event": "plan", "version": QUEUE_VERSION, "run_key": "k",
-                "n_shards": n_shards, "strategy": "contiguous"}]
+                "n_shards": n_shards}]
     records += [{"event": "task", "index": i, "ranks": [2 * i + 1, 2 * i + 2]}
                 for i in range(n_shards)]
     return records

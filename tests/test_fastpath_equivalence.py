@@ -309,8 +309,7 @@ class TestShardKeyFactoryEquivalence:
                         config={"seed": 1, "interact": True,
                                 "max_clicks": 3, "install_guard": False,
                                 "guard_policy": None,
-                                "guard_uncloak_dns": False,
-                                "concurrency": 1},
+                                "guard_uncloak_dns": False},
                         shards=((0, 1), (2, 3)),
                         population_fp="p" * 64, config_fp="c" * 64)
         spec.save(tmp_path)
@@ -338,7 +337,7 @@ class TestShardKeyFactoryEquivalence:
         config = CrawlConfig(seed=2025)
         plan = ShardPlan.for_population(population, 2)
         spec = WorkSpec.build(
-            population, config, plan, False, False,
+            population, config, plan, False,
             population_fp=population_fingerprint(population),
             config_fp=config_fingerprint(config))
         spec_path = spec.save(tmp_path)
@@ -363,8 +362,7 @@ class TestShardKeyFactoryEquivalence:
                         config={"seed": 1, "interact": True,
                                 "max_clicks": 3, "install_guard": False,
                                 "guard_policy": None,
-                                "guard_uncloak_dns": False,
-                                "concurrency": 1},
+                                "guard_uncloak_dns": False},
                         shards=((0, 1),))
         data = spec.to_dict()
         assert "population_fp" not in data and "config_fp" not in data

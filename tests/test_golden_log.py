@@ -4,8 +4,8 @@
 of a 6-site population (seed 2025, the seed-repo byte stream).  Any
 change to the visit path, the event schemas, or the serialization that
 shifts a single byte fails here loudly — which is exactly the alarm a
-determinism-contract refactor (like the async visit engine) must trip
-if it is not perfectly equivalence-preserving.
+determinism-contract refactor (like a change to the visit driver) must
+trip if it is not perfectly equivalence-preserving.
 
 If a change is *intentional* (a new log field, a schema migration),
 regenerate the fixture with::
@@ -21,8 +21,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.crawler import CrawlConfig, Crawler
 from repro.ecosystem import PopulationConfig, generate_population
 
@@ -31,11 +29,10 @@ GOLDEN_N_SITES = 6
 GOLDEN_SEED = 2025
 
 
-def _golden_crawl(concurrency: int = 1):
+def _golden_crawl():
     population = generate_population(
         PopulationConfig(n_sites=GOLDEN_N_SITES, seed=GOLDEN_SEED))
-    crawler = Crawler(population,
-                      CrawlConfig(seed=GOLDEN_SEED, concurrency=concurrency))
+    crawler = Crawler(population, CrawlConfig(seed=GOLDEN_SEED))
     return crawler.crawl(keep_incomplete=True)
 
 
@@ -53,11 +50,6 @@ class TestGoldenLog:
 
     def test_serial_crawl_matches_golden_bytes(self):
         assert _render(_golden_crawl()) == FIXTURE.read_text(encoding="utf-8")
-
-    @pytest.mark.parametrize("concurrency", [4, 64])
-    def test_async_crawl_matches_golden_bytes(self, concurrency):
-        assert _render(_golden_crawl(concurrency)) == \
-            FIXTURE.read_text(encoding="utf-8")
 
     def test_round_trip_through_from_dict(self):
         from repro.crawler import VisitLog

@@ -60,11 +60,6 @@ class TestShardPlan:
             assert list(shard.ranks) == sorted(shard.ranks)
             assert shard.ranks[-1] - shard.ranks[0] == len(shard.ranks) - 1
 
-    def test_stride_partition_covers_all_ranks(self, population):
-        plan = ShardPlan.for_population(population, 5, strategy="stride")
-        seen = sorted(rank for shard in plan for rank in shard.ranks)
-        assert seen == sorted(s.rank for s in population.sites)
-
     def test_deterministic(self, population):
         a = ShardPlan.for_population(population, 4)
         b = ShardPlan.for_population(population, 4)
@@ -82,8 +77,6 @@ class TestShardPlan:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             ShardPlan.for_ranks([1, 2], 0)
-        with pytest.raises(ValueError):
-            ShardPlan.for_ranks([1, 2], 2, strategy="random")
 
     def test_config_derivation_keeps_seed(self):
         base = CrawlConfig(seed=77, interact=False)
@@ -176,8 +169,7 @@ class TestProgressReporting:
                                                tmp_path):
         Coordinator(small_population, CrawlConfig(seed=2025)).run(
             tmp_path / "quiet", n_shards=3)
-        Coordinator(small_population,
-                    CrawlConfig(seed=2025, concurrency=4),
+        Coordinator(small_population, CrawlConfig(seed=2025),
                     progress=lambda event: None).run(
             tmp_path / "noisy", n_shards=3)
         assert _dataset_bytes(tmp_path / "noisy") == \

@@ -235,8 +235,7 @@ class TestRemoteStoreEndToEnd:
             tmp_path / "seed-run", n_shards=2)
 
         plan = ShardPlan.for_population(population, 2)
-        spec = WorkSpec.build(population, config, plan,
-                              compress=False, keep_incomplete=False)
+        spec = WorkSpec.build(population, config, plan, compress=False)
         (tmp_path / "worker").mkdir()
         spec_path = spec.save(tmp_path / "worker")
         results = [run_shard_worker(spec_path, index,
