@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from ..cookies.cookie import Cookie, SameSite
+from ..cookies.cookie import Cookie, SameSite, canonical_domain, domain_match
 from ..cookies.jar import CookieChange, CookieJar
 from ..net.url import URL
 from .events import Clock, EventLoop, Promise
@@ -87,10 +87,19 @@ class CookieStore:
                     options: Dict) -> Optional[CookieChange]:
         now = self._clock.now()
         domain = options.get("domain")
+        host = canonical_domain(self._url.host)
+        if domain is None:
+            target = host
+        else:
+            # Canonicalize and vet the option like a Domain attribute:
+            # reject foreign domains as the header path does.
+            target = canonical_domain(domain)
+            if not domain_match(host, target):
+                raise ValueError(f"cookieStore.set: domain {domain!r} not allowed on {host}")
         cookie = Cookie(
             name=name,
             value=value,
-            domain=(domain or self._url.host).lstrip("."),
+            domain=target,
             path=options.get("path", "/"),
             expires=options.get("expires"),
             secure=True,  # cookieStore writes are always Secure
@@ -101,18 +110,12 @@ class CookieStore:
             last_access_time=now,
             from_http=False,
         )
-        # Reject foreign Domain attributes like the header path does.
-        if domain is not None:
-            host = self._url.host.lower()
-            dom = domain.lstrip(".").lower()
-            if host != dom and not host.endswith("." + dom):
-                raise ValueError(f"cookieStore.set: domain {domain!r} not allowed on {host}")
         return self._jar.set(cookie, now=now)
 
     def _native_delete(self, name: str, options: Dict) -> Optional[CookieChange]:
         domain = options.get("domain")
         path = options.get("path", "/")
-        target_domain = (domain or self._url.host).lstrip(".")
+        target_domain = canonical_domain(domain or self._url.host)
         return self._jar.delete(name, target_domain, path)
 
     # -- promise-returning public API ---------------------------------------
@@ -161,7 +164,6 @@ class CookieStore:
             return
         cookie = change.cookie
         # Scope to this document, like the real event.
-        from ..cookies.cookie import domain_match
         if cookie.host_only:
             if self._url.host.lower() != cookie.domain:
                 return

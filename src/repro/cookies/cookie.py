@@ -17,6 +17,7 @@ __all__ = [
     "Cookie",
     "parse_set_cookie",
     "parse_cookie_pair",
+    "canonical_domain",
     "domain_match",
     "path_match",
     "default_path",
@@ -98,6 +99,11 @@ def default_path(request_path: str) -> str:
     return request_path[: request_path.rfind("/")] or "/"
 
 
+def canonical_domain(domain: str) -> str:
+    """A Domain attribute as the jar stores it: lowercase, no edge dots."""
+    return domain.lower().lstrip(".").rstrip(".")
+
+
 def domain_match(request_host: str, cookie_domain: str) -> bool:
     """RFC 6265 §5.1.3 domain matching.
 
@@ -105,7 +111,7 @@ def domain_match(request_host: str, cookie_domain: str) -> bool:
     of it.  Both inputs are lowercased hostnames without leading dots.
     """
     request_host = request_host.lower().rstrip(".")
-    cookie_domain = cookie_domain.lower().lstrip(".").rstrip(".")
+    cookie_domain = canonical_domain(cookie_domain)
     if not cookie_domain:
         return False
     if request_host == cookie_domain:
@@ -203,7 +209,7 @@ def parse_set_cookie(header: str, *, request_host: str, request_path: str = "/",
         attr_l = attr.strip().lower()
         attr_value = attr_value.strip()
         if attr_l == "domain" and attr_value:
-            domain = attr_value.lstrip(".").lower().rstrip(".")
+            domain = canonical_domain(attr_value)
         elif attr_l == "path" and attr_value.startswith("/"):
             path = attr_value
         elif attr_l == "expires":

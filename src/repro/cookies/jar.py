@@ -17,6 +17,17 @@ The result — order included — is provably identical to the full scan:
 candidates are re-filtered by the same per-cookie predicate and
 re-ordered by insertion sequence before the RFC §5.4 sort, which is
 exactly the order the linear scan produced.
+
+Reads are memoized per jar: ``cookies_for_url`` keeps its result per
+(host, path, secure, include_http_only, touch, now).  A memo entry is
+valid only while ``_store`` is unchanged, so every store write clears
+the table — ``_index_put``, ``_index_drop``, a touch that changes a
+``last_access_time``, and ``clear()``.  That makes the memo exact: a
+repeated read of an unchanged store at the same clock finds its
+matches already touched to ``now``, so re-running it would have no
+side effect and return the same cookies.  ``document.cookie`` returns
+the whole jar to every script (§5.5), so a visit repeats many reads
+between two writes.
 """
 
 from __future__ import annotations
@@ -25,11 +36,16 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..net.url import URL
-from .cookie import Cookie, domain_match, parse_set_cookie, path_match
+from .cookie import (Cookie, canonical_domain, domain_match, parse_set_cookie,
+                     path_match)
 
 __all__ = ["CookieJar", "CookieChange", "MAX_COOKIES_PER_DOMAIN"]
 
 MAX_COOKIES_PER_DOMAIN = 180  # Chrome's per-eTLD+1 limit
+
+#: Bound on one jar's read memo.  Writes clear it far sooner; the cap
+#: only guards a long run of reads at distinct clocks with no write.
+_READ_MEMO_LIMIT = 256
 
 Key = Tuple[str, str, str]
 
@@ -41,11 +57,6 @@ class CookieChange:
     kind: str  # "set" | "overwrite" | "delete" | "expire" | "evict"
     cookie: Cookie
     previous: Optional[Cookie] = None
-
-
-def _norm_domain(domain: str) -> str:
-    """The index key: the normalized form §5.1.3 domain-matching uses."""
-    return domain.lower().lstrip(".").rstrip(".")
 
 
 def _host_suffixes(host: str) -> Iterator[str]:
@@ -74,6 +85,9 @@ class CookieJar:
         #: indexed retrieval can reproduce full-scan ordering.
         self._order: Dict[Key, int] = {}
         self._seq = 0
+        #: (host, path, secure, include_http_only, touch, now) -> the
+        #: ``cookies_for_url`` result; cleared by every ``_store`` write.
+        self._reads: Dict[tuple, Tuple[Cookie, ...]] = {}
         self._listeners: List[Callable[[CookieChange], None]] = []
 
     # -- listeners ------------------------------------------------------
@@ -90,14 +104,17 @@ class CookieJar:
         if key not in self._order:
             self._seq += 1
             self._order[key] = self._seq
+        self._reads.clear()
         self._store[key] = cookie
-        self._by_domain.setdefault(_norm_domain(cookie.domain), {})[key] = cookie
+        self._by_domain.setdefault(canonical_domain(cookie.domain),
+                                   {})[key] = cookie
 
     def _index_drop(self, cookie: Cookie) -> None:
         key = cookie.key
+        self._reads.clear()
         del self._store[key]
         self._order.pop(key, None)
-        bucket_key = _norm_domain(cookie.domain)
+        bucket_key = canonical_domain(cookie.domain)
         bucket = self._by_domain.get(bucket_key)
         if bucket is not None:
             bucket.pop(key, None)
@@ -167,7 +184,7 @@ class CookieJar:
         return change
 
     def _evict_domain(self, domain: str, now: float) -> None:
-        bucket = self._by_domain.get(_norm_domain(domain))
+        bucket = self._by_domain.get(canonical_domain(domain))
         if bucket is None or len(bucket) <= MAX_COOKIES_PER_DOMAIN:
             return
         same = [c for c in bucket.values() if c.domain == domain]
@@ -212,11 +229,18 @@ class CookieJar:
         """Cookies that would be attached to a request for ``url``.
 
         Results are sorted per RFC 6265 §5.4: longer paths first, then
-        earlier creation times.
+        earlier creation times.  Served from the read memo while the
+        store is unchanged (see the module docstring).
         """
         host_lower = url.host.lower()
         url_path = url.path
         url_secure = url.is_secure
+        memo_key = (host_lower, url_path, url_secure, include_http_only,
+                    touch, now)
+        reads = self._reads
+        cached = reads.get(memo_key)
+        if cached is not None:
+            return list(cached)
         matches: List[Cookie] = []
         for cookie in self._candidates(host_lower.rstrip(".")):
             if cookie.is_expired(now):
@@ -238,10 +262,14 @@ class CookieJar:
             for index, cookie in enumerate(matches):
                 if cookie.last_access_time != now:
                     touched = cookie.touched(now)
+                    reads.clear()
                     self._store[cookie.key] = touched
-                    self._by_domain[_norm_domain(cookie.domain)][cookie.key] \
-                        = touched
+                    self._by_domain[canonical_domain(cookie.domain)][
+                        cookie.key] = touched
                     matches[index] = touched
+        if len(reads) >= _READ_MEMO_LIMIT:
+            reads.clear()
+        reads[memo_key] = tuple(matches)
         return matches
 
     def script_visible(self, url: URL, now: float = 0.0) -> List[Cookie]:
@@ -265,6 +293,7 @@ class CookieJar:
         return key in self._store
 
     def clear(self) -> None:
+        self._reads.clear()
         self._store.clear()
         self._by_domain.clear()
         self._order.clear()

@@ -18,13 +18,27 @@ def to_cookie_string(cookies: Iterable[Cookie]) -> str:
     return "; ".join(cookie.pair() for cookie in cookies)
 
 
-def parse_cookie_string(cookie_string: str) -> List[Tuple[str, str]]:
+#: ``document.cookie`` string → its (name, value) pairs.  A pure
+#: function of the string, so one process-wide table is safe: every
+#: script on a page reads the same jar string, and the instrumentation,
+#: CookieGuard and behaviour layers each parse it.  A visit parses about
+#: a dozen distinct strings; the bound only caps memory across visits.
+_PARSE_CACHE: Dict[str, Tuple[Tuple[str, str], ...]] = {}
+_PARSE_CACHE_LIMIT = 256
+
+
+def parse_cookie_string(cookie_string: str) -> Tuple[Tuple[str, str], ...]:
     """Split a ``document.cookie`` string into (name, value) pairs."""
-    pairs: List[Tuple[str, str]] = []
-    for chunk in cookie_string.split(";"):
-        parsed = parse_cookie_pair(chunk)
-        if parsed is not None:
-            pairs.append(parsed)
+    pairs = _PARSE_CACHE.get(cookie_string)
+    if pairs is None:
+        if len(_PARSE_CACHE) >= _PARSE_CACHE_LIMIT:
+            _PARSE_CACHE.clear()
+        parsed: List[Tuple[str, str]] = []
+        for chunk in cookie_string.split(";"):
+            pair = parse_cookie_pair(chunk)
+            if pair is not None:
+                parsed.append(pair)
+        pairs = _PARSE_CACHE[cookie_string] = tuple(parsed)
     return pairs
 
 

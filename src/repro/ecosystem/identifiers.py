@@ -16,7 +16,11 @@ identifiers with the real formats the paper quotes:
 * long hash-format bundles like Criteo's ``cto_bundle`` (~194 chars).
 
 All generation flows through a seeded ``numpy`` generator, so the whole
-crawl is reproducible.
+crawl is reproducible.  A string of n random characters is one
+``integers(0, k, size=n)`` call: numpy fills the array with the same
+bounded draws, from the same stream, as n scalar ``integers(0, k)``
+calls, so the strings and the generator state afterwards match the
+one-draw-per-character loop.
 """
 
 from __future__ import annotations
@@ -39,6 +43,16 @@ _B64_ALPHABET = string.ascii_letters + string.digits
 _HEX = "0123456789abcdef"
 
 
+def _lookup(alphabet: str) -> np.ndarray:
+    """``alphabet`` as a byte array, indexed by a draw array."""
+    return np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)
+
+
+_DIGIT_BYTES = _lookup(string.digits)
+_HEX_BYTES = _lookup(_HEX)
+_B64_BYTES = _lookup(_B64_ALPHABET)
+
+
 class IdFactory:
     """Deterministic identifier generator bound to one RNG."""
 
@@ -46,16 +60,20 @@ class IdFactory:
         self.rng = rng
 
     # -- building blocks ---------------------------------------------------
+    def _chars(self, alphabet: np.ndarray, n: int) -> str:
+        """``n`` uniform characters of ``alphabet`` in one draw call."""
+        draws = self.rng.integers(0, len(alphabet), size=n)
+        return alphabet[draws].tobytes().decode("ascii")
+
     def digits(self, n: int) -> str:
-        return "".join(str(self.rng.integers(0, 10)) for _ in range(n))
+        return self._chars(_DIGIT_BYTES, n)
 
     def hex_string(self, n: int) -> str:
-        return "".join(_HEX[self.rng.integers(0, 16)] for _ in range(n))
+        return self._chars(_HEX_BYTES, n)
 
     def token(self, n: int) -> str:
         """Base64-looking alphanumeric token (no padding chars)."""
-        return "".join(_B64_ALPHABET[self.rng.integers(0, len(_B64_ALPHABET))]
-                       for _ in range(n))
+        return self._chars(_B64_BYTES, n)
 
     def timestamp(self) -> int:
         """A plausible Unix timestamp (seconds)."""

@@ -122,10 +122,6 @@ class InstrumentationExtension(ExtensionBase):
 
     def _write_record(self, page: Page, raw: str, change, *, api: str,
                       script_url, script_domain, inclusion) -> Optional[CookieWriteEvent]:
-        parsed = parse_set_cookie(raw, request_host=page.url.host,
-                                  request_path=page.url.path,
-                                  now=page.clock.now(), from_http=False,
-                                  secure_context=page.url.is_secure)
         if change is not None:
             kind = change.kind
             name = change.cookie.name
@@ -133,6 +129,11 @@ class InstrumentationExtension(ExtensionBase):
             prev_value = change.previous.value if change.previous else None
             attrs = self._attrs_changed(change)
         else:
+            # The jar changed nothing: name the write from its own text.
+            parsed = parse_set_cookie(raw, request_host=page.url.host,
+                                      request_path=page.url.path,
+                                      now=page.clock.now(), from_http=False,
+                                      secure_context=page.url.is_secure)
             if parsed is None:
                 return None  # unparseable write: browsers drop it silently
             kind = "blocked"

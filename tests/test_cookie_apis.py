@@ -204,3 +204,38 @@ class TestCookieStore:
         promise = store.get("a")
         loop.run_until_idle()
         assert promise.result().domain == "example.com"
+
+
+class TestCookieStoreDomainOption:
+    """The ``domain`` option names the cookie a ``Domain`` attribute would."""
+
+    WWW = parse_url("https://www.example.com/")
+
+    def test_set_shares_identity_with_the_header_path(self, env):
+        jar, clock, loop = env
+        store = CookieStore(jar, self.WWW, clock, loop)
+        api = DocumentCookie(jar, self.WWW, clock)
+        store.set("x", "1", domain="Example.com")
+        api.set("x=2; Domain=example.com")
+        assert api.get() == "x=2"
+        assert [c.domain for c in jar.find("x")] == ["example.com"]
+
+    def test_delete_matches_any_case_and_edge_dots(self, env):
+        jar, clock, loop = env
+        store = CookieStore(jar, self.WWW, clock, loop)
+        for spelled in ("EXAMPLE.com", ".example.com", "example.com."):
+            DocumentCookie(jar, self.WWW, clock).set(
+                "x=1; Domain=example.com")
+            store.delete("x", domain=spelled)
+            assert jar.find("x") == [], spelled
+
+    def test_foreign_check_uses_the_canonical_domain(self, env):
+        jar, clock, loop = env
+        store = CookieStore(jar, self.WWW, clock, loop)
+        store.set("ok", "1", domain="WWW.Example.COM.")
+        rejected = store.set("bad", "1", domain="Other.com")
+        loop.run_until_idle()
+        with pytest.raises(ValueError):
+            rejected.result()
+        assert jar.get("ok", "www.example.com") is not None
+        assert jar.find("bad") == []

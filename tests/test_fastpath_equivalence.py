@@ -8,6 +8,10 @@ inputs:
 * cached ``parse_url`` + interned ``Origin`` == a fresh parse;
 * the domain-indexed ``CookieJar`` == a brute-force full-scan reference
   implementation (same cookies, same order, same touch effects);
+* reads served from the jar's read memo == reads that re-scan, through
+  seeded write/read sequences on a forward and a backward clock;
+* the memoized ``parse_cookie_string`` == the uncached split, across
+  the bound that empties its table;
 * the compact single-buffer shard serializer round-trips the golden
   fixture byte-for-byte against a line-at-a-time reference;
 * ``ShardKeyFactory`` keys == the original whole-payload hash;
@@ -28,7 +32,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.cookies.cookie import Cookie, domain_match, path_match
+from repro.cookies import serialize
+from repro.cookies.cookie import (Cookie, domain_match, parse_cookie_pair,
+                                  path_match)
 from repro.cookies.jar import CookieJar
 from repro.crawler.distributed import ShardKeyFactory, ShardStore, WorkSpec
 from repro.crawler.storage import (ShardManifest, compute_digest,
@@ -238,6 +244,182 @@ class TestJarIndexEquivalence:
         assert jar.cookies_for_url(url, now=2.0) == []
         assert len(jar) == 0
         assert jar._by_domain == {}  # index emptied in lockstep
+
+
+class TestJarReadMemoEquivalence:
+    """Reads through the jar's read memo == reads that bypass it.
+
+    Two jars take one seeded sequence of writes and reads.  ``memo``
+    serves repeated reads from its table; ``fresh`` empties the table
+    before every read, so each of its reads re-scans.  After every
+    operation the results and the stores — ``last_access_time``
+    included — must agree.
+    """
+
+    DOMAINS = ["example.com", "www.example.com", "sub.www.example.com",
+               "other.net"]
+    NAMES = ["a", "b", "c", "_ga", "sid"]
+    PATHS = ["/", "/a", "/a/b"]
+    URLS = [parse_url(raw) for raw in (
+        "https://example.com/", "https://www.example.com/a/b",
+        "http://www.example.com/", "https://sub.www.example.com/a",
+        "https://other.net/", "https://unrelated.org/")]
+
+    def _cookie(self, rng: random.Random, now: float,
+                expired: bool = False) -> Cookie:
+        if expired:
+            expires = now - rng.uniform(0.0, 5.0)
+        elif rng.random() < 0.5:
+            expires = None
+        else:
+            expires = now + rng.uniform(0.0, 6.0)
+        return Cookie(name=rng.choice(self.NAMES),
+                      value=f"v{rng.randint(0, 99)}",
+                      domain=rng.choice(self.DOMAINS),
+                      path=rng.choice(self.PATHS), expires=expires,
+                      secure=rng.random() < 0.3,
+                      http_only=rng.random() < 0.3,
+                      host_only=rng.random() < 0.5,
+                      creation_time=now, last_access_time=now)
+
+    def _operations(self, rng: random.Random, n: int):
+        """(kind, now, args) triples; reads often repeat a recent read."""
+        forward, backward = 0.0, 50.0
+        recent: list = []
+        for _ in range(n):
+            if rng.random() < 0.5:
+                forward += rng.choice([0.0, 0.0, 0.5, 1.0])
+                now = forward
+            else:
+                backward -= rng.choice([0.0, 0.0, 0.5, 1.0])
+                now = backward
+            roll = rng.random()
+            if roll < 0.7:
+                if recent and rng.random() < 0.5:
+                    yield rng.choice(recent)
+                    continue
+                read = ("read", now, (rng.choice(self.URLS),
+                                      rng.random() < 0.5,
+                                      rng.random() < 0.7))
+                recent = recent[-3:] + [read]
+                yield read
+            elif roll < 0.82:
+                yield "set", now, (self._cookie(rng, now),)
+            elif roll < 0.88:
+                yield "expire", now, (self._cookie(rng, now, expired=True),)
+            elif roll < 0.96:
+                yield "delete", now, (rng.choice(self.NAMES),
+                                      rng.choice(self.DOMAINS),
+                                      rng.choice(self.PATHS))
+            elif roll < 0.99:
+                yield "purge", now, ()
+            else:
+                yield "clear", now, ()
+
+    @staticmethod
+    def _apply(jar: CookieJar, kind: str, now: float, args, *,
+               bypass: bool):
+        if kind == "read":
+            url, include_http_only, touch = args
+            if bypass:
+                jar._reads.clear()
+            return jar.cookies_for_url(url, now=now,
+                                       include_http_only=include_http_only,
+                                       touch=touch)
+        if kind in ("set", "expire"):
+            return jar.set(args[0], now=now)
+        if kind == "delete":
+            return jar.delete(*args)
+        if kind == "purge":
+            return jar.purge_expired(now)
+        return jar.clear()
+
+    @pytest.mark.parametrize("seed", [1, 7, 42, 2025])
+    def test_memoized_reads_match_rescans(self, seed):
+        rng = random.Random(seed)
+        memo, fresh = CookieJar(), CookieJar()
+        scans = {"memo": 0, "fresh": 0}
+        for label, jar in (("memo", memo), ("fresh", fresh)):
+            def counting(host, _scan=jar._candidates, _label=label):
+                scans[_label] += 1
+                return _scan(host)
+            jar._candidates = counting
+        reads = 0
+        for step, (kind, now, args) in enumerate(
+                self._operations(rng, 3000)):
+            got = self._apply(memo, kind, now, args, bypass=False)
+            expected = self._apply(fresh, kind, now, args, bypass=True)
+            assert got == expected, (seed, step, kind, now)
+            assert memo.all() == fresh.all(), (seed, step, kind, now)
+            reads += kind == "read"
+        assert scans["fresh"] == reads
+        # The memo really served repeats, or the test proves nothing.
+        assert scans["memo"] < reads * 0.9, scans
+
+    def test_returned_list_is_the_callers_own(self):
+        jar = CookieJar()
+        url = parse_url("https://example.com/")
+        jar.set(Cookie(name="a", value="1", domain="example.com"), now=0.0)
+        first = jar.cookies_for_url(url, now=1.0)
+        first.clear()
+        assert [c.name for c in jar.cookies_for_url(url, now=1.0)] == ["a"]
+
+    def test_every_store_write_clears_the_memo(self):
+        jar = CookieJar()
+        url = parse_url("https://example.com/")
+
+        def read():
+            jar.cookies_for_url(url, now=1.0)
+            assert jar._reads
+
+        read()
+        jar.set(Cookie(name="a", value="1", domain="example.com"), now=1.0)
+        assert not jar._reads
+        read()
+        jar.cookies_for_url(url, now=2.0)  # touches "a": a store write
+        assert len(jar._reads) == 1
+        read()
+        jar.delete("a", "example.com")
+        assert not jar._reads
+        read()
+        jar.clear()
+        assert not jar._reads
+
+
+def _uncached_parse_cookie_string(cookie_string: str):
+    """The split ``parse_cookie_string`` ran before it was memoized."""
+    pairs = []
+    for chunk in cookie_string.split(";"):
+        parsed = parse_cookie_pair(chunk)
+        if parsed is not None:
+            pairs.append(parsed)
+    return pairs
+
+
+class TestParseCookieStringMemoEquivalence:
+    ALPHABET = "abXY09_-=;; \"%."
+
+    def test_randomized_strings_agree_with_uncached_parse(self):
+        rng = random.Random(2025)
+        limit = serialize._PARSE_CACHE_LIMIT
+        distinct = ["", ";", "a", "a=", "=b", " a = \"b\" ; c"]
+        distinct += ["".join(rng.choice(self.ALPHABET)
+                             for _ in range(rng.randint(0, 40)))
+                     for _ in range(3 * limit)]
+        # Every string twice, the repeats well after the table has been
+        # emptied by the bound at least once.
+        for cookie_string in distinct + distinct:
+            got = serialize.parse_cookie_string(cookie_string)
+            assert isinstance(got, tuple)
+            assert list(got) == \
+                _uncached_parse_cookie_string(cookie_string), cookie_string
+            assert len(serialize._PARSE_CACHE) <= limit
+
+    def test_repeats_share_one_parse(self):
+        value = "a=1; b=2; c"
+        first = serialize.parse_cookie_string(value)
+        assert serialize.parse_cookie_string(value) is first
+        assert first == (("a", "1"), ("b", "2"), ("c", ""))
 
 
 class TestSerializerEquivalence:

@@ -7,8 +7,13 @@ shifts a single byte fails here loudly — which is exactly the alarm a
 determinism-contract refactor (like a change to the visit driver) must
 trip if it is not perfectly equivalence-preserving.
 
+The guarded crawl — the same 6 sites with CookieGuard installed — is
+pinned by the SHA-256 of its rendering, ``GUARDED_SHA256``: every other
+guarded test compares two schedules of the same code, so only this
+digest notices a change to the guard's read or write path.
+
 If a change is *intentional* (a new log field, a schema migration),
-regenerate the fixture with::
+regenerate the fixture and print the new guarded digest with::
 
     PYTHONPATH=src python tests/test_golden_log.py --regenerate
 
@@ -18,6 +23,7 @@ of stored crawl datasets.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -27,13 +33,22 @@ from repro.ecosystem import PopulationConfig, generate_population
 FIXTURE = Path(__file__).parent / "data" / "golden_visitlog.json"
 GOLDEN_N_SITES = 6
 GOLDEN_SEED = 2025
+#: SHA-256 of ``_render(_golden_crawl(install_guard=True))``.
+GUARDED_SHA256 = (
+    "1482cb0fac0bc36fa188b9443e2b402163f180ea1d13e75df364c0ddd2a430bc")
 
 
-def _golden_crawl():
+def _golden_crawl(install_guard: bool = False):
     population = generate_population(
         PopulationConfig(n_sites=GOLDEN_N_SITES, seed=GOLDEN_SEED))
-    crawler = Crawler(population, CrawlConfig(seed=GOLDEN_SEED))
+    crawler = Crawler(population, CrawlConfig(seed=GOLDEN_SEED,
+                                              install_guard=install_guard))
     return crawler.crawl(keep_incomplete=True)
+
+
+def _guarded_digest() -> str:
+    rendered = _render(_golden_crawl(install_guard=True))
+    return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
 
 
 def _render(logs) -> str:
@@ -51,6 +66,9 @@ class TestGoldenLog:
     def test_serial_crawl_matches_golden_bytes(self):
         assert _render(_golden_crawl()) == FIXTURE.read_text(encoding="utf-8")
 
+    def test_guarded_crawl_matches_golden_digest(self):
+        assert _guarded_digest() == GUARDED_SHA256
+
     def test_round_trip_through_from_dict(self):
         from repro.crawler import VisitLog
         golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
@@ -66,5 +84,6 @@ if __name__ == "__main__":
         FIXTURE.parent.mkdir(parents=True, exist_ok=True)
         FIXTURE.write_text(_render(_golden_crawl()), encoding="utf-8")
         print(f"regenerated {FIXTURE}")
+        print(f"GUARDED_SHA256 = {_guarded_digest()!r}")
     else:
         print(__doc__)

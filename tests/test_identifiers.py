@@ -1,5 +1,8 @@
 """Identifier format generators."""
 
+import inspect
+import string
+
 import numpy as np
 import pytest
 
@@ -85,3 +88,76 @@ class TestDeterminism:
         a = IdFactory(np.random.default_rng(1))
         b = IdFactory(np.random.default_rng(2))
         assert a.uuid() != b.uuid()
+
+
+class _ScalarDraws(IdFactory):
+    """The reference: one scalar ``integers`` draw per character."""
+
+    def digits(self, n: int) -> str:
+        return "".join(str(self.rng.integers(0, 10)) for _ in range(n))
+
+    def hex_string(self, n: int) -> str:
+        return "".join("0123456789abcdef"[self.rng.integers(0, 16)]
+                       for _ in range(n))
+
+    def token(self, n: int) -> str:
+        alphabet = string.ascii_letters + string.digits
+        return "".join(alphabet[self.rng.integers(0, len(alphabet))]
+                       for _ in range(n))
+
+
+#: Every public IdFactory method that takes no required argument.
+_FORMATS = sorted(
+    name for name, fn in inspect.getmembers(IdFactory, inspect.isfunction)
+    if not name.startswith("_") and all(
+        p.default is not p.empty
+        for p in list(inspect.signature(fn).parameters.values())[1:]))
+
+
+def _pair(seed: int):
+    return (IdFactory(np.random.default_rng(seed)),
+            _ScalarDraws(np.random.default_rng(seed)))
+
+
+def _assert_same_stream(fast: IdFactory, slow: IdFactory) -> None:
+    """The generators' next draws agree: both consumed the same stream."""
+    assert fast.rng.integers(0, 2**62) == slow.rng.integers(0, 2**62)
+    assert fast.rng.integers(0, 62) == slow.rng.integers(0, 62)
+    assert fast.rng.random() == slow.rng.random()
+
+
+class TestVectorDrawEquivalence:
+    """One ``integers(0, k, size=n)`` call == n scalar draws, exactly."""
+
+    def test_formats_cover_the_factory(self):
+        assert {"ga_client_id", "uuid", "cto_bundle", "generic_id",
+                "utag_main"} <= set(_FORMATS)
+
+    @pytest.mark.parametrize("method", ["digits", "hex_string", "token"])
+    def test_building_blocks_match_scalar_draws(self, method):
+        for seed in range(60):
+            fast, slow = _pair(seed)
+            # An odd leading draw leaves half a 64-bit output buffered.
+            if seed % 2:
+                assert fast.rng.integers(0, 10) == slow.rng.integers(0, 10)
+            for n in (0, 1, 2, 7, 8, 33, 194):
+                assert getattr(fast, method)(n) == \
+                    getattr(slow, method)(n), (seed, n)
+            _assert_same_stream(fast, slow)
+
+    @pytest.mark.parametrize("method", _FORMATS)
+    def test_every_format_matches_scalar_draws(self, method):
+        for seed in range(40):
+            fast, slow = _pair(seed)
+            assert getattr(fast, method)() == getattr(slow, method)(), seed
+            _assert_same_stream(fast, slow)
+
+    def test_interleaved_sequence_matches_scalar_draws(self):
+        for seed in range(25):
+            fast, slow = _pair(1000 + seed)
+            order = np.random.default_rng(seed).permutation(
+                _FORMATS * 3)
+            for method in order:
+                assert getattr(fast, method)() == \
+                    getattr(slow, method)(), (seed, method)
+            _assert_same_stream(fast, slow)
