@@ -27,8 +27,8 @@ crawl-shard SPEC INDEX [--cache-dir D]
     its own side (keyed by the fingerprints the spec carries), so a
     repeat shard costs zero visits
 analyze DATASET [--snapshot PATH] [--resume] [--report F]
-    run the §5 analysis over a crawl dataset (single ``.jsonl[.gz]``
-    file or sharded directory) and print the headline prevalence
+    run the §5 analysis over a crawl dataset (a single shard file or a
+    sharded directory) and print the headline prevalence
     numbers.  With ``--snapshot PATH`` the per-shard accumulator state
     is saved as a versioned snapshot (sharded datasets only); with
     ``--resume`` an existing snapshot at PATH is diffed against the
@@ -64,8 +64,9 @@ store-serve [ROOT] [--host H] [--port P] [--verbose]
     root is writable, so uploads will land)
 index-shards DIR [DIR ...] [--force]
     backfill sidecar seek indexes (``shard-NNNN.index.json``) for
-    existing sharded crawl directories; shard bytes, digests, and
-    manifests are untouched.  ``--force`` rewrites valid sidecars too
+    existing sharded crawl directories, replacing missing, stale and
+    older-version sidecars; shard bytes, digests, and manifests are
+    untouched.  ``--force`` rewrites valid sidecars too
 
 Options
 -------

@@ -1,25 +1,41 @@
-"""Columnar visit records: decode-once shard batches (ROADMAP item 5).
+"""Columnar visit records: decode-once shard batches and their codec.
 
 The object pipeline materializes a :class:`~repro.records.VisitLog` per
 site and five dataclass instances per event, then every analysis pass
 re-chases the same attribute chains (``log → events → fields``).  A
-:class:`ShardBatch` decodes a shard **once** into parallel columns —
-flat per-family lists plus CSR-style offset arrays addressing each
-site's slice — so the exfiltration / attribution / filter-list passes
-run as tight loops over adjacent list elements instead of attribute
-lookups through object graphs.  Everything is stdlib: ``array`` for the
-numeric columns, plain lists of (interned) strings for the rest.
+:class:`ShardBatch` holds a run of visits as parallel columns — flat
+per-family lists plus CSR-style offset arrays addressing each site's
+slice — so the exfiltration / attribution / filter-list passes run as
+tight loops over adjacent list elements instead of attribute lookups
+through object graphs.  Everything is stdlib: ``array`` for the numeric
+columns, plain lists of strings for the rest.
 
-Three ways into a batch:
+The same columns are the on-disk format (``SHARD_FORMAT_VERSION`` 3).
+:func:`encode_row_group` turns a batch into one *row group*:
+
+* a header (magic, byte length, row count, table sizes, per-family
+  event totals);
+* a string table in first-seen order over the fixed column order
+  :data:`COLUMNS` (id 0 is ``None``): per-string code-point lengths,
+  then the strings' concatenated UTF-8;
+* a table of interned tuples (``attrs_changed``, ``cookie_names``,
+  ``stack``), each a run of string ids;
+* per-visit event counts for each family, then one fixed-width
+  little-endian array per column kind (string ids, tuple ids, int64,
+  int8, float64), the columns of a kind back to back in
+  :data:`COLUMNS` order.
+
+:func:`decode_row_group` is the one decoder: every reader (whole
+datasets, one shard, one site) fills batch columns from these arrays.
+No event's ``site`` is stored; it is its visit's ``site``.
+
+Ways into a batch:
 
 * :meth:`ShardBatch.from_logs` — wrap in-memory ``VisitLog`` objects
-  (what ``Study(logs)`` routes through);
-* :meth:`ShardBatch.from_dicts` — single-pass JSON-dict → columns, no
-  event dataclasses ever constructed (the storage decode loop;
-  :func:`iter_shard_batches` streams a whole dataset this way);
-* :func:`batch_for_ranks` — slice selected sites out of a sharded
-  dataset through the PR 6 sidecar offsets, seek + decode only the
-  requested lines.
+  (what ``Study(logs)`` and the shard writer route through);
+* :func:`iter_shard_batches` — stream a dataset's row groups;
+* :func:`batch_for_ranks` — decode selected sites through the sidecar
+  indexes, one row group per site.
 
 The object API stays available as a thin view: :meth:`ShardBatch.log`
 rebuilds one ``VisitLog`` on demand and :meth:`ShardBatch.logs` a whole
@@ -37,10 +53,12 @@ the columnar path must yield byte-identical ``Study`` report output.
 
 from __future__ import annotations
 
-import json
+import struct
+import sys
 from array import array
-from sys import intern
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import accumulate, chain
+from operator import sub
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..records import (CookieReadEvent, CookieWriteEvent, DomMutationEvent,
                        HeaderCookieEvent, RequestEvent, ScriptRecord,
@@ -51,22 +69,59 @@ from .exfiltration import (ExfilEvent, encoded_forms_cached,
                            split_candidates_fast)
 
 __all__ = [
+    "COLUMNS",
+    "OFFSETS",
+    "RowGroupError",
     "ShardBatch",
     "batch_for_ranks",
     "build_ownership_batch",
+    "decode_row_group",
     "detect_exfiltration_batch",
     "detect_manipulations_batch",
+    "encode_row_group",
     "iter_shard_batches",
+    "row_group_length",
 ]
 
-#: Logs per batch when streaming a dataset; bounds decode memory the
-#: same way the coordinator bounds a shard (O(batch), not O(dataset)).
-DEFAULT_BATCH_SIZE = 512
+#: Offset column of each event family, in family order.
+OFFSETS = ("w_off", "r_off", "h_off", "q_off", "d_off", "s_off")
 
-
-def _iopt(value: Optional[str]) -> Optional[str]:
-    """Intern low-cardinality strings; ``None`` passes through."""
-    return intern(value) if value is not None else None
+#: Every data column as ``(attribute, kind, family)``.  Kinds: ``s``
+#: string (or ``None``), ``t`` tuple of strings, ``q`` int64, ``b``
+#: 0/1 int8, ``d`` float64.  Family -1 is one value per visit;
+#: otherwise the column holds one value per event of ``OFFSETS[family]``.
+#: The order is the row-group format: changing it changes shard bytes.
+COLUMNS: Tuple[Tuple[str, str, int], ...] = (
+    ("sites", "s", -1), ("urls", "s", -1),
+    ("ranks", "q", -1), ("n_scripts", "q", -1), ("n_tp", "q", -1),
+    ("n_direct", "q", -1), ("n_indirect", "q", -1),
+    ("cookie_ops", "q", -1), ("interacted", "b", -1),
+    # cookie writes
+    ("w_name", "s", 0), ("w_value", "s", 0), ("w_api", "s", 0),
+    ("w_kind", "s", 0), ("w_script_url", "s", 0),
+    ("w_script_domain", "s", 0), ("w_inclusion", "s", 0),
+    ("w_raw", "s", 0), ("w_prev", "s", 0), ("w_attrs", "t", 0),
+    ("w_ts", "d", 0),
+    # cookie reads
+    ("r_api", "s", 1), ("r_script_url", "s", 1),
+    ("r_script_domain", "s", 1), ("r_inclusion", "s", 1),
+    ("r_names", "t", 1), ("r_ts", "d", 1),
+    # header cookies
+    ("h_name", "s", 2), ("h_value", "s", 2), ("h_resp_url", "s", 2),
+    ("h_resp_domain", "s", 2), ("h_init_domain", "s", 2),
+    ("h_first", "b", 2), ("h_ts", "d", 2),
+    # requests
+    ("q_url", "s", 3), ("q_host", "s", 3), ("q_domain", "s", 3),
+    ("q_method", "s", 3), ("q_rtype", "s", 3), ("q_query", "s", 3),
+    ("q_body", "s", 3), ("q_script_url", "s", 3),
+    ("q_script_domain", "s", 3), ("q_stack", "t", 3), ("q_ts", "d", 3),
+    # dom mutations
+    ("d_kind", "s", 4), ("d_tag", "s", 4), ("d_actor", "s", 4),
+    ("d_owner", "s", 4), ("d_cross", "b", 4), ("d_ts", "d", 4),
+    # scripts
+    ("s_url", "s", 5), ("s_domain", "s", 5), ("s_inclusion", "s", 5),
+    ("s_depth", "q", 5), ("s_parent", "s", 5),
+)
 
 
 class ShardBatch:
@@ -278,100 +333,6 @@ class ShardBatch:
         batch.s_parent = [s.parent_domain for s in ss]
         return batch
 
-    @classmethod
-    def from_dicts(cls, dicts: Sequence[Dict]) -> "ShardBatch":
-        """Columns straight from parsed JSON dicts (single-pass decode).
-
-        This is the storage decode loop: no ``VisitLog`` and no event
-        dataclasses are ever constructed.  Low-cardinality strings
-        (sites, domains, APIs, kinds, inclusion labels) are interned so
-        repeated values across a shard share one object — equality
-        checks in the analysis kernels become pointer compares.
-        """
-        batch = cls()
-        for data in dicts:
-            batch.sites.append(intern(data["site"]))
-            batch.urls.append(data["url"])
-            batch.ranks.append(int(data.get("rank", 0)))
-            batch.n_scripts.append(int(data.get("n_scripts", 0)))
-            batch.n_tp.append(int(data.get("n_third_party_scripts", 0)))
-            batch.n_direct.append(int(data.get("n_direct_third_party", 0)))
-            batch.n_indirect.append(int(data.get("n_indirect_third_party", 0)))
-            batch.cookie_ops.append(int(data.get("cookie_op_count", 0)))
-            batch.interacted.append(1 if data.get("interacted", False) else 0)
-
-            for w in data.get("cookie_writes", ()):
-                batch.w_name.append(intern(w["cookie_name"]))
-                batch.w_value.append(w["cookie_value"])
-                batch.w_api.append(intern(w["api"]))
-                batch.w_kind.append(intern(w["kind"]))
-                batch.w_script_url.append(w["script_url"])
-                batch.w_script_domain.append(_iopt(w["script_domain"]))
-                batch.w_inclusion.append(intern(w["inclusion"]))
-                batch.w_raw.append(w.get("raw", ""))
-                batch.w_prev.append(w.get("prev_value"))
-                batch.w_attrs.append(tuple(w.get("attrs_changed", ())))
-                batch.w_ts.append(float(w.get("timestamp", 0.0)))
-            batch.w_off.append(len(batch.w_name))
-
-            for r in data.get("cookie_reads", ()):
-                batch.r_api.append(intern(r["api"]))
-                batch.r_script_url.append(r["script_url"])
-                batch.r_script_domain.append(_iopt(r["script_domain"]))
-                batch.r_inclusion.append(intern(r["inclusion"]))
-                batch.r_names.append(tuple(r.get("cookie_names", ())))
-                batch.r_ts.append(float(r.get("timestamp", 0.0)))
-            batch.r_off.append(len(batch.r_api))
-
-            for h in data.get("header_cookies", ()):
-                batch.h_name.append(intern(h["cookie_name"]))
-                batch.h_value.append(h["cookie_value"])
-                batch.h_resp_url.append(h["response_url"])
-                batch.h_resp_domain.append(intern(h["response_domain"]))
-                batch.h_init_domain.append(_iopt(h["initiator_domain"]))
-                batch.h_first.append(1 if h["first_party"] else 0)
-                batch.h_ts.append(float(h.get("timestamp", 0.0)))
-            batch.h_off.append(len(batch.h_name))
-
-            for q in data.get("requests", ()):
-                batch.q_url.append(q["url"])
-                batch.q_host.append(intern(q["host"]))
-                batch.q_domain.append(intern(q["domain"]))
-                batch.q_method.append(intern(q["method"]))
-                batch.q_rtype.append(intern(q["resource_type"]))
-                batch.q_query.append(q["query"])
-                batch.q_body.append(q["body"])
-                batch.q_script_url.append(q["script_url"])
-                batch.q_script_domain.append(_iopt(q["script_domain"]))
-                batch.q_stack.append(tuple(q.get("stack", ())))
-                batch.q_ts.append(float(q.get("timestamp", 0.0)))
-            batch.q_off.append(len(batch.q_url))
-
-            for d in data.get("dom_mutations", ()):
-                batch.d_kind.append(intern(d["kind"]))
-                batch.d_tag.append(intern(d["target_tag"]))
-                batch.d_actor.append(_iopt(d["actor_domain"]))
-                batch.d_owner.append(_iopt(d["owner_domain"]))
-                batch.d_cross.append(1 if d["cross_script"] else 0)
-                batch.d_ts.append(float(d.get("timestamp", 0.0)))
-            batch.d_off.append(len(batch.d_kind))
-
-            for s in data.get("scripts", ()):
-                batch.s_url.append(s["url"])
-                batch.s_domain.append(_iopt(s["domain"]))
-                batch.s_inclusion.append(intern(s["inclusion"]))
-                batch.s_depth.append(int(s.get("depth", 0)))
-                batch.s_parent.append(_iopt(s.get("parent_domain")))
-            batch.s_off.append(len(batch.s_url))
-        return batch
-
-    @classmethod
-    def from_jsonl(cls, lines: Sequence[Union[str, bytes]]) -> "ShardBatch":
-        """Columns from raw JSONL lines (blank lines skipped)."""
-        loads = json.loads
-        return cls.from_dicts([loads(line) for line in lines
-                               if line.strip()])
-
     # ------------------------------------------------------------------
     # Object view (thin; built on demand)
     # ------------------------------------------------------------------
@@ -442,54 +403,229 @@ class ShardBatch:
         accumulators.
         """
         out = ShardBatch()
-        families = (
-            ("w_off", ("w_name", "w_value", "w_api", "w_kind",
-                       "w_script_url", "w_script_domain", "w_inclusion",
-                       "w_raw", "w_prev", "w_attrs", "w_ts")),
-            ("r_off", ("r_api", "r_script_url", "r_script_domain",
-                       "r_inclusion", "r_names", "r_ts")),
-            ("h_off", ("h_name", "h_value", "h_resp_url", "h_resp_domain",
-                       "h_init_domain", "h_first", "h_ts")),
-            ("q_off", ("q_url", "q_host", "q_domain", "q_method", "q_rtype",
-                       "q_query", "q_body", "q_script_url",
-                       "q_script_domain", "q_stack", "q_ts")),
-            ("d_off", ("d_kind", "d_tag", "d_actor", "d_owner", "d_cross",
-                       "d_ts")),
-            ("s_off", ("s_url", "s_domain", "s_inclusion", "s_depth",
-                       "s_parent")),
-        )
         for i in indices:
-            for name in ("sites", "urls", "ranks", "n_scripts", "n_tp",
-                         "n_direct", "n_indirect", "cookie_ops",
-                         "interacted"):
-                getattr(out, name).append(getattr(self, name)[i])
-            for off_name, cols in families:
-                off = getattr(self, off_name)
-                lo, hi = off[i], off[i + 1]
-                for col_name in cols:
-                    getattr(out, col_name).extend(
-                        getattr(self, col_name)[lo:hi])
-                out_off = getattr(out, off_name)
-                out_off.append(out_off[-1] + (hi - lo))
+            out.append_row(self, i)
         return out
+
+    def append_row(self, source: "ShardBatch", i: int) -> None:
+        """Append ``source``'s row ``i`` (and its events) to this batch."""
+        bounds = []
+        for name in OFFSETS:
+            off = getattr(source, name)
+            lo, hi = off[i], off[i + 1]
+            bounds.append((lo, hi))
+            mine = getattr(self, name)
+            mine.append(mine[-1] + (hi - lo))
+        for name, _kind, family in COLUMNS:
+            column = getattr(source, name)
+            if family < 0:
+                getattr(self, name).append(column[i])
+            else:
+                lo, hi = bounds[family]
+                getattr(self, name).extend(column[lo:hi])
+
+
+# ---------------------------------------------------------------------------
+# The row-group codec (shard format v3)
+# ---------------------------------------------------------------------------
+
+class RowGroupError(ValueError):
+    """Bytes that are not one well-formed row group."""
+
+
+#: First bytes of every row group.
+MAGIC = b"RGv3"
+
+#: magic, total byte length, rows, strings, UTF-8 bytes, tuples, tuple
+#: items, then the event total of each family.
+_HEADER = struct.Struct("<4s6I6I")
+
+_U32 = "I" if array("I").itemsize == 4 else "L"
+_TYPECODES = {"s": _U32, "t": _U32, "q": "q", "b": "b", "d": "d"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+_BY_KIND = {kind: tuple((name, family) for name, k, family in COLUMNS
+                        if k == kind)
+            for kind in "stqbd"}
+
+
+def _le_bytes(values: array) -> bytes:
+    if _BIG_ENDIAN and values.itemsize > 1:
+        values = array(values.typecode, values)
+        values.byteswap()
+    return values.tobytes()
+
+
+def encode_row_group(batch: ShardBatch) -> bytes:
+    """One row group's bytes for every row of ``batch``.
+
+    Deterministic: tables fill in first-seen order over :data:`COLUMNS`
+    (strings inside tuples after every string column), and every array
+    is little-endian, so equal columns give equal bytes on any machine.
+    """
+    n = len(batch)
+    counts = array(_U32)
+    totals = []
+    for name in OFFSETS:
+        off = getattr(batch, name)
+        counts.extend(map(sub, off[1:], off[:-1]))
+        totals.append(off[-1] - off[0])
+    string_cols = [getattr(batch, name) for name, _f in _BY_KIND["s"]]
+    tuple_cols = [getattr(batch, name) for name, _f in _BY_KIND["t"]]
+    tuples = list(dict.fromkeys(chain.from_iterable(tuple_cols)))
+    table = dict.fromkeys(chain((None,), chain.from_iterable(string_cols),
+                                chain.from_iterable(tuples)))
+    string_id = {value: i for i, value in enumerate(table)}
+    tuple_id = {value: i for i, value in enumerate(tuples)}
+    strings = list(table)[1:]
+    text = "".join(strings).encode("utf-8", "surrogatepass")
+    sections = [
+        array(_U32, map(len, strings)), text,
+        array(_U32, map(len, tuples)),
+        array(_U32, map(string_id.__getitem__, chain.from_iterable(tuples))),
+        counts,
+        array(_U32, map(string_id.__getitem__,
+                        chain.from_iterable(string_cols))),
+        array(_U32, map(tuple_id.__getitem__,
+                        chain.from_iterable(tuple_cols))),
+    ]
+    for kind in "qbd":
+        values = array(_TYPECODES[kind])
+        for name, _family in _BY_KIND[kind]:
+            values.extend(getattr(batch, name))
+        sections.append(values)
+    body = [part if isinstance(part, bytes) else _le_bytes(part)
+            for part in sections]
+    n_items = len(sections[3])
+    total = _HEADER.size + sum(map(len, body))
+    header = _HEADER.pack(MAGIC, total, n, len(strings), len(text),
+                          len(tuples), n_items, *totals)
+    return header + b"".join(body)
+
+
+def row_group_length(head) -> int:
+    """The byte length a row group declares in its first 8 bytes.
+
+    What a reader walking a plain shard needs to find the next group.
+    Raises :class:`RowGroupError` unless ``head`` starts like a row
+    group.
+    """
+    head = bytes(head[:8])
+    if not MAGIC.startswith(head[:4]):
+        raise RowGroupError(
+            f"not a row group (starts {head!r}); JSON-lines shards from "
+            f"format v2 are not readable, re-crawl")
+    if len(head) < 8:
+        raise RowGroupError("truncated row group header")
+    length = int.from_bytes(head[4:], "little")
+    if length < _HEADER.size:
+        raise RowGroupError(f"row group declares {length} bytes, less "
+                            f"than its header")
+    return length
+
+
+def decode_row_group(data) -> ShardBatch:
+    """The batch of one row group's rows.
+
+    The only decoder of shard bytes.  Raises :class:`RowGroupError`
+    unless ``data`` (any bytes-like object) is exactly one well-formed
+    row group.
+    """
+    try:
+        return _decode(memoryview(data))
+    except RowGroupError:
+        raise
+    except (IndexError, ValueError, struct.error) as exc:
+        raise RowGroupError(f"malformed row group: {exc}") from exc
+
+
+def _decode(view: memoryview) -> ShardBatch:
+    if len(view) < _HEADER.size:
+        raise RowGroupError(f"truncated row group header "
+                            f"({len(view)} of {_HEADER.size} bytes)")
+    (magic, total, n, n_strings, n_text, n_tuples, n_items,
+     *totals) = _HEADER.unpack_from(view)
+    if magic != MAGIC:
+        raise RowGroupError(f"not a row group (starts {bytes(view[:4])!r})")
+    if total != len(view):
+        raise RowGroupError(f"row group holds {len(view)} bytes, its "
+                            f"header says {total}")
+    pos = _HEADER.size
+
+    def take(typecode: str, count: int) -> array:
+        nonlocal pos
+        values = array(typecode)
+        end = pos + count * values.itemsize
+        if end > total:
+            raise RowGroupError("row group sections overrun its length")
+        values.frombytes(view[pos:end])
+        if _BIG_ENDIAN:
+            values.byteswap()
+        pos = end
+        return values
+
+    def runs(lengths: array, values: Sequence) -> Iterator:
+        """``values`` cut into consecutive runs of the given lengths."""
+        ends = list(accumulate(lengths))
+        if (ends[-1] if ends else 0) != len(values):
+            raise RowGroupError("run lengths disagree with their values")
+        return map(values.__getitem__, map(slice, chain((0,), ends), ends))
+
+    lengths = take(_U32, n_strings)
+    if pos + n_text > total:
+        raise RowGroupError("row group sections overrun its length")
+    text = str(view[pos:pos + n_text], "utf-8", "surrogatepass")
+    pos += n_text
+    strings: List[Optional[str]] = [None]
+    strings.extend(runs(lengths, text))
+    lengths = take(_U32, n_tuples)
+    items = list(map(strings.__getitem__, take(_U32, n_items)))
+    tuples = list(map(tuple, runs(lengths, items)))
+    counts = take(_U32, len(OFFSETS) * n)
+    sizes = [n, *totals]          # rows of family -1, then of each family
+    batch = ShardBatch()
+    for family, name in enumerate(OFFSETS):
+        off = array("q", accumulate(counts[family * n:(family + 1) * n],
+                                    initial=0))
+        if off[-1] != totals[family]:
+            raise RowGroupError(f"{name} counts disagree with the header")
+        setattr(batch, name, off)
+    lookup = {"s": strings.__getitem__, "t": tuples.__getitem__}
+    for kind, columns in _BY_KIND.items():
+        values = take(_TYPECODES[kind],
+                      sum(sizes[family + 1] for _name, family in columns))
+        start = 0
+        get = lookup.get(kind)
+        for name, family in columns:
+            stop = start + sizes[family + 1]
+            column = values[start:stop]
+            setattr(batch, name,
+                    column if get is None else list(map(get, column)))
+            start = stop
+    if pos != total:
+        raise RowGroupError(f"row group has {total - pos} trailing bytes")
+    return batch
 
 
 # ---------------------------------------------------------------------------
 # Streaming decode (storage → batches)
 # ---------------------------------------------------------------------------
 
-def iter_shard_batches(path, batch_size: int = DEFAULT_BATCH_SIZE
+def iter_shard_batches(path, *, shard: Optional[int] = None,
+                       sha256: Optional[str] = None
                        ) -> Iterator[ShardBatch]:
-    """Stream a dataset as :class:`ShardBatch` chunks.
+    """Stream a dataset as :class:`ShardBatch` es, one per row group.
 
     Accepts the same inputs as :func:`repro.crawler.storage.iter_logs`
-    (single JSONL file or sharded directory) and performs the same
-    manifest validation, but decodes JSON straight into columns — the
-    per-event dataclass layer is skipped entirely.
+    (a single shard file or a sharded directory) with the same
+    validation: each shard must hash to its recorded digest and hold
+    its manifest count, or :class:`~repro.crawler.storage.ManifestError`
+    names it.  ``shard`` reads one shard of a directory, and ``sha256``
+    replaces the digest that shard (or a single file) must hash to.
+    Memory stays O(row group), not O(dataset).
     """
-    from ..crawler.storage import iter_dict_batches
-    for dicts in iter_dict_batches(path, batch_size=batch_size):
-        yield ShardBatch.from_dicts(dicts)
+    from ..crawler.storage import _iter_batches
+    yield from _iter_batches(path, shard=shard, sha256=sha256)
 
 
 def batch_for_ranks(directory, ranks: Sequence[int], *,
@@ -497,18 +633,18 @@ def batch_for_ranks(directory, ranks: Sequence[int], *,
                     ) -> ShardBatch:
     """Decode only the given ranks into a batch, via sidecar offsets.
 
-    Reuses the PR 6 seek indexes: each requested rank costs one seek
-    and one line decode; shards without a usable sidecar fall back to a
-    line scan (same degradation contract as ``read_site``).  Rows come
-    back in the order ``ranks`` lists them.  Raises ``KeyError`` when a
-    rank is absent from the dataset.
+    Each requested rank costs one read and one row-group decode;
+    shards without a usable sidecar fall back to a scan (the
+    ``read_site`` contract).  Rows come back in the order ``ranks``
+    lists them.  Raises ``KeyError`` when a rank is absent.
     """
-    from ..crawler.storage import read_site_line
-    loads = json.loads
-    dicts = [loads(read_site_line(directory, rank, manifest=manifest,
-                                  index_cache=index_cache))
-             for rank in ranks]
-    return ShardBatch.from_dicts(dicts)
+    from ..crawler.storage import locate_site
+    out = ShardBatch()
+    for rank in ranks:
+        group, row = locate_site(directory, rank, manifest=manifest,
+                                 index_cache=index_cache)
+        out.append_row(group, row)
+    return out
 
 
 # ---------------------------------------------------------------------------

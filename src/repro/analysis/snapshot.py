@@ -362,10 +362,13 @@ class RefreshResult:
         return bool(self.reingested) or self.dropped > 0
 
 
-def _ingest_shard(path: Path, entity_map: Optional[EntityMap],
+def _ingest_shard(dataset: Path, pos: int, digest: str,
+                  entity_map: Optional[EntityMap],
                   filter_list: Optional[FilterList]) -> StudyAccumulator:
+    """Analyze shard ``pos``, which must hold its manifest count and
+    hash to ``digest`` — the digest its snapshot part is filed under."""
     acc = StudyAccumulator(entity_map, filter_list)
-    for batch in iter_shard_batches(path):
+    for batch in iter_shard_batches(dataset, shard=pos, sha256=digest):
         acc.add_shard_batch(batch)
     return acc
 
@@ -383,7 +386,10 @@ def refresh_study(snapshot: Optional[StudySnapshot],
     current per-shard digests: parts whose shard bytes are unchanged
     are merged as-is, changed/added shards are re-ingested (columnar
     batches, same path as a cold build), and parts for shards that no
-    longer exist are dropped.  With ``snapshot=None`` this is a full
+    longer exist are dropped.  A re-ingested shard must hold its
+    manifest count and its bytes must hash to the digest its new part
+    is filed under, or :class:`~repro.crawler.storage.ManifestError`
+    names it.  With ``snapshot=None`` this is a full
     per-shard build — the one code path produces both cold snapshots
     and incremental refreshes, so they cannot drift apart.
 
@@ -412,7 +418,7 @@ def refresh_study(snapshot: Optional[StudySnapshot],
                                       count=manifest.counts[pos]))
             reused.append(name)
             continue
-        acc = _ingest_shard(dataset / name, entity_map, filter_list)
+        acc = _ingest_shard(dataset, pos, digest, entity_map, filter_list)
         parts.append(SnapshotPart(state=accumulator_state(acc), file=name,
                                   sha256=digest,
                                   count=manifest.counts[pos]))

@@ -76,7 +76,7 @@ from ..ecosystem.population import (POPULATION_VERSION, Population,
 from ..faults import InjectedFault, maybe_fire
 from .crawler import CrawlConfig, Crawler, config_fingerprint
 from .parallel import CrawlProgress, Shard, ShardPlan, derive_shard_config
-from .storage import (ManifestError, SHARD_FORMAT_VERSION, ShardIndex,
+from .storage import (ManifestError, SHARD_FORMAT_VERSION,
                       ShardManifest, ShardWriteResult, compute_digest,
                       index_filename, load_shard_index, shard_filename,
                       shard_index_from_bytes, shard_index_to_bytes,
@@ -120,7 +120,9 @@ WORKSPEC_NAME = "workspec.json"
 #: Version 3: population synthesis moved to per-rank RNG streams
 #: (``POPULATION_VERSION`` 2), changing site — and therefore shard —
 #: bytes, and task/spec rank lists gained a compact range encoding.
-QUEUE_VERSION = 3
+#: Version 4: shards became columnar row groups (``SHARD_FORMAT_VERSION``
+#: 3), so no retry can reproduce a version-3 journal's digests.
+QUEUE_VERSION = 4
 
 # Task states (journal values, also in-memory).
 PENDING = "pending"
@@ -1159,10 +1161,8 @@ class ShardStore:
         cached_index = shard_index_from_bytes(
             backend.get(key, index_filename(data_name)), data_name)
         if cached_index is not None and cached_index.sha256 == recorded:
-            write_shard_index(out_dir / index_filename(name), ShardIndex(
-                file=name, count=cached_index.count,
-                sha256=cached_index.sha256, ranks=cached_index.ranks,
-                offsets=cached_index.offsets, lengths=cached_index.lengths))
+            write_shard_index(out_dir / index_filename(name),
+                              dataclasses.replace(cached_index, file=name))
         return ShardWriteResult(name=name, count=count, sha256=recorded)
 
     def put(self, key: str, shard_path: Union[str, Path], count: int,
@@ -1184,11 +1184,7 @@ class ShardStore:
         source_index = load_shard_index(shard_path.parent, shard_path.name)
         if source_index is not None and source_index.sha256 == digest:
             blobs[index_filename(data_name)] = shard_index_to_bytes(
-                ShardIndex(file=data_name, count=source_index.count,
-                           sha256=source_index.sha256,
-                           ranks=source_index.ranks,
-                           offsets=source_index.offsets,
-                           lengths=source_index.lengths))
+                dataclasses.replace(source_index, file=data_name))
         meta = {"key": key, "file": data_name, "count": int(count),
                 "compress": bool(compress), "sha256": digest}
         blobs[META_NAME] = (json.dumps(meta, sort_keys=True, indent=2)

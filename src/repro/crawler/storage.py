@@ -1,8 +1,8 @@
-"""Persistence for crawl datasets (JSONL, optionally gzipped).
+"""Persistence for crawl datasets: columnar row-group shards.
 
 Two on-disk layouts are supported:
 
-* **Single file** — one JSON object per visit, the seed layout.
+* **Single file** — one shard file, no manifest.
 * **Sharded directory** — ``shard-0000.jsonl[.gz] … shard-NNNN.jsonl[.gz]``
   plus a ``manifest.json`` describing the shards.  This is what the
   crawl coordinator's workers stream to, so a full-scale crawl never
@@ -12,37 +12,61 @@ Two on-disk layouts are supported:
 directory path) to write the sharded form; ``load_logs`` detects a
 manifest directory automatically and validates it while reading.
 
+**Shard bytes (format v3).**  A shard file is a sequence of *row
+groups*, each holding :data:`ROW_GROUP_VISITS` consecutive visits (the
+last may hold fewer; an empty shard holds one empty group).  A row
+group is the batch columns of
+:func:`repro.analysis.columnar.encode_row_group`: an interned string
+table, a table of interned tuples, and one little-endian fixed-width
+array per column.  In a gzip shard every row group is its own gzip
+member with the header ``GzipFile(filename="", mtime=0)`` writes, so
+the file is valid multi-member gzip and its bytes are a pure function
+of the logs; a plain shard holds the same group bytes uncompressed.
+File names keep their historical ``.jsonl`` suffix: the manifest's
+version (:data:`MANIFEST_VERSION` 2), not the suffix, says what the
+bytes are.  Every reader — :func:`iter_logs`, :func:`load_shard`,
+:func:`read_site`, :func:`repro.analysis.columnar.iter_shard_batches`
+— decodes through :func:`repro.analysis.columnar.decode_row_group`,
+and a shard listed in a manifest must hold the manifest's count and
+hash to its recorded digest, or the read fails with
+:class:`ManifestError` naming the shard.
+
 Sharded writes also emit a **sidecar index** per shard
-(``shard-NNNN.index.json``): a rank → (byte offset, line length) map
-over the *uncompressed* JSONL stream, plus the shard file's SHA-256 so
-a stale sidecar (shard rewritten without its index) is detected and
-ignored.  :func:`read_site` uses the sidecars to serve a single site's
-:class:`VisitLog` with a seek and a one-line parse instead of
-deserializing a whole shard — the lookup primitive the
-:mod:`repro.serve` HTTP catalog rides — falling back to a full line
-scan for pre-index datasets (:func:`build_shard_indexes` backfills
-them in one shot).  The sidecar is derived data: shard bytes, digests,
-and :data:`SHARD_FORMAT_VERSION` are untouched by its existence.
+(``shard-NNNN.index.json``): for each rank, the on-disk byte offset and
+length of its row group and its row in the group, plus the shard
+file's SHA-256 so a stale sidecar (shard rewritten without its index)
+is detected and ignored.  :func:`read_site` uses the sidecars to serve
+a single site's :class:`VisitLog` by reading and decoding one row
+group — the lookup primitive the :mod:`repro.serve` HTTP catalog rides
+— falling back to a scan over the shard's groups when no usable
+sidecar exists (:func:`build_shard_indexes` backfills them in one
+shot).  The sidecar is derived data: shard bytes, digests, and
+:data:`SHARD_FORMAT_VERSION` are untouched by its existence.
 """
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
 import os
+import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List,
+                    NamedTuple, Optional, Sequence, Tuple, Union)
 
 from ..faults import InjectedFault, maybe_fire
 from .logs import VisitLog
+
+if TYPE_CHECKING:   # the codec imports this package; import it lazily
+    from ..analysis.columnar import ShardBatch
 
 __all__ = [
     "CrawlDataset",
     "IndexBuildResult",
     "ManifestError",
+    "ROW_GROUP_VISITS",
     "SHARD_FORMAT_VERSION",
     "SHARD_INDEX_VERSION",
     "ShardIndex",
@@ -52,15 +76,14 @@ __all__ = [
     "compute_digest",
     "dataset_digests",
     "index_filename",
-    "iter_dict_batches",
-    "iter_dicts",
     "iter_logs",
     "load_logs",
+    "load_shard",
     "load_shard_index",
+    "locate_site",
     "shard_index_from_bytes",
     "shard_index_to_bytes",
     "read_site",
-    "read_site_line",
     "save_logs",
     "shard_filename",
     "verify_shard_files",
@@ -68,51 +91,43 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 1
+#: Version 2 describes a format-v3 (row-group) dataset.  Version 1
+#: manifests describe JSON-lines shards, which no reader here decodes.
+MANIFEST_VERSION = 2
 
 #: Version of the sidecar ``*.index.json`` format.  Independent of the
 #: shard byte format: the sidecar is derived data and never enters
-#: digests, cache keys, or the golden fixture.
-SHARD_INDEX_VERSION = 1
+#: digests, cache keys, or the golden fixture.  Version 2 points each
+#: rank at a row group (offset, length) and a row within it.
+SHARD_INDEX_VERSION = 2
 
 #: Version of the shard *byte* format.  Bumped whenever the serializer
 #: changes the bytes it emits for the same logs (v2: compact JSON
-#: separators) — it is part of the shard-cache key, so entries written
-#: by an older serializer can never be mixed into a newer run.
-SHARD_FORMAT_VERSION = 2
+#: separators; v3: columnar row groups) — it is part of the shard-cache
+#: key, so entries written by an older serializer can never be mixed
+#: into a newer run.
+SHARD_FORMAT_VERSION = 3
+
+#: Visits per row group.  Larger groups decode a dataset faster (fewer
+#: tables, longer arrays); smaller ones make a single-site lookup read
+#: and decode less.  Part of the format: changing it changes bytes.
+ROW_GROUP_VISITS = 4
+
+#: Deflate level of gzip shards.  Part of the format, like the above.
+GZIP_LEVEL = 6
+
+#: What ``GzipFile(filename="", mtime=0)`` writes before a member's
+#: deflate stream: no name, zero mtime, its extra-flags byte for the
+#: level, and OS byte 255 — identical on every interpreter, unlike
+#: ``gzip.compress``, whose OS byte varies between Python versions.
+_GZIP_HEADER = (b"\x1f\x8b\x08\x00\x00\x00\x00\x00"
+                + {9: b"\x02", 1: b"\x04"}.get(GZIP_LEVEL, b"\x00")
+                + b"\xff")
 
 
 class ManifestError(ValueError):
-    """A sharded dataset's manifest is missing, malformed, or stale."""
-
-
-class _Sha256Tee:
-    """Binary sink that feeds every written chunk through a SHA-256.
-
-    Writing a shard and digesting it used to be two passes (write, then
-    re-read the file); the tee digests the on-disk bytes chunk by chunk
-    as they stream out, so the digest is free by the time the file is
-    closed.  For gzip shards the tee sits *under* the compressor — the
-    digest covers the compressed bytes, same as :func:`compute_digest`.
-    """
-
-    def __init__(self, raw):
-        self._raw = raw
-        self.sha = hashlib.sha256()
-
-    def write(self, data) -> int:
-        self.sha.update(data)
-        return self._raw.write(data)
-
-    def flush(self) -> None:
-        self._raw.flush()
-
-
-def _open(path: Path, mode: str):
-    """Open a dataset file for *reading* (writes go via ``_write_shard``)."""
-    if path.suffix == ".gz":
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+    """A dataset's manifest or shard bytes are missing, malformed, or
+    stale."""
 
 
 def compute_digest(path: Union[str, Path]) -> str:
@@ -142,6 +157,10 @@ def dataset_digests(directory: Union[str, Path],
         for pos, name in enumerate(manifest.files))
 
 
+def _is_gzip(name: str) -> bool:
+    return name.endswith(".gz")
+
+
 def shard_filename(index: int, compress: bool = False) -> str:
     return f"shard-{index:04d}.jsonl" + (".gz" if compress else "")
 
@@ -150,8 +169,8 @@ def index_filename(shard_name: str) -> str:
     """Sidecar index name for a shard file name.
 
     ``shard-0003.jsonl`` and ``shard-0003.jsonl.gz`` both map to
-    ``shard-0003.index.json`` — the index describes the uncompressed
-    JSONL stream, so the compression suffix is irrelevant to it.
+    ``shard-0003.index.json``; the sidecar itself names the file it
+    describes.
     """
     base = shard_name
     if base.endswith(".gz"):
@@ -209,6 +228,11 @@ class ShardManifest:
     def from_dict(cls, data: Dict) -> "ShardManifest":
         try:
             version = int(data["version"])
+            if version == 1:
+                raise ManifestError(
+                    "manifest version 1 describes JSON-lines shards "
+                    "(format v2), which this build no longer reads; "
+                    "re-crawl into a fresh directory")
             if version != MANIFEST_VERSION:
                 raise ManifestError(
                     f"unsupported manifest version {version} "
@@ -293,62 +317,61 @@ class ShardWriteResult:
     sha256: str
 
 
-#: Serialized log lines buffered between writes; bounds per-write call
-#: overhead without holding a whole shard in memory.
-_WRITE_CHUNK_LINES = 512
+def _gzip_member(data: bytes) -> bytes:
+    """``data`` as one gzip member, byte-identical to what
+    ``GzipFile(filename="", mode="wb", mtime=0)`` writes for it."""
+    deflate = zlib.compressobj(GZIP_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS,
+                               zlib.DEF_MEM_LEVEL, 0)
+    return b"".join((_GZIP_HEADER, deflate.compress(data), deflate.flush(),
+                     struct.pack("<II", zlib.crc32(data),
+                                 len(data) & 0xFFFFFFFF)))
 
 
 def _write_shard(logs: Iterable[VisitLog], path: Path,
-                 index_path: Optional[Path] = None) -> "ShardWriteResult":
-    """Stream logs to ``path`` as compact JSONL; returns count + digest.
+                 index_path: Optional[Path] = None) -> ShardWriteResult:
+    """Stream logs to ``path`` as row groups; returns count + digest.
 
-    One serialization pass: compact separators (no cosmetic spaces —
-    ~10% fewer bytes per line), lines batched into single buffered
-    writes, and the on-disk bytes digested as they stream through the
-    :class:`_Sha256Tee` (no second read-back pass).  Gzip members are
-    written with a zeroed header (no mtime, no filename) so compressed
-    bytes stay a pure function of the content — the determinism the
-    distributed coordinator's retry verification leans on.
-
-    With ``index_path``, a sidecar rank→offset index over the
-    uncompressed stream is written alongside.  The shard bytes (and
-    therefore digest) are identical with or without the sidecar.
+    Logs are encoded :data:`ROW_GROUP_VISITS` at a time, so memory
+    stays O(group).  The on-disk bytes are digested as they are
+    written (no read-back pass).  With ``index_path``, a sidecar
+    rank → (group offset, group length, row) index is written
+    alongside; the shard bytes are identical with or without it.
     """
-    count = 0
-    offset = 0
-    buf: List[bytes] = []
+    from ..analysis.columnar import ShardBatch, encode_row_group
+    compress = _is_gzip(path.name)
+    sha = hashlib.sha256()
     ranks: List[int] = []
     offsets: List[int] = []
     lengths: List[int] = []
-    dumps = json.dumps
-    with open(path, "wb") as raw:
-        tee = _Sha256Tee(raw)
-        out = (gzip.GzipFile(filename="", mode="wb", fileobj=tee, mtime=0)
-               if path.suffix == ".gz" else tee)
-        try:
-            for log in logs:
-                line = dumps(log.to_dict(),
-                             separators=(",", ":")).encode("utf-8")
-                if index_path is not None:
-                    ranks.append(log.rank)
-                    offsets.append(offset)
-                    lengths.append(len(line))
-                offset += len(line) + 1
-                buf.append(line)
-                count += 1
-                if len(buf) >= _WRITE_CHUNK_LINES:
-                    out.write(b"\n".join(buf) + b"\n")
-                    buf.clear()
-            if buf:
-                out.write(b"\n".join(buf) + b"\n")
-        finally:
-            if out is not tee:
-                out.close()
-    digest = tee.sha.hexdigest()
+    rows: List[int] = []
+    count = 0
+    with open(path, "wb") as out:
+        def flush(chunk: List[VisitLog]) -> None:
+            batch = ShardBatch.from_logs(chunk)
+            group = encode_row_group(batch)
+            if compress:
+                group = _gzip_member(group)
+            ranks.extend(batch.ranks)
+            offsets.extend([out.tell()] * len(chunk))
+            lengths.extend([len(group)] * len(chunk))
+            rows.extend(range(len(chunk)))
+            out.write(group)
+            sha.update(group)
+
+        chunk: List[VisitLog] = []
+        for log in logs:
+            chunk.append(log)
+            count += 1
+            if len(chunk) == ROW_GROUP_VISITS:
+                flush(chunk)
+                chunk = []
+        if chunk or not count:
+            flush(chunk)
+    digest = sha.hexdigest()
     if index_path is not None:
         write_shard_index(index_path, ShardIndex(
-            file=path.name, count=count, sha256=digest,
-            ranks=ranks, offsets=offsets, lengths=lengths))
+            file=path.name, count=count, sha256=digest, ranks=ranks,
+            offsets=offsets, lengths=lengths, rows=rows))
     return ShardWriteResult(name=path.name, count=count, sha256=digest)
 
 
@@ -360,8 +383,8 @@ def write_shard(logs: Iterable[VisitLog], directory: Union[str, Path],
     the coordinator assembles and saves the :class:`ShardManifest` from
     the returned digests afterwards.  Gzip output is deterministic
     (zeroed header), so the digest is a pure function of the logs.
-    Every shard gets a sidecar rank→offset index (see
-    :func:`read_site`); the shard bytes themselves are unaffected.
+    Every shard gets a sidecar index (see :func:`read_site`); the
+    shard bytes themselves are unaffected.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -383,7 +406,7 @@ def save_logs(logs: Iterable[VisitLog], path: Union[str, Path],
               shards: Optional[int] = None, compress: bool = False) -> int:
     """Write a crawl dataset; returns the number of logs written.
 
-    With ``shards`` unset and a file path, writes the single-file JSONL
+    With ``shards`` unset and a file path, writes the single-file
     layout (gzipped when the name ends in ``.gz``).  With ``shards=N``
     — or when ``path`` is an existing directory — writes the sharded
     layout: logs are split into ``N`` near-even contiguous runs (in the
@@ -416,367 +439,132 @@ def save_logs(logs: Iterable[VisitLog], path: Union[str, Path],
 
 
 # ---------------------------------------------------------------------------
-# Sidecar shard indexes (seekable single-site lookup)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ShardIndex:
-    """Parsed sidecar index for one shard file.
-
-    ``offsets``/``lengths`` address the *uncompressed* JSONL stream (for
-    plain shards that is the file itself; for gzip shards the seek
-    decompresses forward, which still skips all JSON parsing).
-    ``sha256`` is the shard file's on-disk digest at index-write time —
-    comparing it against the manifest's recorded digest is how a stale
-    sidecar is detected.
-    """
-
-    file: str
-    count: int
-    sha256: str
-    ranks: Sequence[int]
-    offsets: Sequence[int]
-    lengths: Sequence[int]
-
-    def __post_init__(self) -> None:
-        self._by_rank: Dict[int, Tuple[int, int]] = {
-            rank: (offset, length)
-            for rank, offset, length in zip(self.ranks, self.offsets,
-                                            self.lengths)}
-
-    def entry_for(self, rank: int) -> Optional[Tuple[int, int]]:
-        """(byte offset, line length) of ``rank``'s log line, or None."""
-        return self._by_rank.get(rank)
-
-    def to_dict(self) -> Dict:
-        return {
-            "version": SHARD_INDEX_VERSION,
-            "file": self.file,
-            "count": self.count,
-            "sha256": self.sha256,
-            "ranks": list(self.ranks),
-            "offsets": list(self.offsets),
-            "lengths": list(self.lengths),
-        }
-
-
-def write_shard_index(path: Union[str, Path], index: ShardIndex) -> Path:
-    """Write a sidecar index atomically (tmp + ``os.replace``).
-
-    A torn sidecar must never poison lookups: readers treat an
-    unparseable sidecar as absent, but the rename makes even that
-    window impossible for the common case.
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(index.to_dict(), separators=(",", ":")) + "\n",
-                   encoding="utf-8")
-    os.replace(tmp, path)
-    return path
-
-
-def shard_index_to_bytes(index: ShardIndex) -> bytes:
-    """The sidecar index's canonical serialized bytes.
-
-    Byte-identical to what :func:`write_shard_index` puts on disk, so
-    blob-level stores (see :mod:`repro.crawler.storebackends`) can carry
-    sidecars without their own serializer.
-    """
-    return (json.dumps(index.to_dict(), separators=(",", ":")) + "\n"
-            ).encode("utf-8")
-
-
-def shard_index_from_bytes(data: Optional[bytes],
-                           shard_name: str) -> Optional["ShardIndex"]:
-    """Parse sidecar-index bytes for ``shard_name``; None if unusable.
-
-    "Unusable" covers absent/torn/garbage JSON, a version or shard-name
-    mismatch, and inconsistent array lengths — every case degrades to
-    the full-scan fallback rather than raising.
-    """
-    if data is None:
-        return None
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    try:
-        if int(payload["version"]) != SHARD_INDEX_VERSION:
-            return None
-        if str(payload["file"]) != shard_name:
-            return None
-        index = ShardIndex(
-            file=shard_name,
-            count=int(payload["count"]),
-            sha256=str(payload["sha256"]),
-            ranks=[int(r) for r in payload["ranks"]],
-            offsets=[int(o) for o in payload["offsets"]],
-            lengths=[int(n) for n in payload["lengths"]],
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
-    if not (len(index.ranks) == len(index.offsets)
-            == len(index.lengths) == index.count):
-        return None
-    return index
-
-
-def load_shard_index(directory: Union[str, Path],
-                     shard_name: str) -> Optional["ShardIndex"]:
-    """Parse the sidecar index for ``shard_name``; None if unusable."""
-    path = Path(directory) / index_filename(shard_name)
-    try:
-        data = path.read_bytes()
-    except OSError:
-        return None
-    return shard_index_from_bytes(data, shard_name)
-
-
-def _open_binary(path: Path):
-    """The shard's uncompressed byte stream (what index offsets address)."""
-    if path.suffix == ".gz":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
-def _read_line_at(path: Path, offset: int, length: int) -> bytes:
-    with _open_binary(path) as handle:
-        handle.seek(offset)
-        return handle.read(length)
-
-
-def _load_valid_index(directory: Path, manifest: ShardManifest,
-                      shard_pos: int) -> Optional[ShardIndex]:
-    """The shard's sidecar index, or None when missing or stale.
-
-    Stale = the sidecar's recorded shard digest disagrees with the
-    manifest's (the shard was rewritten without its index); such a
-    sidecar is ignored, never trusted.
-    """
-    name = manifest.files[shard_pos]
-    index = load_shard_index(directory, name)
-    if index is None:
-        return None
-    expected = manifest.digest_for(shard_pos)
-    if expected is not None and index.sha256 != expected:
-        return None
-    return index
-
-
-def read_site_line(directory: Union[str, Path], rank: int, *,
-                   manifest: Optional[ShardManifest] = None,
-                   use_index: bool = True,
-                   index_cache: Optional[Dict[int, Optional[ShardIndex]]]
-                   = None) -> bytes:
-    """Fetch one site's raw JSON line from a sharded dataset by rank.
-
-    The seek primitive under :func:`read_site`, exposed so the columnar
-    decode path (:func:`repro.analysis.columnar.batch_for_ranks`) can go
-    straight from bytes to columns without materializing a
-    :class:`VisitLog`.  Same index/fallback contract as
-    :func:`read_site`; raises :class:`KeyError` when no shard holds
-    ``rank``.
-    """
-    directory = Path(directory)
-    if manifest is None:
-        manifest = ShardManifest.load(directory)
-    unindexed: List[int] = []
-    for pos, name in enumerate(manifest.files):
-        index: Optional[ShardIndex] = None
-        if use_index:
-            if index_cache is not None and pos in index_cache:
-                index = index_cache[pos]
-            else:
-                index = _load_valid_index(directory, manifest, pos)
-                if index_cache is not None:
-                    index_cache[pos] = index
-        if index is None:
-            unindexed.append(pos)
-            continue
-        entry = index.entry_for(rank)
-        if entry is None:
-            continue
-        offset, length = entry
-        return _read_line_at(directory / name, offset, length)
-    for pos in unindexed:
-        path = directory / manifest.files[pos]
-        with _open(path, "r") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                data = json.loads(line)
-                # Skip rank-less lines instead of comparing a default:
-                # build_shard_indexes skips them too, so both paths
-                # resolve every rank to the same line (or to KeyError).
-                line_rank = data.get("rank")
-                if line_rank is not None and int(line_rank) == rank:
-                    return line.encode("utf-8")
-    raise KeyError(f"rank {rank} is not in the dataset at {directory}")
-
-
-def read_site(directory: Union[str, Path], rank: int, *,
-              manifest: Optional[ShardManifest] = None,
-              use_index: bool = True,
-              index_cache: Optional[Dict[int, Optional[ShardIndex]]] = None
-              ) -> VisitLog:
-    """Fetch one site's :class:`VisitLog` from a sharded dataset by rank.
-
-    With sidecar indexes this is a seek plus a one-line parse; shards
-    without a usable index fall back to a transparent full line scan
-    (``use_index=False`` forces that path, for equivalence tests and
-    benchmarks).  ``index_cache`` — a caller-owned dict keyed by shard
-    position — memoizes parsed sidecars across calls, which is what the
-    :mod:`repro.serve` catalog does per study.  Raises :class:`KeyError`
-    when no shard holds ``rank``.
-    """
-    line = read_site_line(directory, rank, manifest=manifest,
-                          use_index=use_index, index_cache=index_cache)
-    return VisitLog.from_dict(json.loads(line))
-
-
-class IndexBuildResult(NamedTuple):
-    """What :func:`build_shard_indexes` did: sidecars written vs kept."""
-
-    built: int
-    up_to_date: int
-
-
-def build_shard_indexes(directory: Union[str, Path],
-                        force: bool = False) -> IndexBuildResult:
-    """Backfill sidecar indexes for a sharded dataset (one-shot).
-
-    Scans every shard that lacks a usable sidecar (or all of them with
-    ``force=True``), recording each line's rank, uncompressed byte
-    offset, and length.  Returns how many sidecars were written and how
-    many already matched their shard's pinned digest and were left
-    untouched — safe to re-run, and the split makes "nothing to do"
-    visible to the CLI instead of indistinguishable from a rebuild.
-    """
-    directory = Path(directory)
-    manifest = ShardManifest.load(directory)
-    built = 0
-    up_to_date = 0
-    for pos, name in enumerate(manifest.files):
-        if not force and _load_valid_index(directory, manifest, pos) \
-                is not None:
-            up_to_date += 1
-            continue
-        path = directory / name
-        digest = manifest.digest_for(pos) or compute_digest(path)
-        ranks: List[int] = []
-        offsets: List[int] = []
-        lengths: List[int] = []
-        offset = 0
-        with _open_binary(path) as handle:
-            for raw_line in handle:
-                # Record the fully stripped JSON line — no trailing \r
-                # on CRLF shards, no leading whitespace — so the seek
-                # path returns byte-for-byte what the fallback scan's
-                # text-mode .strip() yields for the same rank.
-                body = raw_line.strip()
-                if body:
-                    data = json.loads(body)
-                    rank = data.get("rank")
-                    # Rank-less lines are unreachable by rank lookup;
-                    # indexing them under a default would let them
-                    # shadow a real rank (the scan fallback skips them
-                    # too — see read_site_line).
-                    if rank is not None:
-                        lead = len(raw_line) - len(raw_line.lstrip())
-                        ranks.append(int(rank))
-                        offsets.append(offset + lead)
-                        lengths.append(len(body))
-                offset += len(raw_line)
-        write_shard_index(directory / index_filename(name), ShardIndex(
-            file=name, count=len(ranks), sha256=digest,
-            ranks=ranks, offsets=offsets, lengths=lengths))
-        built += 1
-    return IndexBuildResult(built=built, up_to_date=up_to_date)
-
-
-# ---------------------------------------------------------------------------
 # Reading
 # ---------------------------------------------------------------------------
 
-def _iter_file_dicts(path: Path) -> Iterator[Dict]:
-    with _open(path, "r") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+def _row_groups(data: bytes, compressed: bool
+                ) -> Iterator[Tuple[int, int, bytes]]:
+    """(on-disk offset, on-disk length, row-group bytes) of each group.
 
-
-def _iter_file(path: Path) -> Iterator[VisitLog]:
-    for data in _iter_file_dicts(path):
-        yield VisitLog.from_dict(data)
-
-
-def iter_dicts(path: Union[str, Path]) -> Iterator[Dict]:
-    """Stream a dataset one parsed-JSON dict at a time.
-
-    The decode layer under :func:`iter_logs`, with the identical layout
-    handling and manifest validation, but stopping at dicts — what the
-    columnar batch path consumes, skipping the per-event dataclass
-    construction entirely.
+    Raises :class:`~repro.analysis.columnar.RowGroupError` on bytes
+    that do not frame into whole groups (truncation, a bad gzip member,
+    a JSON-lines shard from before format v3).
     """
+    from ..analysis.columnar import RowGroupError, row_group_length
+    offset = 0
+    end = len(data)
+    view = memoryview(data)
+    while offset < end:
+        if compressed:
+            inflate = zlib.decompressobj(16 + zlib.MAX_WBITS)
+            try:
+                group = inflate.decompress(view[offset:])
+            except zlib.error as exc:
+                raise RowGroupError(
+                    f"bad gzip member at byte {offset}: {exc}") from exc
+            if not inflate.eof:
+                raise RowGroupError(
+                    f"truncated gzip member at byte {offset}")
+            length = end - offset - len(inflate.unused_data)
+        else:
+            length = row_group_length(view[offset:offset + 8])
+            if offset + length > end:
+                raise RowGroupError(
+                    f"truncated row group at byte {offset}: {length} "
+                    f"bytes declared, {end - offset} present")
+            group = view[offset:offset + length]
+        yield offset, length, group
+        offset += length
+
+
+def _read_shard_bytes(path: Path, label: str,
+                      sha256: Optional[str]) -> bytes:
+    """A shard file's bytes, checked against ``sha256`` when given."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise ManifestError(f"missing shard file {path}") from None
+    if sha256 is not None:
+        actual = hashlib.sha256(data).hexdigest()
+        if actual != sha256:
+            raise ManifestError(f"{label} hashes to {actual[:12]}…, "
+                                f"manifest records {sha256[:12]}…")
+    return data
+
+
+def _file_batches(path: Path, label: str, count: Optional[int] = None,
+                  sha256: Optional[str] = None) -> Iterator[ShardBatch]:
+    """The one shard reader: a batch per row group of one file, its
+    digest checked before the first and its row count after the last."""
+    from ..analysis.columnar import RowGroupError, decode_row_group
+    data = _read_shard_bytes(path, label, sha256)
+    layout = "gzip" if _is_gzip(path.name) else "plain"
+    seen = 0
+    try:
+        for _offset, _length, group in _row_groups(data, layout == "gzip"):
+            batch = decode_row_group(group)
+            seen += len(batch)
+            if len(batch):
+                yield batch
+    except RowGroupError as exc:
+        raise ManifestError(f"{label} is not a readable {layout} "
+                            f"row-group shard: {exc}") from exc
+    if count is not None and seen != count:
+        raise ManifestError(f"{label} holds {seen} logs, "
+                            f"manifest says {count}")
+
+
+def _shard_batches(directory: Path, manifest: ShardManifest, pos: int,
+                   sha256: Optional[str] = None) -> Iterator[ShardBatch]:
+    name = manifest.files[pos]
+    return _file_batches(directory / name, f"shard {pos} ({name})",
+                         manifest.counts[pos],
+                         sha256 or manifest.digest_for(pos))
+
+
+def _iter_batches(path: Union[str, Path], *, shard: Optional[int] = None,
+                  sha256: Optional[str] = None) -> Iterator[ShardBatch]:
+    """Batches of a single shard file, a sharded directory, or (with
+    ``shard``) one shard of a directory; see ``iter_shard_batches``."""
     path = Path(path)
     if not path.is_dir():
-        yield from _iter_file_dicts(path)
+        if shard is not None:
+            raise ManifestError(f"{path} is a single shard file, not a "
+                                f"sharded directory")
+        yield from _file_batches(path, f"dataset file {path}", sha256=sha256)
         return
     manifest = ShardManifest.load(path)
-    for index, (name, expected) in enumerate(zip(manifest.files,
-                                                 manifest.counts)):
-        shard_path = path / name
-        if not shard_path.exists():
-            raise ManifestError(f"manifest lists missing shard {name}")
-        seen = 0
-        try:
-            for data in _iter_file_dicts(shard_path):
-                seen += 1
-                yield data
-        except ManifestError:
-            raise
-        except (OSError, EOFError, UnicodeDecodeError,
-                json.JSONDecodeError) as exc:
-            # Covers a manifest/disk format mismatch: a .gz shard name
-            # over plain bytes (BadGzipFile/EOFError) or gzip bytes
-            # under a plain name (UnicodeDecodeError/JSON garbage).
-            layout = "gzip JSONL" if name.endswith(".gz") else "plain JSONL"
-            raise ManifestError(
-                f"shard {index} ({name}) is not readable as the "
-                f"{layout} the manifest records: {exc}") from exc
-        if seen != expected:
-            raise ManifestError(
-                f"shard {index} ({name}) holds {seen} logs, "
-                f"manifest says {expected}")
-
-
-def iter_dict_batches(path: Union[str, Path],
-                      batch_size: int = 512) -> Iterator[List[Dict]]:
-    """Stream a dataset as lists of parsed-JSON dicts (same validation
-    as :func:`iter_logs`); memory stays O(batch), not O(dataset)."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    batch: List[Dict] = []
-    for data in iter_dicts(path):
-        batch.append(data)
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
+    if shard is None:
+        for pos in range(manifest.n_shards):
+            yield from _shard_batches(path, manifest, pos)
+        return
+    if not 0 <= shard < manifest.n_shards:
+        raise ManifestError(
+            f"shard index {shard} out of range 0..{manifest.n_shards - 1}")
+    yield from _shard_batches(path, manifest, shard, sha256)
 
 
 def iter_logs(path: Union[str, Path]) -> Iterator[VisitLog]:
     """Stream a dataset one :class:`VisitLog` at a time.
 
-    Accepts a single JSONL file or a sharded directory; shards stream in
-    index order and each shard's log count is checked against the
-    manifest (:class:`ManifestError` on mismatch or missing files).
+    Accepts a single shard file or a sharded directory; shards stream
+    in index order and each shard's log count and digest are checked
+    against the manifest (:class:`ManifestError` on mismatch or
+    missing files).
     """
-    for data in iter_dicts(path):
-        yield VisitLog.from_dict(data)
+    for batch in _iter_batches(path):
+        yield from map(batch.log, range(len(batch)))
+
+
+def load_logs(path: Union[str, Path]) -> List[VisitLog]:
+    """Read a crawl dataset (single file or sharded directory)."""
+    return list(iter_logs(path))
+
+
+def load_shard(directory: Union[str, Path], index: int) -> List[VisitLog]:
+    """Read one shard of a sharded dataset (count and digest checked)."""
+    return [log for batch in _iter_batches(directory, shard=index)
+            for log in batch.logs()]
 
 
 def verify_shard_files(directory: Union[str, Path],
@@ -804,19 +592,284 @@ def verify_shard_files(directory: Union[str, Path],
                 f"manifest records {expected[:12]}…")
 
 
-def load_logs(path: Union[str, Path]) -> List[VisitLog]:
-    """Read a crawl dataset (single file or sharded directory)."""
-    return list(iter_logs(path))
+# ---------------------------------------------------------------------------
+# Sidecar shard indexes (seekable single-site lookup)
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ShardIndex:
+    """Parsed sidecar index for one shard file.
+
+    Entry ``k`` says rank ``ranks[k]`` is row ``rows[k]`` of the row
+    group stored at byte ``offsets[k]`` of the shard file, ``lengths[k]``
+    bytes long on disk (a whole gzip member for gzip shards).
+    ``sha256`` is the shard file's on-disk digest at index-write time —
+    comparing it against the manifest's recorded digest is how a stale
+    sidecar is detected.
+    """
+
+    file: str
+    count: int
+    sha256: str
+    ranks: Sequence[int]
+    offsets: Sequence[int]
+    lengths: Sequence[int]
+    rows: Sequence[int]
+
+    def __post_init__(self) -> None:
+        self._by_rank: Dict[int, Tuple[int, int, int]] = {
+            rank: (offset, length, row)
+            for rank, offset, length, row in zip(self.ranks, self.offsets,
+                                                 self.lengths, self.rows)}
+
+    def entry_for(self, rank: int) -> Optional[Tuple[int, int, int]]:
+        """(group offset, group length, row) of ``rank``, or None."""
+        return self._by_rank.get(rank)
+
+    def to_dict(self) -> Dict:
+        return {
+            "version": SHARD_INDEX_VERSION,
+            "file": self.file,
+            "count": self.count,
+            "sha256": self.sha256,
+            "ranks": list(self.ranks),
+            "offsets": list(self.offsets),
+            "lengths": list(self.lengths),
+            "rows": list(self.rows),
+        }
 
 
-def load_shard(directory: Union[str, Path], index: int) -> List[VisitLog]:
-    """Read one shard of a sharded dataset."""
+def write_shard_index(path: Union[str, Path], index: ShardIndex) -> Path:
+    """Write a sidecar index atomically (tmp + ``os.replace``).
+
+    A torn sidecar must never poison lookups: readers treat an
+    unparseable sidecar as absent, but the rename makes even that
+    window impossible for the common case.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(shard_index_to_bytes(index))
+    os.replace(tmp, path)
+    return path
+
+
+def shard_index_to_bytes(index: ShardIndex) -> bytes:
+    """The sidecar index's canonical serialized bytes.
+
+    Exactly what :func:`write_shard_index` puts on disk, so blob-level
+    stores (see :mod:`repro.crawler.storebackends`) can carry sidecars
+    without their own serializer.
+    """
+    return (json.dumps(index.to_dict(), separators=(",", ":")) + "\n"
+            ).encode("utf-8")
+
+
+def shard_index_from_bytes(data: Optional[bytes],
+                           shard_name: str) -> Optional["ShardIndex"]:
+    """Parse sidecar-index bytes for ``shard_name``; None if unusable.
+
+    "Unusable" covers absent/torn/garbage JSON, a version (a format-v2
+    sidecar points into JSON lines) or shard-name mismatch, and
+    inconsistent array lengths — every case degrades to the scan
+    fallback rather than raising.
+    """
+    if data is None:
+        return None
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    try:
+        if int(payload["version"]) != SHARD_INDEX_VERSION:
+            return None
+        if str(payload["file"]) != shard_name:
+            return None
+        index = ShardIndex(
+            file=shard_name,
+            count=int(payload["count"]),
+            sha256=str(payload["sha256"]),
+            ranks=[int(r) for r in payload["ranks"]],
+            offsets=[int(o) for o in payload["offsets"]],
+            lengths=[int(n) for n in payload["lengths"]],
+            rows=[int(r) for r in payload["rows"]],
+        )
+    except (KeyError, TypeError, ValueError):
+        return None
+    if not (len(index.ranks) == len(index.offsets) == len(index.lengths)
+            == len(index.rows) == index.count):
+        return None
+    return index
+
+
+def load_shard_index(directory: Union[str, Path],
+                     shard_name: str) -> Optional["ShardIndex"]:
+    """Parse the sidecar index for ``shard_name``; None if unusable."""
+    path = Path(directory) / index_filename(shard_name)
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None
+    return shard_index_from_bytes(data, shard_name)
+
+
+def _load_valid_index(directory: Path, manifest: ShardManifest,
+                      shard_pos: int) -> Optional[ShardIndex]:
+    """The shard's sidecar index, or None when missing or stale.
+
+    Stale = the sidecar's recorded shard digest disagrees with the
+    manifest's (the shard was rewritten without its index); such a
+    sidecar is ignored, never trusted.
+    """
+    name = manifest.files[shard_pos]
+    index = load_shard_index(directory, name)
+    if index is None:
+        return None
+    expected = manifest.digest_for(shard_pos)
+    if expected is not None and index.sha256 != expected:
+        return None
+    return index
+
+
+def _read_group(directory: Path, manifest: ShardManifest, pos: int,
+                rank: int, entry: Tuple[int, int, int]
+                ) -> Tuple[ShardBatch, int]:
+    """Decode the one row group a sidecar entry points at."""
+    from ..analysis.columnar import RowGroupError, decode_row_group
+    offset, length, row = entry
+    name = manifest.files[pos]
+    with open(directory / name, "rb") as handle:
+        handle.seek(offset)
+        data = handle.read(length)
+    try:
+        if _is_gzip(name):
+            data = zlib.decompress(data, 16 + zlib.MAX_WBITS)
+        batch = decode_row_group(data)
+    except (zlib.error, RowGroupError) as exc:
+        raise ManifestError(f"shard {pos} ({name}): unreadable row group "
+                            f"at byte {offset}: {exc}") from exc
+    if not (0 <= row < len(batch) and batch.ranks[row] == rank):
+        raise ManifestError(f"shard {pos} ({name}): its sidecar puts rank "
+                            f"{rank} at row {row} of the group at byte "
+                            f"{offset}, which does not hold it")
+    return batch, row
+
+
+def locate_site(directory: Union[str, Path], rank: int, *,
+                manifest: Optional[ShardManifest] = None,
+                use_index: bool = True,
+                index_cache: Optional[Dict[int, Optional[ShardIndex]]] = None
+                ) -> Tuple[ShardBatch, int]:
+    """The decoded row group holding ``rank``, and the rank's row in it.
+
+    The lookup under :func:`read_site` and
+    :func:`repro.analysis.columnar.batch_for_ranks`; same contract as
+    :func:`read_site`.
+    """
+    directory = Path(directory)
+    if manifest is None:
+        manifest = ShardManifest.load(directory)
+    unindexed: List[int] = []
+    for pos in range(manifest.n_shards):
+        index: Optional[ShardIndex] = None
+        if use_index:
+            if index_cache is not None and pos in index_cache:
+                index = index_cache[pos]
+            else:
+                index = _load_valid_index(directory, manifest, pos)
+                if index_cache is not None:
+                    index_cache[pos] = index
+        if index is None:
+            unindexed.append(pos)
+            continue
+        entry = index.entry_for(rank)
+        if entry is not None:
+            return _read_group(directory, manifest, pos, rank, entry)
+    for pos in unindexed:
+        hit: Optional[Tuple[ShardBatch, int]] = None
+        # Read the whole shard even after a hit: a scan is a full read,
+        # so it answers only once the shard's count checks out too.
+        for batch in _shard_batches(directory, manifest, pos):
+            if hit is None and rank in batch.ranks:
+                hit = batch, batch.ranks.index(rank)
+        if hit is not None:
+            return hit
+    raise KeyError(f"rank {rank} is not in the dataset at {directory}")
+
+
+def read_site(directory: Union[str, Path], rank: int, *,
+              manifest: Optional[ShardManifest] = None,
+              use_index: bool = True,
+              index_cache: Optional[Dict[int, Optional[ShardIndex]]] = None
+              ) -> VisitLog:
+    """Fetch one site's :class:`VisitLog` from a sharded dataset by rank.
+
+    With sidecar indexes this reads and decodes the one row group
+    holding the site; shards without a usable index fall back to a
+    scan of their groups, with the full count and digest checks
+    (``use_index=False`` forces that path, for equivalence tests and
+    benchmarks).  ``index_cache`` — a caller-owned dict keyed by shard
+    position — memoizes parsed sidecars across calls, which is what the
+    :mod:`repro.serve` catalog does per study.  Raises :class:`KeyError`
+    when no shard holds ``rank`` and :class:`ManifestError` when the
+    bytes a sidecar points at are not the group it describes.
+    """
+    batch, row = locate_site(directory, rank, manifest=manifest,
+                             use_index=use_index, index_cache=index_cache)
+    return batch.log(row)
+
+
+class IndexBuildResult(NamedTuple):
+    """What :func:`build_shard_indexes` did: sidecars written vs kept."""
+
+    built: int
+    up_to_date: int
+
+
+def build_shard_indexes(directory: Union[str, Path],
+                        force: bool = False) -> IndexBuildResult:
+    """Backfill sidecar indexes for a sharded dataset (one-shot).
+
+    Walks the row groups of every shard that lacks a usable sidecar
+    (or all of them with ``force=True``), recording each rank's group
+    offset, group length, and row.  Returns how many sidecars were
+    written and how many already matched their shard's pinned digest
+    and were left untouched — safe to re-run, and the split makes
+    "nothing to do" visible to the CLI instead of indistinguishable
+    from a rebuild.
+    """
+    from ..analysis.columnar import RowGroupError, decode_row_group
     directory = Path(directory)
     manifest = ShardManifest.load(directory)
-    if not 0 <= index < manifest.n_shards:
-        raise ManifestError(
-            f"shard index {index} out of range 0..{manifest.n_shards - 1}")
-    return list(_iter_file(directory / manifest.files[index]))
+    built = 0
+    up_to_date = 0
+    for pos, name in enumerate(manifest.files):
+        if not force and _load_valid_index(directory, manifest, pos) \
+                is not None:
+            up_to_date += 1
+            continue
+        label = f"shard {pos} ({name})"
+        data = _read_shard_bytes(directory / name, label,
+                                 manifest.digest_for(pos))
+        ranks: List[int] = []
+        offsets: List[int] = []
+        lengths: List[int] = []
+        rows: List[int] = []
+        try:
+            for offset, length, group in _row_groups(data, _is_gzip(name)):
+                batch = decode_row_group(group)
+                ranks.extend(batch.ranks)
+                offsets.extend([offset] * len(batch))
+                lengths.extend([length] * len(batch))
+                rows.extend(range(len(batch)))
+        except RowGroupError as exc:
+            raise ManifestError(f"{label} is not a readable row-group "
+                                f"shard: {exc}") from exc
+        write_shard_index(directory / index_filename(name), ShardIndex(
+            file=name, count=len(ranks),
+            sha256=hashlib.sha256(data).hexdigest(), ranks=ranks,
+            offsets=offsets, lengths=lengths, rows=rows))
+        built += 1
+    return IndexBuildResult(built=built, up_to_date=up_to_date)
 
 
 class CrawlDataset:

@@ -159,7 +159,7 @@ def _shard_decode_run(state) -> int:
 
 register(Scenario(
     name="shard_decode",
-    description="gzip shard JSONL -> ShardBatch columns (the decode "
+    description="gzip shard row groups -> ShardBatch columns (the decode "
                 "half of the columnar pipeline, isolated from the "
                 "report passes)",
     setup=lambda: _sharded_state(120, 100, 4),
@@ -262,7 +262,7 @@ def _shard_run(state) -> int:
 
 register(Scenario(
     name="shard_serialize",
-    description="write_shard: VisitLog → JSONL bytes + SHA-256 digest "
+    description="write_shard: VisitLog → row-group bytes + SHA-256 digest "
                 "(the storage layer every crawl engine streams through)",
     setup=lambda: _shard_state(120, 100),
     quick_setup=lambda: _shard_state(40, 25),
@@ -301,9 +301,9 @@ def _lookup_run(state) -> int:
 
 register(Scenario(
     name="site_lookup",
-    description="read_site via sidecar seek indexes: single-site "
-                "lookups/s over a 64-shard gzip study (the serve "
-                "catalog's /sites/<rank> path)",
+    description="read_site via sidecar indexes (one row group per "
+                "lookup): single-site lookups/s over a 64-shard gzip "
+                "study (the serve catalog's /sites/<rank> path)",
     setup=lambda: _lookup_state(420, 384, 64, 256, True),
     quick_setup=lambda: _lookup_state(96, 80, 16, 64, True),
     run=_lookup_run,
@@ -313,8 +313,8 @@ register(Scenario(
 register(Scenario(
     name="site_lookup_scan",
     description="the same lookups with indexes disabled (whole-shard "
-                "scan fallback) — the baseline site_lookup must beat "
-                "by >=10x",
+                "scan fallback) — the baseline site_lookup is read "
+                "against",
     setup=lambda: _lookup_state(420, 384, 64, 16, False),
     quick_setup=lambda: _lookup_state(96, 80, 16, 8, False),
     run=_lookup_run,

@@ -6,7 +6,9 @@ so the extension layer can use the schemas without importing the crawler
 package; :mod:`repro.crawler.logs` re-exports everything for convenience.
 
 Each record is a frozen, ``slots=True`` dataclass with ``to_dict``/
-``from_dict`` for the JSONL storage layer.  Field names follow the paper's
+``from_dict`` for JSON renderings (the golden fixture, the serve site
+endpoint); shards store the same fields as columns
+(:mod:`repro.analysis.columnar`).  Field names follow the paper's
 terminology: *site* is the visited eTLD+1, *script_domain* is the acting
 script's eTLD+1 (None for inline scripts), *api* is ``document.cookie`` or
 ``cookieStore``.

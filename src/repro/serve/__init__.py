@@ -2,7 +2,7 @@
 
 Built entirely on the standard library's ``http.server`` (no new runtime
 dependencies), this package turns the deterministic crawl artifacts the
-pipeline already produces — sharded ``VisitLog`` JSONL files, their
+pipeline already produces — sharded ``VisitLog`` row-group files, their
 ``manifest.json`` with per-shard SHA-256 digests, and the sidecar seek
 indexes — into a small, correctly cacheable service.
 
@@ -17,8 +17,9 @@ Endpoints
 ``GET /studies/<id>/shards``
     Per-shard rows: file name, site count, SHA-256 digest.
 ``GET /studies/<id>/sites/<rank>``
-    The full ``VisitLog`` for one site, fetched with a byte-range seek
-    through the shard's sidecar index — no whole-shard deserialization.
+    The full ``VisitLog`` for one site, read through the shard's
+    sidecar index — one row group read and decoded, no whole-shard
+    deserialization.
 ``GET /studies/<id>/reports``
     The report registry with each query's parameter schema.
 ``GET /studies/<id>/reports/<name>?...``
@@ -48,21 +49,25 @@ byte-identical bodies.
 Sidecar index format
 --------------------
 
-Site lookups seek rather than scan thanks to a per-shard sidecar,
-``shard-NNNN.index.json`` next to ``shard-NNNN.jsonl[.gz]``::
+Site lookups read one row group rather than scan thanks to a per-shard
+sidecar, ``shard-NNNN.index.json`` next to ``shard-NNNN.jsonl[.gz]``
+(version 2, for shard format v3)::
 
-    {"version": 1, "file": "shard-0000.jsonl.gz", "count": 3,
+    {"version": 2, "file": "shard-0000.jsonl.gz", "count": 5,
      "sha256": "<digest of the shard file's bytes>",
-     "ranks": [1, 5, 9], "offsets": [0, 812, 1630],
-     "lengths": [811, 817, 809]}
+     "ranks": [1, 5, 9, 12, 20], "offsets": [0, 0, 0, 0, 9817],
+     "lengths": [9817, 9817, 9817, 9817, 2755], "rows": [0, 1, 2, 3, 0]}
 
-Offsets and lengths address the *uncompressed* JSONL stream, so one
-index format covers gzip and plain shards alike.  The sidecar is
-derived data: shard bytes, digests, and the golden fixture are
-unchanged, and a sidecar whose recorded ``sha256`` disagrees with the
-manifest digest (or is missing — e.g. pre-index crawls) is ignored in
-favor of a transparent full-scan fallback.  ``repro index-shards``
-backfills sidecars for existing studies.
+Entry ``k`` puts rank ``ranks[k]`` at row ``rows[k]`` of the row group
+stored at byte ``offsets[k]`` of the shard file, ``lengths[k]`` bytes
+on disk — a whole gzip member in a gzip shard, so a lookup reads that
+member, inflates it and decodes its columns.  The sidecar is derived
+data: shard bytes, digests, and the golden fixture are unchanged by
+it.  A sidecar whose recorded ``sha256`` disagrees with the manifest
+digest, one from an older version (whose offsets point into JSON
+lines), or a missing one is ignored in favor of a transparent scan of
+the shard's row groups; ``repro index-shards`` backfills sidecars for
+existing studies.
 """
 
 from .app import ServeError, StudyCatalogHandler, make_server, serve

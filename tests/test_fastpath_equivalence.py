@@ -433,15 +433,17 @@ class TestSerializerEquivalence:
                               sort_keys=True, indent=1) + "\n"
         assert rendered == GOLDEN.read_text(encoding="utf-8")
 
-    def test_compact_lines_match_reference_dumps(self, tmp_path):
+    def test_row_groups_match_v2_oracle_columns(self, tmp_path):
+        """The golden logs as v3 row groups decode to exactly the
+        columns the v2 JSON lines of the same logs decode to."""
+        from repro.analysis.columnar import iter_shard_batches
+        from v2_oracle import columns, from_dicts, v2_lines
         entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
         logs = [VisitLog.from_dict(e) for e in entries]
         written = write_shard(logs, tmp_path, 0)
-        lines = (tmp_path / written.name).read_text(
-            encoding="utf-8").splitlines()
-        expected = [json.dumps(log.to_dict(), separators=(",", ":"))
-                    for log in logs]
-        assert lines == expected
+        oracle = from_dicts([json.loads(line) for line in v2_lines(logs)])
+        assert columns(iter_shard_batches(tmp_path / written.name)) \
+            == columns([oracle])
 
     def test_streaming_digest_matches_file_digest(self, tmp_path):
         entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -452,16 +454,32 @@ class TestSerializerEquivalence:
                 compute_digest(tmp_path / written.name)
 
     def test_gzip_member_header_stays_zeroed(self, tmp_path):
+        """Every row group's gzip member is byte-identical to what
+        ``GzipFile(filename="", mtime=0)`` writes for the group, so the
+        file is plain multi-member gzip with zeroed headers."""
+        import io
+        from repro.crawler import storage
         entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
         logs = [VisitLog.from_dict(e) for e in entries]
         a = write_shard(logs, tmp_path / "one", 0, compress=True)
         b = write_shard(logs, tmp_path / "two", 0, compress=True)
+        plain = write_shard(logs, tmp_path / "plain", 0)
         bytes_a = (tmp_path / "one" / a.name).read_bytes()
         bytes_b = (tmp_path / "two" / b.name).read_bytes()
         assert bytes_a == bytes_b  # mtime zeroed: pure function of logs
-        with gzip.open(tmp_path / "one" / a.name, "rt",
-                       encoding="utf-8") as handle:
-            assert len(handle.read().splitlines()) == len(logs)
+        groups = [bytes(group) for _o, _n, group in storage._row_groups(
+            (tmp_path / "plain" / plain.name).read_bytes(), False)]
+        members = []
+        for group in groups:
+            buffer = io.BytesIO()
+            with gzip.GzipFile(filename="", mode="wb", fileobj=buffer,
+                               mtime=0,
+                               compresslevel=storage.GZIP_LEVEL) as out:
+                out.write(group)
+            members.append(buffer.getvalue())
+        assert len(groups) == -(-len(logs) // storage.ROW_GROUP_VISITS)
+        assert bytes_a == b"".join(members)
+        assert gzip.decompress(bytes_a) == b"".join(groups)
 
 
 class TestShardKeyFactoryEquivalence:
@@ -674,16 +692,23 @@ class TestColumnarEquivalence:
         # And both equal the unsplit whole.
         assert left == _report_blob(Study.from_accumulator(acc_of(logs)))
 
-    def test_golden_fixture_through_the_batch_path(self):
-        from repro.analysis.columnar import ShardBatch
+    def test_golden_fixture_through_the_batch_path(self, tmp_path):
+        from repro.analysis.columnar import iter_shard_batches
         from repro.analysis.reports import Study, StudyAccumulator
+        from v2_oracle import from_dicts
         entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
         logs = [VisitLog.from_dict(e) for e in entries]
         reference = _report_blob(_object_path_study(logs))
         assert _report_blob(Study(logs)) == reference
-        # from_dicts: straight off the JSON entries, no objects built.
+        # The v2 decode loop: straight off the JSON entries.
         acc = StudyAccumulator()
-        acc.add_shard_batch(ShardBatch.from_dicts(entries))
+        acc.add_shard_batch(from_dicts(entries))
+        assert _report_blob(Study.from_accumulator(acc)) == reference
+        # The v3 decode loop: row groups off a shard file.
+        written = write_shard(logs, tmp_path, 0, compress=True)
+        acc = StudyAccumulator()
+        for batch in iter_shard_batches(tmp_path / written.name):
+            acc.add_shard_batch(batch)
         assert _report_blob(Study.from_accumulator(acc)) == reference
 
 

@@ -12,13 +12,19 @@ pinned by the SHA-256 of its rendering, ``GUARDED_SHA256``: every other
 guarded test compares two schedules of the same code, so only this
 digest notices a change to the guard's read or write path.
 
+``SHARD_SHA256`` pins the shard bytes: the golden crawl written as one
+gzip and one plain shard (format v3).  CI runs this file on several
+Python versions, so one constant per layout shows the bytes do not
+depend on the interpreter.
+
 If a change is *intentional* (a new log field, a schema migration),
 regenerate the fixture and print the new guarded digest with::
 
     PYTHONPATH=src python tests/test_golden_log.py --regenerate
 
 and call the change out in the PR, since it breaks byte-compatibility
-of stored crawl datasets.
+of stored crawl datasets.  A shard-format change moves only
+``SHARD_SHA256``; ``--regenerate`` prints that too.
 """
 
 from __future__ import annotations
@@ -36,6 +42,11 @@ GOLDEN_SEED = 2025
 #: SHA-256 of ``_render(_golden_crawl(install_guard=True))``.
 GUARDED_SHA256 = (
     "1482cb0fac0bc36fa188b9443e2b402163f180ea1d13e75df364c0ddd2a430bc")
+#: SHA-256 of the golden crawl written by ``write_shard``, per layout.
+SHARD_SHA256 = {
+    "gzip": "04270b729535ace55178adec4b04dd26a782f76a740d778d899ab3cde6c834fd",
+    "plain": "617385e1299ce683837c37c93d8a220a5ac2800955ce4b25fdf66feebcd611cf",
+}
 
 
 def _golden_crawl(install_guard: bool = False):
@@ -49,6 +60,14 @@ def _golden_crawl(install_guard: bool = False):
 def _guarded_digest() -> str:
     rendered = _render(_golden_crawl(install_guard=True))
     return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+
+
+def _shard_digests(directory: Path) -> dict:
+    from repro.crawler.storage import write_shard
+    logs = _golden_crawl()
+    return {layout: write_shard(logs, directory / layout, 0,
+                                compress=layout == "gzip").sha256
+            for layout in ("gzip", "plain")}
 
 
 def _render(logs) -> str:
@@ -69,6 +88,9 @@ class TestGoldenLog:
     def test_guarded_crawl_matches_golden_digest(self):
         assert _guarded_digest() == GUARDED_SHA256
 
+    def test_shard_bytes_match_golden_digests(self, tmp_path):
+        assert _shard_digests(tmp_path) == SHARD_SHA256
+
     def test_round_trip_through_from_dict(self):
         from repro.crawler import VisitLog
         golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
@@ -85,5 +107,8 @@ if __name__ == "__main__":
         FIXTURE.write_text(_render(_golden_crawl()), encoding="utf-8")
         print(f"regenerated {FIXTURE}")
         print(f"GUARDED_SHA256 = {_guarded_digest()!r}")
+        import tempfile
+        with tempfile.TemporaryDirectory() as scratch:
+            print(f"SHARD_SHA256 = {_shard_digests(Path(scratch))!r}")
     else:
         print(__doc__)

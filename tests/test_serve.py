@@ -431,12 +431,13 @@ class TestSnapshotSidecar:
 
     def _counting_ingest(self, monkeypatch):
         import repro.analysis.snapshot as snapshot_module
+        from repro.crawler import ShardManifest
         calls = []
         real = snapshot_module._ingest_shard
 
-        def counting(path, entity_map, filter_list):
-            calls.append(path.name)
-            return real(path, entity_map, filter_list)
+        def counting(dataset, pos, *rest):
+            calls.append(ShardManifest.load(dataset).files[pos])
+            return real(dataset, pos, *rest)
 
         monkeypatch.setattr(snapshot_module, "_ingest_shard", counting)
         return calls
@@ -484,3 +485,59 @@ class TestSnapshotSidecar:
         for batch in iter_shard_batches(directory):
             acc.add_shard_batch(batch)
         assert refreshed == Study.from_accumulator(acc).report_bytes()
+
+
+class TestKeepAlive:
+    """A reused HTTP/1.1 connection must not stall each response.
+
+    The handlers write headers and body separately; with Nagle's
+    algorithm on, the body waits for the client's delayed ACK, ~40 ms
+    per response on Linux loopback.  A fresh connection per request
+    does not show it, so these tests reuse one.
+    """
+
+    REQUESTS = 25
+    #: Well under the ~40 ms delayed-ACK floor; a stall-free response
+    #: over loopback takes ~1 ms.
+    BUDGET_MS = 15.0
+
+    def _p50_ms(self, port: int, path: str) -> float:
+        import http.client
+        import statistics
+        import time
+        connection = http.client.HTTPConnection("127.0.0.1", port,
+                                                timeout=10)
+        took = []
+        try:
+            for _ in range(self.REQUESTS):
+                start = time.perf_counter()
+                connection.request("GET", path)
+                response = connection.getresponse()
+                body = response.read()
+                took.append((time.perf_counter() - start) * 1000)
+                assert response.status == 200 and body
+                assert not response.will_close
+        finally:
+            connection.close()
+        return statistics.median(took)
+
+    def test_catalog_answers_keep_alive_requests_without_stalling(
+            self, server, client):
+        path = "/studies/demo/reports/summary"
+        assert client(path)[0] == 200      # build the study first
+        assert self._p50_ms(server.server_address[1], path) \
+            < self.BUDGET_MS
+
+    def test_store_answers_keep_alive_requests_without_stalling(
+            self, tmp_path):
+        from repro.serve import make_store_server
+        store = make_store_server(tmp_path / "store", port=0)
+        thread = threading.Thread(target=store.serve_forever, daemon=True)
+        thread.start()
+        try:
+            p50 = self._p50_ms(store.server_address[1], "/healthz")
+        finally:
+            store.shutdown()
+            store.server_close()
+            thread.join(timeout=10)
+        assert p50 < self.BUDGET_MS

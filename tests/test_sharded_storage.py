@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -10,11 +11,13 @@ from repro.analysis import Study
 from repro.crawler import (
     ManifestError,
     ShardManifest,
+    VisitLog,
     iter_logs,
     load_logs,
     save_logs,
 )
-from repro.crawler.storage import (MANIFEST_NAME, compute_digest, load_shard,
+from repro.crawler.storage import (MANIFEST_NAME, MANIFEST_VERSION,
+                                   compute_digest, load_shard,
                                    shard_filename, verify_shard_files,
                                    write_shard)
 
@@ -22,6 +25,14 @@ from repro.crawler.storage import (MANIFEST_NAME, compute_digest, load_shard,
 def _stream(logs):
     return [json.dumps(log.to_dict(), sort_keys=True)
             for log in sorted(logs, key=lambda log: log.rank)]
+
+
+def _republish(directory, index, sha256):
+    """Record ``sha256`` as shard ``index``'s digest, counts untouched."""
+    manifest = ShardManifest.load(directory)
+    digests = list(manifest.digests)
+    digests[index] = sha256
+    dataclasses.replace(manifest, digests=tuple(digests)).save(directory)
 
 
 @pytest.fixture()
@@ -99,10 +110,12 @@ class TestManifestErrors:
             load_logs(sharded_dir)
 
     def test_count_mismatch(self, sharded_dir):
-        shard = sharded_dir / shard_filename(1)
-        lines = shard.read_text().splitlines()
-        shard.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ManifestError, match="manifest says"):
+        """Shard 1 rewritten one log short, its digest republished but
+        its count left stale: the count check names the shard."""
+        written = write_shard(load_shard(sharded_dir, 1)[:-1], sharded_dir, 1)
+        _republish(sharded_dir, 1, written.sha256)
+        with pytest.raises(ManifestError,
+                           match=r"shard 1 .*holds \d+ logs, manifest says"):
             load_logs(sharded_dir)
 
     def test_total_mismatch(self, sharded_dir):
@@ -127,7 +140,8 @@ class TestManifestErrors:
             load_logs(sharded_dir)
 
     def test_missing_fields(self, sharded_dir):
-        (sharded_dir / MANIFEST_NAME).write_text(json.dumps({"version": 1}))
+        (sharded_dir / MANIFEST_NAME).write_text(
+            json.dumps({"version": MANIFEST_VERSION}))
         with pytest.raises(ManifestError, match="malformed"):
             load_logs(sharded_dir)
 
@@ -145,14 +159,16 @@ class TestManifestErrors:
 
     def test_gz_name_over_plain_bytes_names_the_shard(self, crawl_logs,
                                                       tmp_path):
-        """Manifest says gzip, disk holds plain JSONL: ManifestError."""
+        """Manifest says gzip, disk holds plain row groups (with a
+        matching digest): ManifestError naming the layout."""
         directory = tmp_path / "crawl"
         save_logs(crawl_logs, directory, shards=2, compress=True)
+        plain = write_shard(load_shard(directory, 1), tmp_path / "plain", 1)
         victim = directory / shard_filename(1, compress=True)
-        plain = "\n".join(json.dumps(log.to_dict())
-                          for log in crawl_logs[:1]) + "\n"
-        victim.write_text(plain)
-        with pytest.raises(ManifestError, match=r"shard 1 .*gzip JSONL"):
+        victim.write_bytes((tmp_path / "plain" / plain.name).read_bytes())
+        _republish(directory, 1, compute_digest(victim))
+        with pytest.raises(ManifestError,
+                           match=r"shard 1 .*not a readable gzip"):
             load_logs(directory)
 
     def test_plain_name_over_gzip_bytes_names_the_shard(self, crawl_logs,
@@ -164,8 +180,40 @@ class TestManifestErrors:
         save_logs(crawl_logs, directory, shards=2)
         victim = directory / shard_filename(0)
         victim.write_bytes(gzip.compress(victim.read_bytes()))
-        with pytest.raises(ManifestError, match=r"shard 0 .*plain JSONL"):
+        _republish(directory, 0, compute_digest(victim))
+        with pytest.raises(ManifestError,
+                           match=r"shard 0 .*not a readable plain"):
             load_logs(directory)
+
+    def test_version_1_manifest_asks_for_a_recrawl(self, sharded_dir):
+        """A format-v2 (JSON lines) dataset is refused up front."""
+        manifest_path = sharded_dir / MANIFEST_NAME
+        data = json.loads(manifest_path.read_text())
+        data["version"] = 1
+        manifest_path.write_text(json.dumps(data))
+        with pytest.raises(ManifestError, match="JSON-lines.*re-crawl"):
+            load_logs(sharded_dir)
+
+    def test_load_shard_names_a_corrupt_shard(self, sharded_dir):
+        victim = sharded_dir / shard_filename(2)
+        data = bytearray(victim.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        victim.write_bytes(bytes(data))
+        with pytest.raises(ManifestError, match=r"shard 2 .*hashes to"):
+            load_shard(sharded_dir, 2)
+        # Cut mid-group with the digest republished: the framing fails.
+        victim.write_bytes(bytes(data[:len(data) // 2]))
+        _republish(sharded_dir, 2, compute_digest(victim))
+        with pytest.raises(ManifestError,
+                           match=r"shard 2 .*truncated row group"):
+            load_shard(sharded_dir, 2)
+
+    def test_json_lines_single_file_asks_for_a_recrawl(self, crawl_logs,
+                                                       tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(crawl_logs[0].to_dict()) + "\n")
+        with pytest.raises(ManifestError, match="format v2.*re-crawl"):
+            load_logs(path)
 
 
 class TestShardDigests:
@@ -325,97 +373,128 @@ class TestShardIndexes:
         result = build_shard_indexes(sharded_dir)
         assert (result.built, result.up_to_date) == (0, manifest.n_shards)
 
+    def test_format_v2_sidecar_is_ignored_and_backfilled(self, crawl_logs,
+                                                         sharded_dir):
+        """A version-1 sidecar (line offsets into JSON lines) never
+        steers a lookup; ``build_shard_indexes`` replaces it."""
+        from repro.crawler.storage import (build_shard_indexes,
+                                           index_filename, load_shard_index,
+                                           read_site)
+        manifest = ShardManifest.load(sharded_dir)
+        name = manifest.files[0]
+        sidecar = sharded_dir / index_filename(name)
+        current = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({
+            "version": 1, "file": name, "count": current["count"],
+            "sha256": current["sha256"], "ranks": current["ranks"],
+            "offsets": [0] * current["count"],
+            "lengths": [1] * current["count"]}))
+        assert load_shard_index(sharded_dir, name) is None
+        log = next(l for l in crawl_logs if l.rank == current["ranks"][0])
+        assert read_site(sharded_dir, log.rank).to_dict() == log.to_dict()
+        assert build_shard_indexes(sharded_dir).built == 1
+        assert json.loads(sidecar.read_text()) == current
+
 
 # ---------------------------------------------------------------------------
-# Indexed and scan paths must return the same bytes for the same rank
+# Indexed and scan paths must return the same log for the same rank
 # ---------------------------------------------------------------------------
-
-def _handmade_dataset(tmp_path, raw: bytes, count: int):
-    """A one-shard dataset with externally produced (non-writer) bytes."""
-    directory = tmp_path / "hand"
-    directory.mkdir()
-    name = shard_filename(0)
-    (directory / name).write_bytes(raw)
-    ShardManifest(n_shards=1, total=count, compress=False,
-                  files=(name,), counts=(count,),
-                  digests=(compute_digest(directory / name),)).save(directory)
-    return directory
-
 
 class TestLookupPathEquivalence:
-    """read_site_line: sidecar seeks == full-scan fallback, byte for byte.
+    """read_site: backfilled sidecar lookup == full-scan fallback.
 
-    Our writer never emits CRLF or padding, but externally produced
-    shards (rsynced from Windows tooling, hand-concatenated) can — and
-    the two lookup paths used to disagree on them: the index recorded
-    the ``rstrip(b"\\n")`` span (keeping ``\\r``) while the scan
-    stripped both, so the bytes a caller got depended on whether a
-    sidecar happened to exist.  ETag-relevant, hence pinned.
+    Every row of a row-group shard keeps its rank in an int64 column,
+    so a rank-less row cannot be written: a log read from a record
+    without a rank carries :class:`VisitLog`'s default rank 0 into the
+    shard.  Both lookup paths must file it there, and must answer a
+    rank no shard holds with the same ``KeyError``.
     """
-
-    def test_crlf_shard_returns_identical_bytes_on_both_paths(
-            self, crawl_logs, tmp_path):
-        from repro.crawler.storage import (build_shard_indexes,
-                                           read_site_line)
-        logs = crawl_logs[:3]
-        lines = [json.dumps(log.to_dict(),
-                            separators=(",", ":")).encode("utf-8")
-                 for log in logs]
-        raw = b"\r\n".join(lines) + b"\r\n"
-        directory = _handmade_dataset(tmp_path, raw, len(logs))
-        build_shard_indexes(directory)
-        for log, line in zip(logs, lines):
-            indexed = read_site_line(directory, log.rank)
-            scanned = read_site_line(directory, log.rank, use_index=False)
-            assert indexed == scanned == line
-
-    def test_padded_lines_return_identical_bytes_on_both_paths(
-            self, crawl_logs, tmp_path):
-        from repro.crawler.storage import (build_shard_indexes,
-                                           read_site_line)
-        log = crawl_logs[0]
-        line = json.dumps(log.to_dict(),
-                          separators=(",", ":")).encode("utf-8")
-        raw = b"   " + line + b"  \r\n"
-        directory = _handmade_dataset(tmp_path, raw, 1)
-        build_shard_indexes(directory)
-        assert read_site_line(directory, log.rank) == line
-        assert read_site_line(directory, log.rank, use_index=False) == line
-
-    def test_rankless_line_cannot_shadow_rank_zero(self, crawl_logs,
-                                                   tmp_path):
-        """Writer/reader rank-default parity.
-
-        ``build_shard_indexes`` used to file a rank-less line under the
-        default rank 0 while the scan fallback used -1 — so a malformed
-        line shadowed a real rank-0 log exactly when an index was
-        present.  Both paths now skip rank-less lines entirely.
-        """
-        from repro.crawler.storage import (build_shard_indexes,
-                                           load_shard_index,
-                                           read_site_line)
-        data = crawl_logs[0].to_dict()
-        data["rank"] = 0
-        line = json.dumps(data, separators=(",", ":")).encode("utf-8")
-        junk = b'{"malformed":true}'
-        raw = junk + b"\n" + line + b"\n"
-        directory = _handmade_dataset(tmp_path, raw, 2)
-        build_shard_indexes(directory)
-        index = load_shard_index(directory, shard_filename(0))
-        assert list(index.ranks) == [0]      # the junk line is not indexed
-        assert read_site_line(directory, 0) == line
-        assert read_site_line(directory, 0, use_index=False) == line
 
     def test_rankless_line_misses_identically_on_both_paths(
             self, crawl_logs, tmp_path):
-        from repro.crawler.storage import build_shard_indexes, read_site_line
-        log = crawl_logs[0]
-        line = json.dumps(log.to_dict(),
-                          separators=(",", ":")).encode("utf-8")
-        raw = b'{"malformed":true}\n' + line + b"\n"
-        directory = _handmade_dataset(tmp_path, raw, 2)
-        build_shard_indexes(directory)
-        assert read_site_line(directory, log.rank) == line
+        from repro.crawler.storage import (build_shard_indexes,
+                                           index_filename, read_site)
+        log = next(l for l in crawl_logs if l.rank)
+        data = crawl_logs[1].to_dict()
+        del data["rank"]
+        rankless = VisitLog.from_dict(data)
+        directory = tmp_path / "crawl"
+        save_logs([rankless, log], directory, shards=1)
+        (directory / index_filename(shard_filename(0))).unlink()
+        assert build_shard_indexes(directory).built == 1
+        for rank, expected in ((0, rankless), (log.rank, log)):
+            indexed = read_site(directory, rank)
+            scanned = read_site(directory, rank, use_index=False)
+            assert indexed.to_dict() == scanned.to_dict() \
+                == expected.to_dict()
         for use_index in (True, False):
             with pytest.raises(KeyError):
-                read_site_line(directory, 10 ** 9, use_index=use_index)
+                read_site(directory, 10 ** 9, use_index=use_index)
+
+
+# ---------------------------------------------------------------------------
+# Truncation: every byte prefix of a shard is refused or a row-group prefix
+# ---------------------------------------------------------------------------
+
+@pytest.mark.slow
+class TestTruncatedShards:
+    """Cut a small shard at every byte: each reader raises ManifestError
+    or, only at a row-group boundary, returns a prefix of the rows."""
+
+    @pytest.mark.parametrize("group", [1, 2], ids=["g1", "g2"])
+    @pytest.mark.parametrize("digests", [True, False],
+                             ids=["digests", "digestless"])
+    @pytest.mark.parametrize("compress", [False, True],
+                             ids=["plain", "gzip"])
+    def test_every_prefix(self, crawl_logs, tmp_path, monkeypatch, group,
+                          digests, compress):
+        from repro.analysis.columnar import iter_shard_batches
+        from repro.crawler import storage
+        monkeypatch.setattr(storage, "ROW_GROUP_VISITS", group)
+        logs = sorted(crawl_logs, key=lambda log: len(
+            json.dumps(log.to_dict())))[:3]
+        expected = [log.to_dict() for log in logs]
+        directory = tmp_path / "crawl"
+        save_logs(logs, directory, shards=1, compress=compress)
+        if not digests:
+            manifest = ShardManifest.load(directory)
+            dataclasses.replace(manifest, digests=()).save(directory)
+        shard = directory / shard_filename(0, compress)
+        single = tmp_path / shard.name
+        full = shard.read_bytes()
+        index = storage.load_shard_index(directory, shard.name)
+        ends = {offset + length: rows for offset, length, rows in zip(
+            index.offsets, index.lengths, range(1, len(logs) + 1))}
+        boundaries = {0: 0, **ends}
+
+        def rows_of(path, **kwargs):
+            return [log.to_dict()
+                    for batch in iter_shard_batches(path, **kwargs)
+                    for log in batch.logs()]
+
+        for cut in range(len(full)):
+            prefix = full[:cut]
+            shard.write_bytes(prefix)
+            single.write_bytes(prefix)
+            with pytest.raises(ManifestError):
+                rows_of(directory)
+            with pytest.raises(ManifestError):
+                load_shard(directory, 0)
+            for log in logs:
+                cache = {}
+                try:
+                    got = storage.read_site(directory, log.rank,
+                                            index_cache=cache)
+                except ManifestError:
+                    pass
+                else:   # its whole row group survived the cut
+                    assert got.to_dict() == log.to_dict(), cut
+                    offset, length, _row = cache[0].entry_for(log.rank)
+                    assert offset + length <= cut
+                with pytest.raises(ManifestError):
+                    storage.read_site(directory, log.rank, use_index=False)
+            if cut in boundaries:
+                assert rows_of(single) == expected[:boundaries[cut]], cut
+            else:
+                with pytest.raises(ManifestError):
+                    rows_of(single)
