@@ -20,6 +20,7 @@ import dataclasses
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..records import API_COOKIE_STORE, API_DOCUMENT_COOKIE, VisitLog
@@ -91,6 +92,19 @@ class Table5Row:
     creator_domain: str
     n_manipulator_entities: int
     top_manipulators: Tuple[str, ...]
+
+
+@dataclass
+class _EntityActivity:
+    """One entity's counters behind :meth:`Study.entity_drilldown`."""
+
+    sites: Set[str] = field(default_factory=set)
+    n_as_exfiltrator: int = 0
+    exfiltrated: Counter = field(default_factory=Counter)   # "name@creator"
+    destinations: Counter = field(default_factory=Counter)  # receiving entity
+    n_as_destination: int = 0
+    received: Counter = field(default_factory=Counter)      # "name@creator"
+    manipulations: Counter = field(default_factory=Counter)  # kind
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +338,8 @@ class StudyAccumulator:
         When ``entity_map``/``filter_list`` are not given, the first
         accumulator's maps are adopted — shard accumulators built with a
         custom map would otherwise silently lose it in the merge (entity
-        attribution happens at query time, in ``Study.table2``/``table5``).
+        attribution happens in the :class:`Study`, when it first builds
+        its tables).
         """
         accumulators = list(accumulators)
         if accumulators:
@@ -341,7 +356,20 @@ class StudyAccumulator:
 # ---------------------------------------------------------------------------
 
 class Study:
-    """One-pass aggregation of a crawl, with per-result accessors."""
+    """One-pass aggregation of a crawl, with per-result accessors.
+
+    A built Study is read-only: once an accumulator is wrapped
+    (``Study(logs)``, :meth:`from_accumulator`, a snapshot's
+    ``study()``), nothing may add to or merge into it.  The ranked
+    results rely on that.  Their tables — each event domain's entity,
+    the full Table 2 and Figure 2 rankings and every entity's
+    drill-down counters — are built on first use and kept, never
+    invalidated, for the study's life; ``table2(top)``/``figure2(top)``
+    slice them and :meth:`entity_drilldown` reads one entity's row.
+    Handler threads share one Study, so two first uses may race; each
+    table is a pure function of the accumulator, so both build equal
+    tables.
+    """
 
     def __init__(self, logs: Sequence[VisitLog] = (),
                  entity_map: Optional[EntityMap] = None,
@@ -559,57 +587,130 @@ class Study:
         return rows
 
     # ------------------------------------------------------------------
+    # Entity attribution — one resolution per distinct domain
+    # ------------------------------------------------------------------
+    @cached_property
+    def _entity_by_domain(self) -> Dict[Optional[str], Optional[str]]:
+        """Each distinct creator, actor and destination domain of the
+        study's events, resolved to its entity once."""
+        domains: Set[Optional[str]] = set()
+        for event in self.exfil_events:
+            domains.update((event.pair.creator, event.actor,
+                            event.destination))
+        for manipulation in self.manipulations:
+            domains.update((manipulation.pair.creator, manipulation.actor))
+        entity_of = self.entities.entity_of
+        return {domain: entity_of(domain) for domain in domains}
+
+    # ------------------------------------------------------------------
     # Table 2 — most exfiltrated cookies
     # ------------------------------------------------------------------
     def table2(self, top: int = 20) -> List[Table2Row]:
-        per_pair_exfiltrators: Dict[CookiePair, Set[str]] = defaultdict(set)
-        per_pair_destinations: Dict[CookiePair, Set[str]] = defaultdict(set)
-        exfiltrator_freq: Dict[CookiePair, Counter] = defaultdict(Counter)
-        destination_freq: Dict[CookiePair, Counter] = defaultdict(Counter)
+        return self._table2[:top]
+
+    @cached_property
+    def _table2(self) -> List[Table2Row]:
+        """Every exfiltrated pair with a destination entity, ranked."""
+        entity = self._entity_by_domain
+        exfiltrators: Dict[CookiePair, Counter] = defaultdict(Counter)
+        destinations: Dict[CookiePair, Counter] = defaultdict(Counter)
         for event in self.exfil_events:
-            owner_entity = self.entities.entity_of(event.pair.creator)
-            actor_entity = self.entities.entity_of(event.actor)
-            dest_entity = self.entities.entity_of(event.destination)
+            pair = event.pair
+            owner_entity = entity[pair.creator]
+            actor_entity = entity[event.actor]
+            dest_entity = entity[event.destination]
             if actor_entity is not None and actor_entity != owner_entity:
-                per_pair_exfiltrators[event.pair].add(actor_entity)
-                exfiltrator_freq[event.pair][actor_entity] += 1
+                exfiltrators[pair][actor_entity] += 1
             if dest_entity is not None and dest_entity != owner_entity:
-                per_pair_destinations[event.pair].add(dest_entity)
-                destination_freq[event.pair][dest_entity] += 1
-        ranked = sorted(per_pair_destinations.keys(),
-                        key=lambda pair: (-len(per_pair_destinations[pair]),
-                                          -len(per_pair_exfiltrators[pair]),
+                destinations[pair][dest_entity] += 1
+        ranked = sorted(destinations,
+                        key=lambda pair: (-len(destinations[pair]),
+                                          -len(exfiltrators[pair]),
                                           pair.name, pair.creator))
-        rows: List[Table2Row] = []
-        for pair in ranked[:top]:
-            rows.append(Table2Row(
-                cookie_name=pair.name,
-                owner_domain=pair.creator,
-                n_exfiltrator_entities=len(per_pair_exfiltrators[pair]),
-                n_destination_entities=len(per_pair_destinations[pair]),
-                top_exfiltrators=tuple(
-                    entity for entity, _ in
-                    _top(exfiltrator_freq[pair], 3)),
-                top_destinations=tuple(
-                    entity for entity, _ in
-                    _top(destination_freq[pair], 3)),
-                consent_signal=pair.name in CONSENT_SIGNAL_COOKIES,
-            ))
-        return rows
+        return [Table2Row(
+            cookie_name=pair.name,
+            owner_domain=pair.creator,
+            n_exfiltrator_entities=len(exfiltrators[pair]),
+            n_destination_entities=len(destinations[pair]),
+            top_exfiltrators=tuple(
+                name for name, _ in _top(exfiltrators[pair], 3)),
+            top_destinations=tuple(
+                name for name, _ in _top(destinations[pair], 3)),
+            consent_signal=pair.name in CONSENT_SIGNAL_COOKIES,
+        ) for pair in ranked]
 
     # ------------------------------------------------------------------
     # Figure 2 — top exfiltrator script domains
     # ------------------------------------------------------------------
     def figure2(self, top: int = 20) -> List[RankedDomain]:
+        return self._figure2[:top]
+
+    @cached_property
+    def _figure2(self) -> List[RankedDomain]:
+        """Every exfiltrating script domain, ranked."""
         per_domain: Dict[str, Set[CookiePair]] = defaultdict(set)
         for event in self.exfil_events:
             per_domain[event.actor].add(event.pair)
         total = max(len(self.pairs_by_api[API_DOCUMENT_COOKIE])
                     + len(self.pairs_by_api[API_COOKIE_STORE]), 1)
         ranked = sorted(per_domain.items(),
-                        key=lambda kv: (-len(kv[1]), kv[0]))[:top]
+                        key=lambda kv: (-len(kv[1]), kv[0]))
         return [RankedDomain(domain, len(pairs), 100.0 * len(pairs) / total)
                 for domain, pairs in ranked]
+
+    # ------------------------------------------------------------------
+    # Entity drill-down — everything one entity does
+    # ------------------------------------------------------------------
+    def entity_drilldown(self, name: str) -> Dict[str, object]:
+        """Exfiltration entity ``name`` performs or receives, the cookies
+        involved and its manipulations; all zeros for a name that
+        appears nowhere.  The serve tier's ``entity`` report."""
+        activity = self._entity_activity.get(name) or _EntityActivity()
+        return {
+            "entity": name,
+            "n_sites": len(activity.sites),
+            "as_exfiltrator": {
+                "n_events": activity.n_as_exfiltrator,
+                "top_cookies": _top(activity.exfiltrated, 10),
+                "top_destination_entities": _top(activity.destinations, 10),
+            },
+            "as_destination": {
+                "n_events": activity.n_as_destination,
+                "top_cookies": _top(activity.received, 10),
+            },
+            "manipulations": {kind: activity.manipulations[kind]
+                              for kind in sorted(activity.manipulations)},
+        }
+
+    @cached_property
+    def _entity_activity(self) -> Dict[str, _EntityActivity]:
+        """Every entity's drill-down counters, from one pass."""
+        entity = self._entity_by_domain
+        activity: Dict[str, _EntityActivity] = defaultdict(_EntityActivity)
+        for event in self.exfil_events:
+            actor_entity = entity[event.actor]
+            dest_entity = entity[event.destination]
+            cookie = f"{event.pair.name}@{event.pair.creator}"
+            if actor_entity is not None:
+                actor = activity[actor_entity]
+                actor.n_as_exfiltrator += 1
+                actor.sites.add(event.site)
+                actor.exfiltrated[cookie] += 1
+                if dest_entity is not None:
+                    actor.destinations[dest_entity] += 1
+            if dest_entity is not None:
+                dest = activity[dest_entity]
+                dest.n_as_destination += 1
+                dest.sites.add(event.site)
+                dest.received[cookie] += 1
+        for manipulation in self.manipulations:
+            actor_entity = entity[manipulation.actor]
+            if actor_entity is not None:
+                actor = activity[actor_entity]
+                actor.manipulations[manipulation.kind] += 1
+                actor.sites.add(manipulation.site)
+        # A plain dict: looking up an absent name must not insert one.
+        return dict(activity)
 
     # ------------------------------------------------------------------
     # §5.5 — which attributes overwrites change
@@ -628,6 +729,7 @@ class Study:
     # Table 5 — most manipulated cookies
     # ------------------------------------------------------------------
     def table5(self, top: int = 10) -> List[Table5Row]:
+        entity = self._entity_by_domain
         rows: List[Table5Row] = []
         for action, label in (("overwrite", "overwriting"),
                               ("delete", "deleting")):
@@ -636,8 +738,8 @@ class Study:
             for manipulation in self.manipulations:
                 if manipulation.kind != action:
                     continue
-                owner_entity = self.entities.entity_of(manipulation.pair.creator)
-                actor_entity = self.entities.entity_of(manipulation.actor)
+                owner_entity = entity[manipulation.pair.creator]
+                actor_entity = entity[manipulation.actor]
                 if actor_entity is None or actor_entity == owner_entity:
                     continue
                 per_pair[manipulation.pair].add(actor_entity)

@@ -17,8 +17,9 @@ needs:
   indexes memoized per entry;
 * a lazily built, cached :class:`~repro.analysis.reports.Study` —
   aggregated through the versioned snapshot layer
-  (:mod:`repro.analysis.snapshot`), never holding raw logs — that the
-  report queries run against.  The per-shard snapshot is persisted as
+  (:mod:`repro.analysis.snapshot`), never holding raw logs — whose
+  ranked tables the report queries read (each built once, on first
+  use, for the entry's life).  The per-shard snapshot is persisted as
   a sidecar (:data:`SNAPSHOT_NAME`) next to the manifest, so a
   re-crawled dataset re-ingests only its changed shards instead of
   discarding the whole aggregation (ETags are untouched: they derive
@@ -68,6 +69,9 @@ class StudyEntry:
         self._buckets: Dict[int, List[Dict]] = {}
         # Two locks so a seconds-long first aggregation (study build,
         # bucket scan) never stalls the cheap seek-based site lookups.
+        # Only the study's first build takes _agg_lock: report queries
+        # on a built study read its tables without it, so they never
+        # wait behind a bucket scan either.
         self._lookup_lock = threading.Lock()
         self._agg_lock = threading.Lock()
 
@@ -115,8 +119,12 @@ class StudyEntry:
         version bump costs O(delta), not O(population).  The refreshed
         snapshot is written back (atomically; best-effort on read-only
         datasets) so the *next* process, or the next catalog refresh,
-        starts from it too.
+        starts from it too.  A built study is returned without the
+        lock, which a cold ``prevalence_by_bucket`` scan holds.
         """
+        study = self._study
+        if study is not None:
+            return study
         with self._agg_lock:
             if self._study is None:
                 self._study = self._refresh_snapshot().snapshot.study()

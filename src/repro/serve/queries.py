@@ -12,19 +12,21 @@ parameter dict is part of the resource's canonical identity (and so of
 its ETag), and a parameter the server ignored but the cache key kept
 would fragment caches for no reason.
 
-Every query is deterministic: results derive from the mergeable
-:class:`~repro.analysis.reports.StudyAccumulator` state with the same
-lexicographic tie-breaking the paper tables use, so two replicas over
-the same shard bytes serve byte-identical report JSON.
+Every query is deterministic and only renders: results are read from
+per-study tables that the entry's :class:`~repro.analysis.reports.Study`
+builds once, on first use (the full Table 2 and Figure 2 rankings, the
+per-entity drill-down counters), with the same lexicographic
+tie-breaking the paper tables use, so two replicas over the same shard
+bytes serve byte-identical report JSON.  No result is cached per
+request: a ``limit`` or ``name`` never asked before reads the same
+tables as a repeated one.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..analysis.reports import _top
 from .catalog import StudyEntry
 
 __all__ = ["Param", "QueryError", "ReportQuery", "get_query", "iter_queries",
@@ -193,49 +195,7 @@ _register(ReportQuery(
 
 
 def _run_entity(entry: StudyEntry, params: Dict) -> object:
-    """Drill-down: everything one entity does across the study."""
-    name = params["name"]
-    study = entry.study()
-    entities = study.entities
-    sites = set()
-    exfil_cookies: Counter = Counter()
-    destinations: Counter = Counter()
-    received: Counter = Counter()
-    n_as_exfiltrator = 0
-    n_as_destination = 0
-    for event in study.exfil_events:
-        actor_entity = entities.entity_of(event.actor)
-        dest_entity = entities.entity_of(event.destination)
-        if actor_entity == name:
-            n_as_exfiltrator += 1
-            sites.add(event.site)
-            exfil_cookies[f"{event.pair.name}@{event.pair.creator}"] += 1
-            if dest_entity is not None:
-                destinations[dest_entity] += 1
-        if dest_entity == name:
-            n_as_destination += 1
-            sites.add(event.site)
-            received[f"{event.pair.name}@{event.pair.creator}"] += 1
-    manipulations = Counter()
-    for manipulation in study.manipulations:
-        if entities.entity_of(manipulation.actor) == name:
-            manipulations[manipulation.kind] += 1
-            sites.add(manipulation.site)
-    return {
-        "entity": name,
-        "n_sites": len(sites),
-        "as_exfiltrator": {
-            "n_events": n_as_exfiltrator,
-            "top_cookies": _top(exfil_cookies, 10),
-            "top_destination_entities": _top(destinations, 10),
-        },
-        "as_destination": {
-            "n_events": n_as_destination,
-            "top_cookies": _top(received, 10),
-        },
-        "manipulations": {kind: manipulations[kind]
-                          for kind in sorted(manipulations)},
-    }
+    return entry.study().entity_drilldown(params["name"])
 
 
 _register(ReportQuery(

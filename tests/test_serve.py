@@ -9,17 +9,24 @@ computes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
+import sys
 import threading
 import urllib.error
 import urllib.request
+from functools import cached_property
+from urllib.parse import quote
 
 import pytest
 
+import report_oracle as oracle
 from repro.analysis import Study
 from repro.crawler import save_logs
 from repro.serve import (StudyCatalog, canonical_resource, etag_matches,
                          make_server, parse_params, get_query, QueryError)
+from repro.serve.app import render_json
 
 N_SHARDS = 3
 
@@ -212,6 +219,34 @@ class TestReportFidelity:
         assert body == (json.dumps(payload, sort_keys=True,
                                    separators=(",", ":")) + "\n").encode()
 
+    def test_top_exfiltrated_matches_oracle(self, client, crawl_logs):
+        expected = [dataclasses.asdict(row)
+                    for row in oracle.table2(Study(crawl_logs), top=10)]
+        assert len(expected) == 10
+        status, _, body = client(
+            "/studies/demo/reports/top-exfiltrated?limit=10")
+        assert status == 200
+        payload = json.loads(body)
+        assert payload["result"] == json.loads(json.dumps(expected))
+        assert body == (json.dumps(payload, sort_keys=True,
+                                   separators=(",", ":")) + "\n").encode()
+
+    def test_entity_drilldown_matches_oracle(self, client, crawl_logs):
+        study = Study(crawl_logs)
+        entity_of = study.entities.entity_of
+        event = study.exfil_events[0]
+        names = {entity_of(event.actor), entity_of(event.destination),
+                 entity_of(study.manipulations[0].actor), "Google",
+                 "", "Nope", "google"}
+        for name in sorted(names):
+            status, _, body = client(
+                f"/studies/demo/reports/entity?name={quote(name)}")
+            assert status == 200, name
+            payload = json.loads(body)
+            assert payload["params"] == {"name": name}
+            assert payload["result"] == json.loads(
+                json.dumps(oracle.entity(study, name))), name
+
     def test_summary_matches_in_process_study(self, client, crawl_logs):
         study = Study(crawl_logs)
         status, _, body = client("/studies/demo/reports/summary")
@@ -394,6 +429,51 @@ class TestCatalogRefreshLocking:
             refresher.join(timeout=10)
         assert catalog.study_ids() == ["alpha", "beta"]
 
+    def test_report_query_does_not_wait_behind_a_bucket_scan(
+            self, crawl_logs, tmp_path, monkeypatch):
+        """A cold prevalence scan holds the aggregation lock for a full
+        shard scan; a report on the already built study must not wait."""
+        import repro.serve.catalog as catalog_module
+        from repro.serve.catalog import StudyEntry
+
+        directory = tmp_path / "study"
+        directory.mkdir()
+        save_logs(crawl_logs[:40], directory, shards=2)
+        entry = StudyEntry("study", directory)
+        study = entry.study()
+
+        scanning = threading.Event()
+        release = threading.Event()
+        real_scan = catalog_module.iter_shard_batches
+
+        def slow_scan(*args, **kwargs):
+            scanning.set()
+            assert release.wait(timeout=10), "test deadlocked"
+            return real_scan(*args, **kwargs)
+
+        monkeypatch.setattr(catalog_module, "iter_shard_batches", slow_scan)
+        scanner = threading.Thread(target=entry.prevalence_by_bucket,
+                                   args=(7,))
+        got = {}
+        reader = threading.Thread(target=lambda: got.update(
+            rows=get_query("top-exfiltrators").run(entry, {"limit": 5})))
+        scanner.start()
+        try:
+            assert scanning.wait(timeout=10)
+            # The scan holds the lock: the report must not block on it.
+            reader.start()
+            reader.join(timeout=2)
+            assert not reader.is_alive(), \
+                "top-exfiltrators blocked behind the prevalence scan"
+        finally:
+            release.set()
+            scanner.join(timeout=10)
+            if reader.is_alive():
+                reader.join(timeout=10)
+        assert not scanner.is_alive()
+        assert [row["domain"] for row in got["rows"]] == \
+            [row.domain for row in oracle.figure2(study, 5)]
+
     def test_refresh_skips_a_study_that_vanished_after_discovery(
             self, crawl_logs, tmp_path, monkeypatch):
         root = tmp_path
@@ -409,6 +489,75 @@ class TestCatalogRefreshLocking:
         assert catalog.study_ids() == ["alpha"]
         with pytest.raises(KeyError):
             catalog.get("ghost")
+
+
+class TestConcurrentFirstUse:
+    """Handler threads share one Study, whose tables are built on first
+    use: racing first reads must render exactly like a serial read."""
+
+    QUERIES = (("top-exfiltrated", {"limit": 20}),
+               ("top-exfiltrators", {"limit": 20}),
+               ("entity", {"name": "Google"}),
+               ("entity", {"name": "Meta"}),
+               ("entity", {"name": "Microsoft"}),
+               ("entity", {"name": "Criteo"}),
+               ("entity", {"name": ""}))
+
+    def _render(self, entry, index):
+        name, params = self.QUERIES[index]
+        return render_json(get_query(name).run(entry, params))
+
+    def test_racing_first_reads_render_like_a_serial_read(self, crawl_logs,
+                                                          tmp_path):
+        from repro.serve.catalog import StudyEntry
+
+        directory = tmp_path / "study"
+        directory.mkdir()
+        save_logs(crawl_logs, directory, shards=N_SHARDS, compress=True)
+        serial = StudyEntry("study", directory)
+        expected = [self._render(serial, i) for i in range(len(self.QUERIES))]
+
+        entry = StudyEntry("study", directory)
+        study = entry.study()
+        tables = [name for name, attr in vars(Study).items()
+                  if isinstance(attr, cached_property)]
+        assert tables
+        assert not [name for name in tables if name in vars(study)]
+
+        n_threads = 2 * (os.cpu_count() or 1) + 2
+        barrier = threading.Barrier(n_threads)
+        results = [None] * n_threads
+        errors = []
+
+        def reader(slot):
+            try:
+                barrier.wait(timeout=10)
+                got = {}
+                # Each thread starts on a different query, so every
+                # table sees several threads build it at once.
+                for step in range(len(self.QUERIES)):
+                    index = (slot + step) % len(self.QUERIES)
+                    got[index] = self._render(entry, index)
+                results[slot] = [got[i] for i in range(len(self.QUERIES))]
+            except Exception as exc:  # reported below, on the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(slot,))
+                   for slot in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not [thread for thread in threads if thread.is_alive()]
+        assert errors == []
+        for got in results:
+            assert got == expected
+        assert [name for name in tables if name in vars(study)] == tables
 
 
 class TestBucketSizeGuard:
