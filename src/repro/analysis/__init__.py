@@ -9,7 +9,6 @@ from .attribution import (
 )
 from .columnar import (
     ShardBatch,
-    batch_for_ranks,
     iter_shard_batches,
 )
 from .entities import EntityMap, default_entity_map
@@ -57,7 +56,6 @@ __all__ = [
     "build_ownership",
     "detect_manipulations",
     "ShardBatch",
-    "batch_for_ranks",
     "iter_shard_batches",
     "EntityMap",
     "default_entity_map",

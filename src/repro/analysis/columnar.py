@@ -34,13 +34,15 @@ Ways into a batch:
 * :meth:`ShardBatch.from_logs` — wrap in-memory ``VisitLog`` objects
   (what ``Study(logs)`` and the shard writer route through);
 * :func:`iter_shard_batches` — stream a dataset's row groups;
-* :func:`batch_for_ranks` — decode selected sites through the sidecar
-  indexes, one row group per site.
+* :func:`repro.crawler.storage.locate_site` — the row group holding
+  one site, and the site's row in it, through the sidecar indexes.
 
 The object API stays available as a thin view: :meth:`ShardBatch.log`
 rebuilds one ``VisitLog`` on demand and :meth:`ShardBatch.logs` a whole
-list, so callers that need records (the serve site endpoint, the golden
-fixture) are untouched.
+list, so callers that need records (the golden fixture, ``read_site``)
+are untouched.  :meth:`ShardBatch.row_dict` is ``log(i).to_dict()``
+built straight from the columns, with no event objects in between:
+what the serve site endpoint renders.
 
 The per-site analysis kernels (:func:`build_ownership_batch`,
 :func:`detect_exfiltration_batch`, :func:`detect_manipulations_batch`)
@@ -73,7 +75,6 @@ __all__ = [
     "OFFSETS",
     "RowGroupError",
     "ShardBatch",
-    "batch_for_ranks",
     "build_ownership_batch",
     "decode_row_group",
     "detect_exfiltration_batch",
@@ -394,6 +395,86 @@ class ShardBatch:
     def logs(self) -> List[VisitLog]:
         return [self.log(i) for i in range(len(self))]
 
+    def row_dict(self, i: int) -> Dict:
+        """``self.log(i).to_dict()``, built from the columns directly.
+
+        Same keys, values and types (bools for the 0/1 columns, lists
+        for the tuple columns), without the event objects in between.
+        """
+        site = self.sites[i]
+
+        def rows(off: array, *columns: Sequence) -> Iterator[tuple]:
+            lo, hi = off[i], off[i + 1]
+            return zip(*(column[lo:hi] for column in columns))
+
+        return {
+            "site": site,
+            "url": self.urls[i],
+            "rank": self.ranks[i],
+            "cookie_writes": [{
+                "site": site, "cookie_name": name, "cookie_value": value,
+                "api": api, "kind": kind, "script_url": url,
+                "script_domain": domain, "inclusion": inclusion, "raw": raw,
+                "prev_value": prev, "attrs_changed": list(attrs),
+                "timestamp": ts, "event": "cookie_write",
+            } for (name, value, api, kind, url, domain, inclusion, raw, prev,
+                   attrs, ts) in rows(
+                self.w_off, self.w_name, self.w_value, self.w_api,
+                self.w_kind, self.w_script_url, self.w_script_domain,
+                self.w_inclusion, self.w_raw, self.w_prev, self.w_attrs,
+                self.w_ts)],
+            "cookie_reads": [{
+                "site": site, "api": api, "script_url": url,
+                "script_domain": domain, "inclusion": inclusion,
+                "cookie_names": list(names), "timestamp": ts,
+                "event": "cookie_read",
+            } for api, url, domain, inclusion, names, ts in rows(
+                self.r_off, self.r_api, self.r_script_url,
+                self.r_script_domain, self.r_inclusion, self.r_names,
+                self.r_ts)],
+            "header_cookies": [{
+                "site": site, "cookie_name": name, "cookie_value": value,
+                "response_url": url, "response_domain": domain,
+                "initiator_domain": initiator, "first_party": bool(first),
+                "timestamp": ts, "event": "header_cookie",
+            } for name, value, url, domain, initiator, first, ts in rows(
+                self.h_off, self.h_name, self.h_value, self.h_resp_url,
+                self.h_resp_domain, self.h_init_domain, self.h_first,
+                self.h_ts)],
+            "requests": [{
+                "site": site, "url": url, "host": host, "domain": domain,
+                "method": method, "resource_type": rtype, "query": query,
+                "body": body, "script_url": script_url,
+                "script_domain": script_domain, "stack": list(stack),
+                "timestamp": ts, "event": "request",
+            } for (url, host, domain, method, rtype, query, body, script_url,
+                   script_domain, stack, ts) in rows(
+                self.q_off, self.q_url, self.q_host, self.q_domain,
+                self.q_method, self.q_rtype, self.q_query, self.q_body,
+                self.q_script_url, self.q_script_domain, self.q_stack,
+                self.q_ts)],
+            "dom_mutations": [{
+                "site": site, "kind": kind, "target_tag": tag,
+                "actor_domain": actor, "owner_domain": owner,
+                "cross_script": bool(cross), "timestamp": ts,
+                "event": "dom_mutation",
+            } for kind, tag, actor, owner, cross, ts in rows(
+                self.d_off, self.d_kind, self.d_tag, self.d_actor,
+                self.d_owner, self.d_cross, self.d_ts)],
+            "scripts": [{
+                "url": url, "domain": domain, "inclusion": inclusion,
+                "depth": depth, "parent_domain": parent, "event": "script",
+            } for url, domain, inclusion, depth, parent in rows(
+                self.s_off, self.s_url, self.s_domain, self.s_inclusion,
+                self.s_depth, self.s_parent)],
+            "n_scripts": self.n_scripts[i],
+            "n_third_party_scripts": self.n_tp[i],
+            "n_direct_third_party": self.n_direct[i],
+            "n_indirect_third_party": self.n_indirect[i],
+            "cookie_op_count": self.cookie_ops[i],
+            "interacted": bool(self.interacted[i]),
+        }
+
     # ------------------------------------------------------------------
     def select(self, indices: Sequence[int]) -> "ShardBatch":
         """A new batch holding the given positions, in the given order.
@@ -626,25 +707,6 @@ def iter_shard_batches(path, *, shard: Optional[int] = None,
     """
     from ..crawler.storage import _iter_batches
     yield from _iter_batches(path, shard=shard, sha256=sha256)
-
-
-def batch_for_ranks(directory, ranks: Sequence[int], *,
-                    manifest=None, index_cache: Optional[Dict] = None
-                    ) -> ShardBatch:
-    """Decode only the given ranks into a batch, via sidecar offsets.
-
-    Each requested rank costs one read and one row-group decode;
-    shards without a usable sidecar fall back to a scan (the
-    ``read_site`` contract).  Rows come back in the order ``ranks``
-    lists them.  Raises ``KeyError`` when a rank is absent.
-    """
-    from ..crawler.storage import locate_site
-    out = ShardBatch()
-    for rank in ranks:
-        group, row = locate_site(directory, rank, manifest=manifest,
-                                 index_cache=index_cache)
-        out.append_row(group, row)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -35,13 +35,14 @@ Sharded writes also emit a **sidecar index** per shard
 (``shard-NNNN.index.json``): for each rank, the on-disk byte offset and
 length of its row group and its row in the group, plus the shard
 file's SHA-256 so a stale sidecar (shard rewritten without its index)
-is detected and ignored.  :func:`read_site` uses the sidecars to serve
-a single site's :class:`VisitLog` by reading and decoding one row
-group — the lookup primitive the :mod:`repro.serve` HTTP catalog rides
-— falling back to a scan over the shard's groups when no usable
-sidecar exists (:func:`build_shard_indexes` backfills them in one
-shot).  The sidecar is derived data: shard bytes, digests, and
-:data:`SHARD_FORMAT_VERSION` are untouched by its existence.
+is detected and ignored (:func:`load_shard_index` given the shard's
+digest).  :func:`locate_site` uses the sidecars to find a single site
+by reading and decoding one row group — the lookup primitive under
+:func:`read_site` and the :mod:`repro.serve` HTTP catalog — falling
+back to a scan over the shard's groups when no usable sidecar exists
+(:func:`build_shard_indexes` backfills them in one shot).  The sidecar
+is derived data: shard bytes, digests, and :data:`SHARD_FORMAT_VERSION`
+are untouched by its existence.
 """
 
 from __future__ import annotations
@@ -701,31 +702,21 @@ def shard_index_from_bytes(data: Optional[bytes],
     return index
 
 
-def load_shard_index(directory: Union[str, Path],
-                     shard_name: str) -> Optional["ShardIndex"]:
-    """Parse the sidecar index for ``shard_name``; None if unusable."""
+def load_shard_index(directory: Union[str, Path], shard_name: str,
+                     sha256: Optional[str] = None) -> Optional["ShardIndex"]:
+    """Parse the sidecar index for ``shard_name``; None if unusable.
+
+    Given ``sha256``, the shard's pinned digest, a sidecar recorded
+    against another digest (the shard was rewritten without its index)
+    is stale and unusable too: ignored, never trusted.
+    """
     path = Path(directory) / index_filename(shard_name)
     try:
         data = path.read_bytes()
     except OSError:
         return None
-    return shard_index_from_bytes(data, shard_name)
-
-
-def _load_valid_index(directory: Path, manifest: ShardManifest,
-                      shard_pos: int) -> Optional[ShardIndex]:
-    """The shard's sidecar index, or None when missing or stale.
-
-    Stale = the sidecar's recorded shard digest disagrees with the
-    manifest's (the shard was rewritten without its index); such a
-    sidecar is ignored, never trusted.
-    """
-    name = manifest.files[shard_pos]
-    index = load_shard_index(directory, name)
-    if index is None:
-        return None
-    expected = manifest.digest_for(shard_pos)
-    if expected is not None and index.sha256 != expected:
+    index = shard_index_from_bytes(data, shard_name)
+    if index is not None and sha256 is not None and index.sha256 != sha256:
         return None
     return index
 
@@ -761,8 +752,8 @@ def locate_site(directory: Union[str, Path], rank: int, *,
                 ) -> Tuple[ShardBatch, int]:
     """The decoded row group holding ``rank``, and the rank's row in it.
 
-    The lookup under :func:`read_site` and
-    :func:`repro.analysis.columnar.batch_for_ranks`; same contract as
+    The lookup under :func:`read_site` and the :mod:`repro.serve` site
+    endpoint, which renders ``batch.row_dict(row)``; same contract as
     :func:`read_site`.
     """
     directory = Path(directory)
@@ -775,7 +766,8 @@ def locate_site(directory: Union[str, Path], rank: int, *,
             if index_cache is not None and pos in index_cache:
                 index = index_cache[pos]
             else:
-                index = _load_valid_index(directory, manifest, pos)
+                index = load_shard_index(directory, manifest.files[pos],
+                                         manifest.digest_for(pos))
                 if index_cache is not None:
                     index_cache[pos] = index
         if index is None:
@@ -843,8 +835,8 @@ def build_shard_indexes(directory: Union[str, Path],
     built = 0
     up_to_date = 0
     for pos, name in enumerate(manifest.files):
-        if not force and _load_valid_index(directory, manifest, pos) \
-                is not None:
+        if not force and load_shard_index(
+                directory, name, manifest.digest_for(pos)) is not None:
             up_to_date += 1
             continue
         label = f"shard {pos} ({name})"

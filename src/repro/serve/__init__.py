@@ -18,8 +18,9 @@ Endpoints
     Per-shard rows: file name, site count, SHA-256 digest.
 ``GET /studies/<id>/sites/<rank>``
     The full ``VisitLog`` for one site, read through the shard's
-    sidecar index — one row group read and decoded, no whole-shard
-    deserialization.
+    sidecar index: one row group read and decoded, and the site's row
+    built straight into the response dict — no whole-shard
+    deserialization and no event objects.
 ``GET /studies/<id>/reports``
     The report registry with each query's parameter schema.
 ``GET /studies/<id>/reports/<name>?...``
@@ -46,6 +47,22 @@ Strength is real: bodies are rendered canonically (sorted keys, compact
 separators) from deterministic aggregation, so equal etags imply
 byte-identical bodies.
 
+Some conditional GETs are answered before anything is read, from facts
+the etag already encodes:
+
+* a ``sites/<rank>`` request whose ``If-None-Match`` matches, when a
+  sidecar pinned to the study's shard digests lists the rank — no shard
+  byte is read;
+* a ``reports/<name>`` request whose ``If-None-Match`` matches, once its
+  parameters parse — the report is not run.
+
+Every other request takes the read path: a rank the study lacks is a
+404 and a bad parameter a 400, also under ``If-None-Match: *``, and a
+shard without a usable sidecar is scanned before its 304.  A 304 sends
+``ETag`` and ``Cache-Control`` but no ``Content-Length`` (RFC 9110
+§8.6 allows only the 200 body's length there, which an unread answer
+does not know).
+
 Sidecar index format
 --------------------
 
@@ -63,8 +80,8 @@ stored at byte ``offsets[k]`` of the shard file, ``lengths[k]`` bytes
 on disk — a whole gzip member in a gzip shard, so a lookup reads that
 member, inflates it and decodes its columns.  The sidecar is derived
 data: shard bytes, digests, and the golden fixture are unchanged by
-it.  A sidecar whose recorded ``sha256`` disagrees with the manifest
-digest, one from an older version (whose offsets point into JSON
+it.  A sidecar whose recorded ``sha256`` disagrees with the study's
+shard digest, one from an older version (whose offsets point into JSON
 lines), or a missing one is ignored in favor of a transparent scan of
 the shard's row groups; ``repro index-shards`` backfills sidecars for
 existing studies.

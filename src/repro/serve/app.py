@@ -81,11 +81,12 @@ class StudyCatalogHandler(BaseHTTPRequestHandler):
         except Exception as exc:  # noqa: BLE001 — survive handler bugs
             self._send_error(500, f"internal error: {exc}", send_body)
             return
-        if etag_matches(self.headers.get("If-None-Match"), etag):
+        if self._not_modified(etag):
+            # No Content-Length: a 304 may only carry the length of the
+            # 200 body, which a revalidation answered unread never knew.
             self.send_response(304)
             self.send_header("ETag", quote_etag(etag))
             self.send_header("Cache-Control", CACHE_CONTROL)
-            self.send_header("Content-Length", "0")
             self.end_headers()
             return
         self.send_response(200)
@@ -111,7 +112,13 @@ class StudyCatalogHandler(BaseHTTPRequestHandler):
     # Routing
     # ------------------------------------------------------------------
     def _dispatch(self) -> Tuple[str, bytes]:
-        """Resolve the request to ``(etag, canonical body bytes)``."""
+        """Resolve the request to ``(etag, canonical body bytes)``.
+
+        A site or report request whose ``If-None-Match`` matches its
+        ETag resolves to ``(etag, b"")`` before any data is read; a
+        site's only when a digest-pinned sidecar lists its rank, so a
+        rank the study lacks still answers 404.
+        """
         split = urlsplit(self.path)
         raw_params = parse_qs(split.query, keep_blank_values=True)
         parts = [unquote(p) for p in split.path.split("/") if p]
@@ -148,15 +155,17 @@ class StudyCatalogHandler(BaseHTTPRequestHandler):
                 raise ServeError(
                     400, f"site rank must be an integer, got {rest[1]!r}"
                 ) from None
+            etag = resource_etag(entry.etag,
+                                 f"/studies/{entry.id}/sites/{rank}")
+            if self._not_modified(etag) and entry.lists_site(rank):
+                return etag, b""
             try:
-                log = entry.site(rank)
+                payload = entry.site_dict(rank)
             except KeyError:
                 raise ServeError(
                     404, f"study {entry.id!r} has no site with rank {rank}"
                 ) from None
-            return self._resource(entry,
-                                  f"/studies/{entry.id}/sites/{rank}",
-                                  log.to_dict())
+            return etag, render_json(payload)
 
         if rest == ["reports"]:
             self._reject_params(raw_params)
@@ -173,11 +182,13 @@ class StudyCatalogHandler(BaseHTTPRequestHandler):
                 params = parse_params(query, raw_params)
             except QueryError as exc:
                 raise ServeError(400, str(exc)) from None
+            path = f"/studies/{entry.id}/reports/{query.name}"
+            etag = resource_etag(entry.etag, path, params)
+            if self._not_modified(etag):
+                return etag, b""
             payload = {"study": entry.id, "report": query.name,
                        "params": params,
                        "result": query.run(entry, params)}
-            path = f"/studies/{entry.id}/reports/{query.name}"
-            etag = resource_etag(entry.etag, path, params)
             return etag, render_json(payload)
 
         raise ServeError(404, f"no such resource {split.path!r}")
@@ -199,6 +210,9 @@ class StudyCatalogHandler(BaseHTTPRequestHandler):
     def _resource(self, entry: StudyEntry, path: str,
                   payload: object) -> Tuple[str, bytes]:
         return resource_etag(entry.etag, path), render_json(payload)
+
+    def _not_modified(self, etag: str) -> bool:
+        return etag_matches(self.headers.get("If-None-Match"), etag)
 
     @staticmethod
     def _reject_params(raw_params: Dict) -> None:

@@ -13,8 +13,9 @@ needs:
   complete per-shard digest list (computed on first touch for
   pre-digest manifests), from which the study's dataset etag derives;
 * seekable single-site lookup via
-  :func:`~repro.crawler.storage.read_site`, with the parsed sidecar
-  indexes memoized per entry;
+  :func:`~repro.crawler.storage.locate_site`, with the parsed sidecar
+  indexes memoized per entry; only their parsing takes a lock, so
+  lookups run side by side;
 * a lazily built, cached :class:`~repro.analysis.reports.Study` —
   aggregated through the versioned snapshot layer
   (:mod:`repro.analysis.snapshot`), never holding raw logs — whose
@@ -33,14 +34,14 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from ..analysis.columnar import iter_shard_batches
+from ..analysis.columnar import ShardBatch, iter_shard_batches
 from ..analysis.reports import Study, StudyAccumulator
 from ..analysis.snapshot import (RefreshResult, SnapshotError, load_snapshot,
                                  refresh_study, save_snapshot)
 from ..crawler.storage import (ManifestError, ShardIndex, ShardManifest,
-                               compute_digest, read_site)
+                               compute_digest, load_shard_index, locate_site)
 from ..records import VisitLog
 from .etag import listing_etag, study_etag
 
@@ -68,7 +69,8 @@ class StudyEntry:
         self._study: Optional[Study] = None
         self._buckets: Dict[int, List[Dict]] = {}
         # Two locks so a seconds-long first aggregation (study build,
-        # bucket scan) never stalls the cheap seek-based site lookups.
+        # bucket scan) never stalls the cheap seek-based site lookups,
+        # which take _lookup_lock only to parse the sidecars once.
         # Only the study's first build takes _agg_lock: report queries
         # on a built study read its tables without it, so they never
         # wait behind a bucket scan either.
@@ -106,9 +108,42 @@ class StudyEntry:
     # ------------------------------------------------------------------
     def site(self, rank: int) -> VisitLog:
         """Single-site lookup: seek via the sidecar indexes (cached)."""
-        with self._lookup_lock:
-            return read_site(self.directory, rank, manifest=self.manifest,
-                             index_cache=self._index_cache)
+        batch, row = self._locate(rank)
+        return batch.log(row)
+
+    def site_dict(self, rank: int) -> Dict:
+        """``site(rank).to_dict()``, built from the row's columns."""
+        batch, row = self._locate(rank)
+        return batch.row_dict(row)
+
+    def lists_site(self, rank: int) -> bool:
+        """Does a sidecar pinned to this entry's digests list ``rank``?
+
+        Reads no shard byte, so a revalidation of a listed site can be
+        answered from the ETag alone.
+        """
+        return any(index is not None and index.entry_for(rank) is not None
+                   for index in self._sidecars().values())
+
+    def _locate(self, rank: int) -> Tuple[ShardBatch, int]:
+        return locate_site(self.directory, rank, manifest=self.manifest,
+                           index_cache=self._sidecars())
+
+    def _sidecars(self) -> Dict[int, Optional[ShardIndex]]:
+        """Every shard's sidecar, pinned to the entry's digests (None
+        where missing or stale); parsed once per entry.
+
+        The lock covers only filling the memo: lookups read the shards
+        outside it, so they run side by side.
+        """
+        cache = self._index_cache
+        if len(cache) < self.manifest.n_shards:
+            with self._lookup_lock:
+                for pos, name in enumerate(self.manifest.files):
+                    if pos not in cache:
+                        cache[pos] = load_shard_index(
+                            self.directory, name, self.digests[pos])
+        return cache
 
     def study(self) -> Study:
         """The merged Study, built once through the snapshot layer.

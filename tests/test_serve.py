@@ -9,7 +9,9 @@ computes.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import http.client
 import json
 import os
 import sys
@@ -162,6 +164,9 @@ class TestETags:
                                           {"If-None-Match": etag})
         assert status2 == 304 and body2 == b""
         assert headers2["ETag"] == etag
+        # RFC 9110 §8.6: a 304 may carry Content-Length only as the 200
+        # body's length, which a revalidation answered unread never knew.
+        assert "Content-Length" not in headers2
 
     def test_star_and_weak_validators_match(self, client):
         _, headers, _ = client("/studies/demo")
@@ -200,6 +205,197 @@ class TestETags:
         catalog = StudyCatalog(tmp_path)
         _, headers, _ = client("/studies/demo")
         assert catalog.get("demo").etag != headers["ETag"].strip('"')
+
+
+@contextlib.contextmanager
+def _serving(root):
+    """A catalog server over ``root`` on an ephemeral port."""
+    server = make_server(root, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    port = server.server_address[1]
+
+    def get(path, headers=None, method="GET"):
+        connection = http.client.HTTPConnection("127.0.0.1", port,
+                                                timeout=30)
+        try:
+            connection.request(method, path, headers=headers or {})
+            response = connection.getresponse()
+            return response.status, dict(response.headers), response.read()
+        finally:
+            connection.close()
+
+    try:
+        yield get
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+class TestConditionalBeforeRead:
+    """A matching ``If-None-Match`` is answered from the ETag, before any
+    shard byte is read or any report is run; every other request takes
+    the read path, with its 404s and 400s."""
+
+    @pytest.fixture()
+    def study(self, crawl_logs, tmp_path):
+        directory = tmp_path / "root" / "demo"
+        directory.mkdir(parents=True)
+        save_logs(crawl_logs, directory, shards=N_SHARDS, compress=True)
+        return directory
+
+    def test_site_revalidation_reads_no_shard(self, study, crawl_logs):
+        from repro.crawler import ShardManifest
+        path = f"/studies/demo/sites/{crawl_logs[5].rank}"
+        with _serving(study.parent) as get:
+            status, headers, _ = get(path)
+            assert status == 200
+            for name in ShardManifest.load(study).files:
+                (study / name).write_bytes(b"\xff" * 64)
+            assert get(path)[0] == 500       # the shards are unreadable
+            status, headers2, body = get(
+                path, {"If-None-Match": headers["ETag"]})
+        assert (status, body) == (304, b"")
+        assert headers2["ETag"] == headers["ETag"]
+        assert "Content-Length" not in headers2
+
+    def test_star_matches_listed_ranks_only(self, client, crawl_logs):
+        rank = crawl_logs[5].rank
+        status, _, body = client(f"/studies/demo/sites/{rank}",
+                                 {"If-None-Match": "*"})
+        assert (status, body) == (304, b"")
+        status, headers, body = client("/studies/demo/sites/999999999",
+                                       {"If-None-Match": "*"})
+        assert status == 404 and "ETag" not in headers
+        assert json.loads(body)["status"] == 404
+
+    def test_site_revalidation_without_sidecars_scans(self, study,
+                                                      crawl_logs):
+        log = crawl_logs[7]
+        path = f"/studies/demo/sites/{log.rank}"
+        with _serving(study.parent) as get:
+            _, headers, body = get(path)
+        for sidecar in study.glob("*.index.json"):
+            sidecar.unlink()
+        with _serving(study.parent) as get:
+            assert get(path, {"If-None-Match": headers["ETag"]})[0] == 304
+            assert get(path, {"If-None-Match": "*"})[0] == 304
+            status, headers2, body2 = get(path)
+            assert get("/studies/demo/sites/999999999",
+                       {"If-None-Match": "*"})[0] == 404
+        assert (status, headers2["ETag"], body2) \
+            == (200, headers["ETag"], body)
+
+    @pytest.mark.parametrize("digests", [True, False],
+                             ids=["digests", "digestless"])
+    def test_unpinned_sidecar_is_not_trusted(self, study, crawl_logs,
+                                             digests):
+        """A sidecar whose digest is not its shard's neither answers a
+        revalidation nor steers a lookup, also when the manifest
+        records no digests and the catalog hashes the shards itself."""
+        from repro.crawler.storage import ShardManifest, index_filename
+        manifest = ShardManifest.load(study)
+        if not digests:
+            dataclasses.replace(manifest, digests=()).save(study)
+        sidecar = study / index_filename(manifest.files[0])
+        doctored = json.loads(sidecar.read_text())
+        log = next(log for log in crawl_logs
+                   if log.rank == doctored["ranks"][0])
+        doctored["sha256"] = "0" * 64
+        doctored["offsets"][0] = 7          # trusted, it would misread
+        for key, value in (("ranks", 999999999), ("offsets", 0),
+                           ("lengths", 1), ("rows", 0)):
+            doctored[key].append(value)
+        doctored["count"] += 1
+        sidecar.write_text(json.dumps(doctored))
+        with _serving(study.parent) as get:
+            assert get("/studies/demo/sites/999999999",
+                       {"If-None-Match": "*"})[0] == 404
+            status, _, body = get(f"/studies/demo/sites/{log.rank}")
+        assert status == 200
+        assert json.loads(body) == json.loads(json.dumps(log.to_dict()))
+
+    def test_report_revalidation_runs_no_query(self, client, monkeypatch):
+        from repro.serve import queries
+        path = "/studies/demo/reports/top-exfiltrators?limit=7"
+        status, headers, _ = client(path)
+        assert status == 200
+
+        def boom(entry, params):
+            raise AssertionError("a revalidation ran the query")
+
+        monkeypatch.setitem(queries._REGISTRY, "top-exfiltrators",
+                            dataclasses.replace(
+                                get_query("top-exfiltrators"), run=boom))
+        status, headers2, body = client(path,
+                                        {"If-None-Match": headers["ETag"]})
+        assert (status, body) == (304, b"")
+        assert headers2["ETag"] == headers["ETag"]
+        assert client(path)[0] == 500        # the patch is live
+
+    def test_head_with_a_matching_tag_answers_304(self, client, crawl_logs):
+        for path in (f"/studies/demo/sites/{crawl_logs[2].rank}",
+                     "/studies/demo/reports/summary"):
+            _, headers, _ = client(path)
+            status, headers2, body = client(
+                path, {"If-None-Match": headers["ETag"]}, method="HEAD")
+            assert (status, body) == (304, b""), path
+            assert headers2["ETag"] == headers["ETag"], path
+
+    @pytest.mark.parametrize("path", [
+        "/studies/demo/reports/top-exfiltrators?limit=0",
+        "/studies/demo/reports/top-exfiltrators?frobnicate=1",
+        "/studies/demo/reports/entity",
+        "/studies/demo/sites/abc",
+        "/studies/demo/sites/1?x=1",
+    ])
+    def test_bad_requests_stay_400_under_star(self, client, path):
+        status, headers, body = client(path, {"If-None-Match": "*"})
+        assert status == 400 and "ETag" not in headers
+        assert json.loads(body)["status"] == 400
+
+
+class TestConcurrentSiteLookups:
+    def test_lookups_do_not_wait_on_each_other(self, crawl_logs, tmp_path,
+                                                monkeypatch):
+        """Two lookups must both be inside the row read at once, which a
+        lock held across the read (file read, inflate, decode) forbids."""
+        from repro.crawler import storage
+        from repro.serve.catalog import StudyEntry
+
+        directory = tmp_path / "study"
+        directory.mkdir()
+        save_logs(crawl_logs[:20], directory, shards=2, compress=True)
+        entry = StudyEntry("study", directory)
+        meet = threading.Barrier(2, timeout=5)
+        real = storage._read_group
+
+        def read_group(*args):
+            meet.wait()
+            return real(*args)
+
+        monkeypatch.setattr(storage, "_read_group", read_group)
+        logs = [crawl_logs[1], crawl_logs[15]]
+        got = {}
+        errors = []
+
+        def lookup(log, method):
+            try:
+                got[log.rank] = getattr(entry, method)(log.rank)
+            except Exception as exc:  # reported below, on the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=lookup, args=(log, method))
+                   for log, method in zip(logs, ("site", "site_dict"))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not [thread for thread in threads if thread.is_alive()]
+        assert errors == []
+        assert got[logs[0].rank].to_dict() == logs[0].to_dict()
+        assert got[logs[1].rank] == logs[1].to_dict()
 
 
 class TestReportFidelity:
@@ -669,6 +865,32 @@ class TestKeepAlive:
         finally:
             connection.close()
         return statistics.median(took)
+
+    def test_site_answers_200_304_200_on_one_connection(self, server,
+                                                         crawl_logs):
+        """A 304 carries no body and no Content-Length: the connection
+        must still frame the next response right."""
+        path = f"/studies/demo/sites/{crawl_logs[4].rank}"
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=10)
+
+        def fetch(headers):
+            connection.request("GET", path, headers=headers)
+            response = connection.getresponse()
+            body = response.read()
+            assert not response.will_close
+            return (response.status, response.getheader("ETag"), body,
+                    response.getheader("Content-Length"))
+
+        try:
+            status, etag, body, length = first = fetch({})
+            second = fetch({"If-None-Match": etag})
+            third = fetch({})
+        finally:
+            connection.close()
+        assert status == 200 and body and int(length) == len(body)
+        assert second == (304, etag, b"", None)
+        assert third == first
 
     def test_catalog_answers_keep_alive_requests_without_stalling(
             self, server, client):

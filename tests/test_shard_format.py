@@ -3,6 +3,7 @@
 * The codec round-trips every column a ``VisitLog`` carries: strings
   (non-ASCII, NUL, empty), ``None`` in every optional column, empty
   families and tuples, float64 timestamps bit for bit, ints and bools.
+  ``row_dict`` equals ``log(i).to_dict()`` leaf for leaf.
 * One crawl written as v2 JSON lines (``v2_oracle``) and as v3 row
   groups decodes to identical columns, report bytes and
   ``/sites/<rank>`` bodies.
@@ -116,6 +117,8 @@ class TestCodecRoundTrip:
         assert _bits(back) == _bits(batch)
         assert _render(back.logs()) == _render(logs)
         assert encode_row_group(back) == data   # tables fill canonically
+        rows = [back.row_dict(row) for row in range(len(back))]
+        assert json.dumps(rows, sort_keys=True) == _render(logs)
 
     def test_optional_strings_keep_none_apart_from_empty(self):
         log = VisitLog(site="", url="")
@@ -134,6 +137,36 @@ class TestCodecRoundTrip:
                     b'{"site":"a"}\n'):
             with pytest.raises(RowGroupError):
                 decode_row_group(bad)
+
+
+class TestRowDict:
+    """``row_dict(i)`` is ``log(i).to_dict()``, leaf for leaf, type for
+    type: the serve site endpoint renders one in place of the other."""
+
+    def _same(self, got, expected, path="") -> None:
+        assert type(got) is type(expected), path
+        if isinstance(expected, dict):
+            assert list(got) == list(expected), path
+            for key in expected:
+                self._same(got[key], expected[key], f"{path}/{key}")
+        elif isinstance(expected, list):
+            assert len(got) == len(expected), path
+            for i, (a, b) in enumerate(zip(got, expected)):
+                self._same(a, b, f"{path}[{i}]")
+        else:
+            assert got == expected, path
+
+    def _check(self, logs) -> None:
+        batch = decode_row_group(encode_row_group(
+            ShardBatch.from_logs(logs)))
+        for i in range(len(batch)):
+            self._same(batch.row_dict(i), batch.log(i).to_dict(), f"#{i}")
+
+    def test_on_the_fixture_crawl(self, crawl_logs):
+        self._check(crawl_logs)
+
+    def test_on_seeded_crawls(self, seeded_logs):
+        self._check(seeded_logs)
 
 
 # ---------------------------------------------------------------------------
