@@ -2,15 +2,13 @@
 
 Every bench regenerates one of the paper's tables or figures.  The crawl
 size defaults to a laptop-quick sample; set ``REPRO_SITES=20000`` to
-reproduce at the paper's full scale (see EXPERIMENTS.md for recorded
-full-scale numbers).
+reproduce at the paper's full scale (``scripts/full_scale_run.py``
+writes the same tables for a whole run).  The files are ``bench_*.py``,
+which plain pytest does not collect; name them::
 
-The *perf* side of benchmarking (rates, medians, the committed
-``BENCH_*.json`` trajectory, regression gating) lives in ``repro.perf``
-(``python -m repro bench``); its scenario registry wraps the same
-crawl/analysis workloads these fixtures build.  Shared helpers like
-:func:`banner` are defined there once and re-exported here for the
-``from conftest import banner`` idiom the bench files use.
+    PYTHONPATH=src python -m pytest benchmarks/bench_*.py -q
+
+The repository's performance benchmark is ``perfbench/`` instead.
 """
 
 from __future__ import annotations
@@ -22,10 +20,15 @@ import pytest
 from repro.analysis import Study
 from repro.crawler import CrawlConfig, Crawler
 from repro.ecosystem import PopulationConfig, generate_population
-from repro.perf import banner  # noqa: F401  — re-exported for bench_*.py
 
 N_SITES = int(os.environ.get("REPRO_SITES", "800"))
 SEED = int(os.environ.get("REPRO_SEED", "2025"))
+
+
+def banner(title: str, paper: str) -> None:
+    """The header every bench prints above its table."""
+    print(f"\n=== {title} ===")
+    print(f"paper reference: {paper}")
 
 
 @pytest.fixture(scope="session")

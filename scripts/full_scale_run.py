@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Full-scale reproduction run (paper scale: 20,000 sites).
 
-Writes all measured numbers to results_full_scale.txt for EXPERIMENTS.md.
+Writes every measured number to OUT (default results_full_scale.txt).
 
 Usage: full_scale_run.py [N] [OUT] [--jobs J] [--shards S]
                          [--backend B] [--cache-dir D]

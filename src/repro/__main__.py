@@ -37,15 +37,6 @@ analyze DATASET [--snapshot PATH] [--resume] [--report F]
     merged from their saved state.  ``--report F`` writes the full
     canonical report JSON (byte-identical for identical studies, the
     equivalence the snapshot tests pin)
-bench [SCENARIO ...] [--quick] [--repeats R] [--warmup W] [--out F]
-      [--baseline F] [--compare F] [--tolerance T] [--list]
-    run the perf harness (``repro.perf``): registered scenarios with
-    warmup/repeat/medians, a machine-readable BENCH_*.json report, and
-    a regression gate.  ``--list`` prints the registry; positional
-    SCENARIO names restrict the run.  ``--baseline F`` embeds a prior
-    report's numbers (plus per-scenario speedups) into ``--out``;
-    ``--compare F`` exits non-zero when any scenario's rate drops more
-    than ``--tolerance`` (default 0.25) below the baseline's
 serve [ROOT] [--host H] [--port P]
     HTTP study-catalog service (``repro.serve``) over the sharded
     crawl directories under ROOT (default ``studies``; a ROOT that is
@@ -245,75 +236,6 @@ def _run_analyze(args: List[str]) -> None:
         print(f"wrote {report_out}")
 
 
-def _run_bench(args: List[str]) -> None:
-    """Run the perf harness; see ``repro.perf`` for the machinery."""
-    import platform
-
-    from .perf import (DEFAULT_TOLERANCE, build_report, compare_reports,
-                       current_commit, get_scenario, iter_scenarios,
-                       load_report, run_scenarios, skipped_scenarios,
-                       write_report)
-
-    quick = pop_switch(args, "--quick")
-    list_only = pop_switch(args, "--list")
-    repeats = pop_int_flag(args, "--repeats", 5, minimum=1)
-    warmup = pop_int_flag(args, "--warmup", 1, minimum=0)
-    out = pop_flag(args, "--out")
-    baseline_path = pop_flag(args, "--baseline")
-    compare_path = pop_flag(args, "--compare")
-    tolerance_s = pop_flag(args, "--tolerance")
-    reject_unknown_flags(args)
-    try:
-        tolerance = (float(tolerance_s) if tolerance_s is not None
-                     else DEFAULT_TOLERANCE)
-    except ValueError:
-        print(f"--tolerance expects a number, got {tolerance_s!r}")
-        raise SystemExit(2)
-
-    if list_only:
-        for scn in iter_scenarios():
-            print(f"{scn.name:<24} [{scn.units}/s] {scn.description}")
-        return
-
-    names = args or None
-    if names:
-        try:
-            for name in names:
-                get_scenario(name)
-        except KeyError as exc:
-            print(f"bench: {exc.args[0]}")
-            raise SystemExit(2)
-    print(f"repro bench: python {platform.python_version()}, "
-          f"commit {current_commit()}, "
-          f"{'quick' if quick else 'full'} workloads, "
-          f"repeats={min(repeats, 3) if quick else repeats}, "
-          f"warmup={warmup}")
-    results = run_scenarios(names, warmup=warmup, repeats=repeats,
-                            quick=quick)
-    baseline = load_report(baseline_path) if baseline_path else None
-    report = build_report(results, baseline=baseline)
-    if baseline and report.get("speedup"):
-        for name, speedup in sorted(report["speedup"].items()):
-            print(f"  {name:<24} {speedup:10.2f}x vs baseline")
-    if out:
-        path = write_report(report, out)
-        print(f"wrote {path}")
-    if compare_path:
-        gate = load_report(compare_path)
-        for name in skipped_scenarios(report, gate):
-            print(f"  skipped {name}: not in baseline {compare_path} "
-                  f"(new scenario, nothing to regress against)")
-        regressions = compare_reports(report, gate, tolerance=tolerance)
-        if regressions:
-            for reg in regressions:
-                print(f"REGRESSION {reg.name}: {reg.current_rate:.1f}/s "
-                      f"vs baseline {reg.baseline_rate:.1f}/s "
-                      f"(-{reg.drop:.0%}, tolerance {tolerance:.0%})")
-            raise SystemExit(1)
-        print(f"regression gate passed "
-              f"(tolerance {tolerance:.0%} vs {compare_path})")
-
-
 def _run_crawl_shard(args: List[str]) -> None:
     """Distributed worker: one shard of a workspec, result JSON on stdout."""
     import json
@@ -390,8 +312,6 @@ def main(argv=None) -> None:
         _run_crawl_shard(args)
     elif command == "analyze":
         _run_analyze(args)
-    elif command == "bench":
-        _run_bench(args)
     elif command == "serve":
         _run_serve(args)
     elif command == "store-serve":

@@ -747,7 +747,6 @@ def _read_group(directory: Path, manifest: ShardManifest, pos: int,
 
 def locate_site(directory: Union[str, Path], rank: int, *,
                 manifest: Optional[ShardManifest] = None,
-                use_index: bool = True,
                 index_cache: Optional[Dict[int, Optional[ShardIndex]]] = None
                 ) -> Tuple[ShardBatch, int]:
     """The decoded row group holding ``rank``, and the rank's row in it.
@@ -761,15 +760,13 @@ def locate_site(directory: Union[str, Path], rank: int, *,
         manifest = ShardManifest.load(directory)
     unindexed: List[int] = []
     for pos in range(manifest.n_shards):
-        index: Optional[ShardIndex] = None
-        if use_index:
-            if index_cache is not None and pos in index_cache:
-                index = index_cache[pos]
-            else:
-                index = load_shard_index(directory, manifest.files[pos],
-                                         manifest.digest_for(pos))
-                if index_cache is not None:
-                    index_cache[pos] = index
+        if index_cache is not None and pos in index_cache:
+            index = index_cache[pos]
+        else:
+            index = load_shard_index(directory, manifest.files[pos],
+                                     manifest.digest_for(pos))
+            if index_cache is not None:
+                index_cache[pos] = index
         if index is None:
             unindexed.append(pos)
             continue
@@ -790,23 +787,23 @@ def locate_site(directory: Union[str, Path], rank: int, *,
 
 def read_site(directory: Union[str, Path], rank: int, *,
               manifest: Optional[ShardManifest] = None,
-              use_index: bool = True,
               index_cache: Optional[Dict[int, Optional[ShardIndex]]] = None
               ) -> VisitLog:
     """Fetch one site's :class:`VisitLog` from a sharded dataset by rank.
 
     With sidecar indexes this reads and decodes the one row group
     holding the site; shards without a usable index fall back to a
-    scan of their groups, with the full count and digest checks
-    (``use_index=False`` forces that path, for equivalence tests and
-    benchmarks).  ``index_cache`` — a caller-owned dict keyed by shard
-    position — memoizes parsed sidecars across calls, which is what the
-    :mod:`repro.serve` catalog does per study.  Raises :class:`KeyError`
-    when no shard holds ``rank`` and :class:`ManifestError` when the
-    bytes a sidecar points at are not the group it describes.
+    scan of their groups, with the full count and digest checks.
+    ``index_cache`` — a caller-owned dict keyed by shard position —
+    memoizes parsed sidecars across calls, which is what the
+    :mod:`repro.serve` catalog does per study; a shard it maps to
+    ``None`` is scanned, which is how a test forces the scan path.
+    Raises :class:`KeyError` when no shard holds ``rank`` and
+    :class:`ManifestError` when the bytes a sidecar points at are not
+    the group it describes.
     """
     batch, row = locate_site(directory, rank, manifest=manifest,
-                             use_index=use_index, index_cache=index_cache)
+                             index_cache=index_cache)
     return batch.log(row)
 
 

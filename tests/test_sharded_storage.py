@@ -307,7 +307,8 @@ class TestShardIndexes:
         cache = {}
         for log in crawl_logs:
             indexed = read_site(directory, log.rank, index_cache=cache)
-            scanned = read_site(directory, log.rank, use_index=False)
+            scanned = read_site(directory, log.rank,
+                                index_cache=dict.fromkeys(range(3)))
             assert indexed.to_dict() == log.to_dict()
             assert scanned.to_dict() == indexed.to_dict()
 
@@ -424,12 +425,12 @@ class TestLookupPathEquivalence:
         assert build_shard_indexes(directory).built == 1
         for rank, expected in ((0, rankless), (log.rank, log)):
             indexed = read_site(directory, rank)
-            scanned = read_site(directory, rank, use_index=False)
+            scanned = read_site(directory, rank, index_cache={0: None})
             assert indexed.to_dict() == scanned.to_dict() \
                 == expected.to_dict()
-        for use_index in (True, False):
+        for cache in ({}, {0: None}):
             with pytest.raises(KeyError):
-                read_site(directory, 10 ** 9, use_index=use_index)
+                read_site(directory, 10 ** 9, index_cache=cache)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +493,8 @@ class TestTruncatedShards:
                     offset, length, _row = cache[0].entry_for(log.rank)
                     assert offset + length <= cut
                 with pytest.raises(ManifestError):
-                    storage.read_site(directory, log.rank, use_index=False)
+                    storage.read_site(directory, log.rank,
+                                      index_cache={0: None})
             if cut in boundaries:
                 assert rows_of(single) == expected[:boundaries[cut]], cut
             else:
