@@ -13,8 +13,7 @@ Run:  python examples/case_studies.py
 
 import numpy as np
 
-from repro.analysis import detect_exfiltration, detect_manipulations
-from repro.analysis.attribution import build_ownership
+from repro.analysis import Study
 from repro.browser import Browser, Script
 from repro.crawler import CrawlConfig, Crawler
 from repro.ecosystem import PopulationConfig, generate_population
@@ -27,10 +26,11 @@ def case_optimonk(population):
     print("== Case 1: targeted parsing on optimonk.com ==")
     site = [s for s in population.sites if s.domain == "optimonk.com"][0]
     log = Crawler(population, CrawlConfig(seed=2025)).visit_site(site)
-    ownership = build_ownership(log)
+    study = Study([log])
+    ownership = study.ownerships[log.site]
     print(f"  _ga creator: {ownership.creators.get('_ga')}")
     print(f"  _ga value:   {ownership.values['_ga'][0]}")
-    for event in detect_exfiltration(log):
+    for event in study.exfil_events:
         if event.actor == "licdn.com" and event.pair.name == "_ga":
             print(f"  licdn.com exfiltrated ({event.matched_form}) -> "
                   f"{event.destination}")
@@ -42,10 +42,11 @@ def case_goosecreek(population):
     site = [s for s in population.sites
             if s.domain == "goosecreekcandle.com"][0]
     log = Crawler(population, CrawlConfig(seed=2025)).visit_site(site)
-    ownership = build_ownership(log)
+    study = Study([log])
+    ownership = study.ownerships[log.site]
     print(f"  _fbp creator: {ownership.creators.get('_fbp')}")
     print(f"  _fbp value:   {ownership.values['_fbp'][0]}")
-    for event in detect_exfiltration(log):
+    for event in study.exfil_events:
         if event.actor == "osano.com":
             print(f"  osano.com (a CMP) sent {event.pair.name} -> "
                   f"{event.destination}")
@@ -68,7 +69,7 @@ def case_cto_bundle():
     log = instrumentation.log_for(page)
     before = [w for w in log.cookie_writes
               if w.cookie_name == "cto_bundle" and w.kind == "set"][0]
-    for action in detect_manipulations(log):
+    for action in Study([log]).manipulations:
         if action.pair.name == "cto_bundle":
             after = page.jar.find("cto_bundle")[0]
             print(f"  creator:   {action.pair.creator} "

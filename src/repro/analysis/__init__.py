@@ -4,8 +4,6 @@ from .attribution import (
     CookiePair,
     CrossDomainAction,
     SiteOwnership,
-    build_ownership,
-    detect_manipulations,
 )
 from .columnar import (
     ShardBatch,
@@ -15,8 +13,6 @@ from .entities import EntityMap, default_entity_map
 from .exfiltration import (
     MIN_IDENTIFIER_LENGTH,
     ExfilEvent,
-    IdentifierIndex,
-    detect_exfiltration,
     split_candidates,
     split_candidates_fast,
 )
@@ -53,16 +49,12 @@ __all__ = [
     "CookiePair",
     "CrossDomainAction",
     "SiteOwnership",
-    "build_ownership",
-    "detect_manipulations",
     "ShardBatch",
     "iter_shard_batches",
     "EntityMap",
     "default_entity_map",
     "MIN_IDENTIFIER_LENGTH",
     "ExfilEvent",
-    "IdentifierIndex",
-    "detect_exfiltration",
     "split_candidates",
     "split_candidates_fast",
     "FilterList",

@@ -10,17 +10,19 @@ Note the direction-agnostic definition (it matches the paper's): a
 first-party script deleting a tracker's cookie is as cross-domain as a
 tracker clobbering the site's — that's how prettylittlething.com tops
 Figure 8b.
+
+This module holds the records; the detectors that fill them are the
+per-site kernels in :mod:`repro.analysis.columnar`
+(:func:`~repro.analysis.columnar.build_ownership_batch` and
+:func:`~repro.analysis.columnar.detect_manipulations_batch`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..records import CookieWriteEvent, VisitLog
-
-__all__ = ["CookiePair", "SiteOwnership", "CrossDomainAction",
-           "build_ownership", "detect_manipulations"]
+__all__ = ["CookiePair", "SiteOwnership", "CrossDomainAction"]
 
 
 @dataclass(frozen=True)
@@ -47,58 +49,6 @@ class SiteOwnership:
     #: "http") — Table 1 is split by creation API.
     apis: Dict[str, str] = field(default_factory=dict)
 
-    def pair_of(self, name: str) -> Optional[CookiePair]:
-        creator = self.creators.get(name)
-        if creator is None:
-            return None
-        return CookiePair(name, creator)
-
-    def all_pairs(self) -> List[CookiePair]:
-        return [CookiePair(name, creator)
-                for name, creator in self.creators.items()]
-
-
-def _actor_of(event: CookieWriteEvent, site: str) -> str:
-    """Acting eTLD+1; inline scripts resolve to the site (first-party)."""
-    return event.script_domain if event.script_domain is not None else site
-
-
-def build_ownership(log: VisitLog) -> SiteOwnership:
-    """First-creation wins, merging HTTP headers and script writes in
-    timestamp order (ties: headers first, like a real page load)."""
-    ownership = SiteOwnership(site=log.site)
-
-    events: List[Tuple[float, int, str, object]] = []
-    for index, header in enumerate(log.header_cookies):
-        if header.first_party:
-            events.append((header.timestamp, index, "http", header))
-    # Script writes come after headers at equal timestamps (offset 10^6).
-    for index, write in enumerate(log.cookie_writes):
-        events.append((write.timestamp, 1_000_000 + index, "script", write))
-    events.sort(key=lambda item: (item[0], item[1]))
-
-    for _ts, _idx, channel, event in events:
-        if channel == "http":
-            name = event.cookie_name
-            ownership.creators.setdefault(name, event.response_domain)
-            ownership.channels.setdefault(name, "http")
-            ownership.apis.setdefault(name, "http")
-            ownership.values.setdefault(name, [])
-            if event.cookie_value and event.cookie_value not in ownership.values[name]:
-                ownership.values[name].append(event.cookie_value)
-        else:
-            write: CookieWriteEvent = event
-            if write.kind not in ("set", "overwrite"):
-                continue
-            name = write.cookie_name
-            ownership.creators.setdefault(name, _actor_of(write, log.site))
-            ownership.channels.setdefault(name, "script")
-            ownership.apis.setdefault(name, write.api)
-            ownership.values.setdefault(name, [])
-            if write.cookie_value and write.cookie_value not in ownership.values[name]:
-                ownership.values[name].append(write.cookie_value)
-    return ownership
-
 
 @dataclass(frozen=True)
 class CrossDomainAction:
@@ -111,53 +61,6 @@ class CrossDomainAction:
     api: str
     inclusion: str                # "direct" | "indirect" | "inline"
     attrs_changed: Tuple[str, ...] = ()
-
-
-def detect_manipulations(log: VisitLog,
-                         ownership: Optional[SiteOwnership] = None
-                         ) -> List[CrossDomainAction]:
-    """Cross-domain overwrites and deletions in one visit log.
-
-    Detection is *name-keyed*, like the paper's: a write to an existing
-    cookie name by a non-owner is an overwrite even when it lands on a
-    different (domain, path) jar key — changing the Path attribute creates
-    a sibling jar entry in RFC 6265 terms, but to every reader of
-    ``document.cookie`` it shadows the original cookie.
-    """
-    if ownership is None:
-        ownership = build_ownership(log)
-    actions: List[CrossDomainAction] = []
-    #: Names already created by the time each write executes.
-    created: set = {header.cookie_name for header in log.header_cookies
-                    if header.first_party}
-    for write in log.cookie_writes:
-        name = write.cookie_name
-        pair = ownership.pair_of(name)
-        actor = _actor_of(write, log.site)
-        kind: Optional[str] = None
-        attrs: Tuple[str, ...] = write.attrs_changed
-        if write.kind == "delete":
-            kind = "delete"
-        elif write.kind == "overwrite":
-            kind = "overwrite"
-        elif write.kind == "set" and name in created:
-            # Same name, new jar key — a shadowing overwrite.
-            kind = "overwrite"
-            attrs = _attrs_from_raw(write.raw)
-        if write.kind in ("set", "overwrite"):
-            created.add(name)
-        if kind is None or pair is None or actor == pair.creator:
-            continue
-        actions.append(CrossDomainAction(
-            site=log.site,
-            pair=pair,
-            actor=actor,
-            kind=kind,
-            api=write.api,
-            inclusion=write.inclusion,
-            attrs_changed=attrs,
-        ))
-    return actions
 
 
 def _attrs_from_raw(raw: str) -> Tuple[str, ...]:

@@ -45,12 +45,12 @@ built straight from the columns, with no event objects in between:
 what the serve site endpoint renders.
 
 The per-site analysis kernels (:func:`build_ownership_batch`,
-:func:`detect_exfiltration_batch`, :func:`detect_manipulations_batch`)
-reproduce :mod:`repro.analysis.attribution` / ``exfiltration`` exactly
-— same first-creation-wins ordering, same candidate split, same
-collision tie-breaks — which is what
-``tests/test_fastpath_equivalence.py`` locks in: the object path and
-the columnar path must yield byte-identical ``Study`` report output.
+:func:`detect_manipulations_batch`, :func:`detect_exfiltration_batch`)
+are the §4.4 detectors: every ``Study``, ``repro analyze`` report,
+snapshot and served report runs them.  ``tests/analysis_oracle.py``
+keeps the same logic as loops over one ``VisitLog``'s events, and
+``tests/test_fastpath_equivalence.py`` demands byte-identical ``Study``
+report output from both.
 """
 
 from __future__ import annotations
@@ -710,15 +710,20 @@ def iter_shard_batches(path, *, shard: Optional[int] = None,
 
 
 # ---------------------------------------------------------------------------
-# Per-site analysis kernels (columnar twins of the object-path detectors)
+# Per-site analysis kernels: the §4.4 detectors
 # ---------------------------------------------------------------------------
 
 def build_ownership_batch(batch: ShardBatch, i: int) -> SiteOwnership:
-    """Columnar twin of :func:`repro.analysis.attribution.build_ownership`.
+    """Who created each cookie of visit ``i``, and every value it held.
 
-    Same merge of first-party headers and script writes in timestamp
-    order (ties: headers first via the 10^6 index offset), same
-    first-creation-wins ``setdefault`` semantics.
+    The first creation wins: first-party ``Set-Cookie`` headers and
+    script ``set``/``overwrite`` writes merge in timestamp order, and
+    the first event to name a cookie makes its creator (the response
+    domain for a header, the script's eTLD+1 for a write, the site for
+    an inline script).  At equal timestamps headers come before writes,
+    as in a real page load (the 10^6 index offset).  Deletions create
+    nothing.  Values are kept in first-seen order, which breaks the
+    exfiltration index's collision ties.
     """
     site = batch.sites[i]
     ownership = SiteOwnership(site=site)
@@ -765,7 +770,16 @@ def build_ownership_batch(batch: ShardBatch, i: int) -> SiteOwnership:
 def detect_manipulations_batch(batch: ShardBatch, i: int,
                                ownership: SiteOwnership
                                ) -> List[CrossDomainAction]:
-    """Columnar twin of ``attribution.detect_manipulations``."""
+    """Cross-domain overwrites and deletions of visit ``i``.
+
+    Detection is name-keyed, like the paper's: a write to a cookie name
+    that already exists is an overwrite even when it lands on another
+    (domain, path) jar key.  In RFC 6265 terms changing the Path makes
+    a sibling jar entry, but to every reader of ``document.cookie`` it
+    shadows the original, so a shadowing ``set`` counts as an
+    overwrite, its changed attributes read off the raw string.  Only
+    writes whose actor differs from the cookie's creator are reported.
+    """
     site = batch.sites[i]
     actions: List[CrossDomainAction] = []
     created = {batch.h_name[j]
@@ -821,7 +835,7 @@ def _tokens_of(text: str) -> Tuple[str, ...]:
     return tokens
 
 
-#: Cookie value → ((encoded form, form name), ...) in reference order —
+#: Cookie value → ((encoded form, form name), ...) in index order —
 #: split first, then plain/b64/md5/sha1 per candidate.
 _VALUE_FORMS_CACHE: Dict[str, Tuple[Tuple[str, str], ...]] = {}
 
@@ -874,14 +888,16 @@ def _identifier_index(ownership: SiteOwnership
 def detect_exfiltration_batch(batch: ShardBatch, i: int,
                               ownership: SiteOwnership
                               ) -> List[ExfilEvent]:
-    """Columnar twin of ``exfiltration.detect_exfiltration``.
+    """Confirmed cross-domain exfiltration events of visit ``i``.
 
-    Builds the same encoded-form identifier index (same iteration and
-    collision order, so identical first-pair-wins choices), then scans
-    request queries/bodies with the regex candidate splitter.  Tokens
-    are deduplicated in occurrence order (query before body), which is
-    a deterministic refinement of the object path's set iteration; the
-    event *sets* — and therefore every derived report — are identical.
+    Every candidate identifier of every cookie value, in plain, Base64,
+    MD5 and SHA1 form, indexes its cookie pair; on a collision the first
+    pair wins (identical identifiers across cookies are overwhelmingly
+    the same underlying id).  Each request's query and body tokens are
+    looked up, deduplicated in occurrence order (query before body).
+    Only cross-domain events are reported: the paper treats a script
+    sending its own cookie home (GA's ``_ga``) as authorized.  One
+    event is kept per (pair, actor, destination).
     """
     site = batch.sites[i]
     index = _identifier_index(ownership)

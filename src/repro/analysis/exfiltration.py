@@ -11,23 +11,22 @@ Pipeline, exactly as described in the paper:
    *cross-domain* when the initiating script's eTLD+1 differs from the
    cookie's creator.
 
-Matching is set-intersection over precomputed forms, so a full crawl
-analyzes in seconds.
+This module holds the candidate split and the encoded forms (steps 1
+to 3) and the :class:`ExfilEvent` record.  The matching (step 4) is
+:func:`repro.analysis.columnar.detect_exfiltration_batch`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 from ..encoding import encoded_forms
-from ..records import RequestEvent, VisitLog
-from .attribution import CookiePair, SiteOwnership, build_ownership
+from .attribution import CookiePair
 
 __all__ = ["MIN_IDENTIFIER_LENGTH", "split_candidates",
-           "split_candidates_fast", "encoded_forms_cached", "ExfilEvent",
-           "IdentifierIndex", "detect_exfiltration"]
+           "split_candidates_fast", "encoded_forms_cached", "ExfilEvent"]
 
 MIN_IDENTIFIER_LENGTH = 8
 
@@ -106,79 +105,3 @@ class ExfilEvent:
     @property
     def cross_domain(self) -> bool:
         return self.actor != self.pair.creator
-
-
-class IdentifierIndex:
-    """encoded form → (cookie pair, form name) for one site's cookies."""
-
-    _FORM_NAMES = ("plain", "b64", "md5", "sha1")
-
-    def __init__(self, ownership: SiteOwnership):
-        self.ownership = ownership
-        self._index: Dict[str, Tuple[CookiePair, str]] = {}
-        for name, values in ownership.values.items():
-            pair = ownership.pair_of(name)
-            if pair is None:
-                continue
-            for value in values:
-                for candidate in split_candidates_fast(value):
-                    for form_name, form in zip(self._FORM_NAMES,
-                                               encoded_forms_cached(candidate)):
-                        # First pair wins on collisions (identical
-                        # identifiers across cookies are overwhelmingly
-                        # the same underlying id).
-                        self._index.setdefault(form, (pair, form_name))
-
-    def lookup(self, token: str) -> Optional[Tuple[CookiePair, str]]:
-        return self._index.get(token)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-
-def _request_tokens(request: RequestEvent) -> Set[str]:
-    tokens = set(split_candidates_fast(request.query))
-    if request.body:
-        tokens.update(split_candidates_fast(request.body))
-    return tokens
-
-
-def detect_exfiltration(log: VisitLog,
-                        ownership: Optional[SiteOwnership] = None,
-                        *, include_same_domain: bool = False
-                        ) -> List[ExfilEvent]:
-    """Confirmed exfiltration events for one visit.
-
-    By default only *cross-domain* events are returned (the paper treats
-    same-origin transmission — GA sending its own ``_ga`` home — as
-    authorized and expected).
-    """
-    if ownership is None:
-        ownership = build_ownership(log)
-    index = IdentifierIndex(ownership)
-    events: List[ExfilEvent] = []
-    seen: Set[Tuple[str, str, str, str]] = set()
-    for request in log.requests:
-        actor = request.script_domain if request.script_domain is not None \
-            else log.site
-        for token in _request_tokens(request):
-            hit = index.lookup(token)
-            if hit is None:
-                continue
-            pair, form_name = hit
-            if pair.creator == actor and not include_same_domain:
-                continue
-            key = (pair.name, pair.creator, actor, request.domain)
-            if key in seen:
-                continue
-            seen.add(key)
-            events.append(ExfilEvent(
-                site=log.site,
-                pair=pair,
-                actor=actor,
-                destination=request.domain,
-                url=request.url,
-                matched_form=form_name,
-                api_of_cookie=ownership.apis.get(pair.name, "script"),
-            ))
-    return events

@@ -6,8 +6,8 @@ results.  Rendering helpers return plain-text tables so benchmarks and
 examples can print the same rows the paper reports.
 
 Aggregation is incremental: a :class:`StudyAccumulator` ingests one
-:class:`~repro.records.VisitLog` at a time and accumulators merge
-associatively, so a sharded crawl can be analysed shard-by-shard
+:class:`~repro.analysis.columnar.ShardBatch` at a time and accumulators
+merge associatively, so a sharded crawl can be analysed shard-by-shard
 (``Study.from_shards``) — or streamed from disk — and produce results
 identical to a monolithic ``Study`` over the concatenated logs.  All
 counters are integers and every ranking breaks ties lexicographically,
@@ -24,26 +24,30 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..records import API_COOKIE_STORE, API_DOCUMENT_COOKIE, VisitLog
-from .attribution import (
-    CookiePair,
-    CrossDomainAction,
-    SiteOwnership,
-    build_ownership,
-    detect_manipulations,
-)
+from .attribution import CookiePair, CrossDomainAction, SiteOwnership
 from .columnar import (ShardBatch, build_ownership_batch,
                        detect_exfiltration_batch, detect_manipulations_batch)
 from .entities import EntityMap, default_entity_map
-from .exfiltration import ExfilEvent, detect_exfiltration
+from .exfiltration import ExfilEvent
 from .filterlists import FilterList
 from .lists_data import default_combined_list
 
 __all__ = ["Study", "StudyAccumulator", "Table1Row", "Table2Row",
-           "RankedDomain", "Table5Row", "CONSENT_SIGNAL_COOKIES"]
+           "RankedDomain", "Table5Row", "CONSENT_SIGNAL_COOKIES",
+           "COUNTER_FIELDS"]
 
 #: Cookie names that are consent signals *intended* to be read by third
 #: parties (§5.4 flags ``us_privacy`` as such, not a tracking identifier).
 CONSENT_SIGNAL_COOKIES: Set[str] = {"us_privacy", "usprivacy"}
+
+#: The accumulator's integer counters: what ``StudyAccumulator.update``
+#: sums and what a study snapshot saves.
+COUNTER_FIELDS = (
+    "n_logs", "sites_with_tp", "tp_script_total", "tp_scripts_seen",
+    "tracking_hits", "tp_set_writes", "fp_set_writes", "doc_api_sites",
+    "store_api_sites", "direct_total", "indirect_total", "indirect_seen",
+    "indirect_tracking", "dom_mod_sites",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +128,11 @@ def _top(counter: Counter, k: int) -> List[Tuple[str, int]]:
 class StudyAccumulator:
     """Order-independent aggregation state behind :class:`Study`.
 
-    ``add`` ingests one visit log; ``update`` merges another accumulator
-    in.  Both operations are associative and commutative with respect to
-    every result :class:`Study` derives, so shards can be aggregated in
-    any order (or in parallel) and merged at the end.
+    ``add_shard_batch`` ingests a batch of visits; ``update`` merges
+    another accumulator in.  Both operations are associative and
+    commutative with respect to every result :class:`Study` derives, so
+    shards can be aggregated in any order (or in parallel) and merged at
+    the end.
     """
 
     def __init__(self, entity_map: Optional[EntityMap] = None,
@@ -140,7 +145,8 @@ class StudyAccumulator:
         #: Global unique cookie pairs by creation API (script-set only).
         self.pairs_by_api: Dict[str, Set[CookiePair]] = {
             API_DOCUMENT_COOKIE: set(), API_COOKIE_STORE: set()}
-        # Integer counters feeding the §5 prevalence/usage sections.
+        # Integer counters feeding the §5 prevalence/usage sections;
+        # COUNTER_FIELDS lists them.
         self.n_logs = 0
         self.sites_with_tp = 0
         self.tp_script_total = 0          # Σ n_third_party_scripts
@@ -158,69 +164,12 @@ class StudyAccumulator:
         self.dom_mod_sites = 0
 
     # ------------------------------------------------------------------
-    def add(self, log: VisitLog) -> "StudyAccumulator":
-        """Ingest one visit log; returns ``self`` for chaining."""
-        ownership = build_ownership(log)
-        self.ownerships[log.site] = ownership
-        for name, api in ownership.apis.items():
-            if api in self.pairs_by_api:
-                pair = ownership.pair_of(name)
-                if pair is not None:
-                    self.pairs_by_api[api].add(pair)
-        self.exfil_events.extend(detect_exfiltration(log, ownership))
-        self.manipulations.extend(detect_manipulations(log, ownership))
-
-        self.n_logs += 1
-        if log.n_third_party_scripts > 0:
-            self.sites_with_tp += 1
-        self.tp_script_total += log.n_third_party_scripts
-        self.direct_total += log.n_direct_third_party
-        self.indirect_total += log.n_indirect_third_party
-        for script in log.scripts:
-            if script.domain is None or script.domain == log.site:
-                continue
-            blocked = bool(script.url) and self.filters.should_block_cached(
-                script.url, resource_type="script",
-                page_domain=log.site, is_third_party=True)
-            self.tp_scripts_seen += 1
-            if blocked:
-                self.tracking_hits += 1
-            if script.inclusion == "indirect":
-                self.indirect_seen += 1
-                if blocked:
-                    self.indirect_tracking += 1
-        apis = {w.api for w in log.cookie_writes} \
-            | {r.api for r in log.cookie_reads}
-        if API_DOCUMENT_COOKIE in apis:
-            self.doc_api_sites += 1
-        if API_COOKIE_STORE in apis:
-            self.store_api_sites += 1
-        for write in log.cookie_writes:
-            if write.kind in ("set", "overwrite"):
-                if write.api == API_COOKIE_STORE:
-                    self.store_name_counts[write.cookie_name] += 1
-                if write.script_domain is not None \
-                        and write.script_domain != log.site:
-                    self.tp_set_writes += 1
-                else:
-                    self.fp_set_writes += 1
-        if any(m.cross_script for m in log.dom_mutations):
-            self.dom_mod_sites += 1
-        return self
-
-    def add_all(self, logs: Union[Iterable[VisitLog], ShardBatch]
-                ) -> "StudyAccumulator":
-        """Ingest many logs at once, through the columnar batch path."""
-        if isinstance(logs, ShardBatch):
-            return self.add_shard_batch(logs)
-        return self.add_shard_batch(ShardBatch.from_logs(list(logs)))
-
     def add_shard_batch(self, batch: ShardBatch) -> "StudyAccumulator":
         """Ingest a whole :class:`~repro.analysis.columnar.ShardBatch`.
 
-        Exactly :meth:`add` applied to every log in the batch — same
-        state, same report output, pinned by the equivalence suite —
-        but each pass is a tight loop over the batch's columns.
+        Per visit: its ownership, exfiltration and manipulation events
+        from the :mod:`~repro.analysis.columnar` kernels, then the §5
+        counters, each pass a tight loop over the batch's columns.
         """
         should_block = self.filters.should_block_cached
         pairs_by_api = self.pairs_by_api
@@ -303,11 +252,7 @@ class StudyAccumulator:
         for api, pairs in other.pairs_by_api.items():
             self.pairs_by_api[api] |= pairs
         self.store_name_counts += other.store_name_counts
-        for name in ("n_logs", "sites_with_tp", "tp_script_total",
-                     "tp_scripts_seen", "tracking_hits", "tp_set_writes",
-                     "fp_set_writes", "doc_api_sites", "store_api_sites",
-                     "direct_total", "indirect_total", "indirect_seen",
-                     "indirect_tracking", "dom_mod_sites"):
+        for name in COUNTER_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
@@ -320,7 +265,7 @@ class StudyAccumulator:
 
         ``snapshot`` is a :class:`~repro.analysis.snapshot.StudySnapshot`
         or a path to one on disk.  The resumed accumulator is ready for
-        more ``add``/``add_shard_batch`` calls: *save → load → add the
+        more ``add_shard_batch`` calls: *save → load → add the
         remaining shards* yields byte-identical report output to a
         monolithic pass (``tests/test_snapshot.py`` pins this).
         """
@@ -328,27 +273,6 @@ class StudyAccumulator:
         if not isinstance(snapshot, StudySnapshot):
             snapshot = load_snapshot(snapshot)
         return snapshot.accumulator(entity_map, filter_list)
-
-    @classmethod
-    def merged(cls, accumulators: Iterable["StudyAccumulator"],
-               entity_map: Optional[EntityMap] = None,
-               filter_list: Optional[FilterList] = None) -> "StudyAccumulator":
-        """Merge accumulators into a new one.
-
-        When ``entity_map``/``filter_list`` are not given, the first
-        accumulator's maps are adopted — shard accumulators built with a
-        custom map would otherwise silently lose it in the merge (entity
-        attribution happens in the :class:`Study`, when it first builds
-        its tables).
-        """
-        accumulators = list(accumulators)
-        if accumulators:
-            entity_map = entity_map or accumulators[0].entities
-            filter_list = filter_list or accumulators[0].filters
-        out = cls(entity_map, filter_list)
-        for acc in accumulators:
-            out.update(acc)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +299,10 @@ class Study:
                  entity_map: Optional[EntityMap] = None,
                  filter_list: Optional[FilterList] = None,
                  accumulator: Optional[StudyAccumulator] = None):
-        if accumulator is not None:
-            self._acc = accumulator
-        else:
-            self._acc = StudyAccumulator(entity_map, filter_list)
-        self.logs = list(logs)
         if accumulator is None:
-            self._acc.add_all(self.logs)
+            accumulator = StudyAccumulator(entity_map, filter_list)
+            accumulator.add_shard_batch(ShardBatch.from_logs(logs))
+        self._acc = accumulator
 
     # Accumulator state doubles as the Study's public aggregate view.
     @property
@@ -418,29 +339,25 @@ class Study:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_accumulator(cls, accumulator: StudyAccumulator,
-                         logs: Sequence[VisitLog] = ()) -> "Study":
-        """Wrap already-aggregated state (``logs`` optional, for reuse)."""
-        return cls(logs, accumulator=accumulator)
+    def from_accumulator(cls, accumulator: StudyAccumulator) -> "Study":
+        """Wrap already-aggregated state."""
+        return cls(accumulator=accumulator)
 
     @classmethod
     def from_shards(cls,
                     shards: Iterable[Union[Sequence[VisitLog],
                                            StudyAccumulator, ShardBatch]],
                     entity_map: Optional[EntityMap] = None,
-                    filter_list: Optional[FilterList] = None,
-                    keep_logs: bool = True) -> "Study":
+                    filter_list: Optional[FilterList] = None) -> "Study":
         """Build a study from per-shard log lists, batches, or accumulators.
 
         The result is identical to ``Study(concatenated_logs)`` for every
         table/figure/section accessor, for *any* partition of the logs
-        into shards and any shard order.  Pass ``keep_logs=False`` (or
-        pre-built accumulators, or :class:`ShardBatch` shards with
-        ``keep_logs=False``) to avoid retaining raw logs in memory.
+        into shards and any shard order.  Shards must not share sites.
 
-        Like :meth:`StudyAccumulator.merged`, omitted ``entity_map``/
-        ``filter_list`` are adopted from the first accumulator shard, so
-        shards built with custom maps keep them through the merge.
+        Omitted ``entity_map``/``filter_list`` are adopted from the first
+        accumulator shard, so shards built with custom maps keep them
+        through the merge.
         """
         shards = list(shards)
         if entity_map is None or filter_list is None:
@@ -450,34 +367,14 @@ class Study:
                     filter_list = filter_list or shard.filters
                     break
         acc = StudyAccumulator(entity_map, filter_list)
-        kept: List[VisitLog] = []
         for shard in shards:
-            if isinstance(shard, StudyAccumulator):
-                acc.update(shard)
-                continue
-            part = StudyAccumulator(entity_map, filter_list)
-            if isinstance(shard, ShardBatch):
-                part.add_shard_batch(shard)
-                acc.update(part)
-                if keep_logs:
-                    kept.extend(shard.logs())
-            else:
-                shard_logs = list(shard)
-                part.add_all(shard_logs)
-                acc.update(part)
-                if keep_logs:
-                    kept.extend(shard_logs)
-        kept.sort(key=lambda log: (log.rank, log.site))
-        return cls.from_accumulator(acc, kept)
-
-    def merge(self, other: "Study") -> "Study":
-        """A new study equal to one built over both studies' inputs."""
-        acc = StudyAccumulator(self._acc.entities, self._acc.filters)
-        acc.update(self._acc)
-        acc.update(other._acc)
-        logs = sorted(self.logs + other.logs,
-                      key=lambda log: (log.rank, log.site))
-        return Study.from_accumulator(acc, logs)
+            if not isinstance(shard, StudyAccumulator):
+                if not isinstance(shard, ShardBatch):
+                    shard = ShardBatch.from_logs(shard)
+                shard = StudyAccumulator(entity_map, filter_list) \
+                    .add_shard_batch(shard)
+            acc.update(shard)
+        return cls.from_accumulator(acc)
 
     # ------------------------------------------------------------------
     def report(self) -> Dict[str, object]:

@@ -40,7 +40,7 @@ from .columnar import iter_shard_batches
 from .entities import EntityMap
 from .exfiltration import ExfilEvent
 from .filterlists import FilterList
-from .reports import Study, StudyAccumulator
+from .reports import COUNTER_FIELDS, Study, StudyAccumulator
 
 __all__ = [
     "SNAPSHOT_VERSION",
@@ -61,14 +61,6 @@ __all__ = [
 #: accumulator state changes shape; a mismatched file is refused with a
 #: clear "re-analyze" message rather than silently misread.
 SNAPSHOT_VERSION = 1
-
-#: The counters ``StudyAccumulator.update`` sums — the serialized set.
-_COUNTER_FIELDS = (
-    "n_logs", "sites_with_tp", "tp_script_total", "tp_scripts_seen",
-    "tracking_hits", "tp_set_writes", "fp_set_writes", "doc_api_sites",
-    "store_api_sites", "direct_total", "indirect_total", "indirect_seen",
-    "indirect_tracking", "dom_mod_sites",
-)
 
 
 class SnapshotError(ValueError):
@@ -92,8 +84,9 @@ def accumulator_state(acc: StudyAccumulator) -> Dict:
     for site, own in acc.ownerships.items():
         ownerships[site] = {
             "creators": dict(own.creators),
-            # Value order is first-seen order and feeds IdentifierIndex
-            # candidates at ingest time only; it is preserved verbatim.
+            # Value order is first-seen order and breaks the identifier
+            # index's collision ties at ingest time only; it is
+            # preserved verbatim.
             "values": {name: list(vals) for name, vals in own.values.items()},
             "channels": dict(own.channels),
             "apis": dict(own.apis),
@@ -107,7 +100,7 @@ def accumulator_state(acc: StudyAccumulator) -> Dict:
          m.inclusion, list(m.attrs_changed)]
         for m in acc.manipulations)
     return {
-        "counters": {name: getattr(acc, name) for name in _COUNTER_FIELDS},
+        "counters": {name: getattr(acc, name) for name in COUNTER_FIELDS},
         "ownerships": ownerships,
         "exfil_events": exfil,
         "manipulations": manip,
@@ -131,7 +124,7 @@ def state_accumulator(state: Dict,
     """
     acc = StudyAccumulator(entity_map, filter_list)
     try:
-        for name in _COUNTER_FIELDS:
+        for name in COUNTER_FIELDS:
             setattr(acc, name, int(state["counters"][name]))
         for site, own in state["ownerships"].items():
             acc.ownerships[site] = SiteOwnership(

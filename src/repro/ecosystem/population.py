@@ -523,7 +523,9 @@ def _generate_site(rng, rank, domain, config, services,
 
     # Functional cross-domain dependencies (Table 3's functionality rows).
     deps: List[FunctionalDep] = []
-    ad_services = [k for k in chosen
+    # Sorted: a set's order follows the per-process string-hash salt,
+    # and the first two picks become a dependency's reader and creator.
+    ad_services = [k for k in sorted(chosen)
                    if services[k].archetype == "ad_exchange"]
     if domain == "facebook.com":
         direct.append("fbcdn-widget")
@@ -538,7 +540,7 @@ def _generate_site(rng, rank, domain, config, services,
                 cookie_name=(services[ad_services[1]].cookies[0].name
                              if services[ad_services[1]].cookies else "ad-id"),
                 severity="minor"))
-        widget_services = [k for k in chosen
+        widget_services = [k for k in sorted(chosen)
                            if services[k].category == "widget"]
         if widget_services and rng.random() < config.p_widget_dep:
             deps.append(FunctionalDep(

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..analysis.attribution import detect_manipulations
-from ..analysis.exfiltration import detect_exfiltration
+from ..analysis.reports import Study
 from ..cookieguard.policy import PolicyConfig
 from ..crawler.crawler import CrawlConfig, Crawler
 from ..ecosystem.population import Population
@@ -59,14 +58,13 @@ class AccessControlEvaluation:
 
 
 def _site_action_rates(logs: Sequence[VisitLog]) -> Dict[str, float]:
-    n = max(len(logs), 1)
-    sites = {"overwriting": set(), "deleting": set(), "exfiltration": set()}
-    for log in logs:
-        for action in detect_manipulations(log):
-            key = "overwriting" if action.kind == "overwrite" else "deleting"
-            sites[key].add(log.site)
-        if detect_exfiltration(log):
-            sites["exfiltration"].add(log.site)
+    study = Study(logs)
+    n = max(study.n_sites, 1)
+    sites = {"overwriting": set(), "deleting": set(),
+             "exfiltration": {event.site for event in study.exfil_events}}
+    for action in study.manipulations:
+        key = "overwriting" if action.kind == "overwrite" else "deleting"
+        sites[key].add(action.site)
     return {key: 100.0 * len(value) / n for key, value in sites.items()}
 
 

@@ -1,12 +1,12 @@
-"""Ownership index and cross-domain manipulation detection (§4.4)."""
+"""Ownership index and cross-domain manipulation detection (§4.4).
+
+Each case runs one hand-written visit log through ``Study``, the
+production path (the columnar kernels).
+"""
 
 import pytest
 
-from repro.analysis.attribution import (
-    CookiePair,
-    build_ownership,
-    detect_manipulations,
-)
+from repro.analysis import Study
 from repro.records import CookieWriteEvent, HeaderCookieEvent, VisitLog
 
 SITE = "site.com"
@@ -34,6 +34,14 @@ def log_with(writes=(), headers=()):
     log.cookie_writes.extend(writes)
     log.header_cookies.extend(headers)
     return log
+
+
+def build_ownership(log):
+    return Study([log]).ownerships[log.site]
+
+
+def detect_manipulations(log):
+    return Study([log]).manipulations
 
 
 class TestOwnership:
@@ -75,13 +83,6 @@ class TestOwnership:
     def test_delete_does_not_create_ownership(self):
         log = log_with(writes=[write("ghost", kind="delete")])
         assert "ghost" not in build_ownership(log).creators
-
-    def test_pair_helpers(self):
-        log = log_with(writes=[write("_ga", domain="gtm.com")])
-        ownership = build_ownership(log)
-        assert ownership.pair_of("_ga") == CookiePair("_ga", "gtm.com")
-        assert ownership.pair_of("missing") is None
-        assert ownership.all_pairs() == [CookiePair("_ga", "gtm.com")]
 
 
 class TestManipulationDetection:

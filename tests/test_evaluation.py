@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.evaluation.access_control import evaluate_access_control
+from repro.analysis import Study
+from repro.evaluation.access_control import (Figure5Row,
+                                             evaluate_access_control)
 from repro.evaluation.breakage import CATEGORIES, evaluate_breakage
 from repro.evaluation.dompilot import evaluate_dom_pilot
 from repro.evaluation.performance import (
@@ -12,6 +14,7 @@ from repro.evaluation.performance import (
     paired_timings_from_logs,
 )
 from repro.stats.boxplot import BoxplotStats
+import analysis_oracle
 
 
 @pytest.fixture(scope="module")
@@ -33,17 +36,37 @@ class TestFigure5:
         # The guard's residual comes from first-party scripts: verify the
         # guarded crawl's remaining cross-domain actors are the sites
         # themselves.
-        from repro.analysis.attribution import detect_manipulations
-        for log in access_eval.guarded_logs:
-            for action in detect_manipulations(log):
-                assert action.actor == log.site
+        for action in Study(access_eval.guarded_logs).manipulations:
+            assert action.actor == action.site
+
+    def test_rows_match_per_log_oracle(self, access_eval):
+        """Every Figure 5 number, recomputed one log at a time by the
+        test oracle, equals the row ``Study`` gave."""
+        def rates(logs):
+            sites = {"overwriting": set(), "deleting": set(),
+                     "exfiltration": set()}
+            for log in logs:
+                for action in analysis_oracle.detect_manipulations(log):
+                    key = ("overwriting" if action.kind == "overwrite"
+                           else "deleting")
+                    sites[key].add(log.site)
+                if analysis_oracle.detect_exfiltration(log):
+                    sites["exfiltration"].add(log.site)
+            n = max(len(logs), 1)
+            return {key: 100.0 * len(value) / n
+                    for key, value in sites.items()}
+
+        regular = rates(access_eval.regular_logs)
+        guarded = rates(access_eval.guarded_logs)
+        assert access_eval.rows == [
+            Figure5Row(action, regular[action], guarded[action])
+            for action in ("overwriting", "deleting", "exfiltration")]
 
     def test_render(self, access_eval):
         text = access_eval.render()
         assert "overwriting" in text and "reduction" in text
 
     def test_zero_regular_gives_zero_reduction(self):
-        from repro.evaluation.access_control import Figure5Row
         assert Figure5Row("x", 0.0, 0.0).reduction_pct == 0.0
 
 

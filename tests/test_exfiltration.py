@@ -1,12 +1,15 @@
-"""Exfiltration detection (§4.4's identifier pipeline)."""
+"""Exfiltration detection (§4.4's identifier pipeline).
+
+Each detection case runs one hand-written visit log through ``Study``,
+the production path (the columnar kernels).
+"""
 
 import pytest
 
-from repro.analysis.attribution import build_ownership
+from repro.analysis import Study
+from repro.analysis.columnar import _identifier_index
 from repro.analysis.exfiltration import (
     MIN_IDENTIFIER_LENGTH,
-    IdentifierIndex,
-    detect_exfiltration,
     split_candidates,
 )
 from repro.encoding import b64, md5_hex, sha1_hex
@@ -36,6 +39,14 @@ def log_with(writes=(), requests=()):
     log.cookie_writes.extend(writes)
     log.requests.extend(requests)
     return log
+
+
+def detect_exfiltration(log):
+    return Study([log]).exfil_events
+
+
+def identifier_index(log):
+    return _identifier_index(Study([log]).ownerships[log.site])
 
 
 class TestSplitCandidates:
@@ -101,14 +112,6 @@ class TestDetection:
             requests=[request("cid=444332364", script_domain="ga.com")])
         assert detect_exfiltration(log) == []
 
-    def test_same_domain_included_on_request(self):
-        log = log_with(
-            writes=[write("_ga", "GA1.1.444332364.1746838827", "ga.com")],
-            requests=[request("cid=444332364", script_domain="ga.com")])
-        events = detect_exfiltration(log, include_same_domain=True)
-        assert len(events) == 1
-        assert not events[0].cross_domain
-
     def test_post_body_inspected(self):
         log = log_with(
             writes=[write("tok", "secretvalue42x", "owner.com")],
@@ -171,11 +174,11 @@ class TestIdentifierIndex:
     def test_index_size(self):
         log = log_with(writes=[write("_ga", "GA1.1.444332364.1746838827",
                                      "gtm.com")])
-        index = IdentifierIndex(build_ownership(log))
+        index = identifier_index(log)
         # Two candidate segments × 4 encoded forms.
         assert len(index) == 8
 
     def test_lookup_miss(self):
         log = log_with(writes=[write("c", "longidentifier1", "a.com")])
-        index = IdentifierIndex(build_ownership(log))
-        assert index.lookup("notthere12345") is None
+        index = identifier_index(log)
+        assert index.get("notthere12345") is None

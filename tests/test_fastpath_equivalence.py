@@ -16,9 +16,9 @@ inputs:
   fixture byte-for-byte against a line-at-a-time reference;
 * ``ShardKeyFactory`` keys == the original whole-payload hash;
 * the columnar analysis pipeline (``ShardBatch`` + batch report
-  passes) == the per-log object path, down to the report bytes, over
-  randomly seeded crawled populations — and batch-built accumulators
-  merge associatively.
+  passes) == the per-log oracle in ``tests/analysis_oracle.py``, down
+  to the report bytes, over randomly seeded crawled populations — and
+  batch-built accumulators merge associatively.
 
 Randomness is seeded — failures reproduce.
 """
@@ -42,6 +42,7 @@ from repro.crawler.storage import (ShardManifest, compute_digest,
 from repro.net.psl import DEFAULT_PSL, PublicSuffixList
 from repro.net.url import URL, parse_url
 from repro.records import VisitLog
+from analysis_oracle import object_path_study
 
 GOLDEN = Path(__file__).parent / "data" / "golden_visitlog.json"
 
@@ -594,17 +595,9 @@ def _report_blob(study) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _object_path_study(logs):
-    """The pre-PR7 reference: one ``StudyAccumulator.add`` per log."""
-    from repro.analysis.reports import Study, StudyAccumulator
-    acc = StudyAccumulator()
-    for log in logs:
-        acc.add(log)
-    return Study.from_accumulator(acc)
-
-
 class TestColumnarEquivalence:
-    """``ShardBatch`` analysis == per-log object analysis, byte for byte."""
+    """``ShardBatch`` analysis == ``tests/analysis_oracle.py``, byte for
+    byte."""
 
     def _crawled(self, seed: int, n_sites: int = 40):
         from repro.crawler import CrawlConfig, Crawler
@@ -619,7 +612,7 @@ class TestColumnarEquivalence:
         from repro.analysis.columnar import ShardBatch
         from repro.analysis.reports import Study, StudyAccumulator
         logs = self._crawled(seed)
-        reference = _report_blob(_object_path_study(logs))
+        reference = _report_blob(object_path_study(logs))
         # Path 1: Study(logs) — routes through ShardBatch.from_logs.
         assert _report_blob(Study(logs)) == reference
         # Path 2: an explicit batch fed whole to an accumulator.
@@ -638,7 +631,7 @@ class TestColumnarEquivalence:
         for batch in iter_shard_batches(tmp_path):
             acc.add_shard_batch(batch)
         assert _report_blob(Study.from_accumulator(acc)) == \
-            _report_blob(_object_path_study(logs))
+            _report_blob(object_path_study(logs))
 
     def test_batch_object_view_round_trips(self, crawl_logs):
         """``ShardBatch.logs()`` rebuilds the exact VisitLog dicts."""
@@ -698,7 +691,7 @@ class TestColumnarEquivalence:
         from v2_oracle import from_dicts
         entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
         logs = [VisitLog.from_dict(e) for e in entries]
-        reference = _report_blob(_object_path_study(logs))
+        reference = _report_blob(object_path_study(logs))
         assert _report_blob(Study(logs)) == reference
         # The v2 decode loop: straight off the JSON entries.
         acc = StudyAccumulator()

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import Study, detect_exfiltration, detect_manipulations
-from repro.analysis.attribution import build_ownership
+from repro.analysis import Study
 from repro.browser.browser import Browser
 from repro.browser.scripts import Script
 from repro.cookieguard.guard import CookieGuardExtension
@@ -13,6 +12,10 @@ from repro.ecosystem import PopulationConfig, generate_population
 from repro.ecosystem.behaviors import build_behavior
 from repro.ecosystem.catalog import service_index
 from repro.extension.instrumentation import InstrumentationExtension
+
+
+def exfiltration_of(log):
+    return Study([log]).exfil_events
 
 
 def crawl_single(site_spec, population, guard=False):
@@ -35,11 +38,11 @@ class TestOptimonkCaseStudy:
         return crawler.visit_site(site)
 
     def test_ga_created_by_gtm(self, log):
-        ownership = build_ownership(log)
+        ownership = Study([log]).ownerships[log.site]
         assert ownership.creators.get("_ga") == "googletagmanager.com"
 
     def test_linkedin_exfiltrates_ga_base64(self, log):
-        events = [e for e in detect_exfiltration(log)
+        events = [e for e in exfiltration_of(log)
                   if e.actor == "licdn.com" and e.pair.name == "_ga"]
         assert events
         assert any(e.matched_form == "b64" for e in events)
@@ -61,10 +64,11 @@ class TestGoosecreekCaseStudy:
         return Crawler(population, CrawlConfig(seed=2025)).visit_site(site)
 
     def test_fbp_created_by_facebook(self, log):
-        assert build_ownership(log).creators.get("_fbp") == "facebook.net"
+        ownership = Study([log]).ownerships[log.site]
+        assert ownership.creators.get("_fbp") == "facebook.net"
 
     def test_osano_sends_fbp_to_criteo(self, log):
-        events = [e for e in detect_exfiltration(log)
+        events = [e for e in exfiltration_of(log)
                   if e.actor == "osano.com" and e.pair.name == "_fbp"]
         assert events
         assert any("criteo" in e.destination for e in events)
@@ -87,7 +91,7 @@ class TestCtoBundleCaseStudy:
             Script.external(pubmatic.script_url,
                             behavior=build_behavior(pubmatic))])
         log = inst.log_for(page)
-        actions = [a for a in detect_manipulations(log)
+        actions = [a for a in Study([log]).manipulations
                    if a.pair.name == "cto_bundle"]
         assert actions
         assert actions[0].actor == "pubmatic.com"
@@ -99,9 +103,9 @@ class TestGuardEndToEnd:
         site = [s for s in population.sites if s.domain == "optimonk.com"][0]
         regular = crawl_single(site, population, guard=False)
         guarded = crawl_single(site, population, guard=True)
-        regular_thefts = [e for e in detect_exfiltration(regular)
+        regular_thefts = [e for e in exfiltration_of(regular)
                           if e.actor == "licdn.com"]
-        guarded_thefts = [e for e in detect_exfiltration(guarded)
+        guarded_thefts = [e for e in exfiltration_of(guarded)
                           if e.actor == "licdn.com"]
         assert regular_thefts
         assert not guarded_thefts

@@ -10,8 +10,12 @@ O(shard) memory — the population never materializes behind your back.
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +120,28 @@ class TestRankDeterminism:
         assert view[0] == wanted[0]
         assert view[-1] == wanted[-1]
         assert view[:5] == wanted[:5]
+
+
+class TestHashSeedIndependence:
+    def test_sites_identical_under_any_hash_seed(self):
+        """Synthesis must not follow the per-process string-hash salt:
+        iterating a set of service keys into a site's functional
+        dependencies once made Table 3 vary with PYTHONHASHSEED."""
+        script = (
+            "import hashlib\n"
+            "from repro.ecosystem import PopulationConfig, "
+            "generate_population\n"
+            f"pop = generate_population(PopulationConfig(n_sites=400, "
+            f"seed={SEED}))\n"
+            "text = '\\n'.join(repr(pop.site(r)) for r in pop.ranks)\n"
+            "print(hashlib.sha256(text.encode()).hexdigest())\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = {subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src,
+                             "PYTHONHASHSEED": hash_seed}).stdout
+            for hash_seed in ("0", "26", "424242")}
+        assert len(digests) == 1, digests
 
 
 class TestMemoryDiscipline:

