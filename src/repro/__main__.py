@@ -7,9 +7,9 @@ crawl [N] [OUT] [--jobs J] [--shards S] [--gzip] [--progress]
       [--task-timeout S] [--store-retries N] [--store-backoff S]
     crawl N sites (default 2000) through the crawl coordinator and
     save the raw visit logs.  OUT (default ``crawl``) is always a
-    sharded directory: ``shard-NNNN.jsonl[.gz]`` files with their
-    sidecar indexes, a digest-pinned ``manifest.json``, and the durable
-    work-queue ``queue.jsonl``.  A re-run into the same OUT resumes
+    sharded directory: ``shard-NNNN.jsonl[.gz]`` files, a
+    digest-pinned ``manifest.json``, and the durable work-queue
+    ``queue.jsonl``.  A re-run into the same OUT resumes
     from ``queue.jsonl``: finished shards are re-verified and kept,
     lost ones are re-crawled.  A re-run that changes N, ``--shards``
     or ``--gzip`` is refused (exit 1) rather than mixing shard
@@ -42,8 +42,9 @@ serve [ROOT] [--host H] [--port P]
     crawl directories under ROOT (default ``studies``; a ROOT that is
     itself a crawl directory serves as a single study).  Endpoints:
     ``/studies``, ``/studies/<id>``, ``/studies/<id>/shards``,
-    ``/studies/<id>/sites/<rank>`` (seek via sidecar indexes), and
-    parameterized ``/studies/<id>/reports/<name>`` queries.  Every
+    ``/studies/<id>/sites/<rank>`` (one row group read through an
+    in-memory shard index), and parameterized
+    ``/studies/<id>/reports/<name>`` queries.  Every
     response carries a digest-derived strong ETag and honors
     ``If-None-Match`` with 304
 store-serve [ROOT] [--host H] [--port P] [--verbose]
@@ -53,11 +54,6 @@ store-serve [ROOT] [--host H] [--port P] [--verbose]
     shards through one cluster-wide content-addressed store.
     ``/healthz`` reports liveness; ``/readyz`` reports readiness (the
     root is writable, so uploads will land)
-index-shards DIR [DIR ...] [--force]
-    backfill sidecar seek indexes (``shard-NNNN.index.json``) for
-    existing sharded crawl directories, replacing missing, stale and
-    older-version sidecars; shard bytes, digests, and manifests are
-    untouched.  ``--force`` rewrites valid sidecars too
 
 Options
 -------
@@ -286,20 +282,6 @@ def _run_store_serve(args: List[str]) -> None:
     serve_store(root, host=host, port=port, verbose=verbose)
 
 
-def _run_index_shards(args: List[str]) -> None:
-    """Backfill sidecar seek indexes for sharded crawl directories."""
-    force = pop_switch(args, "--force")
-    reject_unknown_flags(args)
-    if not args:
-        print("index-shards needs at least one crawl directory")
-        raise SystemExit(2)
-    from .crawler import build_shard_indexes
-    for directory in args:
-        result = build_shard_indexes(directory, force=force)
-        print(f"{directory}: {result.built} indexed, "
-              f"{result.up_to_date} up-to-date")
-
-
 def main(argv=None) -> None:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv:
@@ -316,8 +298,6 @@ def main(argv=None) -> None:
         _run_serve(args)
     elif command == "store-serve":
         _run_store_serve(args)
-    elif command == "index-shards":
-        _run_index_shards(args)
     else:
         _usage()
 

@@ -35,7 +35,8 @@ Ways into a batch:
   (what ``Study(logs)`` and the shard writer route through);
 * :func:`iter_shard_batches` — stream a dataset's row groups;
 * :func:`repro.crawler.storage.locate_site` — the row group holding
-  one site, and the site's row in it, through the sidecar indexes.
+  one site, and the site's row in it, through the shard indexes
+  :func:`repro.crawler.storage.load_shard_index` builds.
 
 The object API stays available as a thin view: :meth:`ShardBatch.log`
 rebuilds one ``VisitLog`` on demand and :meth:`ShardBatch.logs` a whole

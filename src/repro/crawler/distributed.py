@@ -78,9 +78,7 @@ from .crawler import CrawlConfig, Crawler, config_fingerprint
 from .parallel import CrawlProgress, Shard, ShardPlan, derive_shard_config
 from .storage import (ManifestError, SHARD_FORMAT_VERSION,
                       ShardManifest, ShardWriteResult, compute_digest,
-                      index_filename, load_shard_index, shard_filename,
-                      shard_index_from_bytes, shard_index_to_bytes,
-                      verify_shard_files, write_shard, write_shard_index)
+                      shard_filename, verify_shard_files, write_shard)
 from .storebackends import (META_NAME, HTTPStoreBackend, InMemoryBackend,
                             LocalDirectoryBackend, ShardStoreBackend,
                             StoreBackendError)
@@ -1154,26 +1152,15 @@ class ShardStore:
         out_dir.mkdir(parents=True, exist_ok=True)
         name = shard_filename(index, compress)
         (out_dir / name).write_bytes(data)
-        # Rematerialize the sidecar rank→offset index under the target
-        # shard name, so a cache-served dataset is just as seekable as a
-        # freshly crawled one.  Entries cached before indexes existed
-        # simply lack one — read_site's scan fallback covers that.
-        cached_index = shard_index_from_bytes(
-            backend.get(key, index_filename(data_name)), data_name)
-        if cached_index is not None and cached_index.sha256 == recorded:
-            write_shard_index(out_dir / index_filename(name),
-                              dataclasses.replace(cached_index, file=name))
         return ShardWriteResult(name=name, count=count, sha256=recorded)
 
     def put(self, key: str, shard_path: Union[str, Path], count: int,
             compress: bool, sha256: Optional[str] = None) -> None:
         """Insert a crawled shard file under ``key`` (idempotent).
 
-        When the shard carries a sidecar rank→offset index, the index
-        rides along (stored under the entry's canonical data name) so a
-        later :meth:`fetch` can rematerialize it without re-parsing the
-        shard.  All blobs go to the backend in one call, meta last.  In
-        degraded mode an unreachable backend spills the entry to the
+        The entry is the shard under its canonical data name plus
+        ``meta.json``; both go to the backend in one call, meta last.
+        In degraded mode an unreachable backend spills the entry to the
         overflow directory instead of failing the crawl.
         """
         shard_path = Path(shard_path)
@@ -1181,10 +1168,6 @@ class ShardStore:
         data = shard_path.read_bytes()
         digest = sha256 or hashlib.sha256(data).hexdigest()
         blobs: Dict[str, bytes] = {data_name: data}
-        source_index = load_shard_index(shard_path.parent, shard_path.name)
-        if source_index is not None and source_index.sha256 == digest:
-            blobs[index_filename(data_name)] = shard_index_to_bytes(
-                dataclasses.replace(source_index, file=data_name))
         meta = {"key": key, "file": data_name, "count": int(count),
                 "compress": bool(compress), "sha256": digest}
         blobs[META_NAME] = (json.dumps(meta, sort_keys=True, indent=2)

@@ -31,18 +31,16 @@ and a shard listed in a manifest must hold the manifest's count and
 hash to its recorded digest, or the read fails with
 :class:`ManifestError` naming the shard.
 
-Sharded writes also emit a **sidecar index** per shard
-(``shard-NNNN.index.json``): for each rank, the on-disk byte offset and
-length of its row group and its row in the group, plus the shard
-file's SHA-256 so a stale sidecar (shard rewritten without its index)
-is detected and ignored (:func:`load_shard_index` given the shard's
-digest).  :func:`locate_site` uses the sidecars to find a single site
-by reading and decoding one row group — the lookup primitive under
-:func:`read_site` and the :mod:`repro.serve` HTTP catalog — falling
-back to a scan over the shard's groups when no usable sidecar exists
-(:func:`build_shard_indexes` backfills them in one shot).  The sidecar
-is derived data: shard bytes, digests, and :data:`SHARD_FORMAT_VERSION`
-are untouched by its existence.
+A single-site lookup (:func:`locate_site`, under :func:`read_site` and
+the :mod:`repro.serve` HTTP catalog) reads and decodes the one row
+group holding the site.  It finds the group through a
+:class:`ShardIndex` — for each rank, the on-disk byte offset and length
+of its row group and its row in the group — which
+:func:`load_shard_index` builds by reading the shard through the same
+checked reader, so an index exists only for bytes that passed the
+shard's digest and count checks.  Indexes live in memory, for as long
+as their caller keeps them; nothing but the shards and the manifest is
+ever written.
 """
 
 from __future__ import annotations
@@ -53,9 +51,10 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List,
-                    NamedTuple, Optional, Sequence, Tuple, Union)
+                    Optional, Sequence, Tuple, Union)
 
 from ..faults import InjectedFault, maybe_fire
 from .logs import VisitLog
@@ -64,26 +63,19 @@ if TYPE_CHECKING:   # the codec imports this package; import it lazily
     from ..analysis.columnar import ShardBatch
 
 __all__ = [
-    "CrawlDataset",
-    "IndexBuildResult",
     "ManifestError",
     "ROW_GROUP_VISITS",
     "SHARD_FORMAT_VERSION",
-    "SHARD_INDEX_VERSION",
     "ShardIndex",
     "ShardManifest",
     "ShardWriteResult",
-    "build_shard_indexes",
     "compute_digest",
     "dataset_digests",
-    "index_filename",
     "iter_logs",
     "load_logs",
     "load_shard",
     "load_shard_index",
     "locate_site",
-    "shard_index_from_bytes",
-    "shard_index_to_bytes",
     "read_site",
     "save_logs",
     "shard_filename",
@@ -95,12 +87,6 @@ MANIFEST_NAME = "manifest.json"
 #: Version 2 describes a format-v3 (row-group) dataset.  Version 1
 #: manifests describe JSON-lines shards, which no reader here decodes.
 MANIFEST_VERSION = 2
-
-#: Version of the sidecar ``*.index.json`` format.  Independent of the
-#: shard byte format: the sidecar is derived data and never enters
-#: digests, cache keys, or the golden fixture.  Version 2 points each
-#: rank at a row group (offset, length) and a row within it.
-SHARD_INDEX_VERSION = 2
 
 #: Version of the shard *byte* format.  Bumped whenever the serializer
 #: changes the bytes it emits for the same logs (v2: compact JSON
@@ -164,21 +150,6 @@ def _is_gzip(name: str) -> bool:
 
 def shard_filename(index: int, compress: bool = False) -> str:
     return f"shard-{index:04d}.jsonl" + (".gz" if compress else "")
-
-
-def index_filename(shard_name: str) -> str:
-    """Sidecar index name for a shard file name.
-
-    ``shard-0003.jsonl`` and ``shard-0003.jsonl.gz`` both map to
-    ``shard-0003.index.json``; the sidecar itself names the file it
-    describes.
-    """
-    base = shard_name
-    if base.endswith(".gz"):
-        base = base[:-len(".gz")]
-    if base.endswith(".jsonl"):
-        base = base[:-len(".jsonl")]
-    return base + ".index.json"
 
 
 # ---------------------------------------------------------------------------
@@ -328,34 +299,22 @@ def _gzip_member(data: bytes) -> bytes:
                                  len(data) & 0xFFFFFFFF)))
 
 
-def _write_shard(logs: Iterable[VisitLog], path: Path,
-                 index_path: Optional[Path] = None) -> ShardWriteResult:
+def _write_shard(logs: Iterable[VisitLog], path: Path) -> ShardWriteResult:
     """Stream logs to ``path`` as row groups; returns count + digest.
 
     Logs are encoded :data:`ROW_GROUP_VISITS` at a time, so memory
     stays O(group).  The on-disk bytes are digested as they are
-    written (no read-back pass).  With ``index_path``, a sidecar
-    rank → (group offset, group length, row) index is written
-    alongside; the shard bytes are identical with or without it.
+    written (no read-back pass).
     """
     from ..analysis.columnar import ShardBatch, encode_row_group
     compress = _is_gzip(path.name)
     sha = hashlib.sha256()
-    ranks: List[int] = []
-    offsets: List[int] = []
-    lengths: List[int] = []
-    rows: List[int] = []
     count = 0
     with open(path, "wb") as out:
         def flush(chunk: List[VisitLog]) -> None:
-            batch = ShardBatch.from_logs(chunk)
-            group = encode_row_group(batch)
+            group = encode_row_group(ShardBatch.from_logs(chunk))
             if compress:
                 group = _gzip_member(group)
-            ranks.extend(batch.ranks)
-            offsets.extend([out.tell()] * len(chunk))
-            lengths.extend([len(group)] * len(chunk))
-            rows.extend(range(len(chunk)))
             out.write(group)
             sha.update(group)
 
@@ -368,12 +327,8 @@ def _write_shard(logs: Iterable[VisitLog], path: Path,
                 chunk = []
         if chunk or not count:
             flush(chunk)
-    digest = sha.hexdigest()
-    if index_path is not None:
-        write_shard_index(index_path, ShardIndex(
-            file=path.name, count=count, sha256=digest, ranks=ranks,
-            offsets=offsets, lengths=lengths, rows=rows))
-    return ShardWriteResult(name=path.name, count=count, sha256=digest)
+    return ShardWriteResult(name=path.name, count=count,
+                            sha256=sha.hexdigest())
 
 
 def write_shard(logs: Iterable[VisitLog], directory: Union[str, Path],
@@ -384,14 +339,11 @@ def write_shard(logs: Iterable[VisitLog], directory: Union[str, Path],
     the coordinator assembles and saves the :class:`ShardManifest` from
     the returned digests afterwards.  Gzip output is deterministic
     (zeroed header), so the digest is a pure function of the logs.
-    Every shard gets a sidecar index (see :func:`read_site`); the
-    shard bytes themselves are unaffected.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     name = shard_filename(index, compress)
-    result = _write_shard(logs, directory / name,
-                          index_path=directory / index_filename(name))
+    result = _write_shard(logs, directory / name)
     point = maybe_fire("storage.write_shard", scope=str(index))
     if point is not None and point.kind == "torn":
         # Simulate a crash mid-write: truncate the freshly written
@@ -493,20 +445,21 @@ def _read_shard_bytes(path: Path, label: str,
     return data
 
 
-def _file_batches(path: Path, label: str, count: Optional[int] = None,
-                  sha256: Optional[str] = None) -> Iterator[ShardBatch]:
-    """The one shard reader: a batch per row group of one file, its
-    digest checked before the first and its row count after the last."""
+def _file_groups(path: Path, label: str, count: Optional[int] = None,
+                 sha256: Optional[str] = None
+                 ) -> Iterator[Tuple[int, int, ShardBatch]]:
+    """The one shard reader: (on-disk offset, on-disk length, batch) per
+    row group of one file, its digest checked before the first group
+    and its row count after the last."""
     from ..analysis.columnar import RowGroupError, decode_row_group
     data = _read_shard_bytes(path, label, sha256)
     layout = "gzip" if _is_gzip(path.name) else "plain"
     seen = 0
     try:
-        for _offset, _length, group in _row_groups(data, layout == "gzip"):
+        for offset, length, group in _row_groups(data, layout == "gzip"):
             batch = decode_row_group(group)
             seen += len(batch)
-            if len(batch):
-                yield batch
+            yield offset, length, batch
     except RowGroupError as exc:
         raise ManifestError(f"{label} is not a readable {layout} "
                             f"row-group shard: {exc}") from exc
@@ -515,12 +468,13 @@ def _file_batches(path: Path, label: str, count: Optional[int] = None,
                             f"manifest says {count}")
 
 
-def _shard_batches(directory: Path, manifest: ShardManifest, pos: int,
-                   sha256: Optional[str] = None) -> Iterator[ShardBatch]:
+def _shard_groups(directory: Path, manifest: ShardManifest, pos: int,
+                  sha256: Optional[str] = None
+                  ) -> Iterator[Tuple[int, int, ShardBatch]]:
     name = manifest.files[pos]
-    return _file_batches(directory / name, f"shard {pos} ({name})",
-                         manifest.counts[pos],
-                         sha256 or manifest.digest_for(pos))
+    return _file_groups(directory / name, f"shard {pos} ({name})",
+                        manifest.counts[pos],
+                        sha256 or manifest.digest_for(pos))
 
 
 def _iter_batches(path: Union[str, Path], *, shard: Optional[int] = None,
@@ -532,17 +486,21 @@ def _iter_batches(path: Union[str, Path], *, shard: Optional[int] = None,
         if shard is not None:
             raise ManifestError(f"{path} is a single shard file, not a "
                                 f"sharded directory")
-        yield from _file_batches(path, f"dataset file {path}", sha256=sha256)
-        return
-    manifest = ShardManifest.load(path)
-    if shard is None:
-        for pos in range(manifest.n_shards):
-            yield from _shard_batches(path, manifest, pos)
-        return
-    if not 0 <= shard < manifest.n_shards:
-        raise ManifestError(
-            f"shard index {shard} out of range 0..{manifest.n_shards - 1}")
-    yield from _shard_batches(path, manifest, shard, sha256)
+        groups = _file_groups(path, f"dataset file {path}", sha256=sha256)
+    else:
+        manifest = ShardManifest.load(path)
+        if shard is None:
+            groups = chain.from_iterable(
+                _shard_groups(path, manifest, pos)
+                for pos in range(manifest.n_shards))
+        elif 0 <= shard < manifest.n_shards:
+            groups = _shard_groups(path, manifest, shard, sha256)
+        else:
+            raise ManifestError(f"shard index {shard} out of range "
+                                f"0..{manifest.n_shards - 1}")
+    for _offset, _length, batch in groups:
+        if len(batch):
+            yield batch
 
 
 def iter_logs(path: Union[str, Path]) -> Iterator[VisitLog]:
@@ -594,24 +552,20 @@ def verify_shard_files(directory: Union[str, Path],
 
 
 # ---------------------------------------------------------------------------
-# Sidecar shard indexes (seekable single-site lookup)
+# Shard indexes (seekable single-site lookup)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ShardIndex:
-    """Parsed sidecar index for one shard file.
+    """Where each rank of one shard file lives.
 
     Entry ``k`` says rank ``ranks[k]`` is row ``rows[k]`` of the row
     group stored at byte ``offsets[k]`` of the shard file, ``lengths[k]``
-    bytes long on disk (a whole gzip member for gzip shards).
-    ``sha256`` is the shard file's on-disk digest at index-write time —
-    comparing it against the manifest's recorded digest is how a stale
-    sidecar is detected.
+    bytes long on disk (a whole gzip member for gzip shards).  Built by
+    :func:`load_shard_index` from the shard's checked bytes; never
+    written anywhere.
     """
 
-    file: str
-    count: int
-    sha256: str
     ranks: Sequence[int]
     offsets: Sequence[int]
     lengths: Sequence[int]
@@ -627,104 +581,35 @@ class ShardIndex:
         """(group offset, group length, row) of ``rank``, or None."""
         return self._by_rank.get(rank)
 
-    def to_dict(self) -> Dict:
-        return {
-            "version": SHARD_INDEX_VERSION,
-            "file": self.file,
-            "count": self.count,
-            "sha256": self.sha256,
-            "ranks": list(self.ranks),
-            "offsets": list(self.offsets),
-            "lengths": list(self.lengths),
-            "rows": list(self.rows),
-        }
-
-
-def write_shard_index(path: Union[str, Path], index: ShardIndex) -> Path:
-    """Write a sidecar index atomically (tmp + ``os.replace``).
-
-    A torn sidecar must never poison lookups: readers treat an
-    unparseable sidecar as absent, but the rename makes even that
-    window impossible for the common case.
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(shard_index_to_bytes(index))
-    os.replace(tmp, path)
-    return path
-
-
-def shard_index_to_bytes(index: ShardIndex) -> bytes:
-    """The sidecar index's canonical serialized bytes.
-
-    Exactly what :func:`write_shard_index` puts on disk, so blob-level
-    stores (see :mod:`repro.crawler.storebackends`) can carry sidecars
-    without their own serializer.
-    """
-    return (json.dumps(index.to_dict(), separators=(",", ":")) + "\n"
-            ).encode("utf-8")
-
-
-def shard_index_from_bytes(data: Optional[bytes],
-                           shard_name: str) -> Optional["ShardIndex"]:
-    """Parse sidecar-index bytes for ``shard_name``; None if unusable.
-
-    "Unusable" covers absent/torn/garbage JSON, a version (a format-v2
-    sidecar points into JSON lines) or shard-name mismatch, and
-    inconsistent array lengths — every case degrades to the scan
-    fallback rather than raising.
-    """
-    if data is None:
-        return None
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    try:
-        if int(payload["version"]) != SHARD_INDEX_VERSION:
-            return None
-        if str(payload["file"]) != shard_name:
-            return None
-        index = ShardIndex(
-            file=shard_name,
-            count=int(payload["count"]),
-            sha256=str(payload["sha256"]),
-            ranks=[int(r) for r in payload["ranks"]],
-            offsets=[int(o) for o in payload["offsets"]],
-            lengths=[int(n) for n in payload["lengths"]],
-            rows=[int(r) for r in payload["rows"]],
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
-    if not (len(index.ranks) == len(index.offsets) == len(index.lengths)
-            == len(index.rows) == index.count):
-        return None
-    return index
-
 
 def load_shard_index(directory: Union[str, Path], shard_name: str,
-                     sha256: Optional[str] = None) -> Optional["ShardIndex"]:
-    """Parse the sidecar index for ``shard_name``; None if unusable.
+                     sha256: Optional[str] = None,
+                     count: Optional[int] = None) -> ShardIndex:
+    """Index ``shard_name`` by reading it through the one shard reader.
 
-    Given ``sha256``, the shard's pinned digest, a sidecar recorded
-    against another digest (the shard was rewritten without its index)
-    is stale and unusable too: ignored, never trusted.
+    Given ``sha256`` and ``count`` — the manifest's digest and row count
+    for the shard — the shard is checked exactly as a full read checks
+    it, and a shard that fails either check raises
+    :class:`ManifestError` naming it.
     """
-    path = Path(directory) / index_filename(shard_name)
-    try:
-        data = path.read_bytes()
-    except OSError:
-        return None
-    index = shard_index_from_bytes(data, shard_name)
-    if index is not None and sha256 is not None and index.sha256 != sha256:
-        return None
-    return index
+    ranks: List[int] = []
+    offsets: List[int] = []
+    lengths: List[int] = []
+    rows: List[int] = []
+    for offset, length, batch in _file_groups(
+            Path(directory) / shard_name, shard_name, count, sha256):
+        ranks.extend(batch.ranks)
+        offsets.extend([offset] * len(batch))
+        lengths.extend([length] * len(batch))
+        rows.extend(range(len(batch)))
+    return ShardIndex(ranks=ranks, offsets=offsets, lengths=lengths,
+                      rows=rows)
 
 
 def _read_group(directory: Path, manifest: ShardManifest, pos: int,
                 rank: int, entry: Tuple[int, int, int]
                 ) -> Tuple[ShardBatch, int]:
-    """Decode the one row group a sidecar entry points at."""
+    """Decode the one row group an index entry points at."""
     from ..analysis.columnar import RowGroupError, decode_row_group
     offset, length, row = entry
     name = manifest.files[pos]
@@ -739,7 +624,7 @@ def _read_group(directory: Path, manifest: ShardManifest, pos: int,
         raise ManifestError(f"shard {pos} ({name}): unreadable row group "
                             f"at byte {offset}: {exc}") from exc
     if not (0 <= row < len(batch) and batch.ranks[row] == rank):
-        raise ManifestError(f"shard {pos} ({name}): its sidecar puts rank "
+        raise ManifestError(f"shard {pos} ({name}): its index puts rank "
                             f"{rank} at row {row} of the group at byte "
                             f"{offset}, which does not hold it")
     return batch, row
@@ -747,7 +632,7 @@ def _read_group(directory: Path, manifest: ShardManifest, pos: int,
 
 def locate_site(directory: Union[str, Path], rank: int, *,
                 manifest: Optional[ShardManifest] = None,
-                index_cache: Optional[Dict[int, Optional[ShardIndex]]] = None
+                index_cache: Optional[Dict[int, ShardIndex]] = None
                 ) -> Tuple[ShardBatch, int]:
     """The decoded row group holding ``rank``, and the rank's row in it.
 
@@ -758,130 +643,34 @@ def locate_site(directory: Union[str, Path], rank: int, *,
     directory = Path(directory)
     if manifest is None:
         manifest = ShardManifest.load(directory)
-    unindexed: List[int] = []
-    for pos in range(manifest.n_shards):
-        if index_cache is not None and pos in index_cache:
-            index = index_cache[pos]
-        else:
-            index = load_shard_index(directory, manifest.files[pos],
-                                     manifest.digest_for(pos))
+    for pos, name in enumerate(manifest.files):
+        index = index_cache.get(pos) if index_cache is not None else None
+        if index is None:
+            index = load_shard_index(directory, name, manifest.digest_for(pos),
+                                     manifest.counts[pos])
             if index_cache is not None:
                 index_cache[pos] = index
-        if index is None:
-            unindexed.append(pos)
-            continue
         entry = index.entry_for(rank)
         if entry is not None:
             return _read_group(directory, manifest, pos, rank, entry)
-    for pos in unindexed:
-        hit: Optional[Tuple[ShardBatch, int]] = None
-        # Read the whole shard even after a hit: a scan is a full read,
-        # so it answers only once the shard's count checks out too.
-        for batch in _shard_batches(directory, manifest, pos):
-            if hit is None and rank in batch.ranks:
-                hit = batch, batch.ranks.index(rank)
-        if hit is not None:
-            return hit
     raise KeyError(f"rank {rank} is not in the dataset at {directory}")
 
 
 def read_site(directory: Union[str, Path], rank: int, *,
               manifest: Optional[ShardManifest] = None,
-              index_cache: Optional[Dict[int, Optional[ShardIndex]]] = None
+              index_cache: Optional[Dict[int, ShardIndex]] = None
               ) -> VisitLog:
     """Fetch one site's :class:`VisitLog` from a sharded dataset by rank.
 
-    With sidecar indexes this reads and decodes the one row group
-    holding the site; shards without a usable index fall back to a
-    scan of their groups, with the full count and digest checks.
+    Indexes the shards in order (:func:`load_shard_index`, with the
+    manifest's digest and count checks) until one lists ``rank``, then
+    reads and decodes the one row group holding the site.
     ``index_cache`` — a caller-owned dict keyed by shard position —
-    memoizes parsed sidecars across calls, which is what the
-    :mod:`repro.serve` catalog does per study; a shard it maps to
-    ``None`` is scanned, which is how a test forces the scan path.
+    keeps the indexes across calls, so each shard is read once.
     Raises :class:`KeyError` when no shard holds ``rank`` and
-    :class:`ManifestError` when the bytes a sidecar points at are not
-    the group it describes.
+    :class:`ManifestError` when a shard fails its checks or the bytes
+    an index points at are no longer the group it describes.
     """
     batch, row = locate_site(directory, rank, manifest=manifest,
                              index_cache=index_cache)
     return batch.log(row)
-
-
-class IndexBuildResult(NamedTuple):
-    """What :func:`build_shard_indexes` did: sidecars written vs kept."""
-
-    built: int
-    up_to_date: int
-
-
-def build_shard_indexes(directory: Union[str, Path],
-                        force: bool = False) -> IndexBuildResult:
-    """Backfill sidecar indexes for a sharded dataset (one-shot).
-
-    Walks the row groups of every shard that lacks a usable sidecar
-    (or all of them with ``force=True``), recording each rank's group
-    offset, group length, and row.  Returns how many sidecars were
-    written and how many already matched their shard's pinned digest
-    and were left untouched — safe to re-run, and the split makes
-    "nothing to do" visible to the CLI instead of indistinguishable
-    from a rebuild.
-    """
-    from ..analysis.columnar import RowGroupError, decode_row_group
-    directory = Path(directory)
-    manifest = ShardManifest.load(directory)
-    built = 0
-    up_to_date = 0
-    for pos, name in enumerate(manifest.files):
-        if not force and load_shard_index(
-                directory, name, manifest.digest_for(pos)) is not None:
-            up_to_date += 1
-            continue
-        label = f"shard {pos} ({name})"
-        data = _read_shard_bytes(directory / name, label,
-                                 manifest.digest_for(pos))
-        ranks: List[int] = []
-        offsets: List[int] = []
-        lengths: List[int] = []
-        rows: List[int] = []
-        try:
-            for offset, length, group in _row_groups(data, _is_gzip(name)):
-                batch = decode_row_group(group)
-                ranks.extend(batch.ranks)
-                offsets.extend([offset] * len(batch))
-                lengths.extend([length] * len(batch))
-                rows.extend(range(len(batch)))
-        except RowGroupError as exc:
-            raise ManifestError(f"{label} is not a readable row-group "
-                                f"shard: {exc}") from exc
-        write_shard_index(directory / index_filename(name), ShardIndex(
-            file=name, count=len(ranks),
-            sha256=hashlib.sha256(data).hexdigest(), ranks=ranks,
-            offsets=offsets, lengths=lengths, rows=rows))
-        built += 1
-    return IndexBuildResult(built=built, up_to_date=up_to_date)
-
-
-class CrawlDataset:
-    """A collection of visit logs with the paper's retention filter."""
-
-    def __init__(self, logs: List[VisitLog]):
-        self.logs = logs
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "CrawlDataset":
-        return cls(load_logs(path))
-
-    def save(self, path: Union[str, Path],
-             shards: Optional[int] = None, compress: bool = False) -> int:
-        return save_logs(self.logs, path, shards=shards, compress=compress)
-
-    @property
-    def complete(self) -> List[VisitLog]:
-        """Sites with both cookie access logs and network data (§4.2)."""
-        return [log for log in self.logs if log.complete]
-
-    def __len__(self) -> int:
-        return len(self.logs)
-
-    def __iter__(self):
-        return iter(self.logs)

@@ -4,8 +4,7 @@
 interface — ``get``/``put``/``exists``/``evict`` over
 ``(key, blob name) → bytes`` — and keeps every semantic concern
 (content-addressed keys, digest verification on fetch, eviction of
-corrupt entries, sidecar-index handling) above this seam.  Backends only
-move bytes:
+corrupt entries) above this seam.  Backends only move bytes:
 
 * :class:`LocalDirectoryBackend` — today's on-disk layout, byte-for-byte:
   ``<root>/objects/<key[:2]>/<key>/{meta.json, shard.jsonl[.gz], …}``

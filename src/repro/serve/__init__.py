@@ -2,9 +2,9 @@
 
 Built entirely on the standard library's ``http.server`` (no new runtime
 dependencies), this package turns the deterministic crawl artifacts the
-pipeline already produces — sharded ``VisitLog`` row-group files, their
-``manifest.json`` with per-shard SHA-256 digests, and the sidecar seek
-indexes — into a small, correctly cacheable service.
+pipeline already produces — sharded ``VisitLog`` row-group files and
+their ``manifest.json`` with per-shard SHA-256 digests — into a small,
+correctly cacheable service.
 
 Endpoints
 ---------
@@ -18,9 +18,9 @@ Endpoints
     Per-shard rows: file name, site count, SHA-256 digest.
 ``GET /studies/<id>/sites/<rank>``
     The full ``VisitLog`` for one site, read through the shard's
-    sidecar index: one row group read and decoded, and the site's row
-    built straight into the response dict — no whole-shard
-    deserialization and no event objects.
+    index: one row group read and decoded, and the site's row built
+    straight into the response dict — no whole-shard deserialization
+    and no event objects.
 ``GET /studies/<id>/reports``
     The report registry with each query's parameter schema.
 ``GET /studies/<id>/reports/<name>?...``
@@ -50,41 +50,32 @@ byte-identical bodies.
 Some conditional GETs are answered before anything is read, from facts
 the etag already encodes:
 
-* a ``sites/<rank>`` request whose ``If-None-Match`` matches, when a
-  sidecar pinned to the study's shard digests lists the rank — no shard
+* a ``sites/<rank>`` request whose ``If-None-Match`` matches, when the
+  study's shard indexes list the rank — once they are built, no shard
   byte is read;
 * a ``reports/<name>`` request whose ``If-None-Match`` matches, once its
   parameters parse — the report is not run.
 
 Every other request takes the read path: a rank the study lacks is a
-404 and a bad parameter a 400, also under ``If-None-Match: *``, and a
-shard without a usable sidecar is scanned before its 304.  A 304 sends
-``ETag`` and ``Cache-Control`` but no ``Content-Length`` (RFC 9110
-§8.6 allows only the 200 body's length there, which an unread answer
-does not know).
+404 and a bad parameter a 400, also under ``If-None-Match: *``.  A 304
+sends ``ETag`` and ``Cache-Control`` but no ``Content-Length`` (RFC
+9110 §8.6 allows only the 200 body's length there, which an unread
+answer does not know).
 
-Sidecar index format
---------------------
+Shard indexes
+-------------
 
-Site lookups read one row group rather than scan thanks to a per-shard
-sidecar, ``shard-NNNN.index.json`` next to ``shard-NNNN.jsonl[.gz]``
-(version 2, for shard format v3)::
-
-    {"version": 2, "file": "shard-0000.jsonl.gz", "count": 5,
-     "sha256": "<digest of the shard file's bytes>",
-     "ranks": [1, 5, 9, 12, 20], "offsets": [0, 0, 0, 0, 9817],
-     "lengths": [9817, 9817, 9817, 9817, 2755], "rows": [0, 1, 2, 3, 0]}
-
-Entry ``k`` puts rank ``ranks[k]`` at row ``rows[k]`` of the row group
-stored at byte ``offsets[k]`` of the shard file, ``lengths[k]`` bytes
-on disk — a whole gzip member in a gzip shard, so a lookup reads that
-member, inflates it and decodes its columns.  The sidecar is derived
-data: shard bytes, digests, and the golden fixture are unchanged by
-it.  A sidecar whose recorded ``sha256`` disagrees with the study's
-shard digest, one from an older version (whose offsets point into JSON
-lines), or a missing one is ignored in favor of a transparent scan of
-the shard's row groups; ``repro index-shards`` backfills sidecars for
-existing studies.
+A site lookup reads one row group rather than scan its shard, through
+a per-shard :class:`~repro.crawler.storage.ShardIndex`: for each rank,
+the byte offset and on-disk length of its row group (a whole gzip
+member in a gzip shard) and its row in the group.  The study entry
+builds every shard's index on its first site request, lookup or
+revalidation, by reading each shard once through the checked shard
+reader: a shard that does not hash to the study's digest or hold its
+manifest count is refused there, as any full read refuses it.  The
+indexes live in memory for the entry's life and are never written, so
+no index can disagree with the bytes it was built from; an index file
+an older build left beside a shard is never read.
 """
 
 from .app import ServeError, StudyCatalogHandler, make_server, serve

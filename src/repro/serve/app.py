@@ -115,9 +115,9 @@ class StudyCatalogHandler(BaseHTTPRequestHandler):
         """Resolve the request to ``(etag, canonical body bytes)``.
 
         A site or report request whose ``If-None-Match`` matches its
-        ETag resolves to ``(etag, b"")`` before any data is read; a
-        site's only when a digest-pinned sidecar lists its rank, so a
-        rank the study lacks still answers 404.
+        ETag resolves to ``(etag, b"")`` before any row group is read;
+        a site's only when the study's shard indexes list its rank, so
+        a rank the study lacks still answers 404.
         """
         split = urlsplit(self.path)
         raw_params = parse_qs(split.query, keep_blank_values=True)

@@ -13,9 +13,10 @@ needs:
   complete per-shard digest list (computed on first touch for
   pre-digest manifests), from which the study's dataset etag derives;
 * seekable single-site lookup via
-  :func:`~repro.crawler.storage.locate_site`, with the parsed sidecar
-  indexes memoized per entry; only their parsing takes a lock, so
-  lookups run side by side;
+  :func:`~repro.crawler.storage.locate_site`, with every shard's
+  :class:`~repro.crawler.storage.ShardIndex` built once per entry from
+  the shard's checked bytes; only that build takes a lock, so lookups
+  run side by side;
 * a lazily built, cached :class:`~repro.analysis.reports.Study` —
   aggregated through the versioned snapshot layer
   (:mod:`repro.analysis.snapshot`), never holding raw logs — whose
@@ -41,15 +42,16 @@ from ..analysis.reports import Study, StudyAccumulator
 from ..analysis.snapshot import (RefreshResult, SnapshotError, load_snapshot,
                                  refresh_study, save_snapshot)
 from ..crawler.storage import (ManifestError, ShardIndex, ShardManifest,
-                               compute_digest, load_shard_index, locate_site)
+                               dataset_digests, load_shard_index,
+                               locate_site)
 from ..records import VisitLog
 from .etag import listing_etag, study_etag
 
 __all__ = ["SNAPSHOT_NAME", "StudyCatalog", "StudyEntry"]
 
 #: Sidecar file holding a study's persisted analysis snapshot.  Derived
-#: data, like the seek indexes: never listed in the manifest, never
-#: digested, never part of an ETag.
+#: data: never listed in the manifest, never digested, never part of an
+#: ETag.
 SNAPSHOT_NAME = "study.snapshot.json"
 
 
@@ -60,17 +62,15 @@ class StudyEntry:
         self.id = study_id
         self.directory = Path(directory)
         self.manifest = ShardManifest.load(self.directory)
-        self.digests = tuple(
-            self.manifest.digest_for(i) or compute_digest(self.directory / f)
-            for i, f in enumerate(self.manifest.files))
+        self.digests = dataset_digests(self.directory, self.manifest)
         self.etag = study_etag(self.manifest, self.digests)
         self.snapshot_path = self.directory / SNAPSHOT_NAME
-        self._index_cache: Dict[int, Optional[ShardIndex]] = {}
+        self._index_cache: Optional[Dict[int, ShardIndex]] = None
         self._study: Optional[Study] = None
         self._buckets: Dict[int, List[Dict]] = {}
         # Two locks so a seconds-long first aggregation (study build,
         # bucket scan) never stalls the cheap seek-based site lookups,
-        # which take _lookup_lock only to parse the sidecars once.
+        # which take _lookup_lock only to index the shards once.
         # Only the study's first build takes _agg_lock: report queries
         # on a built study read its tables without it, so they never
         # wait behind a bucket scan either.
@@ -107,7 +107,7 @@ class StudyEntry:
 
     # ------------------------------------------------------------------
     def site(self, rank: int) -> VisitLog:
-        """Single-site lookup: seek via the sidecar indexes (cached)."""
+        """Single-site lookup: seek via the entry's shard indexes."""
         batch, row = self._locate(rank)
         return batch.log(row)
 
@@ -117,33 +117,37 @@ class StudyEntry:
         return batch.row_dict(row)
 
     def lists_site(self, rank: int) -> bool:
-        """Does a sidecar pinned to this entry's digests list ``rank``?
+        """Does one of this entry's shard indexes list ``rank``?
 
-        Reads no shard byte, so a revalidation of a listed site can be
-        answered from the ETag alone.
+        Once the entry has indexed its shards this reads no shard byte,
+        so a revalidation of a listed site is answered from the ETag.
         """
-        return any(index is not None and index.entry_for(rank) is not None
-                   for index in self._sidecars().values())
+        return any(index.entry_for(rank) is not None
+                   for index in self._indexes().values())
 
     def _locate(self, rank: int) -> Tuple[ShardBatch, int]:
         return locate_site(self.directory, rank, manifest=self.manifest,
-                           index_cache=self._sidecars())
+                           index_cache=self._indexes())
 
-    def _sidecars(self) -> Dict[int, Optional[ShardIndex]]:
-        """Every shard's sidecar, pinned to the entry's digests (None
-        where missing or stale); parsed once per entry.
+    def _indexes(self) -> Dict[int, ShardIndex]:
+        """Every shard's index, built once per entry from shard bytes
+        checked against the entry's digests and counts.
 
-        The lock covers only filling the memo: lookups read the shards
-        outside it, so they run side by side.
+        The lock covers only the build: lookups read the shards outside
+        it, so they run side by side.  A shard that fails its checks
+        raises :class:`ManifestError`, and the next call tries again.
         """
-        cache = self._index_cache
-        if len(cache) < self.manifest.n_shards:
+        indexes = self._index_cache
+        if indexes is None:
             with self._lookup_lock:
-                for pos, name in enumerate(self.manifest.files):
-                    if pos not in cache:
-                        cache[pos] = load_shard_index(
-                            self.directory, name, self.digests[pos])
-        return cache
+                if self._index_cache is None:
+                    self._index_cache = {
+                        pos: load_shard_index(self.directory, name,
+                                              self.digests[pos],
+                                              self.manifest.counts[pos])
+                        for pos, name in enumerate(self.manifest.files)}
+                indexes = self._index_cache
+        return indexes
 
     def study(self) -> Study:
         """The merged Study, built once through the snapshot layer.
@@ -185,7 +189,9 @@ class StudyEntry:
         """§5.1 prevalence figures per rank bucket, merge-aggregated.
 
         Streams the shards once per distinct ``bucket_size`` as columnar
-        batches, routing each batch's rows into per-bucket sub-batches
+        batches, each shard checked against the digest the entry's ETag
+        pins (so it refuses exactly when :meth:`study` does), routing
+        each batch's rows into per-bucket sub-batches
         (:meth:`~repro.analysis.columnar.ShardBatch.select` — a column
         gather, no objects) — the same associative decomposition
         ``Study.from_shards`` uses, so the per-bucket numbers are
@@ -201,7 +207,10 @@ class StudyEntry:
             if cached is not None:
                 return cached
             accs: Dict[int, StudyAccumulator] = {}
-            for batch in iter_shard_batches(self.directory):
+            batches = (batch for pos, digest in enumerate(self.digests)
+                       for batch in iter_shard_batches(
+                           self.directory, shard=pos, sha256=digest))
+            for batch in batches:
                 by_bucket: Dict[int, List[int]] = {}
                 for i, rank in enumerate(batch.ranks):
                     by_bucket.setdefault(rank // bucket_size, []).append(i)

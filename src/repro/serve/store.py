@@ -63,8 +63,8 @@ __all__ = ["ShardStoreHandler", "make_store_server", "serve_store"]
 #: compatibility but nothing outside lowercase hex.
 _KEY_RE = re.compile(r"[0-9a-f]{6,64}")
 #: Blob names: the conservative charset ShardStore actually uses
-#: (``meta.json``, ``shard.jsonl[.gz]``, ``shard.index.json``).  No
-#: separators, no leading dot — traversal is unexpressible.
+#: (``meta.json``, ``shard.jsonl[.gz]``).  No separators, no leading
+#: dot — traversal is unexpressible.
 _NAME_RE = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]{0,127}")
 
 #: Uploads larger than this are refused outright (a shard blob is

@@ -19,7 +19,7 @@ N_SITES = "30"
 
 
 def _dataset_bytes(out_dir):
-    """Shard, sidecar and manifest bytes; the journal names its backend."""
+    """Shard and manifest bytes; the journal names its backend."""
     return {path.name: path.read_bytes()
             for path in sorted(Path(out_dir).iterdir())
             if path.name != "queue.jsonl"}
@@ -41,7 +41,7 @@ def test_jobs_never_change_the_bytes(tmp_path, capsys):
     assert "backend=inprocess, jobs=1" in out
     assert "backend=pool, jobs=2" in out
     serial = _dataset_bytes(tmp_path / "jobs1")
-    assert len(serial) == 5      # two shards, two sidecars, the manifest
+    assert len(serial) == 3      # two shards and the manifest
     assert _dataset_bytes(tmp_path / "jobs2") == serial
 
 

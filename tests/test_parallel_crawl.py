@@ -37,7 +37,7 @@ def small_population():
 
 
 def _dataset_bytes(out_dir):
-    """Shard, sidecar and manifest bytes (the journal keys on the config)."""
+    """Shard and manifest bytes (the journal keys on the config)."""
     return {path.name: path.read_bytes()
             for path in sorted(Path(out_dir).iterdir())
             if path.name != "queue.jsonl"}

@@ -270,20 +270,32 @@ class TestConditionalBeforeRead:
         assert status == 404 and "ETag" not in headers
         assert json.loads(body)["status"] == 404
 
-    def test_site_revalidation_without_sidecars_scans(self, study,
-                                                      crawl_logs):
+    def test_site_revalidation_without_sidecars_scans(
+            self, study, crawl_logs, monkeypatch):
+        """A fresh server indexes every shard on its first site request,
+        a revalidation included, and never again for the entry."""
+        import repro.serve.catalog as catalog_module
+        from repro.crawler import ShardManifest
         log = crawl_logs[7]
         path = f"/studies/demo/sites/{log.rank}"
         with _serving(study.parent) as get:
             _, headers, body = get(path)
-        for sidecar in study.glob("*.index.json"):
-            sidecar.unlink()
+        indexed = []
+        real = catalog_module.load_shard_index
+
+        def counting(directory, name, *checks):
+            indexed.append(name)
+            return real(directory, name, *checks)
+
+        monkeypatch.setattr(catalog_module, "load_shard_index", counting)
         with _serving(study.parent) as get:
             assert get(path, {"If-None-Match": headers["ETag"]})[0] == 304
+            assert indexed == list(ShardManifest.load(study).files)
             assert get(path, {"If-None-Match": "*"})[0] == 304
             status, headers2, body2 = get(path)
             assert get("/studies/demo/sites/999999999",
                        {"If-None-Match": "*"})[0] == 404
+        assert len(indexed) == N_SHARDS
         assert (status, headers2["ETag"], body2) \
             == (200, headers["ETag"], body)
 
@@ -291,24 +303,26 @@ class TestConditionalBeforeRead:
                              ids=["digests", "digestless"])
     def test_unpinned_sidecar_is_not_trusted(self, study, crawl_logs,
                                              digests):
-        """A sidecar whose digest is not its shard's neither answers a
-        revalidation nor steers a lookup, also when the manifest
-        records no digests and the catalog hashes the shards itself."""
-        from repro.crawler.storage import ShardManifest, index_filename
+        """A ``shard-0000.index.json`` that an older build left next to
+        its shard is never read: not to answer a revalidation, not to
+        steer a lookup, even when it records the shard's own digest,
+        with or without digests in the manifest."""
+        from repro.crawler.storage import (ShardManifest, compute_digest,
+                                           load_shard_index)
         manifest = ShardManifest.load(study)
         if not digests:
             dataclasses.replace(manifest, digests=()).save(study)
-        sidecar = study / index_filename(manifest.files[0])
-        doctored = json.loads(sidecar.read_text())
-        log = next(log for log in crawl_logs
-                   if log.rank == doctored["ranks"][0])
-        doctored["sha256"] = "0" * 64
-        doctored["offsets"][0] = 7          # trusted, it would misread
-        for key, value in (("ranks", 999999999), ("offsets", 0),
-                           ("lengths", 1), ("rows", 0)):
-            doctored[key].append(value)
-        doctored["count"] += 1
-        sidecar.write_text(json.dumps(doctored))
+        name = manifest.files[0]
+        index = load_shard_index(study, name)
+        log = next(log for log in crawl_logs if log.rank == index.ranks[0])
+        # The older build's layout: the first rank at a bogus offset
+        # (trusted, it would misread) and a rank the study lacks.
+        (study / "shard-0000.index.json").write_text(json.dumps({
+            "version": 2, "file": name, "count": len(index.ranks) + 1,
+            "sha256": compute_digest(study / name),
+            "ranks": [*index.ranks, 999999999],
+            "offsets": [7, *index.offsets[1:], 0],
+            "lengths": [*index.lengths, 1], "rows": [*index.rows, 0]}))
         with _serving(study.parent) as get:
             assert get("/studies/demo/sites/999999999",
                        {"If-None-Match": "*"})[0] == 404
@@ -396,6 +410,57 @@ class TestConcurrentSiteLookups:
         assert errors == []
         assert got[logs[0].rank].to_dict() == logs[0].to_dict()
         assert got[logs[1].rank] == logs[1].to_dict()
+
+    def test_racing_first_lookups_index_each_shard_once(
+            self, crawl_logs, tmp_path, monkeypatch):
+        """Handler threads racing into a fresh entry share one build of
+        its shard indexes, and every one of them reads through it."""
+        import repro.serve.catalog as catalog_module
+        from repro.serve.catalog import StudyEntry
+
+        directory = tmp_path / "study"
+        directory.mkdir()
+        logs = crawl_logs[:20]
+        save_logs(logs, directory, shards=2, compress=True)
+        entry = StudyEntry("study", directory)
+        indexed = []
+        real = catalog_module.load_shard_index
+
+        def counting(directory, name, *checks):
+            indexed.append(name)
+            return real(directory, name, *checks)
+
+        monkeypatch.setattr(catalog_module, "load_shard_index", counting)
+        n_threads = 2 * (os.cpu_count() or 1) + 2
+        barrier = threading.Barrier(n_threads)
+        results = [None] * n_threads
+        errors = []
+
+        def lookup(slot):
+            try:
+                barrier.wait(timeout=10)
+                log = logs[slot % len(logs)]
+                results[slot] = (log, entry.lists_site(log.rank),
+                                 entry.site_dict(log.rank))
+            except Exception as exc:  # reported below, on the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=lookup, args=(slot,))
+                   for slot in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not [thread for thread in threads if thread.is_alive()]
+        assert errors == []
+        assert sorted(indexed) == sorted(entry.manifest.files)
+        for log, listed, body in results:
+            assert listed and body == log.to_dict()
 
 
 class TestReportFidelity:
@@ -577,7 +642,7 @@ class TestCatalogRefreshLocking:
             self, crawl_logs, tmp_path, monkeypatch):
         """Entry construction (which digests every shard of a pre-digest
         manifest) must not stall concurrent get()/listing() calls."""
-        import repro.serve.catalog as catalog_module
+        from repro.crawler import storage
 
         root = tmp_path
         alpha = root / "alpha"
@@ -598,14 +663,14 @@ class TestCatalogRefreshLocking:
 
         hashing = threading.Event()
         release = threading.Event()
-        real_digest = catalog_module.compute_digest
+        real_digest = storage.compute_digest
 
         def slow_digest(path):
             hashing.set()
             assert release.wait(timeout=10), "test deadlocked"
             return real_digest(path)
 
-        monkeypatch.setattr(catalog_module, "compute_digest", slow_digest)
+        monkeypatch.setattr(storage, "compute_digest", slow_digest)
         refresher = threading.Thread(target=catalog.refresh)
         refresher.start()
         try:
@@ -767,6 +832,27 @@ class TestBucketSizeGuard:
         for bad in (0, -4):
             with pytest.raises(ValueError, match="bucket_size must be >= 1"):
                 entry.prevalence_by_bucket(bad)
+
+
+class TestReadsPinnedToTheEntry:
+    def test_prevalence_refuses_a_shard_rewritten_under_the_entry(
+            self, crawl_logs, tmp_path):
+        """Every read of an entry checks the digests its ETag pins: once
+        shard 0 is rewritten and the manifest republished, the study,
+        the prevalence rows and a site lookup all refuse it."""
+        from repro.crawler import ManifestError
+        from repro.serve.catalog import StudyEntry
+        directory = tmp_path / "study"
+        directory.mkdir()
+        save_logs(crawl_logs[:30], directory, shards=3)
+        entry = StudyEntry("study", directory)
+        _touch_shard(directory)
+        with pytest.raises(ManifestError, match=r"shard 0 \(.* hashes to"):
+            entry.study()
+        with pytest.raises(ManifestError, match=r"shard 0 \(.* hashes to"):
+            entry.prevalence_by_bucket(100000)
+        with pytest.raises(ManifestError, match=r"shard-0000\.jsonl"):
+            entry.site_dict(crawl_logs[0].rank)
 
 
 class TestSnapshotSidecar:

@@ -266,7 +266,7 @@ class TestShardDigests:
 
 
 # ---------------------------------------------------------------------------
-# Sidecar seek indexes (PR 6): derived data, never part of the dataset
+# Shard indexes: built from the checked shard bytes, never written
 # ---------------------------------------------------------------------------
 
 class TestShardIndexes:
@@ -274,17 +274,37 @@ class TestShardIndexes:
                              ids=["plain", "gzip"])
     def test_sidecars_written_alongside_shards(self, crawl_logs, tmp_path,
                                                compress):
-        from repro.crawler.storage import (index_filename, load_shard_index)
+        """None are: the directory holds only the shards and the
+        manifest, and the index built from a shard lists its ranks in
+        order, in groups that tile the file from byte 0 to its size."""
+        from repro.crawler.storage import load_shard_index
         directory = tmp_path / "crawl"
         save_logs(crawl_logs, directory, shards=3, compress=compress)
         manifest = ShardManifest.load(directory)
         for i, name in enumerate(manifest.files):
-            assert (directory / index_filename(name)).exists()
-            index = load_shard_index(directory, name)
-            assert index is not None
-            assert index.count == manifest.counts[i]
-            assert index.sha256 == manifest.digests[i]
-            assert list(index.ranks) == sorted(index.ranks)
+            index = load_shard_index(directory, name, manifest.digests[i],
+                                     manifest.counts[i])
+            assert list(index.ranks) \
+                == [log.rank for log in load_shard(directory, i)]
+            end = 0
+            for offset, length, row in zip(index.offsets, index.lengths,
+                                           index.rows):
+                if row == 0:        # each group starts where the last ended
+                    assert offset == end
+                    end = offset + length
+            assert end == (directory / name).stat().st_size
+        assert sorted(path.name for path in directory.iterdir()) \
+            == sorted([*manifest.files, MANIFEST_NAME])
+
+    def test_index_refuses_a_wrong_digest_or_count(self, sharded_dir):
+        from repro.crawler.storage import load_shard_index
+        manifest = ShardManifest.load(sharded_dir)
+        name = manifest.files[0]
+        with pytest.raises(ManifestError, match=f"{name} hashes to"):
+            load_shard_index(sharded_dir, name, sha256="0" * 64)
+        with pytest.raises(ManifestError, match=f"{name} holds"):
+            load_shard_index(sharded_dir, name,
+                             count=manifest.counts[0] + 1)
 
     def test_sidecar_does_not_change_shard_bytes_or_digests(
             self, crawl_logs, tmp_path):
@@ -301,134 +321,69 @@ class TestShardIndexes:
                              ids=["plain", "gzip"])
     def test_read_site_indexed_equals_scan(self, crawl_logs, tmp_path,
                                            compress):
+        """Lookups through a shared index cache and lookups that index
+        the shards afresh both return the crawled logs."""
         from repro.crawler.storage import read_site
         directory = tmp_path / "crawl"
         save_logs(crawl_logs, directory, shards=3, compress=compress)
         cache = {}
         for log in crawl_logs:
-            indexed = read_site(directory, log.rank, index_cache=cache)
-            scanned = read_site(directory, log.rank,
-                                index_cache=dict.fromkeys(range(3)))
-            assert indexed.to_dict() == log.to_dict()
-            assert scanned.to_dict() == indexed.to_dict()
+            cached = read_site(directory, log.rank, index_cache=cache)
+            fresh = read_site(directory, log.rank)
+            assert cached.to_dict() == fresh.to_dict() == log.to_dict()
+        assert sorted(cache) == [0, 1, 2]
 
     def test_read_site_missing_rank_raises(self, sharded_dir):
         from repro.crawler.storage import read_site
         with pytest.raises(KeyError):
             read_site(sharded_dir, 10**9)
 
-    def test_missing_sidecars_fall_back_to_scan(self, crawl_logs,
-                                                sharded_dir):
-        from repro.crawler.storage import read_site
-        for path in sharded_dir.glob("*.index.json"):
-            path.unlink()
-        log = crawl_logs[3]
-        assert read_site(sharded_dir, log.rank).to_dict() == log.to_dict()
-
     def test_stale_sidecar_is_ignored(self, crawl_logs, sharded_dir):
-        """A sidecar whose recorded sha disagrees with the manifest
-        digest (e.g. the shard was re-crawled) must not be trusted."""
-        from repro.crawler.storage import (index_filename, load_shard_index,
-                                          read_site)
+        """A ``shard-0000.index.json`` that an older build left next to
+        its shard is never read, even one recording the shard's digest."""
+        from repro.crawler.storage import load_shard_index, read_site
         manifest = ShardManifest.load(sharded_dir)
         name = manifest.files[0]
-        sidecar = sharded_dir / index_filename(name)
-        doctored = json.loads(sidecar.read_text())
-        doctored["sha256"] = "0" * 64
-        # Point the first entry at a bogus offset: a reader trusting
-        # this sidecar would return garbage instead of falling back.
-        doctored["offsets"][0] = 7
-        sidecar.write_text(json.dumps(doctored))
-        assert load_shard_index(sharded_dir, name) is not None  # loads...
-        ranks = json.loads(sidecar.read_text())["ranks"]
-        log = next(l for l in crawl_logs if l.rank == ranks[0])
-        # ...but read_site cross-checks against the manifest and scans.
+        index = load_shard_index(sharded_dir, name)
+        # The older build's layout, pointing the first rank at a bogus
+        # offset: a reader trusting this file would misread.
+        (sharded_dir / "shard-0000.index.json").write_text(json.dumps({
+            "version": 2, "file": name, "count": len(index.ranks),
+            "sha256": manifest.digests[0], "ranks": list(index.ranks),
+            "offsets": [7, *index.offsets[1:]],
+            "lengths": list(index.lengths), "rows": list(index.rows)}))
+        log = next(l for l in crawl_logs if l.rank == index.ranks[0])
         got = read_site(sharded_dir, log.rank, manifest=manifest)
         assert got.to_dict() == log.to_dict()
 
-    def test_torn_sidecar_is_ignored(self, crawl_logs, sharded_dir):
-        from repro.crawler.storage import (index_filename, load_shard_index,
-                                          read_site)
-        manifest = ShardManifest.load(sharded_dir)
-        name = manifest.files[0]
-        sidecar = sharded_dir / index_filename(name)
-        sidecar.write_text(sidecar.read_text()[:25])
-        assert load_shard_index(sharded_dir, name) is None
-        log = crawl_logs[0]
-        assert read_site(sharded_dir, log.rank,
-                         manifest=manifest).to_dict() == log.to_dict()
-
-    def test_backfill_rebuilds_byte_identical_sidecars(self, sharded_dir):
-        from repro.crawler.storage import build_shard_indexes, index_filename
-        manifest = ShardManifest.load(sharded_dir)
-        originals = {name: (sharded_dir / index_filename(name)).read_bytes()
-                     for name in manifest.files}
-        for name in manifest.files:
-            (sharded_dir / index_filename(name)).unlink()
-        result = build_shard_indexes(sharded_dir)
-        assert (result.built, result.up_to_date) == (manifest.n_shards, 0)
-        for name, blob in originals.items():
-            assert (sharded_dir / index_filename(name)).read_bytes() == blob
-        # Valid sidecars are left alone on a second pass — and counted,
-        # so the CLI can report "N indexed, M up-to-date" truthfully.
-        result = build_shard_indexes(sharded_dir)
-        assert (result.built, result.up_to_date) == (0, manifest.n_shards)
-
-    def test_format_v2_sidecar_is_ignored_and_backfilled(self, crawl_logs,
-                                                         sharded_dir):
-        """A version-1 sidecar (line offsets into JSON lines) never
-        steers a lookup; ``build_shard_indexes`` replaces it."""
-        from repro.crawler.storage import (build_shard_indexes,
-                                           index_filename, load_shard_index,
-                                           read_site)
-        manifest = ShardManifest.load(sharded_dir)
-        name = manifest.files[0]
-        sidecar = sharded_dir / index_filename(name)
-        current = json.loads(sidecar.read_text())
-        sidecar.write_text(json.dumps({
-            "version": 1, "file": name, "count": current["count"],
-            "sha256": current["sha256"], "ranks": current["ranks"],
-            "offsets": [0] * current["count"],
-            "lengths": [1] * current["count"]}))
-        assert load_shard_index(sharded_dir, name) is None
-        log = next(l for l in crawl_logs if l.rank == current["ranks"][0])
-        assert read_site(sharded_dir, log.rank).to_dict() == log.to_dict()
-        assert build_shard_indexes(sharded_dir).built == 1
-        assert json.loads(sidecar.read_text()) == current
-
 
 # ---------------------------------------------------------------------------
-# Indexed and scan paths must return the same log for the same rank
+# Cached and uncached lookups must return the same log for the same rank
 # ---------------------------------------------------------------------------
 
 class TestLookupPathEquivalence:
-    """read_site: backfilled sidecar lookup == full-scan fallback.
+    """read_site with and without a shared index cache.
 
     Every row of a row-group shard keeps its rank in an int64 column,
     so a rank-less row cannot be written: a log read from a record
     without a rank carries :class:`VisitLog`'s default rank 0 into the
-    shard.  Both lookup paths must file it there, and must answer a
-    rank no shard holds with the same ``KeyError``.
+    shard.  Both lookups must find it there, and must answer a rank no
+    shard holds with the same ``KeyError``.
     """
 
     def test_rankless_line_misses_identically_on_both_paths(
             self, crawl_logs, tmp_path):
-        from repro.crawler.storage import (build_shard_indexes,
-                                           index_filename, read_site)
+        from repro.crawler.storage import read_site
         log = next(l for l in crawl_logs if l.rank)
         data = crawl_logs[1].to_dict()
         del data["rank"]
         rankless = VisitLog.from_dict(data)
         directory = tmp_path / "crawl"
         save_logs([rankless, log], directory, shards=1)
-        (directory / index_filename(shard_filename(0))).unlink()
-        assert build_shard_indexes(directory).built == 1
-        for rank, expected in ((0, rankless), (log.rank, log)):
-            indexed = read_site(directory, rank)
-            scanned = read_site(directory, rank, index_cache={0: None})
-            assert indexed.to_dict() == scanned.to_dict() \
-                == expected.to_dict()
-        for cache in ({}, {0: None}):
+        for cache in (None, {}):
+            for rank, expected in ((0, rankless), (log.rank, log)):
+                got = read_site(directory, rank, index_cache=cache)
+                assert got.to_dict() == expected.to_dict()
             with pytest.raises(KeyError):
                 read_site(directory, 10 ** 9, index_cache=cache)
 
@@ -439,8 +394,10 @@ class TestLookupPathEquivalence:
 
 @pytest.mark.slow
 class TestTruncatedShards:
-    """Cut a small shard at every byte: each reader raises ManifestError
-    or, only at a row-group boundary, returns a prefix of the rows."""
+    """Cut a small shard at every byte: every read of the manifest's
+    shard, a single-site lookup included, raises ManifestError; the
+    cut as a single file raises or, only at a row-group boundary,
+    returns a prefix of the rows."""
 
     @pytest.mark.parametrize("group", [1, 2], ids=["g1", "g2"])
     @pytest.mark.parametrize("digests", [True, False],
@@ -482,19 +439,8 @@ class TestTruncatedShards:
             with pytest.raises(ManifestError):
                 load_shard(directory, 0)
             for log in logs:
-                cache = {}
-                try:
-                    got = storage.read_site(directory, log.rank,
-                                            index_cache=cache)
-                except ManifestError:
-                    pass
-                else:   # its whole row group survived the cut
-                    assert got.to_dict() == log.to_dict(), cut
-                    offset, length, _row = cache[0].entry_for(log.rank)
-                    assert offset + length <= cut
                 with pytest.raises(ManifestError):
-                    storage.read_site(directory, log.rank,
-                                      index_cache={0: None})
+                    storage.read_site(directory, log.rank)
             if cut in boundaries:
                 assert rows_of(single) == expected[:boundaries[cut]], cut
             else:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crawler.storage import CrawlDataset, load_logs, save_logs
+from repro.crawler.storage import load_logs, save_logs
 
 
 class TestRoundTrip:
@@ -41,15 +41,6 @@ class TestRoundTrip:
         assert restored.n_scripts == original.n_scripts
         assert restored.cookie_op_count == original.cookie_op_count
         assert restored.rank == original.rank
-
-    def test_dataset_wrapper(self, crawl_logs, tmp_path):
-        dataset = CrawlDataset(list(crawl_logs[:8]))
-        path = tmp_path / "set.jsonl"
-        dataset.save(path)
-        loaded = CrawlDataset.from_file(path)
-        assert len(loaded) == 8
-        assert len(loaded.complete) == 8
-        assert list(iter(loaded))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
