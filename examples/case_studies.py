@@ -14,6 +14,7 @@ Run:  python examples/case_studies.py
 import numpy as np
 
 from repro.analysis import Study
+from repro.analysis.columnar import ShardBatch, build_ownership_batch
 from repro.browser import Browser, Script
 from repro.crawler import CrawlConfig, Crawler
 from repro.ecosystem import PopulationConfig, generate_population
@@ -27,7 +28,7 @@ def case_optimonk(population):
     site = [s for s in population.sites if s.domain == "optimonk.com"][0]
     log = Crawler(population, CrawlConfig(seed=2025)).visit_site(site)
     study = Study([log])
-    ownership = study.ownerships[log.site]
+    ownership = build_ownership_batch(ShardBatch.from_logs([log]), 0)
     print(f"  _ga creator: {ownership.creators.get('_ga')}")
     print(f"  _ga value:   {ownership.values['_ga'][0]}")
     for event in study.exfil_events:
@@ -43,7 +44,7 @@ def case_goosecreek(population):
             if s.domain == "goosecreekcandle.com"][0]
     log = Crawler(population, CrawlConfig(seed=2025)).visit_site(site)
     study = Study([log])
-    ownership = study.ownerships[log.site]
+    ownership = build_ownership_batch(ShardBatch.from_logs([log]), 0)
     print(f"  _fbp creator: {ownership.creators.get('_fbp')}")
     print(f"  _fbp value:   {ownership.values['_fbp'][0]}")
     for event in study.exfil_events:

@@ -41,8 +41,6 @@ from .snapshot import (
     load_snapshot,
     refresh_study,
     save_snapshot,
-    snapshot_accumulator,
-    snapshot_dataset,
 )
 
 __all__ = [
@@ -84,6 +82,4 @@ __all__ = [
     "load_snapshot",
     "refresh_study",
     "save_snapshot",
-    "snapshot_accumulator",
-    "snapshot_dataset",
 ]

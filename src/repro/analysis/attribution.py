@@ -38,13 +38,15 @@ class CookiePair:
 
 @dataclass
 class SiteOwnership:
-    """Per-site creator index plus every value each cookie ever held."""
+    """One visit's creator index plus every value each cookie ever held.
+
+    Built and consumed per visit by the detectors; a study keeps only
+    the events they emit.
+    """
 
     site: str
     creators: Dict[str, str] = field(default_factory=dict)   # name → creator
     values: Dict[str, List[str]] = field(default_factory=dict)  # name → values
-    #: How each cookie was created: "script" or "http".
-    channels: Dict[str, str] = field(default_factory=dict)
     #: API of the creating write ("document.cookie" / "cookieStore" /
     #: "http") — Table 1 is split by creation API.
     apis: Dict[str, str] = field(default_factory=dict)
@@ -58,8 +60,9 @@ class CrossDomainAction:
     pair: CookiePair
     actor: str
     kind: str                     # "overwrite" | "delete"
-    api: str
+    api: str                      # API of the acting write
     inclusion: str                # "direct" | "indirect" | "inline"
+    api_of_cookie: str            # creation API of the cookie
     attrs_changed: Tuple[str, ...] = ()
 
 

@@ -476,36 +476,6 @@ class ShardBatch:
             "interacted": bool(self.interacted[i]),
         }
 
-    # ------------------------------------------------------------------
-    def select(self, indices: Sequence[int]) -> "ShardBatch":
-        """A new batch holding the given positions, in the given order.
-
-        Pure column gathering — no objects are materialized.  This is
-        how the serve layer routes one decoded batch into per-bucket
-        accumulators.
-        """
-        out = ShardBatch()
-        for i in indices:
-            out.append_row(self, i)
-        return out
-
-    def append_row(self, source: "ShardBatch", i: int) -> None:
-        """Append ``source``'s row ``i`` (and its events) to this batch."""
-        bounds = []
-        for name in OFFSETS:
-            off = getattr(source, name)
-            lo, hi = off[i], off[i + 1]
-            bounds.append((lo, hi))
-            mine = getattr(self, name)
-            mine.append(mine[-1] + (hi - lo))
-        for name, _kind, family in COLUMNS:
-            column = getattr(source, name)
-            if family < 0:
-                getattr(self, name).append(column[i])
-            else:
-                lo, hi = bounds[family]
-                getattr(self, name).extend(column[lo:hi])
-
 
 # ---------------------------------------------------------------------------
 # The row-group codec (shard format v3)
@@ -743,7 +713,6 @@ def build_ownership_batch(batch: ShardBatch, i: int) -> SiteOwnership:
     events.sort(key=lambda item: (item[0], item[1]))
 
     creators = ownership.creators
-    channels = ownership.channels
     apis = ownership.apis
     values = ownership.values
     for _ts, _idx, j, is_write in events:
@@ -753,13 +722,11 @@ def build_ownership_batch(batch: ShardBatch, i: int) -> SiteOwnership:
             name = batch.w_name[j]
             actor = batch.w_script_domain[j]
             creators.setdefault(name, actor if actor is not None else site)
-            channels.setdefault(name, "script")
             apis.setdefault(name, batch.w_api[j])
             value = batch.w_value[j]
         else:
             name = batch.h_name[j]
             creators.setdefault(name, batch.h_resp_domain[j])
-            channels.setdefault(name, "http")
             apis.setdefault(name, "http")
             value = batch.h_value[j]
         seen = values.setdefault(name, [])
@@ -779,7 +746,9 @@ def detect_manipulations_batch(batch: ShardBatch, i: int,
     a sibling jar entry, but to every reader of ``document.cookie`` it
     shadows the original, so a shadowing ``set`` counts as an
     overwrite, its changed attributes read off the raw string.  Only
-    writes whose actor differs from the cookie's creator are reported.
+    writes whose actor differs from the cookie's creator are reported,
+    each carrying the cookie's creation API (a name with a creator
+    always has one: :func:`build_ownership_batch` sets both together).
     """
     site = batch.sites[i]
     actions: List[CrossDomainAction] = []
@@ -787,6 +756,7 @@ def detect_manipulations_batch(batch: ShardBatch, i: int,
                for j in range(batch.h_off[i], batch.h_off[i + 1])
                if batch.h_first[j]}
     creators = ownership.creators
+    apis = ownership.apis
     w_name = batch.w_name
     w_kind = batch.w_kind
     w_script_domain = batch.w_script_domain
@@ -813,7 +783,7 @@ def detect_manipulations_batch(batch: ShardBatch, i: int,
         actions.append(CrossDomainAction(
             site=site, pair=CookiePair(name, creator), actor=actor,
             kind=kind, api=batch.w_api[j], inclusion=batch.w_inclusion[j],
-            attrs_changed=attrs))
+            api_of_cookie=apis[name], attrs_changed=attrs))
     return actions
 
 
@@ -855,34 +825,19 @@ def _value_forms(value: str) -> Tuple[Tuple[str, str], ...]:
     return forms
 
 
-#: Ownership content → built identifier index.  The key is the full
-#: (site, creators, values) payload, so a hit can only reproduce what a
-#: rebuild would; repeated analyses of one dataset (bench repeats, the
-#: serve layer answering queries) skip the per-site index build.
-_INDEX_CACHE: Dict[tuple, Dict[str, Tuple[CookiePair, str]]] = {}
-_INDEX_CACHE_LIMIT = 1 << 13
-
-
 def _identifier_index(ownership: SiteOwnership
                       ) -> Dict[str, Tuple[CookiePair, str]]:
+    """Encoded form → (cookie pair, form name), first pair winning."""
     creators = ownership.creators
-    key = (ownership.site,
-           tuple((name, creators.get(name), tuple(values))
-                 for name, values in ownership.values.items()))
-    index = _INDEX_CACHE.get(key)
-    if index is None:
-        if len(_INDEX_CACHE) >= _INDEX_CACHE_LIMIT:
-            _INDEX_CACHE.clear()
-        index = {}
-        for name, values in ownership.values.items():
-            creator = creators.get(name)
-            if creator is None:
-                continue
-            pair = CookiePair(name, creator)
-            for value in values:
-                for form, form_name in _value_forms(value):
-                    index.setdefault(form, (pair, form_name))
-        _INDEX_CACHE[key] = index
+    index: Dict[str, Tuple[CookiePair, str]] = {}
+    for name, values in ownership.values.items():
+        creator = creators.get(name)
+        if creator is None:
+            continue
+        pair = CookiePair(name, creator)
+        for value in values:
+            for form, form_name in _value_forms(value):
+                index.setdefault(form, (pair, form_name))
     return index
 
 

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..records import API_COOKIE_STORE, API_DOCUMENT_COOKIE, VisitLog
-from .attribution import CookiePair, CrossDomainAction, SiteOwnership
+from .attribution import CookiePair, CrossDomainAction
 from .columnar import (ShardBatch, build_ownership_batch,
                        detect_exfiltration_batch, detect_manipulations_batch)
 from .entities import EntityMap, default_entity_map
@@ -139,7 +139,9 @@ class StudyAccumulator:
                  filter_list: Optional[FilterList] = None):
         self.entities = entity_map or default_entity_map()
         self.filters = filter_list or default_combined_list()
-        self.ownerships: Dict[str, SiteOwnership] = {}
+        #: Every ingested visit's site: ``update`` refuses to merge two
+        #: accumulators that share one.
+        self.sites: Set[str] = set()
         self.exfil_events: List[ExfilEvent] = []
         self.manipulations: List[CrossDomainAction] = []
         #: Global unique cookie pairs by creation API (script-set only).
@@ -167,86 +169,88 @@ class StudyAccumulator:
     def add_shard_batch(self, batch: ShardBatch) -> "StudyAccumulator":
         """Ingest a whole :class:`~repro.analysis.columnar.ShardBatch`.
 
-        Per visit: its ownership, exfiltration and manipulation events
-        from the :mod:`~repro.analysis.columnar` kernels, then the §5
-        counters, each pass a tight loop over the batch's columns.
+        Per visit: its exfiltration and manipulation events from the
+        :mod:`~repro.analysis.columnar` kernels, then its §5 counters
+        (:meth:`count_visit`).  The visit's ownership index lives only
+        as long as the detectors need it.
         """
-        should_block = self.filters.should_block_cached
         pairs_by_api = self.pairs_by_api
-        store_name_counts = self.store_name_counts
-        sites = batch.sites
         for i in range(len(batch)):
-            site = sites[i]
             ownership = build_ownership_batch(batch, i)
-            self.ownerships[site] = ownership
+            self.sites.add(ownership.site)
             creators = ownership.creators
             for name, api in ownership.apis.items():
                 if api in pairs_by_api:
-                    creator = creators.get(name)
-                    if creator is not None:
-                        pairs_by_api[api].add(CookiePair(name, creator))
+                    pairs_by_api[api].add(CookiePair(name, creators[name]))
             self.exfil_events.extend(detect_exfiltration_batch(
                 batch, i, ownership))
             self.manipulations.extend(detect_manipulations_batch(
                 batch, i, ownership))
-
-            self.n_logs += 1
-            n_tp = batch.n_tp[i]
-            if n_tp > 0:
-                self.sites_with_tp += 1
-            self.tp_script_total += n_tp
-            self.direct_total += batch.n_direct[i]
-            self.indirect_total += batch.n_indirect[i]
-            s_domain = batch.s_domain
-            s_url = batch.s_url
-            s_inclusion = batch.s_inclusion
-            for j in range(batch.s_off[i], batch.s_off[i + 1]):
-                domain = s_domain[j]
-                if domain is None or domain == site:
-                    continue
-                url = s_url[j]
-                blocked = bool(url) and should_block(
-                    url, resource_type="script", page_domain=site,
-                    is_third_party=True)
-                self.tp_scripts_seen += 1
-                if blocked:
-                    self.tracking_hits += 1
-                if s_inclusion[j] == "indirect":
-                    self.indirect_seen += 1
-                    if blocked:
-                        self.indirect_tracking += 1
-            w_lo, w_hi = batch.w_off[i], batch.w_off[i + 1]
-            apis = set(batch.w_api[w_lo:w_hi])
-            apis.update(batch.r_api[batch.r_off[i]:batch.r_off[i + 1]])
-            if API_DOCUMENT_COOKIE in apis:
-                self.doc_api_sites += 1
-            if API_COOKIE_STORE in apis:
-                self.store_api_sites += 1
-            w_kind = batch.w_kind
-            w_api = batch.w_api
-            w_name = batch.w_name
-            w_script_domain = batch.w_script_domain
-            for j in range(w_lo, w_hi):
-                if w_kind[j] in ("set", "overwrite"):
-                    if w_api[j] == API_COOKIE_STORE:
-                        store_name_counts[w_name[j]] += 1
-                    actor = w_script_domain[j]
-                    if actor is not None and actor != site:
-                        self.tp_set_writes += 1
-                    else:
-                        self.fp_set_writes += 1
-            if any(batch.d_cross[batch.d_off[i]:batch.d_off[i + 1]]):
-                self.dom_mod_sites += 1
+            self.count_visit(batch, i)
         return self
+
+    def count_visit(self, batch: ShardBatch, i: int) -> None:
+        """Add visit ``i`` of ``batch`` to the §5 counters, detecting
+        nothing: all that the prevalence-by-bucket report needs."""
+        site = batch.sites[i]
+        should_block = self.filters.should_block_cached
+        self.n_logs += 1
+        n_tp = batch.n_tp[i]
+        if n_tp > 0:
+            self.sites_with_tp += 1
+        self.tp_script_total += n_tp
+        self.direct_total += batch.n_direct[i]
+        self.indirect_total += batch.n_indirect[i]
+        s_domain = batch.s_domain
+        s_url = batch.s_url
+        s_inclusion = batch.s_inclusion
+        for j in range(batch.s_off[i], batch.s_off[i + 1]):
+            domain = s_domain[j]
+            if domain is None or domain == site:
+                continue
+            url = s_url[j]
+            blocked = bool(url) and should_block(
+                url, resource_type="script", page_domain=site,
+                is_third_party=True)
+            self.tp_scripts_seen += 1
+            if blocked:
+                self.tracking_hits += 1
+            if s_inclusion[j] == "indirect":
+                self.indirect_seen += 1
+                if blocked:
+                    self.indirect_tracking += 1
+        w_lo, w_hi = batch.w_off[i], batch.w_off[i + 1]
+        apis = set(batch.w_api[w_lo:w_hi])
+        apis.update(batch.r_api[batch.r_off[i]:batch.r_off[i + 1]])
+        if API_DOCUMENT_COOKIE in apis:
+            self.doc_api_sites += 1
+        if API_COOKIE_STORE in apis:
+            self.store_api_sites += 1
+        store_name_counts = self.store_name_counts
+        w_kind = batch.w_kind
+        w_api = batch.w_api
+        w_name = batch.w_name
+        w_script_domain = batch.w_script_domain
+        for j in range(w_lo, w_hi):
+            if w_kind[j] in ("set", "overwrite"):
+                if w_api[j] == API_COOKIE_STORE:
+                    store_name_counts[w_name[j]] += 1
+                actor = w_script_domain[j]
+                if actor is not None and actor != site:
+                    self.tp_set_writes += 1
+                else:
+                    self.fp_set_writes += 1
+        if any(batch.d_cross[batch.d_off[i]:batch.d_off[i + 1]]):
+            self.dom_mod_sites += 1
 
     # ------------------------------------------------------------------
     def update(self, other: "StudyAccumulator") -> "StudyAccumulator":
         """Merge ``other`` into ``self`` (shards must not share sites)."""
-        overlap = self.ownerships.keys() & other.ownerships.keys()
+        overlap = self.sites & other.sites
         if overlap:
             raise ValueError(
                 f"overlapping shards: {sorted(overlap)[:3]} appear in both")
-        self.ownerships.update(other.ownerships)
+        self.sites |= other.sites
         self.exfil_events.extend(other.exfil_events)
         self.manipulations.extend(other.manipulations)
         for api, pairs in other.pairs_by_api.items():
@@ -255,24 +259,6 @@ class StudyAccumulator:
         for name in COUNTER_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
-
-    @classmethod
-    def resume(cls, snapshot,
-               entity_map: Optional[EntityMap] = None,
-               filter_list: Optional[FilterList] = None
-               ) -> "StudyAccumulator":
-        """Rebuild an accumulator from a saved study snapshot.
-
-        ``snapshot`` is a :class:`~repro.analysis.snapshot.StudySnapshot`
-        or a path to one on disk.  The resumed accumulator is ready for
-        more ``add_shard_batch`` calls: *save → load → add the
-        remaining shards* yields byte-identical report output to a
-        monolithic pass (``tests/test_snapshot.py`` pins this).
-        """
-        from .snapshot import StudySnapshot, load_snapshot
-        if not isinstance(snapshot, StudySnapshot):
-            snapshot = load_snapshot(snapshot)
-        return snapshot.accumulator(entity_map, filter_list)
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +302,6 @@ class Study:
     @property
     def filters(self) -> FilterList:
         return self._acc.filters
-
-    @property
-    def ownerships(self) -> Dict[str, SiteOwnership]:
-        return self._acc.ownerships
 
     @property
     def exfil_events(self) -> List[ExfilEvent]:
@@ -450,17 +432,10 @@ class Study:
         rows: List[Table1Row] = []
         for api in (API_DOCUMENT_COOKIE, API_COOKIE_STORE):
             total_pairs = max(len(self.pairs_by_api[api]), 1)
-
-            def pair_api(pair: CookiePair, site: str) -> Optional[str]:
-                ownership = self.ownerships.get(site)
-                if ownership is None:
-                    return None
-                return ownership.apis.get(pair.name)
-
             exfil_sites: Set[str] = set()
             exfil_pairs: Set[CookiePair] = set()
             for event in self.exfil_events:
-                if pair_api(event.pair, event.site) == api:
+                if event.api_of_cookie == api:
                     exfil_sites.add(event.site)
                     exfil_pairs.add(event.pair)
             rows.append(Table1Row(api, "exfiltration",
@@ -471,9 +446,8 @@ class Study:
                 hit_sites: Set[str] = set()
                 hit_pairs: Set[CookiePair] = set()
                 for manipulation in self.manipulations:
-                    if manipulation.kind != action:
-                        continue
-                    if pair_api(manipulation.pair, manipulation.site) == api:
+                    if manipulation.kind == action \
+                            and manipulation.api_of_cookie == api:
                         hit_sites.add(manipulation.site)
                         hit_pairs.add(manipulation.pair)
                 label = "overwriting" if action == "overwrite" else "deleting"

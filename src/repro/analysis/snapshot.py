@@ -2,13 +2,14 @@
 
 A *snapshot* is the serialized state of a
 :class:`~repro.analysis.reports.StudyAccumulator` — everything
-``update()`` merges: ownerships, exfiltration events, manipulations,
-``pairs_by_api``, and the integer counters — split into **parts**, one
-per ingested shard, each pinned to that shard file's SHA-256.  Because
-accumulators merge associatively (proven by
+``update()`` merges and the reports read: the ingested sites,
+exfiltration events, manipulations, ``pairs_by_api``,
+``store_name_counts`` and the integer counters — split into **parts**,
+one per ingested shard, each pinned to that shard file's SHA-256.
+Because accumulators merge associatively (proven by
 ``tests/test_fastpath_equivalence.py``) and every report derivation is
-order-independent, *save → load → add the remaining shards* produces
-byte-identical report output to a monolithic pass.
+order-independent, *save → load → refresh against the dataset*
+produces byte-identical report output to a monolithic pass.
 
 The per-shard digest binding is what buys **partial refresh**
 (:func:`refresh_study`): diff the snapshot's recorded digests against
@@ -35,7 +36,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..crawler.storage import ShardManifest, dataset_digests
-from .attribution import CookiePair, CrossDomainAction, SiteOwnership
+from .attribution import CookiePair, CrossDomainAction
 from .columnar import iter_shard_batches
 from .entities import EntityMap
 from .exfiltration import ExfilEvent
@@ -52,15 +53,13 @@ __all__ = [
     "load_snapshot",
     "refresh_study",
     "save_snapshot",
-    "snapshot_accumulator",
-    "snapshot_dataset",
     "state_accumulator",
 ]
 
 #: Version of the snapshot file format.  Bumped whenever the serialized
 #: accumulator state changes shape; a mismatched file is refused with a
 #: clear "re-analyze" message rather than silently misread.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(ValueError):
@@ -80,28 +79,17 @@ def accumulator_state(acc: StudyAccumulator) -> Dict:
     the property that makes snapshot files, and therefore their stamped
     digests, deterministic.
     """
-    ownerships = {}
-    for site, own in acc.ownerships.items():
-        ownerships[site] = {
-            "creators": dict(own.creators),
-            # Value order is first-seen order and breaks the identifier
-            # index's collision ties at ingest time only; it is
-            # preserved verbatim.
-            "values": {name: list(vals) for name, vals in own.values.items()},
-            "channels": dict(own.channels),
-            "apis": dict(own.apis),
-        }
     exfil = sorted(
         [e.site, e.pair.name, e.pair.creator, e.actor, e.destination,
          e.url, e.matched_form, e.api_of_cookie]
         for e in acc.exfil_events)
     manip = sorted(
         [m.site, m.pair.name, m.pair.creator, m.actor, m.kind, m.api,
-         m.inclusion, list(m.attrs_changed)]
+         m.inclusion, m.api_of_cookie, list(m.attrs_changed)]
         for m in acc.manipulations)
     return {
         "counters": {name: getattr(acc, name) for name in COUNTER_FIELDS},
-        "ownerships": ownerships,
+        "sites": sorted(acc.sites),
         "exfil_events": exfil,
         "manipulations": manip,
         "pairs_by_api": {
@@ -126,17 +114,7 @@ def state_accumulator(state: Dict,
     try:
         for name in COUNTER_FIELDS:
             setattr(acc, name, int(state["counters"][name]))
-        for site, own in state["ownerships"].items():
-            acc.ownerships[site] = SiteOwnership(
-                site=site,
-                creators={str(k): str(v)
-                          for k, v in own["creators"].items()},
-                values={str(k): [str(v) for v in vals]
-                        for k, vals in own["values"].items()},
-                channels={str(k): str(v)
-                          for k, v in own["channels"].items()},
-                apis={str(k): str(v) for k, v in own["apis"].items()},
-            )
+        acc.sites.update(str(site) for site in state["sites"])
         acc.exfil_events.extend(
             ExfilEvent(site=site, pair=CookiePair(name, creator),
                        actor=actor, destination=destination, url=url,
@@ -148,9 +126,10 @@ def state_accumulator(state: Dict,
             CrossDomainAction(site=site, pair=CookiePair(name, creator),
                               actor=actor, kind=kind, api=api,
                               inclusion=inclusion,
+                              api_of_cookie=api_of_cookie,
                               attrs_changed=tuple(attrs))
-            for site, name, creator, actor, kind, api, inclusion, attrs
-            in state["manipulations"])
+            for site, name, creator, actor, kind, api, inclusion,
+            api_of_cookie, attrs in state["manipulations"])
         for api, pairs in state["pairs_by_api"].items():
             acc.pairs_by_api.setdefault(api, set()).update(
                 CookiePair(name, creator) for name, creator in pairs)
@@ -172,37 +151,23 @@ class SnapshotPart:
 
     ``file``/``sha256``/``count`` bind the part to a shard file: a part
     whose digest still appears in the dataset's manifest can be merged
-    as-is on refresh.  A part with no binding (``sha256 is None``) came
-    from an in-memory accumulator and is only reusable via resume, not
-    via digest diffing.
+    as-is on refresh.
     """
 
     state: Dict
-    file: Optional[str] = None
-    sha256: Optional[str] = None
-    count: Optional[int] = None
+    file: str
+    sha256: str
+    count: int
 
     def to_dict(self) -> Dict:
-        out: Dict = {"state": self.state}
-        if self.file is not None:
-            out["file"] = self.file
-        if self.sha256 is not None:
-            out["sha256"] = self.sha256
-        if self.count is not None:
-            out["count"] = self.count
-        return out
+        return {"state": self.state, "file": self.file,
+                "sha256": self.sha256, "count": self.count}
 
     @classmethod
     def from_dict(cls, data: Dict) -> "SnapshotPart":
         try:
-            return cls(
-                state=dict(data["state"]),
-                file=None if data.get("file") is None else str(data["file"]),
-                sha256=(None if data.get("sha256") is None
-                        else str(data["sha256"])),
-                count=(None if data.get("count") is None
-                       else int(data["count"])),
-            )
+            return cls(state=dict(data["state"]), file=str(data["file"]),
+                       sha256=str(data["sha256"]), count=int(data["count"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SnapshotError(f"malformed snapshot part: {exc}") from exc
 
@@ -238,9 +203,8 @@ class StudySnapshot:
         return cls(parts, version=version)
 
     def part_by_digest(self) -> Dict[str, SnapshotPart]:
-        """Shard-bound parts keyed by their pinned SHA-256."""
-        return {part.sha256: part for part in self.parts
-                if part.sha256 is not None}
+        """Parts keyed by their pinned SHA-256."""
+        return {part.sha256: part for part in self.parts}
 
     # -- payload bytes ----------------------------------------------------
     def payload_bytes(self) -> bytes:
@@ -270,16 +234,6 @@ class StudySnapshot:
               filter_list: Optional[FilterList] = None) -> Study:
         return Study.from_accumulator(self.accumulator(entity_map,
                                                        filter_list))
-
-
-def snapshot_accumulator(acc: StudyAccumulator, *,
-                         file: Optional[str] = None,
-                         sha256: Optional[str] = None,
-                         count: Optional[int] = None) -> StudySnapshot:
-    """Snapshot one in-memory accumulator as a single part."""
-    return StudySnapshot([SnapshotPart(state=accumulator_state(acc),
-                                       file=file, sha256=sha256,
-                                       count=count)])
 
 
 # ---------------------------------------------------------------------------
@@ -417,17 +371,6 @@ def refresh_study(snapshot: Optional[StudySnapshot],
                                   count=manifest.counts[pos]))
         reingested.append(name)
     dropped = sum(1 for digest in old if digest not in seen)
-    if snapshot is not None:
-        dropped += sum(1 for part in snapshot.parts if part.sha256 is None)
     return RefreshResult(snapshot=StudySnapshot(parts),
                          reused=tuple(reused),
                          reingested=tuple(reingested), dropped=dropped)
-
-
-def snapshot_dataset(dataset: Union[str, Path], *,
-                     entity_map: Optional[EntityMap] = None,
-                     filter_list: Optional[FilterList] = None
-                     ) -> StudySnapshot:
-    """Analyze a sharded dataset into a fresh per-shard snapshot."""
-    return refresh_study(None, dataset, entity_map=entity_map,
-                         filter_list=filter_list).snapshot

@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlsplit
 
+from ..crawler.storage import ManifestError
 from .catalog import StudyCatalog, StudyEntry
 from .etag import etag_matches, quote_etag, resource_etag
 from .queries import QueryError, get_query, iter_queries, parse_params
@@ -134,8 +135,21 @@ class StudyCatalogHandler(BaseHTTPRequestHandler):
             raise ServeError(404, f"no such resource {split.path!r}")
 
         entry = self._entry(parts[1])
-        rest = parts[2:]
+        try:
+            return self._study_dispatch(entry, parts[2:], raw_params,
+                                        split.path)
+        except ManifestError:
+            if entry.is_current():
+                raise
+        # The study's shards were rewritten under this entry: answer
+        # once from the entry the catalog rebuilds.
+        self.catalog.refresh()
+        return self._study_dispatch(self._entry(parts[1]), parts[2:],
+                                    raw_params, split.path)
 
+    def _study_dispatch(self, entry: StudyEntry, rest: List[str],
+                        raw_params: Dict, path: str) -> Tuple[str, bytes]:
+        """Resolve a request under ``/studies/<id>`` against ``entry``."""
         if not rest:
             self._reject_params(raw_params)
             payload = dict(entry.summary())
@@ -191,7 +205,7 @@ class StudyCatalogHandler(BaseHTTPRequestHandler):
                        "result": query.run(entry, params)}
             return etag, render_json(payload)
 
-        raise ServeError(404, f"no such resource {split.path!r}")
+        raise ServeError(404, f"no such resource {path!r}")
 
     # ------------------------------------------------------------------
     def _entry(self, study_id: str) -> StudyEntry:

@@ -26,9 +26,11 @@ needs:
   re-crawled dataset re-ingests only its changed shards instead of
   discarding the whole aggregation (ETags are untouched: they derive
   from the shard digests alone, never from the sidecar);
-* per-rank-bucket accumulators for the prevalence-by-bucket query
-  (the same mergeable-accumulator decomposition the shard merge uses,
-  keyed by rank bucket instead of shard).
+* per-rank-bucket accumulators for the prevalence-by-bucket query,
+  each fed only its bucket's visits' §5 counters
+  (:meth:`~repro.analysis.reports.StudyAccumulator.count_visit`): the
+  same decomposition the shard merge uses, keyed by rank bucket
+  instead of shard, with no detector run.
 """
 
 from __future__ import annotations
@@ -190,10 +192,10 @@ class StudyEntry:
 
         Streams the shards once per distinct ``bucket_size`` as columnar
         batches, each shard checked against the digest the entry's ETag
-        pins (so it refuses exactly when :meth:`study` does), routing
-        each batch's rows into per-bucket sub-batches
-        (:meth:`~repro.analysis.columnar.ShardBatch.select` — a column
-        gather, no objects) — the same associative decomposition
+        pins (so it refuses exactly when :meth:`study` does), and counts
+        each row into its bucket's accumulator
+        (:meth:`~repro.analysis.reports.StudyAccumulator.count_visit`,
+        no detectors) — the same associative decomposition
         ``Study.from_shards`` uses, so the per-bucket numbers are
         exactly what a Study over only that bucket's sites would report.
         """
@@ -211,14 +213,12 @@ class StudyEntry:
                        for batch in iter_shard_batches(
                            self.directory, shard=pos, sha256=digest))
             for batch in batches:
-                by_bucket: Dict[int, List[int]] = {}
                 for i, rank in enumerate(batch.ranks):
-                    by_bucket.setdefault(rank // bucket_size, []).append(i)
-                for bucket, indices in by_bucket.items():
+                    bucket = rank // bucket_size
                     acc = accs.get(bucket)
                     if acc is None:
                         acc = accs[bucket] = StudyAccumulator()
-                    acc.add_shard_batch(batch.select(indices))
+                    acc.count_visit(batch, i)
             rows: List[Dict] = []
             for bucket in sorted(accs):
                 acc = accs[bucket]

@@ -50,7 +50,6 @@ def build_ownership(log: VisitLog) -> SiteOwnership:
             continue
         name = event.cookie_name
         ownership.creators.setdefault(name, creator)
-        ownership.channels.setdefault(name, channel)
         ownership.apis.setdefault(name, api)
         values = ownership.values.setdefault(name, [])
         if event.cookie_value and event.cookie_value not in values:
@@ -85,7 +84,7 @@ def detect_manipulations(log: VisitLog) -> List[CrossDomainAction]:
         actions.append(CrossDomainAction(
             site=log.site, pair=CookiePair(name, creator), actor=actor,
             kind=kind, api=write.api, inclusion=write.inclusion,
-            attrs_changed=attrs))
+            api_of_cookie=ownership.apis[name], attrs_changed=attrs))
     return actions
 
 
@@ -132,7 +131,7 @@ def add(acc: StudyAccumulator, log: VisitLog) -> StudyAccumulator:
     """Ingest one visit log into ``acc``, as ``add_shard_batch`` does
     for every row of a batch."""
     ownership = build_ownership(log)
-    acc.ownerships[log.site] = ownership
+    acc.sites.add(log.site)
     for name, api in ownership.apis.items():
         if api in acc.pairs_by_api:
             acc.pairs_by_api[api].add(

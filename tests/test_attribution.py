@@ -1,12 +1,14 @@
 """Ownership index and cross-domain manipulation detection (§4.4).
 
-Each case runs one hand-written visit log through ``Study``, the
-production path (the columnar kernels).
+Each ownership case runs one hand-written visit log through
+``build_ownership_batch`` and each detection case through ``Study``:
+the production path (the columnar kernels).
 """
 
 import pytest
 
 from repro.analysis import Study
+from repro.analysis.columnar import ShardBatch, build_ownership_batch
 from repro.records import CookieWriteEvent, HeaderCookieEvent, VisitLog
 
 SITE = "site.com"
@@ -37,7 +39,7 @@ def log_with(writes=(), headers=()):
 
 
 def build_ownership(log):
-    return Study([log]).ownerships[log.site]
+    return build_ownership_batch(ShardBatch.from_logs([log]), 0)
 
 
 def detect_manipulations(log):
@@ -56,7 +58,6 @@ class TestOwnership:
         log = log_with(headers=[header("srv_pref")])
         ownership = build_ownership(log)
         assert ownership.creators["srv_pref"] == SITE
-        assert ownership.channels["srv_pref"] == "http"
         assert ownership.apis["srv_pref"] == "http"
 
     def test_third_party_header_ignored(self):

@@ -7,7 +7,8 @@ the production path (the columnar kernels).
 import pytest
 
 from repro.analysis import Study
-from repro.analysis.columnar import _identifier_index
+from repro.analysis.columnar import (ShardBatch, _identifier_index,
+                                     build_ownership_batch)
 from repro.analysis.exfiltration import (
     MIN_IDENTIFIER_LENGTH,
     split_candidates,
@@ -46,7 +47,8 @@ def detect_exfiltration(log):
 
 
 def identifier_index(log):
-    return _identifier_index(Study([log]).ownerships[log.site])
+    return _identifier_index(
+        build_ownership_batch(ShardBatch.from_logs([log]), 0))
 
 
 class TestSplitCandidates:

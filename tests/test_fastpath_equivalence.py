@@ -642,15 +642,6 @@ class TestColumnarEquivalence:
         assert [log.to_dict() for log in batch.logs()] == \
             [log.to_dict() for log in logs]
 
-    def test_select_is_a_pure_column_gather(self, crawl_logs):
-        from repro.analysis.columnar import ShardBatch
-        logs = list(crawl_logs[:40])
-        batch = ShardBatch.from_logs(logs)
-        indices = [31, 2, 17, 2, 0]
-        sub = batch.select(indices)
-        assert [log.to_dict() for log in sub.logs()] == \
-            [logs[i].to_dict() for i in indices]
-
     def test_merge_is_associative_on_report_bytes(self, crawl_logs):
         """merge(a, merge(b, c)) == merge(merge(a, b), c) — the property
         the shard merge, the serve catalog, and the rank-bucket

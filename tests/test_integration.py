@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import Study
+from repro.analysis.columnar import ShardBatch, build_ownership_batch
 from repro.browser.browser import Browser
 from repro.browser.scripts import Script
 from repro.cookieguard.guard import CookieGuardExtension
@@ -38,7 +39,7 @@ class TestOptimonkCaseStudy:
         return crawler.visit_site(site)
 
     def test_ga_created_by_gtm(self, log):
-        ownership = Study([log]).ownerships[log.site]
+        ownership = build_ownership_batch(ShardBatch.from_logs([log]), 0)
         assert ownership.creators.get("_ga") == "googletagmanager.com"
 
     def test_linkedin_exfiltrates_ga_base64(self, log):
@@ -64,7 +65,7 @@ class TestGoosecreekCaseStudy:
         return Crawler(population, CrawlConfig(seed=2025)).visit_site(site)
 
     def test_fbp_created_by_facebook(self, log):
-        ownership = Study([log]).ownerships[log.site]
+        ownership = build_ownership_batch(ShardBatch.from_logs([log]), 0)
         assert ownership.creators.get("_fbp") == "facebook.net"
 
     def test_osano_sends_fbp_to_criteo(self, log):

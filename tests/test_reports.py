@@ -11,6 +11,7 @@ from repro.analysis.reports import (
     render_table5,
 )
 from repro.records import API_COOKIE_STORE, API_DOCUMENT_COOKIE
+from test_attribution import header, log_with, write
 
 
 class TestTable1:
@@ -45,6 +46,35 @@ class TestTable1:
     def test_render(self, study):
         text = render_table1(study.table1())
         assert "exfiltration" in text and "document.cookie" in text
+
+    # Table 1 splits by the API that created the cookie, not the API of
+    # the write acting on it.
+    @staticmethod
+    def _rows(log):
+        study = Study([log])
+        return study, {(r.cookie_type, r.action): r for r in study.table1()}
+
+    def test_http_cookie_overwritten_by_script_counts_nowhere(self):
+        log = log_with(headers=[header("srv_pref")],
+                       writes=[write("srv_pref", kind="overwrite",
+                                     domain="tracker.com",
+                                     api=API_DOCUMENT_COOKIE)])
+        study, rows = self._rows(log)
+        overwrite, = study.manipulations
+        assert (overwrite.api, overwrite.api_of_cookie) == \
+            (API_DOCUMENT_COOKIE, "http")
+        assert all(row.n_cookies == 0 and row.pct_websites == 0.0
+                   for row in rows.values())
+
+    def test_delete_counts_under_the_creating_api(self):
+        log = log_with(writes=[
+            write("cs_id", domain="cdn.com", api=API_COOKIE_STORE, ts=1.0),
+            write("cs_id", kind="delete", domain="tracker.com",
+                  api=API_DOCUMENT_COOKIE, ts=2.0)])
+        _study, rows = self._rows(log)
+        store = rows[(API_COOKIE_STORE, "deleting")]
+        assert (store.n_cookies, store.pct_websites) == (1, 100.0)
+        assert rows[(API_DOCUMENT_COOKIE, "deleting")].n_cookies == 0
 
 
 class TestTable2:

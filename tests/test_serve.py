@@ -530,6 +530,24 @@ class TestReportFidelity:
             assert row["rank_hi"] == row["rank_lo"] + 6
             assert "pct_sites_with_third_party" in row
 
+    def test_each_bucket_equals_a_study_of_its_sites(self, client,
+                                                     crawl_logs):
+        """Each row counts exactly its bucket's visits: a Study over
+        only those logs reports the same §5.1 numbers."""
+        status, _, body = client("/studies/demo/reports/prevalence?bucket=7")
+        assert status == 200
+        rows = json.loads(body)["result"]
+        by_bucket = {}
+        for log in crawl_logs:
+            by_bucket.setdefault(log.rank // 7, []).append(log)
+        assert [row["bucket"] for row in rows] == sorted(by_bucket)
+        for row in rows:
+            study = Study(by_bucket[row["bucket"]])
+            assert row["n_sites"] == study.n_sites
+            got = {k: v for k, v in row.items()
+                   if k not in ("bucket", "rank_lo", "rank_hi", "n_sites")}
+            assert got == study.sec51_prevalence(), row["bucket"]
+
     def test_whole_study_bucket_equals_global_prevalence(self, client,
                                                          crawl_logs):
         """One bucket spanning every rank must reproduce the global
@@ -854,6 +872,36 @@ class TestReadsPinnedToTheEntry:
         with pytest.raises(ManifestError, match=r"shard-0000\.jsonl"):
             entry.site_dict(crawl_logs[0].rank)
 
+    def test_server_answers_a_rewritten_study_from_a_rebuilt_entry(
+            self, crawl_logs, tmp_path):
+        """The server's entry has built its study but no shard index
+        when shard 0 is rewritten: a bucket it never counted and a site
+        lookup must rebuild the entry once and answer 200 under the
+        new study ETag, with no listing request in between."""
+        from repro.serve.etag import quote_etag, resource_etag
+        root = tmp_path / "root"
+        directory = root / "demo"
+        directory.mkdir(parents=True)
+        save_logs(crawl_logs[:40], directory, shards=3, compress=True)
+        with _serving(root) as get:
+            status, _, body = get("/studies/demo/reports/summary")
+            assert status == 200, body
+            old = json.loads(get("/studies/demo")[2])["etag"]
+            _touch_shard(directory)
+            new = StudyCatalog(root).get("demo").etag
+            assert new != old
+            rank = crawl_logs[0].rank
+            for path, params in (
+                    ("/studies/demo/reports/prevalence", {"bucket": 9}),
+                    (f"/studies/demo/sites/{rank}", None)):
+                url = path + (f"?bucket={params['bucket']}" if params
+                              else "")
+                status, headers, body = get(url)
+                assert status == 200, (url, body)
+                assert headers["ETag"] == quote_etag(
+                    resource_etag(new, path, params)), url
+            assert json.loads(get("/studies/demo")[2])["etag"] == new
+
 
 class TestSnapshotSidecar:
     def _entry(self, directory):
@@ -891,6 +939,29 @@ class TestSnapshotSidecar:
         fresh = self._entry(directory)
         assert fresh.etag == etag_before
         assert fresh.study().report_bytes() == reference
+        assert calls == []
+
+    def test_a_version_1_sidecar_is_replaced_once(self, crawl_logs,
+                                                  tmp_path, monkeypatch):
+        """A sidecar an older build wrote (version 1) is refused, rebuilt
+        from the shards into the current version, and reused after."""
+        from repro.analysis.snapshot import (SNAPSHOT_VERSION, StudySnapshot,
+                                             load_snapshot, save_snapshot)
+        from repro.serve.catalog import SNAPSHOT_NAME
+        directory = tmp_path / "study"
+        directory.mkdir()
+        save_logs(crawl_logs[:30], directory, shards=3)
+        reference = self._entry(directory).study().report_bytes()
+        sidecar = directory / SNAPSHOT_NAME
+        save_snapshot(StudySnapshot(load_snapshot(sidecar).parts, version=1),
+                      sidecar)
+
+        calls = self._counting_ingest(monkeypatch)
+        assert self._entry(directory).study().report_bytes() == reference
+        assert len(calls) == 3
+        assert load_snapshot(sidecar).version == SNAPSHOT_VERSION
+        calls.clear()
+        assert self._entry(directory).study().report_bytes() == reference
         assert calls == []
 
     def test_catalog_refresh_upgrades_a_stale_entry_incrementally(

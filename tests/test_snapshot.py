@@ -1,10 +1,11 @@
 """Study snapshots (``repro.analysis.snapshot``): persist, resume, refresh.
 
 The contract under test: a snapshot is a faithful, versioned, canonical
-serialization of ``StudyAccumulator`` state — *save → load → add the
-remaining shards* and *partial refresh over a changed dataset* both
-produce report output byte-identical to a monolithic analysis
-(``Study.report_bytes()``), for any shard split and either compression.
+serialization of ``StudyAccumulator`` state — *save some shards' parts →
+load → refresh against the whole dataset* and *partial refresh over a
+changed dataset* both produce report output byte-identical to a
+monolithic analysis (``Study.report_bytes()``), for any shard split and
+either compression.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from repro.analysis.snapshot import (
     load_snapshot,
     refresh_study,
     save_snapshot,
-    snapshot_accumulator,
-    snapshot_dataset,
     state_accumulator,
 )
 from repro.crawler import ShardManifest, save_logs
@@ -95,7 +94,7 @@ class TestSaveLoad:
     def test_roundtrip_preserves_digest_and_reports(self, logs, tmp_path,
                                                     reference):
         directory = _dataset(tmp_path, logs)
-        snapshot = snapshot_dataset(directory)
+        snapshot = refresh_study(None, directory).snapshot
         path = tmp_path / "snap.json"
         save_snapshot(snapshot, path)
         loaded = load_snapshot(path)
@@ -106,15 +105,15 @@ class TestSaveLoad:
         directory = _dataset(tmp_path, logs)
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        save_snapshot(snapshot_dataset(directory), a)
-        save_snapshot(snapshot_dataset(directory), b)
+        save_snapshot(refresh_study(None, directory).snapshot, a)
+        save_snapshot(refresh_study(None, directory).snapshot, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_version_mismatch_is_refused_with_reanalyze_message(
             self, logs, tmp_path):
         directory = _dataset(tmp_path, logs, n_shards=2)
         path = tmp_path / "snap.json"
-        save_snapshot(snapshot_dataset(directory), path)
+        save_snapshot(refresh_study(None, directory).snapshot, path)
         data = json.loads(path.read_text())
         data["version"] = SNAPSHOT_VERSION + 1
         path.write_text(json.dumps(data))
@@ -124,7 +123,7 @@ class TestSaveLoad:
     def test_tampered_payload_is_refused(self, logs, tmp_path):
         directory = _dataset(tmp_path, logs, n_shards=2)
         path = tmp_path / "snap.json"
-        save_snapshot(snapshot_dataset(directory), path)
+        save_snapshot(refresh_study(None, directory).snapshot, path)
         data = json.loads(path.read_text())
         data["parts"][0]["state"]["counters"]["n_logs"] += 1
         path.write_text(json.dumps(data))
@@ -134,7 +133,7 @@ class TestSaveLoad:
     def test_torn_file_is_refused(self, logs, tmp_path):
         directory = _dataset(tmp_path, logs, n_shards=2)
         path = tmp_path / "snap.json"
-        save_snapshot(snapshot_dataset(directory), path)
+        save_snapshot(refresh_study(None, directory).snapshot, path)
         path.write_bytes(path.read_bytes()[:-40])
         with pytest.raises(SnapshotError, match="unparseable"):
             load_snapshot(path)
@@ -144,40 +143,34 @@ class TestSaveLoad:
             load_snapshot(tmp_path / "nope.json")
 
 
+def _resume_from_split(directory, split, path):
+    """Save the first ``split`` shards' parts, load them, and refresh
+    against the whole dataset: the rest are ingested from their bytes."""
+    cold = refresh_study(None, directory).snapshot
+    save_snapshot(StudySnapshot(cold.parts[:split]), path)
+    return refresh_study(load_snapshot(path), directory)
+
+
 class TestResumeEquivalence:
     @pytest.mark.parametrize("compress", [False, True],
                              ids=["plain", "gzip"])
     def test_save_load_resume_equals_monolithic(self, logs, tmp_path,
                                                 reference, compress):
-        """save → load → add the remaining shards == one-pass analysis."""
+        """save half → load → refresh the rest == one-pass analysis."""
         directory = _dataset(tmp_path, logs, n_shards=4, compress=compress)
         manifest = ShardManifest.load(directory)
-        half = StudyAccumulator()
-        for name in manifest.files[:2]:
-            for batch in iter_shard_batches(directory / name):
-                half.add_shard_batch(batch)
-        path = tmp_path / "snap.json"
-        save_snapshot(snapshot_accumulator(half), path)
+        result = _resume_from_split(directory, 2, tmp_path / "snap.json")
+        assert result.reused == manifest.files[:2]
+        assert result.reingested == manifest.files[2:]
+        assert result.snapshot.study().report_bytes() == reference
 
-        resumed = StudyAccumulator.resume(path)
-        for name in manifest.files[2:]:
-            for batch in iter_shard_batches(directory / name):
-                resumed.add_shard_batch(batch)
-        assert Study.from_accumulator(resumed).report_bytes() == reference
-
-    def test_resume_accepts_a_snapshot_object(self, logs, reference):
-        acc = StudyAccumulator().add_shard_batch(ShardBatch.from_logs(logs))
-        resumed = StudyAccumulator.resume(snapshot_accumulator(acc))
-        assert Study.from_accumulator(resumed).report_bytes() == reference
-
-    def test_overlapping_parts_fail_loudly(self, logs):
+    def test_overlapping_parts_fail_loudly(self, logs, tmp_path):
+        directory = _dataset(tmp_path, logs[:10], n_shards=1)
+        part, = refresh_study(None, directory).snapshot.parts
         acc = StudyAccumulator().add_shard_batch(
             ShardBatch.from_logs(logs[:10]))
-        state = accumulator_state(acc)
-        doubled = StudySnapshot([part for snap in
-                                 (snapshot_accumulator(acc),) * 2
-                                 for part in snap.parts])
-        assert doubled.parts[0].state == state
+        doubled = StudySnapshot([part, part])
+        assert doubled.parts[0].state == accumulator_state(acc)
         with pytest.raises(ValueError, match="overlapping"):
             doubled.accumulator()
 
@@ -186,7 +179,7 @@ class TestMergeAssociativity:
     def test_parts_merge_identically_in_any_grouping(self, logs, tmp_path,
                                                      reference):
         directory = _dataset(tmp_path, logs, n_shards=3)
-        parts = snapshot_dataset(directory).parts
+        parts = refresh_study(None, directory).snapshot.parts
         assert len(parts) == 3
 
         def merge(groups):
@@ -207,7 +200,7 @@ class TestMergeAssociativity:
     def test_part_order_does_not_change_reports(self, logs, tmp_path,
                                                 reference):
         directory = _dataset(tmp_path, logs, n_shards=3)
-        snapshot = snapshot_dataset(directory)
+        snapshot = refresh_study(None, directory).snapshot
         shuffled = StudySnapshot(reversed(snapshot.parts))
         assert shuffled.study().report_bytes() == reference
 
@@ -216,7 +209,7 @@ class TestPartialRefresh:
     def test_unchanged_dataset_reuses_every_part(self, logs, tmp_path,
                                                  reference):
         directory = _dataset(tmp_path, logs)
-        snapshot = snapshot_dataset(directory)
+        snapshot = refresh_study(None, directory).snapshot
         result = refresh_study(snapshot, directory)
         assert result.reingested == () and result.dropped == 0
         assert len(result.reused) == 4 and not result.changed
@@ -227,7 +220,7 @@ class TestPartialRefresh:
     def test_touched_shard_is_the_only_one_reingested(self, logs, tmp_path,
                                                       compress):
         directory = _dataset(tmp_path, logs, compress=compress)
-        snapshot = snapshot_dataset(directory)
+        snapshot = refresh_study(None, directory).snapshot
         _touch_shard(directory, shard=1)
         manifest = ShardManifest.load(directory)
         result = refresh_study(snapshot, directory)
@@ -243,7 +236,7 @@ class TestPartialRefresh:
 
     def test_removed_shard_is_dropped(self, logs, tmp_path):
         directory = _dataset(tmp_path, logs, n_shards=3)
-        snapshot = snapshot_dataset(directory)
+        snapshot = refresh_study(None, directory).snapshot
         manifest = ShardManifest.load(directory)
         kept = list(range(manifest.n_shards - 1))
         remaining = [log for i in kept
@@ -263,7 +256,7 @@ class TestPartialRefresh:
 
     def test_renamed_shard_is_rebound_not_reingested(self, logs, tmp_path):
         directory = _dataset(tmp_path, logs, n_shards=2)
-        snapshot = snapshot_dataset(directory)
+        snapshot = refresh_study(None, directory).snapshot
         manifest = ShardManifest.load(directory)
         old_name = manifest.files[0]
         new_name = "renamed-" + old_name
@@ -287,7 +280,7 @@ class TestPartialRefresh:
         manifest = ShardManifest.load(directory)
         before = {name: compute_digest(directory / name)
                   for name in manifest.files}
-        save_snapshot(snapshot_dataset(directory),
+        save_snapshot(refresh_study(None, directory).snapshot,
                       directory / "study.snapshot.json")
         after = ShardManifest.load(directory)
         assert after.to_dict() == manifest.to_dict()
@@ -319,6 +312,22 @@ class TestAnalyzeCLI:
         capsys.readouterr()
         assert warm.read_bytes() == scratch.read_bytes()
         assert cold.read_bytes() != warm.read_bytes()
+
+    def test_version_1_snapshot_is_refused_on_resume(self, logs, tmp_path,
+                                                    capsys):
+        """A snapshot from an older build is refused, never misread."""
+        from repro.__main__ import main
+        directory = _dataset(tmp_path, logs, n_shards=2)
+        snap = tmp_path / "snap.json"
+        parts = refresh_study(None, directory).snapshot.parts
+        save_snapshot(StudySnapshot(parts, version=1), snap)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", str(directory), "--snapshot", str(snap),
+                  "--resume"])
+        assert exit_info.value.code == 1
+        out = capsys.readouterr().out
+        assert "unsupported snapshot version 1" in out
+        assert "re-analyze" in out
 
     def test_resume_requires_snapshot_flag(self, logs, tmp_path, capsys):
         from repro.__main__ import main
@@ -365,15 +374,8 @@ class TestResumeDeterminismMatrix:
         save_logs(logs, directory, shards=n_shards, compress=compress)
         manifest = ShardManifest.load(directory)
         for split in range(n_shards + 1):
-            head = StudyAccumulator()
-            for name in manifest.files[:split]:
-                for batch in iter_shard_batches(directory / name):
-                    head.add_shard_batch(batch)
             path = tmp_path / f"split-{compress}-{split}.json"
-            save_snapshot(snapshot_accumulator(head), path)
-            resumed = StudyAccumulator.resume(path)
-            for name in manifest.files[split:]:
-                for batch in iter_shard_batches(directory / name):
-                    resumed.add_shard_batch(batch)
-            assert Study.from_accumulator(resumed).report_bytes() \
+            result = _resume_from_split(directory, split, path)
+            assert result.reingested == manifest.files[split:]
+            assert result.snapshot.study().report_bytes() \
                 == reference, f"resume diverged at split {split}"
