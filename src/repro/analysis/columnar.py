@@ -50,12 +50,13 @@ The per-site analysis kernels (:func:`build_ownership_batch`,
 are the §4.4 detectors: every ``Study``, ``repro analyze`` report,
 snapshot and served report runs them.  ``tests/analysis_oracle.py``
 keeps the same logic as loops over one ``VisitLog``'s events, and
-``tests/test_fastpath_equivalence.py`` demands byte-identical ``Study``
-report output from both.
+``tests/test_fastpath_equivalence.py`` demands identical events and
+byte-identical ``Study`` report output from both.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 import sys
 from array import array
@@ -63,13 +64,13 @@ from itertools import accumulate, chain
 from operator import sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..encoding import b64, md5_hex, sha1_hex
 from ..records import (CookieReadEvent, CookieWriteEvent, DomMutationEvent,
                        HeaderCookieEvent, RequestEvent, ScriptRecord,
                        VisitLog)
 from .attribution import (CookiePair, CrossDomainAction, SiteOwnership,
                           _attrs_from_raw)
-from .exfiltration import (ExfilEvent, encoded_forms_cached,
-                           split_candidates_fast)
+from .exfiltration import ExfilEvent, split_candidates_fast
 
 __all__ = [
     "COLUMNS",
@@ -789,6 +790,11 @@ def detect_manipulations_batch(batch: ShardBatch, i: int,
 
 _FORM_NAMES = ("plain", "b64", "md5", "sha1")
 
+#: Hex digest length → (hash, form number).  Only a token of that many
+#: lowercase hex characters can equal an MD5 (32) or SHA1 (40) form.
+_DIGESTS = {32: (md5_hex, 2), 40: (sha1_hex, 3)}
+_LOWER_HEX = re.compile("[0-9a-f]+")
+
 #: Query/body string → deduplicated candidate tokens.  Pure function of
 #: the string, so sharing it process-wide is safe; endpoints repeat the
 #: same payload shapes across sites and across repeated analyses.
@@ -806,64 +812,49 @@ def _tokens_of(text: str) -> Tuple[str, ...]:
     return tokens
 
 
-#: Cookie value → ((encoded form, form name), ...) in index order —
-#: split first, then plain/b64/md5/sha1 per candidate.
-_VALUE_FORMS_CACHE: Dict[str, Tuple[Tuple[str, str], ...]] = {}
+def detect_exfiltration_batch(batch: ShardBatch, i: int,
+                              ownership: SiteOwnership
+                              ) -> List[ExfilEvent]:
+    """Confirmed cross-domain exfiltration events of visit ``i``.
 
-
-def _value_forms(value: str) -> Tuple[Tuple[str, str], ...]:
-    forms = _VALUE_FORMS_CACHE.get(value)
-    if forms is None:
-        if len(_VALUE_FORMS_CACHE) >= _TOKEN_CACHE_LIMIT:
-            _VALUE_FORMS_CACHE.clear()
-        out: List[Tuple[str, str]] = []
-        for candidate in split_candidates_fast(value):
-            for form_name, form in zip(_FORM_NAMES,
-                                       encoded_forms_cached(candidate)):
-                out.append((form, form_name))
-        forms = _VALUE_FORMS_CACHE[value] = tuple(out)
-    return forms
-
-
-def _identifier_index(ownership: SiteOwnership
-                      ) -> Dict[str, Tuple[CookiePair, str]]:
-    """Encoded form → (cookie pair, form name), first pair winning."""
+    Each candidate identifier of each cookie value takes a position
+    ``k`` (names in insertion order, values in first-seen order, then
+    the split).  A request token matches a candidate's plain, Base64,
+    MD5 or SHA1 form; the MD5 or SHA1 table is built only for a token
+    of 32 or 40 lowercase hex characters.  A token equal to several
+    forms takes the smallest (candidate position, form), so on a
+    collision the first pair wins (identical identifiers across cookies
+    are overwhelmingly the same underlying id).  Query then body tokens
+    are looked up, deduplicated in occurrence order.  Only cross-domain
+    events are reported: the paper treats a script sending its own
+    cookie home (GA's ``_ga``) as authorized.  One event is kept per
+    (pair, actor, destination).
+    """
+    site = batch.sites[i]
     creators = ownership.creators
-    index: Dict[str, Tuple[CookiePair, str]] = {}
+    candidates: List[Tuple[str, CookiePair]] = []
+    # Plain and Base64 form → first position 4·k + form.  Filling one
+    # table in (k, form) order keeps the smallest position per key.
+    positions: Dict[str, int] = {}
     for name, values in ownership.values.items():
         creator = creators.get(name)
         if creator is None:
             continue
         pair = CookiePair(name, creator)
         for value in values:
-            for form, form_name in _value_forms(value):
-                index.setdefault(form, (pair, form_name))
-    return index
-
-
-def detect_exfiltration_batch(batch: ShardBatch, i: int,
-                              ownership: SiteOwnership
-                              ) -> List[ExfilEvent]:
-    """Confirmed cross-domain exfiltration events of visit ``i``.
-
-    Every candidate identifier of every cookie value, in plain, Base64,
-    MD5 and SHA1 form, indexes its cookie pair; on a collision the first
-    pair wins (identical identifiers across cookies are overwhelmingly
-    the same underlying id).  Each request's query and body tokens are
-    looked up, deduplicated in occurrence order (query before body).
-    Only cross-domain events are reported: the paper treats a script
-    sending its own cookie home (GA's ``_ga``) as authorized.  One
-    event is kept per (pair, actor, destination).
-    """
-    site = batch.sites[i]
-    index = _identifier_index(ownership)
-    if not index:
+            for candidate in split_candidates_fast(value):
+                k = len(candidates)
+                candidates.append((candidate, pair))
+                positions.setdefault(candidate, 4 * k)
+                positions.setdefault(b64(candidate), 4 * k + 1)
+    if not candidates:
         return []
+    digests: Dict[int, Dict[str, int]] = {}
 
     events: List[ExfilEvent] = []
     seen: set = set()
     apis = ownership.apis
-    lookup = index.get
+    lookup = positions.get
     q_script_domain = batch.q_script_domain
     q_query = batch.q_query
     q_body = batch.q_body
@@ -878,10 +869,22 @@ def detect_exfiltration_batch(batch: ShardBatch, i: int,
             if body_tokens:
                 tokens = tuple(dict.fromkeys(tokens + body_tokens))
         for token in tokens:
-            hit = lookup(token)
-            if hit is None:
+            position = lookup(token)
+            size = len(token)
+            if size in _DIGESTS and _LOWER_HEX.fullmatch(token):
+                table = digests.get(size)
+                if table is None:
+                    digest, form = _DIGESTS[size]
+                    table = digests[size] = {}
+                    for k, (candidate, _pair) in enumerate(candidates):
+                        table.setdefault(digest(candidate), 4 * k + form)
+                hashed = table.get(token)
+                if hashed is not None and (position is None
+                                           or hashed < position):
+                    position = hashed
+            if position is None:
                 continue
-            pair, form_name = hit
+            pair = candidates[position >> 2][1]
             if pair.creator == actor:
                 continue
             key = (pair.name, pair.creator, actor, batch.q_domain[j])
@@ -891,6 +894,6 @@ def detect_exfiltration_batch(batch: ShardBatch, i: int,
             events.append(ExfilEvent(
                 site=site, pair=pair, actor=actor,
                 destination=batch.q_domain[j], url=batch.q_url[j],
-                matched_form=form_name,
+                matched_form=_FORM_NAMES[position & 3],
                 api_of_cookie=apis.get(pair.name, "script")))
     return events

@@ -4,15 +4,19 @@ Pipeline, exactly as described in the paper:
 
 1. split each observed cookie value on non-alphanumeric delimiters and
    keep substrings of ≥ 8 characters — the *candidate identifiers*;
-2. compute each candidate's Base64, MD5 and SHA1 forms (plus plaintext);
+2. a candidate's forms are its plaintext, Base64, MD5 and SHA1; the
+   plain and Base64 forms are looked up in a table per visit, and
+   candidates are hashed only for a token shaped like a digest (32 or
+   40 lowercase hex characters), the only tokens MD5 or SHA1 can equal;
 3. split the query string (and POST body) of every outbound request the
    same way;
-4. a match between (2) and (3) confirms exfiltration; it is
-   *cross-domain* when the initiating script's eTLD+1 differs from the
-   cookie's creator.
+4. a token found in (2) confirms exfiltration; it is *cross-domain*
+   when the initiating script's eTLD+1 differs from the cookie's
+   creator.
 
-This module holds the candidate split and the encoded forms (steps 1
-to 3) and the :class:`ExfilEvent` record.  The matching (step 4) is
+This module holds the candidate split (steps 1 and 3) and the
+:class:`ExfilEvent` record; the forms are :mod:`repro.encoding`'s.  The
+lookup and matching (steps 2 and 4) are
 :func:`repro.analysis.columnar.detect_exfiltration_batch`.
 """
 
@@ -20,38 +24,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List
 
-from ..encoding import encoded_forms
 from .attribution import CookiePair
 
 __all__ = ["MIN_IDENTIFIER_LENGTH", "split_candidates",
-           "split_candidates_fast", "encoded_forms_cached", "ExfilEvent"]
+           "split_candidates_fast", "ExfilEvent"]
 
 MIN_IDENTIFIER_LENGTH = 8
-
-#: Bound for the pure-function memo tables below; one study's distinct
-#: identifiers sit far under this, the cap only guards degenerate input.
-_CACHE_LIMIT = 1 << 16
-
-_FORMS_CACHE: Dict[str, Tuple[str, str, str, str]] = {}
-
-
-def encoded_forms_cached(candidate: str) -> Tuple[str, str, str, str]:
-    """:func:`repro.encoding.encoded_forms` behind a memo table.
-
-    Hashing every candidate three ways dominates identifier-index
-    construction, and the same identifiers recur — across the sites
-    that share a third-party cookie, and across repeated analyses of
-    one dataset.  ``encoded_forms`` is a pure function of the string,
-    so the memo cannot change any result.
-    """
-    forms = _FORMS_CACHE.get(candidate)
-    if forms is None:
-        if len(_FORMS_CACHE) >= _CACHE_LIMIT:
-            _FORMS_CACHE.clear()
-        forms = _FORMS_CACHE[candidate] = encoded_forms(candidate)
-    return forms
 
 
 def split_candidates(value: str,

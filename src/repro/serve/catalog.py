@@ -36,6 +36,7 @@ needs:
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -56,6 +57,11 @@ __all__ = ["SNAPSHOT_NAME", "StudyCatalog", "StudyEntry"]
 #: ETag.
 SNAPSHOT_NAME = "study.snapshot.json"
 
+#: Bucket sizes whose prevalence rows an entry keeps, the most recently
+#: used.  Clients choose the size (1…10⁷), so the rows an entry holds
+#: must not grow with the sizes they try.
+BUCKET_SIZES_KEPT = 8
+
 
 class StudyEntry:
     """One study directory, ready to serve."""
@@ -69,7 +75,7 @@ class StudyEntry:
         self.snapshot_path = self.directory / SNAPSHOT_NAME
         self._index_cache: Optional[Dict[int, ShardIndex]] = None
         self._study: Optional[Study] = None
-        self._buckets: Dict[int, List[Dict]] = {}
+        self._buckets: OrderedDict[int, List[Dict]] = OrderedDict()
         # Two locks so a seconds-long first aggregation (study build,
         # bucket scan) never stalls the cheap seek-based site lookups,
         # which take _lookup_lock only to index the shards once.
@@ -190,7 +196,8 @@ class StudyEntry:
     def prevalence_by_bucket(self, bucket_size: int) -> List[Dict]:
         """§5.1 prevalence figures per rank bucket, merge-aggregated.
 
-        Streams the shards once per distinct ``bucket_size`` as columnar
+        Streams the shards once per ``bucket_size`` not among the
+        :data:`BUCKET_SIZES_KEPT` most recently asked for, as columnar
         batches, each shard checked against the digest the entry's ETag
         pins (so it refuses exactly when :meth:`study` does), and counts
         each row into its bucket's accumulator
@@ -207,6 +214,7 @@ class StudyEntry:
         with self._agg_lock:
             cached = self._buckets.get(bucket_size)
             if cached is not None:
+                self._buckets.move_to_end(bucket_size)
                 return cached
             accs: Dict[int, StudyAccumulator] = {}
             batches = (batch for pos, digest in enumerate(self.digests)
@@ -229,6 +237,8 @@ class StudyEntry:
                 row.update(Study.from_accumulator(acc).sec51_prevalence())
                 rows.append(row)
             self._buckets[bucket_size] = rows
+            if len(self._buckets) > BUCKET_SIZES_KEPT:
+                self._buckets.popitem(last=False)
             return rows
 
 

@@ -16,9 +16,9 @@ from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.analysis.attribution import (CookiePair, CrossDomainAction,
                                         SiteOwnership, _attrs_from_raw)
-from repro.analysis.exfiltration import (ExfilEvent, encoded_forms_cached,
-                                         split_candidates_fast)
+from repro.analysis.exfiltration import ExfilEvent, split_candidates_fast
 from repro.analysis.reports import Study, StudyAccumulator
+from repro.encoding import encoded_forms
 from repro.records import API_COOKIE_STORE, API_DOCUMENT_COOKIE, VisitLog
 
 _FORM_NAMES = ("plain", "b64", "md5", "sha1")
@@ -89,8 +89,10 @@ def detect_manipulations(log: VisitLog) -> List[CrossDomainAction]:
 
 
 def detect_exfiltration(log: VisitLog) -> List[ExfilEvent]:
-    """Cross-domain exfiltration events: request tokens looked up in an
-    encoded form → (pair, form name) index, first pair winning."""
+    """Cross-domain exfiltration events: request tokens (query, then
+    body, deduplicated in occurrence order) looked up in an index of
+    every candidate's four encoded forms → (pair, form name), first
+    (candidate, form) winning."""
     ownership = build_ownership(log)
     index: Dict[str, Tuple[CookiePair, str]] = {}
     for name, values in ownership.values.items():
@@ -98,16 +100,16 @@ def detect_exfiltration(log: VisitLog) -> List[ExfilEvent]:
         for value in values:
             for candidate in split_candidates_fast(value):
                 for form_name, form in zip(_FORM_NAMES,
-                                           encoded_forms_cached(candidate)):
+                                           encoded_forms(candidate)):
                     index.setdefault(form, (pair, form_name))
 
     events: List[ExfilEvent] = []
     seen: Set[Tuple[str, str, str, str]] = set()
     for request in log.requests:
         actor = _actor(request.script_domain, log.site)
-        tokens = set(split_candidates_fast(request.query))
+        tokens = dict.fromkeys(split_candidates_fast(request.query))
         if request.body:
-            tokens.update(split_candidates_fast(request.body))
+            tokens.update(dict.fromkeys(split_candidates_fast(request.body)))
         for token in tokens:
             hit = index.get(token)
             if hit is None:
@@ -115,7 +117,7 @@ def detect_exfiltration(log: VisitLog) -> List[ExfilEvent]:
             pair, form_name = hit
             if pair.creator == actor:
                 continue
-            key =(pair.name, pair.creator, actor, request.domain)
+            key = (pair.name, pair.creator, actor, request.domain)
             if key in seen:
                 continue
             seen.add(key)

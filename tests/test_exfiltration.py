@@ -1,19 +1,24 @@
 """Exfiltration detection (§4.4's identifier pipeline).
 
 Each detection case runs one hand-written visit log through ``Study``,
-the production path (the columnar kernels).
+the production path (the columnar kernels).  The form-resolution
+property compares generated visits against the exhaustive four-form
+index of ``tests/analysis_oracle.py``.
 """
 
-import pytest
+import hashlib
+import string
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import analysis_oracle
 from repro.analysis import Study
-from repro.analysis.columnar import (ShardBatch, _identifier_index,
-                                     build_ownership_batch)
 from repro.analysis.exfiltration import (
     MIN_IDENTIFIER_LENGTH,
     split_candidates,
 )
-from repro.encoding import b64, md5_hex, sha1_hex
+from repro.encoding import b64, encoded_forms, md5_hex, sha1_hex
 from repro.records import CookieWriteEvent, RequestEvent, VisitLog
 
 SITE = "site.com"
@@ -44,11 +49,6 @@ def log_with(writes=(), requests=()):
 
 def detect_exfiltration(log):
     return Study([log]).exfil_events
-
-
-def identifier_index(log):
-    return _identifier_index(
-        build_ownership_batch(ShardBatch.from_logs([log]), 0))
 
 
 class TestSplitCandidates:
@@ -173,14 +173,115 @@ class TestDetection:
 
 
 class TestIdentifierIndex:
-    def test_index_size(self):
-        log = log_with(writes=[write("_ga", "GA1.1.444332364.1746838827",
-                                     "gtm.com")])
-        index = identifier_index(log)
-        # Two candidate segments × 4 encoded forms.
-        assert len(index) == 8
-
     def test_lookup_miss(self):
-        log = log_with(writes=[write("c", "longidentifier1", "a.com")])
-        index = identifier_index(log)
-        assert index.get("notthere12345") is None
+        value = "longidentifier1"
+        log = log_with(
+            writes=[write("c", value, "a.com")],
+            requests=[request("x=notthere12345&y=" + b64("notthere12345")),
+                      request(f"h={md5_hex(value + 'x')}",
+                              body=f"h={sha1_hex(value.upper())}")])
+        assert detect_exfiltration(log) == []
+
+
+# -- form resolution: the lookup tables against the four-form oracle ------
+
+#: ``b64`` of these is 32 and 40 lowercase hex characters ("a000"
+#: repeated), so their Base64 form is also shaped like an MD5 or SHA1.
+HEX_SHAPED_B64 = ("kM4" * 8, "kM4" * 10)
+#: Taken by ``isalnum`` as one candidate; the fast split falls back to
+#: the reference loop for it.
+NON_ASCII = "Ωmegaidentifier7"
+NAMES = ("_ga", "uid", "sess")
+DOMAINS = ("a.com", "b.com", "c.com")
+
+identifiers = st.text(alphabet=string.ascii_letters + string.digits,
+                      min_size=8, max_size=14)
+
+
+@st.composite
+def colliding_visits(draw):
+    """One visit whose candidate pool mixes plain identifiers with the
+    Base64, MD5 and SHA1 forms of other pool members, so one token can
+    equal forms of several candidates."""
+    base = draw(st.lists(identifiers, min_size=1, max_size=3))
+    base += list(HEX_SHAPED_B64) + [NON_ASCII]
+    pool = list(base)
+    for member in base:
+        for encode in (b64, md5_hex, sha1_hex):
+            if draw(st.booleans()):
+                pool.append(encode(member))
+    members = st.sampled_from(pool)
+    separators = st.sampled_from(".|-")
+    writes = []
+    for ts, (name, domain, parts, sep) in enumerate(draw(st.lists(
+            st.tuples(st.sampled_from(NAMES), st.sampled_from(DOMAINS),
+                      st.lists(members, min_size=1, max_size=3),
+                      separators),
+            min_size=1, max_size=6))):
+        writes.append(write(name, sep.join(parts), domain, ts=float(ts)))
+    tokens = st.lists(members.flatmap(
+        lambda member: st.sampled_from(encoded_forms(member))), max_size=4)
+    requests = []
+    for query, body, actor, destination in draw(st.lists(
+            st.tuples(tokens, tokens, st.sampled_from(DOMAINS),
+                      st.sampled_from(("d.com", "e.com"))),
+            min_size=1, max_size=5)):
+        requests.append(request(
+            "&".join(f"k{n}={token}" for n, token in enumerate(query)),
+            domain=destination, script_domain=actor,
+            body="&".join(f"p={token}" for token in body)))
+    return log_with(writes, requests)
+
+
+class TestFormResolution:
+    """A token equal to forms of several candidates resolves as the
+    exhaustive index does: smallest (candidate position, form)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(colliding_visits())
+    # uid's Base64 is _ga's plain text and uid's MD5 is sess's: both
+    # tokens resolve to uid, the earlier candidate.  The first token is
+    # a Base64 form that is itself 32 lowercase hex characters.
+    @example(log_with(
+        writes=[write("uid", "identAAA1", "a.com"),
+                write("_ga", f"{b64('identAAA1')}.{HEX_SHAPED_B64[0]}",
+                      "b.com", ts=2.0),
+                write("sess", md5_hex("identAAA1"), "c.com", ts=3.0)],
+        requests=[request(f"x={b64(HEX_SHAPED_B64[0])}"
+                          f"&y={md5_hex('identAAA1')}",
+                          body=f"z={b64('identAAA1')}")]))
+    def test_events_equal_the_four_form_oracle(self, log):
+        assert Study([log]).exfil_events == \
+            analysis_oracle.detect_exfiltration(log)
+
+    def test_digests_only_for_hex_shaped_tokens(self, monkeypatch):
+        """MD5 and SHA1 run only over the candidates of a visit that
+        sends a token of 32 or 40 lowercase hex characters."""
+        hashed = {"md5": [], "sha1": []}
+
+        def counting(kind, real):
+            def digest(data=b"", **kwargs):
+                hashed[kind].append(data)
+                return real(data, **kwargs)
+            return digest
+
+        def visit(site, value, query):
+            log = VisitLog(site=site, url=f"https://{site}/")
+            log.cookie_writes.append(write("uid", value, "owner.com"))
+            log.requests.append(request(query))
+            return log
+
+        quiet = visit("quiet.com", "quietvalue0917",
+                      "a=quietvalue0917&b=" + b64("quietvalue0917")
+                      + "&c=" + md5_hex("quietvalue0917").upper())
+        hexy = visit("hexy.com", "hexyvalue0917.second0917",
+                     "h=" + md5_hex("second0917"))
+        monkeypatch.setattr(hashlib, "md5", counting("md5", hashlib.md5))
+        monkeypatch.setattr(hashlib, "sha1", counting("sha1", hashlib.sha1))
+        events = Study([quiet]).exfil_events
+        assert [e.matched_form for e in events] == ["plain"]
+        assert hashed == {"md5": [], "sha1": []}
+        events = Study([quiet, hexy]).exfil_events
+        assert [e.matched_form for e in events] == ["plain", "md5"]
+        assert hashed == {"md5": [b"hexyvalue0917", b"second0917"],
+                          "sha1": []}

@@ -16,9 +16,9 @@ inputs:
   fixture byte-for-byte against a line-at-a-time reference;
 * ``ShardKeyFactory`` keys == the original whole-payload hash;
 * the columnar analysis pipeline (``ShardBatch`` + batch report
-  passes) == the per-log oracle in ``tests/analysis_oracle.py``, down
-  to the report bytes, over randomly seeded crawled populations — and
-  batch-built accumulators merge associatively.
+  passes) == the per-log oracle in ``tests/analysis_oracle.py``, event
+  for event and down to the report bytes, over randomly seeded crawled
+  populations — and batch-built accumulators merge associatively.
 
 Randomness is seeded — failures reproduce.
 """
@@ -620,6 +620,22 @@ class TestColumnarEquivalence:
         acc.add_shard_batch(ShardBatch.from_logs(logs))
         assert _report_blob(Study.from_accumulator(acc)) == reference
 
+    @pytest.mark.parametrize("seed", [3, 11, 2025, "golden"])
+    def test_events_equal_the_oracle_field_for_field(self, seed):
+        """Every exfiltration event and manipulation, in order: the
+        report reads neither ``url`` nor ``matched_form``, so report
+        bytes alone do not pin the form a token resolves to."""
+        from repro.analysis.reports import Study
+        if seed == "golden":
+            logs = [VisitLog.from_dict(entry) for entry in
+                    json.loads(GOLDEN.read_text(encoding="utf-8"))]
+        else:
+            logs = self._crawled(seed)
+        study, oracle = Study(logs), object_path_study(logs)
+        assert study.exfil_events == oracle.exfil_events
+        assert study.manipulations == oracle.manipulations
+        assert study.exfil_events and study.manipulations
+
     def test_shard_dict_decode_matches_object_path(self, tmp_path):
         """JSON dicts → columns (no VisitLog objects) == object path."""
         from repro.analysis.columnar import iter_shard_batches
@@ -730,13 +746,6 @@ class TestSplitCandidatesFastEquivalence:
                             for _ in range(rng.randint(0, 80)))
             assert split_candidates_fast(value) == \
                 split_candidates(value), (trial, value)
-
-    def test_encoded_forms_cache_is_pure(self):
-        from repro.analysis.exfiltration import encoded_forms_cached
-        from repro.encoding import encoded_forms
-        for candidate in ["abcdefgh", "4f3a9b2c1d8e7f60", "abcdefgh"]:
-            assert encoded_forms_cached(candidate) == \
-                encoded_forms(candidate)
 
 
 class TestAtomicManifestSave:

@@ -851,6 +851,34 @@ class TestBucketSizeGuard:
             with pytest.raises(ValueError, match="bucket_size must be >= 1"):
                 entry.prevalence_by_bucket(bad)
 
+    def test_entry_keeps_rows_for_a_bounded_number_of_sizes(
+            self, crawl_logs, tmp_path, monkeypatch):
+        """40 distinct sizes leave rows for at most BUCKET_SIZES_KEPT of
+        them; the most recent are answered without a scan, and an
+        evicted size is rescanned into rows equal to its first answer."""
+        from repro.serve import catalog
+        directory = tmp_path / "study"
+        directory.mkdir()
+        save_logs(crawl_logs[:20], directory, shards=2)
+        entry = catalog.StudyEntry("study", directory)
+        sizes = list(range(1, 41))
+        first = {size: entry.prevalence_by_bucket(size) for size in sizes}
+        assert len(entry._buckets) <= catalog.BUCKET_SIZES_KEPT
+        scans = []
+        real = catalog.iter_shard_batches
+
+        def counting(*args, **kwargs):
+            scans.append(kwargs["shard"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(catalog, "iter_shard_batches", counting)
+        for size in sizes[-catalog.BUCKET_SIZES_KEPT:]:
+            assert entry.prevalence_by_bucket(size) is first[size]
+        assert scans == []
+        assert entry.prevalence_by_bucket(1) == first[1]
+        assert scans == [0, 1]
+        assert len(entry._buckets) <= catalog.BUCKET_SIZES_KEPT
+
 
 class TestReadsPinnedToTheEntry:
     def test_prevalence_refuses_a_shard_rewritten_under_the_entry(
