@@ -20,7 +20,8 @@ def _guarded_rates(population, sites, mode):
 
 
 def test_inline_mode_ablation(benchmark, population):
-    sites = population.sites[:200]
+    sites = list(population.iter_sites(
+        range(1, min(len(population), 200) + 1)))
     strict_rates, strict_crawler = benchmark.pedantic(
         _guarded_rates, args=(population, sites, InlineMode.STRICT),
         rounds=1, iterations=1)

@@ -14,7 +14,8 @@ from conftest import banner
 
 
 def test_owner_access_ablation(benchmark, population):
-    sites = population.sites[:200]
+    sites = list(population.iter_sites(
+        range(1, min(len(population), 200) + 1)))
 
     def run(owner_full_access):
         crawler = Crawler(population, CrawlConfig(

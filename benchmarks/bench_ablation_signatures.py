@@ -17,7 +17,8 @@ def test_signature_detection(benchmark):
     population = generate_population(PopulationConfig(
         n_sites=700, seed=31, p_cloaked=0.12))
     logs = Crawler(population, CrawlConfig(seed=31)).crawl()
-    cloaked_sites = {s.domain for s in population.sites if s.cloaked_services}
+    cloaked_sites = {s.domain for s in population.iter_sites()
+                     if s.cloaked_services}
 
     def run():
         store = SignatureStore()

@@ -35,7 +35,8 @@ def _blocklist_crawl(population, sites):
 
 
 def test_blocklist_vs_cookieguard(benchmark, population):
-    sites = population.sites[:250]
+    sites = list(population.iter_sites(
+        range(1, min(len(population), 250) + 1)))
 
     regular = Crawler(population, CrawlConfig(seed=2025)).crawl(sites)
     blocklist_logs, blockers = benchmark.pedantic(

@@ -11,7 +11,8 @@ from conftest import banner
 
 
 def test_figure5(benchmark, population):
-    sample = population.sites[:min(len(population.sites), 300)]
+    sample = list(population.iter_sites(
+        range(1, min(len(population), 300) + 1)))
     result = benchmark.pedantic(
         evaluate_access_control, args=(population, sample),
         rounds=1, iterations=1)

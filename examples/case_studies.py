@@ -25,7 +25,8 @@ from repro.extension import InstrumentationExtension
 
 def case_optimonk(population):
     print("== Case 1: targeted parsing on optimonk.com ==")
-    site = [s for s in population.sites if s.domain == "optimonk.com"][0]
+    site = next(s for s in population.iter_sites()
+                if s.domain == "optimonk.com")
     log = Crawler(population, CrawlConfig(seed=2025)).visit_site(site)
     study = Study([log])
     ownership = build_ownership_batch(ShardBatch.from_logs([log]), 0)
@@ -40,8 +41,8 @@ def case_optimonk(population):
 
 def case_goosecreek(population):
     print("\n== Case 2: cross-company sharing on goosecreekcandle.com ==")
-    site = [s for s in population.sites
-            if s.domain == "goosecreekcandle.com"][0]
+    site = next(s for s in population.iter_sites()
+                if s.domain == "goosecreekcandle.com")
     log = Crawler(population, CrawlConfig(seed=2025)).visit_site(site)
     study = Study([log])
     ownership = build_ownership_batch(ShardBatch.from_logs([log]), 0)

@@ -126,8 +126,8 @@ def main():
     emit()
     emit("== Figure 5 (paired crawl on 3,000-site sample) ==")
     t0 = time.time()
-    access = evaluate_access_control(
-        population, population.sites_for(range(1, min(N, 3000) + 1)))
+    sample = list(population.iter_sites(range(1, min(N, 3000) + 1)))
+    access = evaluate_access_control(population, sample)
     emit(access.render())
     emit(f"({time.time()-t0:.0f}s)")
 

@@ -128,7 +128,11 @@ def _run_crawl(args: List[str]) -> None:
     store_retries = pop_int_flag(args, "--store-retries", 3, minimum=1)
     store_backoff = pop_float_flag(args, "--store-backoff", 0.1, minimum=0)
     reject_unknown_flags(args)
-    n_sites = int(args[0]) if args else 2000
+    try:
+        n_sites = int(args[0]) if args else 2000
+    except ValueError:
+        print(f"crawl N expects an integer, got {args[0]!r}")
+        raise SystemExit(2)
     out = args[1] if len(args) > 1 else "crawl"
     if out.endswith((".jsonl", ".jsonl.gz")):
         print(f"crawl: OUT is a sharded directory, not a single file; "
@@ -191,44 +195,51 @@ def _run_analyze(args: List[str]) -> None:
         print("analyze: --resume requires --snapshot PATH")
         raise SystemExit(2)
     dataset = Path(args[0])
+    if snapshot_path and not dataset.is_dir():
+        print("analyze: --snapshot needs a sharded dataset directory "
+              "(snapshots are diffed against per-shard digests)")
+        raise SystemExit(2)
 
+    from .analysis.columnar import iter_shard_batches
     from .analysis.reports import Study, StudyAccumulator
-    if snapshot_path:
-        if not dataset.is_dir():
-            print("analyze: --snapshot needs a sharded dataset directory "
-                  "(snapshots are diffed against per-shard digests)")
-            raise SystemExit(2)
-        from .analysis.snapshot import (SnapshotError, load_snapshot,
-                                        refresh_study, save_snapshot)
-        old = None
-        if resume and Path(snapshot_path).exists():
-            try:
+    from .analysis.snapshot import (SnapshotError, load_snapshot,
+                                    refresh_study, save_snapshot)
+    from .crawler.storage import ManifestError
+    try:
+        if snapshot_path:
+            old = None
+            if resume and Path(snapshot_path).exists():
                 old = load_snapshot(snapshot_path)
-            except SnapshotError as exc:
-                print(f"analyze: {exc}")
-                raise SystemExit(1)
-        try:
             result = refresh_study(old, dataset)
-        except SnapshotError as exc:
-            print(f"analyze: {exc}")
+        else:
+            acc = StudyAccumulator()
+            for batch in iter_shard_batches(dataset):
+                acc.add_shard_batch(batch)
+    except (ManifestError, SnapshotError) as exc:
+        print(f"analyze: {exc}")
+        raise SystemExit(1)
+    if snapshot_path:
+        try:
+            save_snapshot(result.snapshot, snapshot_path)
+        except OSError as exc:
+            print(f"analyze: cannot write snapshot {snapshot_path}: {exc}")
             raise SystemExit(1)
-        save_snapshot(result.snapshot, snapshot_path)
         study = result.snapshot.study()
         print(f"analyzed {dataset}: {study.n_sites} sites "
               f"(reused={len(result.reused)}, "
               f"re-ingested={len(result.reingested)}, "
               f"dropped={result.dropped}); snapshot -> {snapshot_path}")
     else:
-        from .analysis.columnar import iter_shard_batches
-        acc = StudyAccumulator()
-        for batch in iter_shard_batches(dataset):
-            acc.add_shard_batch(batch)
         study = Study.from_accumulator(acc)
         print(f"analyzed {dataset}: {study.n_sites} sites")
     for key, value in sorted(study.sec51_prevalence().items()):
         print(f"  {key:<34} {value:8.2f}")
     if report_out:
-        Path(report_out).write_bytes(study.report_bytes() + b"\n")
+        try:
+            Path(report_out).write_bytes(study.report_bytes() + b"\n")
+        except OSError as exc:
+            print(f"analyze: cannot write report {report_out}: {exc}")
+            raise SystemExit(1)
         print(f"wrote {report_out}")
 
 

@@ -27,9 +27,8 @@ from ..records import API_COOKIE_STORE, API_DOCUMENT_COOKIE, VisitLog
 from .attribution import CookiePair, CrossDomainAction
 from .columnar import (ShardBatch, build_ownership_batch,
                        detect_exfiltration_batch, detect_manipulations_batch)
-from .entities import EntityMap, default_entity_map
+from .entities import default_entity_map
 from .exfiltration import ExfilEvent
-from .filterlists import FilterList
 from .lists_data import default_combined_list
 
 __all__ = ["Study", "StudyAccumulator", "Table1Row", "Table2Row",
@@ -135,10 +134,7 @@ class StudyAccumulator:
     the end.
     """
 
-    def __init__(self, entity_map: Optional[EntityMap] = None,
-                 filter_list: Optional[FilterList] = None):
-        self.entities = entity_map or default_entity_map()
-        self.filters = filter_list or default_combined_list()
+    def __init__(self):
         #: Every ingested visit's site: ``update`` refuses to merge two
         #: accumulators that share one.
         self.sites: Set[str] = set()
@@ -193,7 +189,7 @@ class StudyAccumulator:
         """Add visit ``i`` of ``batch`` to the §5 counters, detecting
         nothing: all that the prevalence-by-bucket report needs."""
         site = batch.sites[i]
-        should_block = self.filters.should_block_cached
+        should_block = default_combined_list().should_block_cached
         self.n_logs += 1
         n_tp = batch.n_tp[i]
         if n_tp > 0:
@@ -282,11 +278,9 @@ class Study:
     """
 
     def __init__(self, logs: Sequence[VisitLog] = (),
-                 entity_map: Optional[EntityMap] = None,
-                 filter_list: Optional[FilterList] = None,
                  accumulator: Optional[StudyAccumulator] = None):
         if accumulator is None:
-            accumulator = StudyAccumulator(entity_map, filter_list)
+            accumulator = StudyAccumulator()
             accumulator.add_shard_batch(ShardBatch.from_logs(logs))
         self._acc = accumulator
 
@@ -294,14 +288,6 @@ class Study:
     @property
     def accumulator(self) -> StudyAccumulator:
         return self._acc
-
-    @property
-    def entities(self) -> EntityMap:
-        return self._acc.entities
-
-    @property
-    def filters(self) -> FilterList:
-        return self._acc.filters
 
     @property
     def exfil_events(self) -> List[ExfilEvent]:
@@ -328,33 +314,21 @@ class Study:
     @classmethod
     def from_shards(cls,
                     shards: Iterable[Union[Sequence[VisitLog],
-                                           StudyAccumulator, ShardBatch]],
-                    entity_map: Optional[EntityMap] = None,
-                    filter_list: Optional[FilterList] = None) -> "Study":
+                                           StudyAccumulator, ShardBatch]]
+                    ) -> "Study":
         """Build a study from per-shard log lists, batches, or accumulators.
 
         The result is identical to ``Study(concatenated_logs)`` for every
         table/figure/section accessor, for *any* partition of the logs
-        into shards and any shard order.  Shards must not share sites.
-
-        Omitted ``entity_map``/``filter_list`` are adopted from the first
-        accumulator shard, so shards built with custom maps keep them
-        through the merge.
+        into shards and any shard order.  Shards must not share sites,
+        and every accumulator was built with the one filter list.
         """
-        shards = list(shards)
-        if entity_map is None or filter_list is None:
-            for shard in shards:
-                if isinstance(shard, StudyAccumulator):
-                    entity_map = entity_map or shard.entities
-                    filter_list = filter_list or shard.filters
-                    break
-        acc = StudyAccumulator(entity_map, filter_list)
+        acc = StudyAccumulator()
         for shard in shards:
             if not isinstance(shard, StudyAccumulator):
                 if not isinstance(shard, ShardBatch):
                     shard = ShardBatch.from_logs(shard)
-                shard = StudyAccumulator(entity_map, filter_list) \
-                    .add_shard_batch(shard)
+                shard = StudyAccumulator().add_shard_batch(shard)
             acc.update(shard)
         return cls.from_accumulator(acc)
 
@@ -470,7 +444,7 @@ class Study:
                             event.destination))
         for manipulation in self.manipulations:
             domains.update((manipulation.pair.creator, manipulation.actor))
-        entity_of = self.entities.entity_of
+        entity_of = default_entity_map().entity_of
         return {domain: entity_of(domain) for domain in domains}
 
     # ------------------------------------------------------------------

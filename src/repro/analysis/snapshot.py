@@ -38,9 +38,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from ..crawler.storage import ShardManifest, dataset_digests
 from .attribution import CookiePair, CrossDomainAction
 from .columnar import iter_shard_batches
-from .entities import EntityMap
 from .exfiltration import ExfilEvent
-from .filterlists import FilterList
 from .reports import COUNTER_FIELDS, Study, StudyAccumulator
 
 __all__ = [
@@ -99,18 +97,13 @@ def accumulator_state(acc: StudyAccumulator) -> Dict:
     }
 
 
-def state_accumulator(state: Dict,
-                      entity_map: Optional[EntityMap] = None,
-                      filter_list: Optional[FilterList] = None
-                      ) -> StudyAccumulator:
+def state_accumulator(state: Dict) -> StudyAccumulator:
     """Rebuild a :class:`StudyAccumulator` from :func:`accumulator_state`.
 
-    ``entity_map``/``filter_list`` are *not* serialized (entity
-    attribution and filter decisions happen at ingest/query time, never
-    post-hoc on restored state); pass them to avoid re-deriving the
-    defaults per part.
+    No entity map or filter list is serialized: there is one of each,
+    so a part's state is a pure function of its shard's bytes.
     """
-    acc = StudyAccumulator(entity_map, filter_list)
+    acc = StudyAccumulator()
     try:
         for name in COUNTER_FIELDS:
             setattr(acc, name, int(state["counters"][name]))
@@ -175,14 +168,12 @@ class SnapshotPart:
 class StudySnapshot:
     """A saved analysis: versioned, digest-stamped accumulator parts."""
 
-    def __init__(self, parts: Iterable[SnapshotPart],
-                 version: int = SNAPSHOT_VERSION):
-        self.version = version
+    def __init__(self, parts: Iterable[SnapshotPart]):
         self.parts: Tuple[SnapshotPart, ...] = tuple(parts)
 
     # -- structure ------------------------------------------------------
     def to_dict(self) -> Dict:
-        return {"version": self.version,
+        return {"version": SNAPSHOT_VERSION,
                 "parts": [part.to_dict() for part in self.parts]}
 
     @classmethod
@@ -200,7 +191,7 @@ class StudySnapshot:
             parts = [SnapshotPart.from_dict(p) for p in data["parts"]]
         except (KeyError, TypeError) as exc:
             raise SnapshotError(f"malformed snapshot: {exc}") from exc
-        return cls(parts, version=version)
+        return cls(parts)
 
     def part_by_digest(self) -> Dict[str, SnapshotPart]:
         """Parts keyed by their pinned SHA-256."""
@@ -216,24 +207,19 @@ class StudySnapshot:
         return hashlib.sha256(self.payload_bytes()).hexdigest()
 
     # -- back to an accumulator -----------------------------------------
-    def accumulator(self, entity_map: Optional[EntityMap] = None,
-                    filter_list: Optional[FilterList] = None
-                    ) -> StudyAccumulator:
+    def accumulator(self) -> StudyAccumulator:
         """Merge every part into one resumed :class:`StudyAccumulator`.
 
         ``update()`` enforces the no-overlapping-sites invariant, so a
         snapshot holding the same shard twice fails loudly here.
         """
-        out = StudyAccumulator(entity_map, filter_list)
+        out = StudyAccumulator()
         for part in self.parts:
-            out.update(state_accumulator(part.state, out.entities,
-                                         out.filters))
+            out.update(state_accumulator(part.state))
         return out
 
-    def study(self, entity_map: Optional[EntityMap] = None,
-              filter_list: Optional[FilterList] = None) -> Study:
-        return Study.from_accumulator(self.accumulator(entity_map,
-                                                       filter_list))
+    def study(self) -> Study:
+        return Study.from_accumulator(self.accumulator())
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +295,10 @@ class RefreshResult:
         return bool(self.reingested) or self.dropped > 0
 
 
-def _ingest_shard(dataset: Path, pos: int, digest: str,
-                  entity_map: Optional[EntityMap],
-                  filter_list: Optional[FilterList]) -> StudyAccumulator:
+def _ingest_shard(dataset: Path, pos: int, digest: str) -> StudyAccumulator:
     """Analyze shard ``pos``, which must hold its manifest count and
     hash to ``digest`` — the digest its snapshot part is filed under."""
-    acc = StudyAccumulator(entity_map, filter_list)
+    acc = StudyAccumulator()
     for batch in iter_shard_batches(dataset, shard=pos, sha256=digest):
         acc.add_shard_batch(batch)
     return acc
@@ -323,9 +307,7 @@ def _ingest_shard(dataset: Path, pos: int, digest: str,
 def refresh_study(snapshot: Optional[StudySnapshot],
                   dataset: Union[str, Path], *,
                   manifest: Optional[ShardManifest] = None,
-                  digests: Optional[Tuple[str, ...]] = None,
-                  entity_map: Optional[EntityMap] = None,
-                  filter_list: Optional[FilterList] = None
+                  digests: Optional[Tuple[str, ...]] = None
                   ) -> RefreshResult:
     """Bring a snapshot up to date with a dataset's current bytes.
 
@@ -340,9 +322,9 @@ def refresh_study(snapshot: Optional[StudySnapshot],
     per-shard build — the one code path produces both cold snapshots
     and incremental refreshes, so they cannot drift apart.
 
-    A shard's state is a pure function of its bytes (given the default
-    entity/filter maps), so digest equality is sufficient for reuse —
-    the same argument that makes the PR 3 shard cache sound.
+    A part's state is a pure function of its shard's bytes, because
+    the filter list and the entity map are fixed, never per call: digest
+    equality is sufficient for reuse, as it is for the shard cache.
     """
     dataset = Path(dataset)
     if manifest is None:
@@ -365,7 +347,7 @@ def refresh_study(snapshot: Optional[StudySnapshot],
                                       count=manifest.counts[pos]))
             reused.append(name)
             continue
-        acc = _ingest_shard(dataset, pos, digest, entity_map, filter_list)
+        acc = _ingest_shard(dataset, pos, digest)
         parts.append(SnapshotPart(state=accumulator_state(acc), file=name,
                                   sha256=digest,
                                   count=manifest.counts[pos]))

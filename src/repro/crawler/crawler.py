@@ -47,13 +47,11 @@ __all__ = ["CrawlConfig", "Crawler", "config_fingerprint",
 
 @dataclass(frozen=True)
 class CrawlConfig:
-    """Crawl-level switches.
+    """Crawl-level switches; each one can change what a visit records.
 
-    ``shard_index``/``shard_count`` are informational labels attached per
-    shard (:func:`~repro.crawler.parallel.derive_shard_config`); the
-    ``seed`` is deliberately *not* derived per shard — every visit is
-    seeded with ``[seed, site.rank]``, so shard membership can never
-    change a visit.
+    One config serves every shard of a crawl.  The ``seed`` is never
+    derived per shard: every visit is seeded with ``[seed, site.rank]``,
+    so shard membership can never change a visit.
     """
 
     seed: int = 2025
@@ -62,8 +60,6 @@ class CrawlConfig:
     install_guard: bool = False
     guard_policy: Optional[PolicyConfig] = None
     guard_uncloak_dns: bool = False
-    shard_index: int = 0
-    shard_count: int = 1
 
 
 def config_fingerprint(config: CrawlConfig) -> str:
@@ -72,11 +68,10 @@ def config_fingerprint(config: CrawlConfig) -> str:
     This is the crawl half of the shard-cache key (see
     :mod:`repro.crawler.distributed`): two configs with the same
     fingerprint are promised to produce byte-identical shard files for
-    the same population and ranks.  The shard labels
-    (``shard_index``/``shard_count``) are excluded — the crawl output is
-    invariant to the shard layout by construction.  Scheduling knobs
-    (worker count, backend choice) live outside :class:`CrawlConfig`
-    and never enter the fingerprint.
+    the same population and ranks.  It covers every field of
+    :class:`CrawlConfig`; the shard layout and the scheduling knobs
+    (worker count, backend choice) live outside it, and the crawl
+    output is invariant to them by construction.
 
     An ``entity_of`` callable on the guard policy is recorded as a
     presence bit only — two different callables fingerprint alike — so
@@ -129,15 +124,11 @@ class Crawler:
 
     # ------------------------------------------------------------------
     def icrawl(self, sites: Optional[Iterable[SiteSpec]] = None,
-               keep_incomplete: bool = False,
-               on_visit: Optional[Callable[[int, Optional[VisitLog]], None]]
-               = None) -> Iterator[VisitLog]:
+               keep_incomplete: bool = False) -> Iterator[VisitLog]:
         """Stream retained logs in site order, one visit at a time.
 
         Each log is yielded before the next site is visited, so shard
         files can be written incrementally in rank order.
-        ``on_visit(index, log)`` — if given — fires once per site after
-        its visit (progress hooks; ``log`` is None for failed crawls).
         """
         if sites is None:
             # Lazy stream: sites synthesize per rank as they are visited,
@@ -145,9 +136,7 @@ class Crawler:
             sites = self.population.iter_sites()
         self.guards = []
         jobs = ((lambda s=site: self.visit_steps(s)) for site in sites)
-        for index, log in enumerate(VisitEngine().run_ordered(jobs)):
-            if on_visit is not None:
-                on_visit(index, log)
+        for log in VisitEngine().run_ordered(jobs):
             if log is not None and (keep_incomplete or log.complete):
                 yield log
 

@@ -31,8 +31,8 @@ This module turns that contract into a coordinator/worker system:
   compress)``.  Population fingerprint covers every
   :class:`~repro.ecosystem.population.PopulationConfig` lever; config
   fingerprint is :func:`~repro.crawler.crawler.config_fingerprint`
-  (everything output-affecting, including the cookie-guard policy,
-  *excluding* shard labels).  Worker count and backend choice are pure
+  (everything output-affecting, including the cookie-guard policy).
+  The shard's index, worker count and backend choice are pure
   scheduling and never enter the key, so a warm cache survives any
   ``--jobs``/``--backend`` change while a seed or policy change
   re-crawls.  Stale entries (bytes that no longer hash to the
@@ -75,7 +75,7 @@ from ..ecosystem.population import (POPULATION_VERSION, Population,
                                     PopulationConfig)
 from ..faults import InjectedFault, maybe_fire
 from .crawler import CrawlConfig, Crawler, config_fingerprint
-from .parallel import CrawlProgress, Shard, ShardPlan, derive_shard_config
+from .parallel import CrawlProgress, ShardPlan
 from .storage import (ManifestError, SHARD_FORMAT_VERSION,
                       ShardManifest, ShardWriteResult, compute_digest,
                       shard_filename, verify_shard_files, write_shard)
@@ -401,7 +401,6 @@ class ShardTask:
     """One shard's lifecycle in the work-queue."""
 
     index: int
-    of: int
     ranks: Sequence[int]      # range for whole-population plans
     state: str = PENDING
     attempts: int = 0         # leases so far (1 = first execution)
@@ -448,8 +447,7 @@ class WorkQueue:
     def create(cls, path: Union[str, Path], plan: ShardPlan,
                run_key: str) -> "WorkQueue":
         path = Path(path)
-        tasks = {shard.index: ShardTask(index=shard.index, of=plan.n_shards,
-                                        ranks=shard.ranks)
+        tasks = {shard.index: ShardTask(index=shard.index, ranks=shard.ranks)
                  for shard in plan}
         queue = cls(path, run_key, tasks)
         records = [{"event": "plan", "version": QUEUE_VERSION,
@@ -508,8 +506,7 @@ class WorkQueue:
                 elif event == "task":
                     index = int(record["index"])
                     tasks[index] = ShardTask(
-                        index=index, of=n_shards,
-                        ranks=decode_ranks(record["ranks"]))
+                        index=index, ranks=decode_ranks(record["ranks"]))
                 elif event == "lease":
                     task = tasks[int(record["index"])]
                     task.state = LEASED
@@ -608,20 +605,18 @@ class WorkQueue:
 # ---------------------------------------------------------------------------
 
 def _execute_shard(population: Population, config: CrawlConfig,
-                   task_ranks: Sequence[int], index: int, of: int,
+                   task_ranks: Sequence[int], index: int,
                    out_dir: Union[str, Path],
                    compress: bool) -> ShardWriteResult:
     """Crawl one shard's ranks and stream them to its shard file.
 
-    Sites synthesize lazily per rank — a worker executing one shard of a
+    Sites synthesize per rank — a worker executing one shard of a
     million-site plan allocates O(shard) site specs, never the
     population (``tests/test_lazy_population.py`` pins the memory
     budget with tracemalloc).
     """
-    shard = Shard(index=index, of=of, ranks=task_ranks)
-    shard_config = derive_shard_config(config, shard)
-    crawler = Crawler(population, shard_config)
-    sites = population.sites_for(shard.ranks)
+    crawler = Crawler(population, config)
+    sites = list(population.iter_sites(task_ranks))
     stream = crawler.icrawl(sites)
     return write_shard(stream, out_dir, index, compress=compress)
 
@@ -681,7 +676,7 @@ def run_shard_worker(spec_path: Union[str, Path], index: int,
         _population_config_from_dict(spec.population))
     config = _config_from_dict(spec.config)
     written = _execute_shard(population, config, spec.shards[index], index,
-                             len(spec.shards), target, spec.compress)
+                             target, spec.compress)
     if store is not None and key is not None:
         store.put(key, target / written.name, written.count, spec.compress,
                   sha256=written.sha256)
@@ -733,7 +728,7 @@ class InProcessBackend(WorkerBackend):
             try:
                 written = _execute_shard(
                     ctx.population, ctx.config, task.ranks, task.index,
-                    task.of, ctx.out_dir, ctx.compress)
+                    ctx.out_dir, ctx.compress)
             except Exception as exc:           # noqa: BLE001 — reported
                 yield ShardOutcome(index=task.index, ok=False,
                                    error=f"{type(exc).__name__}: {exc}")
@@ -760,10 +755,10 @@ def _pool_run_shard(args) -> Tuple[int, bool, str, int, str]:
     iteration in the parent, losing the other shards' outcomes — so
     failures are returned as data and surfaced per-task.
     """
-    index, of, ranks, directory, compress = args
+    index, ranks, directory, compress = args
     try:
         written = _execute_shard(_WORKER["population"], _WORKER["config"],
-                                 ranks, index, of, directory, compress)
+                                 ranks, index, directory, compress)
     except Exception as exc:                   # noqa: BLE001 — reported
         return index, False, "", 0, f"{type(exc).__name__}: {exc}"
     return index, True, written.name, written.count, written.sha256
@@ -786,7 +781,7 @@ class ProcessPoolBackend(WorkerBackend):
     def run(self, ctx: WorkContext,
             tasks: Sequence[ShardTask]) -> Iterator[ShardOutcome]:
         import multiprocessing
-        args_list = [(task.index, task.of, task.ranks, str(ctx.out_dir),
+        args_list = [(task.index, task.ranks, str(ctx.out_dir),
                       ctx.compress) for task in tasks]
         if len(args_list) == 1 or self.jobs == 1:
             # One worker would only add pickling overhead; reuse the
@@ -833,18 +828,17 @@ class SubprocessBackend(WorkerBackend):
 
     name = "subprocess"
 
-    def __init__(self, jobs: int = 1, python: Optional[str] = None,
+    def __init__(self, jobs: int = 1,
                  cache_dir: Optional[Union[str, Path]] = None):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.python = python or sys.executable
         self.cache_dir = cache_dir
 
     def _command(self, ctx: WorkContext, index: int) -> List[str]:
         # The worker runs with cwd=out_dir, so the spec path must be
         # absolute to survive the directory change.
-        command = [self.python, "-m", "repro", "crawl-shard",
+        command = [sys.executable, "-m", "repro", "crawl-shard",
                    str(Path(ctx.spec_path).resolve()), str(index)]
         if self.cache_dir is not None:
             cache = str(self.cache_dir)

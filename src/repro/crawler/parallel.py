@@ -9,9 +9,9 @@ backends run the shards in this process, over a process pool, or as
 ``crawl-shard`` subprocesses, all with bit-identical output:
 
 * :class:`ShardPlan` deterministically partitions a population's site
-  ranks into shards of contiguous rank ranges.
-* :func:`derive_shard_config` attaches a shard's labels to the crawl
-  config; the seed is never varied per shard.
+  ranks into shards of contiguous rank ranges.  Every shard is crawled
+  under the one crawl config: a shard is its index and its ranks,
+  nothing else, and the seed is never varied per shard.
 * :class:`CrawlProgress` is the per-shard progress event, and
   :func:`print_progress` a ready-made callback for it.
 """
@@ -19,14 +19,12 @@ backends run the shards in this process, over a process pool, or as
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..ecosystem.population import Population
-from .crawler import CrawlConfig
 
-__all__ = ["Shard", "ShardPlan", "derive_shard_config", "CrawlProgress",
-           "print_progress"]
+__all__ = ["Shard", "ShardPlan", "CrawlProgress", "print_progress"]
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +41,6 @@ class Shard:
     """
 
     index: int
-    of: int
     ranks: Sequence[int]
 
     def __len__(self) -> int:
@@ -93,19 +90,9 @@ class ShardPlan:
             # list — freeze it to a tuple so explicit plans stay hashable.
             parts.append(part if isinstance(part, range) else tuple(part))
             start += size
-        shards = tuple(Shard(index=i, of=n_shards, ranks=part)
+        shards = tuple(Shard(index=i, ranks=part)
                        for i, part in enumerate(parts))
         return cls(shards=shards)
-
-
-def derive_shard_config(config: CrawlConfig, shard: Shard) -> CrawlConfig:
-    """The per-shard crawl configuration.
-
-    Only the shard labels change; the seed MUST stay global because the
-    per-visit rng is keyed ``[seed, site.rank]`` — deriving a per-shard
-    seed would make results depend on the shard layout.
-    """
-    return replace(config, shard_index=shard.index, shard_count=shard.of)
 
 
 # ---------------------------------------------------------------------------

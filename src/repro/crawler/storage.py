@@ -173,7 +173,6 @@ class ShardManifest:
     files: tuple          # shard file names, indexed by shard
     counts: tuple         # logs per shard, indexed by shard
     digests: tuple = ()   # sha256 hex (or None) per shard; () = none known
-    version: int = MANIFEST_VERSION
 
     def digest_for(self, index: int) -> Optional[str]:
         if 0 <= index < len(self.digests):
@@ -189,7 +188,7 @@ class ShardManifest:
                 entry["sha256"] = digest
             shards.append(entry)
         return {
-            "version": self.version,
+            "version": MANIFEST_VERSION,
             "n_shards": self.n_shards,
             "total": self.total,
             "compress": self.compress,

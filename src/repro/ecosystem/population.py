@@ -58,6 +58,9 @@ __all__ = ["PopulationConfig", "Population", "generate_population",
 #:   rank-embedded (collision-free by construction) generated domains.
 POPULATION_VERSION = 2
 
+#: Sites :meth:`Population.site` keeps, least recently used first out.
+SITE_CACHE_SIZE = 4096
+
 #: Namespace constant separating the population stream from the visit
 #: stream (visits are seeded ``[seed, rank]``; sites are seeded
 #: ``[seed, _SITE_STREAM, rank]``).
@@ -200,29 +203,22 @@ class Population:
     Protocol:
 
     * ``len(population)`` — the configured site count.
-    * ``population.site(rank)`` — synthesize (with a bounded LRU cache) the
-      site at ``rank`` (1-based).
+    * ``population.site(rank)`` — synthesize (with an LRU cache of
+      :data:`SITE_CACHE_SIZE` sites) the site at ``rank`` (1-based).
     * ``population.iter_sites(ranks=None)`` — stream sites for ``ranks``
       (default: every rank, in order).
-    * ``population.sites_for(ranks)`` — eager list for one shard's ranks.
-    * ``population.materialize()`` — the full eager list, cached; only
-      appropriate for small populations.
-    * ``population.sites`` — deprecated alias for ``materialize()``; kept
-      so pre-lazy callers and tests work unchanged.  New code should use
-      the lazy accessors above — ``.sites`` on a 10M-site population will
-      happily allocate all 10M specs.
+    * ``population.successful_sites()`` — a lazy sequence view of the
+      sites whose crawl succeeds.
+
+    There is no eager whole-population list: every consumer names its
+    ranks, so a 10M-site population never allocates 10M specs.
     """
 
-    def __init__(self, config: PopulationConfig,
-                 services: Optional[Dict[str, ServiceSpec]] = None,
-                 cache_size: int = 4096):
+    def __init__(self, config: PopulationConfig):
         self.config = config
-        self._custom_services = services is not None
-        self._services = services
+        self._services: Optional[Dict[str, ServiceSpec]] = None
         self._ctx: Optional[_SamplingContext] = None
-        self._cache_size = cache_size
         self._cache: "OrderedDict[int, SiteSpec]" = OrderedDict()
-        self._materialized: Optional[List[SiteSpec]] = None
 
     # -- catalog -----------------------------------------------------------
 
@@ -254,15 +250,13 @@ class Population:
         if not 1 <= rank <= self.config.n_sites:
             raise IndexError(f"rank {rank} outside population "
                              f"1..{self.config.n_sites}")
-        if self._materialized is not None:
-            return self._materialized[rank - 1]
         cached = self._cache.get(rank)
         if cached is not None:
             self._cache.move_to_end(rank)
             return cached
         site = self.synthesize(rank)
         self._cache[rank] = site
-        if len(self._cache) > self._cache_size:
+        if len(self._cache) > SITE_CACHE_SIZE:
             self._cache.popitem(last=False)
         return site
 
@@ -277,10 +271,6 @@ class Population:
         for rank in (self.ranks if ranks is None else ranks):
             yield self.site(rank)
 
-    def sites_for(self, ranks: Iterable[int]) -> List[SiteSpec]:
-        """The sites for one shard's ranks, as an eager list."""
-        return [self.site(rank) for rank in ranks]
-
     def rank_crawl_fails(self, rank: int) -> bool:
         """Whether ``rank``'s crawl fails, without full synthesis.
 
@@ -290,8 +280,6 @@ class Population:
         Kept in draw-for-draw lockstep with :func:`synthesize_site`
         (guarded by ``tests/test_lazy_population.py``).
         """
-        if self._materialized is not None:
-            return self._materialized[rank - 1].crawl_fails
         cached = self._cache.get(rank)
         if cached is not None:
             return cached.crawl_fails
@@ -301,26 +289,6 @@ class Population:
             [self.config.seed, _SITE_STREAM, rank])
         _site_domain(rng, rank)
         return bool(rng.random() < self.config.p_crawl_fail)
-
-    # -- eager adapters ----------------------------------------------------
-
-    def materialize(self) -> List[SiteSpec]:
-        """Build (once) and return the full eager site list."""
-        if self._materialized is None:
-            self._materialized = [self.synthesize(rank)
-                                  for rank in self.ranks]
-            self._cache.clear()
-        return self._materialized
-
-    @property
-    def sites(self) -> List[SiteSpec]:
-        """Deprecated: the fully materialized site list.
-
-        Kept for pre-lazy callers; allocates every ``SiteSpec`` in the
-        population.  Prefer ``site(rank)`` / ``iter_sites(ranks)`` /
-        ``sites_for(ranks)``, which hold O(requested) memory.
-        """
-        return self.materialize()
 
     def successful_sites(self) -> _SuccessfulSites:
         """Lazy sequence view of the sites whose crawl succeeds.
@@ -334,15 +302,11 @@ class Population:
 
     def __getstate__(self):
         # Workers rebuild the catalog and caches locally: the pickle is a
-        # config (plus any injected custom catalog), not a site list.
-        state = {"config": self.config, "cache_size": self._cache_size}
-        if self._custom_services:
-            state["services"] = self._services
-        return state
+        # config, not a site list.
+        return {"config": self.config}
 
     def __setstate__(self, state):
-        self.__init__(state["config"], services=state.get("services"),
-                      cache_size=state.get("cache_size", 4096))
+        self.__init__(state["config"])
 
 
 def generate_population(config: Optional[PopulationConfig] = None

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..analysis.entities import EntityMap, default_entity_map
+from ..analysis.entities import default_entity_map
 from ..browser.browser import Browser
 from ..browser.scripts import Script
 from ..cookieguard.guard import CookieGuardExtension
@@ -138,8 +138,7 @@ def evaluate_breakage(population: Population,
                       sites: Optional[Sequence[SiteSpec]] = None,
                       *, sample_size: int = 100, top_k: int = 10_000,
                       seed: int = 2025,
-                      use_entity_whitelist: bool = False,
-                      entity_map: Optional[EntityMap] = None) -> Table3:
+                      use_entity_whitelist: bool = False) -> Table3:
     """Reproduce Table 3 over a random sample of the top ``top_k`` sites."""
     import numpy as np
 
@@ -152,13 +151,12 @@ def evaluate_breakage(population: Population,
         picks = rng.choice(len(eligible),
                            size=min(sample_size, len(eligible)),
                            replace=False)
-        sites = population.sites_for(
-            [eligible[int(i)] for i in sorted(picks)])
+        sites = list(population.iter_sites(
+            [eligible[int(i)] for i in sorted(picks)]))
 
     policy = PolicyConfig()
     if use_entity_whitelist:
-        mapping = entity_map or default_entity_map()
-        policy = PolicyConfig(entity_of=mapping.entity_of)
+        policy = PolicyConfig(entity_of=default_entity_map().entity_of)
 
     table = Table3(n_sites=len(sites))
     counts = {"minor": {cat: 0 for cat in CATEGORIES},

@@ -17,6 +17,7 @@ from typing import Dict, Iterable, List, Set, Tuple
 from repro.analysis.attribution import (CookiePair, CrossDomainAction,
                                         SiteOwnership, _attrs_from_raw)
 from repro.analysis.exfiltration import ExfilEvent, split_candidates_fast
+from repro.analysis.lists_data import default_combined_list
 from repro.analysis.reports import Study, StudyAccumulator
 from repro.encoding import encoded_forms
 from repro.records import API_COOKIE_STORE, API_DOCUMENT_COOKIE, VisitLog
@@ -147,10 +148,11 @@ def add(acc: StudyAccumulator, log: VisitLog) -> StudyAccumulator:
     acc.tp_script_total += log.n_third_party_scripts
     acc.direct_total += log.n_direct_third_party
     acc.indirect_total += log.n_indirect_third_party
+    should_block = default_combined_list().should_block_cached
     for script in log.scripts:
         if script.domain is None or script.domain == log.site:
             continue
-        blocked = bool(script.url) and acc.filters.should_block_cached(
+        blocked = bool(script.url) and should_block(
             script.url, resource_type="script", page_domain=log.site,
             is_third_party=True)
         acc.tp_scripts_seen += 1

@@ -16,6 +16,7 @@ from collections import Counter, defaultdict
 from typing import Dict, List, Set
 
 from repro.analysis.attribution import CookiePair
+from repro.analysis.entities import default_entity_map
 from repro.analysis.reports import (CONSENT_SIGNAL_COOKIES, RankedDomain,
                                     Study, Table2Row, Table5Row, _top)
 from repro.records import API_COOKIE_STORE, API_DOCUMENT_COOKIE
@@ -26,10 +27,11 @@ def table2(study: Study, top: int = 20) -> List[Table2Row]:
     per_pair_destinations: Dict[CookiePair, Set[str]] = defaultdict(set)
     exfiltrator_freq: Dict[CookiePair, Counter] = defaultdict(Counter)
     destination_freq: Dict[CookiePair, Counter] = defaultdict(Counter)
+    entity_of = default_entity_map().entity_of
     for event in study.exfil_events:
-        owner_entity = study.entities.entity_of(event.pair.creator)
-        actor_entity = study.entities.entity_of(event.actor)
-        dest_entity = study.entities.entity_of(event.destination)
+        owner_entity = entity_of(event.pair.creator)
+        actor_entity = entity_of(event.actor)
+        dest_entity = entity_of(event.destination)
         if actor_entity is not None and actor_entity != owner_entity:
             per_pair_exfiltrators[event.pair].add(actor_entity)
             exfiltrator_freq[event.pair][actor_entity] += 1
@@ -72,6 +74,7 @@ def figure2(study: Study, top: int = 20) -> List[RankedDomain]:
 
 def table5(study: Study, top: int = 10) -> List[Table5Row]:
     rows: List[Table5Row] = []
+    entity_of = default_entity_map().entity_of
     for action, label in (("overwrite", "overwriting"),
                           ("delete", "deleting")):
         per_pair: Dict[CookiePair, Set[str]] = defaultdict(set)
@@ -79,8 +82,8 @@ def table5(study: Study, top: int = 10) -> List[Table5Row]:
         for manipulation in study.manipulations:
             if manipulation.kind != action:
                 continue
-            owner_entity = study.entities.entity_of(manipulation.pair.creator)
-            actor_entity = study.entities.entity_of(manipulation.actor)
+            owner_entity = entity_of(manipulation.pair.creator)
+            actor_entity = entity_of(manipulation.actor)
             if actor_entity is None or actor_entity == owner_entity:
                 continue
             per_pair[manipulation.pair].add(actor_entity)
@@ -102,7 +105,7 @@ def table5(study: Study, top: int = 10) -> List[Table5Row]:
 
 def entity(study: Study, name: str) -> Dict[str, object]:
     """The ``entity`` report: everything one entity does across the study."""
-    entities = study.entities
+    entities = default_entity_map()
     sites = set()
     exfil_cookies: Counter = Counter()
     destinations: Counter = Counter()

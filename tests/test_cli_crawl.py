@@ -4,7 +4,7 @@ Every crawl runs through the coordinator and writes OUT as its sharded,
 digest-pinned directory.  The checks: ``--gzip`` keeps OUT's name,
 ``--jobs`` never changes a byte, a re-run into the same OUT resumes, a
 re-run that changes the crawl is refused with exit 1, and a single-file
-OUT is refused with exit 2.
+OUT or a non-integer N is refused with exit 2.
 """
 
 from __future__ import annotations
@@ -70,3 +70,13 @@ def test_single_file_out_exits_2(tmp_path, name):
         main(["crawl", N_SITES, str(tmp_path / name)])
     assert exc.value.code == 2
     assert not (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("n", ["abc", "1.5"])
+def test_non_integer_n_exits_2(tmp_path, capsys, n):
+    with pytest.raises(SystemExit) as exc:
+        main(["crawl", n, str(tmp_path / "crawl")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == \
+        f"crawl N expects an integer, got {n!r}\n"
+    assert not (tmp_path / "crawl").exists()

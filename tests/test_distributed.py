@@ -34,6 +34,7 @@ from repro.crawler import (
 from repro.crawler.distributed import (
     QUEUE_NAME,
     QUEUE_VERSION,
+    ShardKeyFactory,
     ShardOutcome,
     ShardTask,
     WorkQueue,
@@ -498,10 +499,6 @@ class TestShardStoreKeying:
     def test_ranks_change_key(self):
         assert self._key(ranks=(1, 2, 3)) != self._key(ranks=(1, 2, 4))
 
-    def test_shard_labels_do_not_change_key(self):
-        labelled = CrawlConfig(seed=SEED, shard_index=3, shard_count=9)
-        assert self._key(labelled) == self._key(CrawlConfig(seed=SEED))
-
     def test_jobs_and_backend_hit_the_warm_cache(self, small_population,
                                                  tmp_path):
         """Scheduling changes (jobs, backend) must not miss the cache."""
@@ -604,11 +601,20 @@ class TestFingerprints:
         b = population_fingerprint(PopulationConfig(n_sites=11, seed=1))
         assert a != b
 
-    def test_config_fingerprint_ignores_shard_labels(self):
-        a = config_fingerprint(CrawlConfig(seed=1))
-        b = config_fingerprint(CrawlConfig(seed=1, shard_index=4,
-                                           shard_count=8))
-        assert a == b
+    def test_cache_key_inputs_are_pinned(self):
+        """The shard-store key's inputs, pinned to literal digests: a
+        change that moved one would turn every store entry into a
+        miss without failing anything else."""
+        config_fp = config_fingerprint(CrawlConfig())
+        population_fp = population_fingerprint(PopulationConfig())
+        assert config_fp == ("6723a1402e35ad6f009fa1a4c066b9a5"
+                             "a36a9ec0009cba69487123f68fe74b94")
+        assert population_fp == ("af805380292add231ced6284aabaf9e0"
+                                 "0e628dd35f08415a8d1958ba0a7df7e1")
+        key = ShardKeyFactory(population_fp, config_fp, True) \
+            .key_for(range(1, 257))
+        assert key == ("325d9d0e35b1b009a092907816f6ab33"
+                       "323bb11a32f13ea63fdd126450a83bae")
 
     def test_config_fingerprint_covers_guard_switches(self):
         base = CrawlConfig(seed=1)
@@ -741,7 +747,7 @@ class TestWorkerLogRetention:
         backend = SubprocessBackend(jobs=1)
         log_path = tmp_path / ".worker-0000.log"
         log_path.write_text(log_text)
-        task = ShardTask(index=0, of=1, ranks=(1,))
+        task = ShardTask(index=0, ranks=(1,))
         proc = SimpleNamespace(returncode=0)
         return backend._finish(task, proc, log_path), log_path
 
@@ -769,7 +775,7 @@ class TestWorkerLogRetention:
         backend = SubprocessBackend(jobs=1)
         log_path = tmp_path / ".worker-0000.log"
         log_path.write_text("x\nlast line of output\n")
-        task = ShardTask(index=0, of=1, ranks=(1,))
+        task = ShardTask(index=0, ranks=(1,))
         outcome = backend._finish(task, SimpleNamespace(returncode=3),
                                   log_path)
         assert not outcome.ok
@@ -850,7 +856,7 @@ class TestTaskDeadline:
         backend = SubprocessBackend(jobs=1)
         log_path = tmp_path / ".worker-0000-a01.log"
         log_path.write_text("partial worker chatter\n")
-        task = ShardTask(index=0, of=1, ranks=(1,), attempts=1)
+        task = ShardTask(index=0, ranks=(1,), attempts=1)
         proc = subprocess.Popen([sys.executable, "-c",
                                  "import time; time.sleep(600)"])
         outcome = backend._kill_on_deadline(task, proc, log_path, 1.5)

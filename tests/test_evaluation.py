@@ -19,7 +19,8 @@ import analysis_oracle
 
 @pytest.fixture(scope="module")
 def access_eval(population):
-    sample = population.sites[:150]
+    sample = list(population.iter_sites(
+        range(1, min(len(population), 150) + 1)))
     return evaluate_access_control(population, sample)
 
 

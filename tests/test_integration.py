@@ -34,7 +34,8 @@ class TestOptimonkCaseStudy:
 
     @pytest.fixture(scope="class")
     def log(self, population):
-        site = [s for s in population.sites if s.domain == "optimonk.com"][0]
+        site = [s for s in population.iter_sites()
+                if s.domain == "optimonk.com"][0]
         crawler = Crawler(population, CrawlConfig(seed=2025))
         return crawler.visit_site(site)
 
@@ -60,7 +61,7 @@ class TestGoosecreekCaseStudy:
 
     @pytest.fixture(scope="class")
     def log(self, population):
-        site = [s for s in population.sites
+        site = [s for s in population.iter_sites()
                 if s.domain == "goosecreekcandle.com"][0]
         return Crawler(population, CrawlConfig(seed=2025)).visit_site(site)
 
@@ -101,7 +102,8 @@ class TestCtoBundleCaseStudy:
 
 class TestGuardEndToEnd:
     def test_guard_blocks_case_study_exfiltration(self, population):
-        site = [s for s in population.sites if s.domain == "optimonk.com"][0]
+        site = [s for s in population.iter_sites()
+                if s.domain == "optimonk.com"][0]
         regular = crawl_single(site, population, guard=False)
         guarded = crawl_single(site, population, guard=True)
         regular_thefts = [e for e in exfiltration_of(regular)

@@ -1,11 +1,12 @@
 """The lazy population protocol (ROADMAP rung: million-site populations).
 
 Contract under test: a :class:`Population` synthesizes each site on
-demand from ``[seed, rank]``, so (a) lazy access, eager
-``materialize()``, and a second independent instance all agree
-bit-for-bit, (b) the crawl fingerprint and output bytes are identical
-lazy-vs-eager, and (c) crawling one shard of a million-site plan holds
-O(shard) memory — the population never materializes behind your back.
+demand from ``[seed, rank]``, so (a) cached lazy access, a fresh
+instance's uncached ``synthesize(rank)``, and a second independent
+instance all agree bit-for-bit, (b) the crawl fingerprint and output
+bytes are identical whether sites stream or arrive as an eager list,
+and (c) crawling one shard of a million-site plan holds O(shard)
+memory.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def _fresh(n_sites=N, seed=SEED):
 class TestLazyEagerEquivalence:
     def test_site_matches_materialized_list(self):
         lazy, eager = _fresh(), _fresh()
-        materialized = eager.materialize()
+        materialized = [eager.synthesize(rank) for rank in eager.ranks]
         assert len(materialized) == len(lazy) == N
         for rank in lazy.ranks:
             assert lazy.site(rank) == materialized[rank - 1]
@@ -44,17 +45,12 @@ class TestLazyEagerEquivalence:
         assert ranks == list(range(1, N + 1))
         subset = list(population.iter_sites([7, 3, 99]))
         assert [s.rank for s in subset] == [7, 3, 99]
-        assert population.sites_for(range(5, 9)) \
+        assert list(population.iter_sites(range(5, 9))) \
             == [population.site(r) for r in range(5, 8 + 1)]
 
     def test_two_instances_are_bit_identical(self):
         a, b = _fresh(), _fresh()
         assert [a.site(r) for r in a.ranks] == [b.site(r) for r in b.ranks]
-
-    def test_materialize_is_cached_and_aliased_by_sites(self):
-        population = _fresh()
-        assert population.materialize() is population.materialize()
-        assert population.sites is population.materialize()
 
     def test_out_of_range_rank_raises(self):
         population = _fresh()
@@ -65,7 +61,8 @@ class TestLazyEagerEquivalence:
 
     def test_fingerprint_identical_lazy_vs_materialized(self):
         lazy, eager = _fresh(), _fresh()
-        eager.materialize()
+        for rank in eager.ranks:
+            eager.site(rank)
         assert population_fingerprint(lazy) == population_fingerprint(eager)
 
     def test_crawl_bytes_identical_lazy_vs_eager(self, tmp_path):
@@ -73,12 +70,11 @@ class TestLazyEagerEquivalence:
         lazy, eager = _fresh(60), _fresh(60)
         lazy_logs = Crawler(lazy, CrawlConfig(seed=SEED)).crawl()
         eager_logs = Crawler(eager, CrawlConfig(seed=SEED)).crawl(
-            eager.materialize())
+            [eager.synthesize(rank) for rank in eager.ranks])
         save_logs(lazy_logs, tmp_path / "lazy.jsonl")
         save_logs(eager_logs, tmp_path / "eager.jsonl")
         assert (tmp_path / "lazy.jsonl").read_bytes() \
             == (tmp_path / "eager.jsonl").read_bytes()
-        assert lazy._materialized is None  # the lazy crawl stayed lazy
 
 
 class TestRankDeterminism:
@@ -114,7 +110,8 @@ class TestRankDeterminism:
     def test_successful_sites_view_matches_eager_filter(self):
         population, eager = _fresh(), _fresh()
         view = population.successful_sites()
-        wanted = [s for s in eager.materialize() if not s.crawl_fails]
+        wanted = [site for site in map(eager.synthesize, eager.ranks)
+                  if not site.crawl_fails]
         assert len(view) == len(wanted)
         assert list(view) == wanted
         assert view[0] == wanted[0]
@@ -145,14 +142,13 @@ class TestHashSeedIndependence:
 
 
 class TestMemoryDiscipline:
-    def test_site_cache_is_bounded(self):
-        from repro.ecosystem import Population
-        population = Population(PopulationConfig(n_sites=200, seed=SEED),
-                                cache_size=16)
+    def test_site_cache_is_bounded(self, monkeypatch):
+        from repro.ecosystem import population as population_mod
+        monkeypatch.setattr(population_mod, "SITE_CACHE_SIZE", 16)
+        population = _fresh(200)
         for rank in population.ranks:
             population.site(rank)
         assert len(population._cache) <= 16
-        assert population._materialized is None
 
     def test_pickle_is_config_sized_not_population_sized(self):
         tiny = pickle.dumps(_fresh(100))
@@ -180,7 +176,6 @@ class TestMemoryDiscipline:
             logs = crawler.crawl(population.iter_sites(ranks))
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
-            assert population._materialized is None
             assert len(logs) <= shard_width
             return peak
 

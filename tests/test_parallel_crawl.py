@@ -24,7 +24,6 @@ from repro.crawler import (
     ProcessPoolBackend,
     ShardPlan,
     ShardStore,
-    derive_shard_config,
 )
 from repro.crawler.crawler import _stable_token
 from repro.crawler.parallel import print_progress
@@ -51,7 +50,7 @@ class TestShardPlan:
     def test_partition_covers_all_ranks(self, population):
         plan = ShardPlan.for_population(population, 7)
         seen = [rank for shard in plan for rank in shard.ranks]
-        assert sorted(seen) == sorted(s.rank for s in population.sites)
+        assert sorted(seen) == list(population.ranks)
         assert len(seen) == len(set(seen))
 
     def test_contiguous_shards_are_rank_runs(self, population):
@@ -77,16 +76,6 @@ class TestShardPlan:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             ShardPlan.for_ranks([1, 2], 0)
-
-    def test_config_derivation_keeps_seed(self):
-        base = CrawlConfig(seed=77, interact=False)
-        plan = ShardPlan.for_ranks(list(range(1, 11)), 3)
-        for shard in plan:
-            derived = derive_shard_config(base, shard)
-            assert derived.seed == 77
-            assert derived.interact is False
-            assert derived.shard_index == shard.index
-            assert derived.shard_count == 3
 
 
 # ---------------------------------------------------------------------------

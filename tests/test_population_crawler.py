@@ -11,49 +11,52 @@ class TestPopulation:
     def test_deterministic(self):
         a = generate_population(PopulationConfig(n_sites=100, seed=9))
         b = generate_population(PopulationConfig(n_sites=100, seed=9))
-        assert [s.domain for s in a.sites] == [s.domain for s in b.sites]
-        assert [s.direct_services for s in a.sites] == \
-            [s.direct_services for s in b.sites]
+        assert [s.domain for s in a.iter_sites()] == \
+            [s.domain for s in b.iter_sites()]
+        assert [s.direct_services for s in a.iter_sites()] == \
+            [s.direct_services for s in b.iter_sites()]
 
     def test_seed_changes_population(self):
         a = generate_population(PopulationConfig(n_sites=100, seed=1))
         b = generate_population(PopulationConfig(n_sites=100, seed=2))
-        assert [s.domain for s in a.sites] != [s.domain for s in b.sites]
+        assert [s.domain for s in a.iter_sites()] != \
+            [s.domain for s in b.iter_sites()]
 
     def test_site_count(self, population):
         assert len(population) == 400
 
     def test_domains_unique(self, population):
-        domains = [s.domain for s in population.sites]
+        domains = [s.domain for s in population.iter_sites()]
         assert len(domains) == len(set(domains))
 
     def test_special_sites_at_fixed_ranks(self, population):
-        by_rank = {s.rank: s for s in population.sites}
+        by_rank = {s.rank: s for s in population.iter_sites()}
         assert by_rank[12].domain == "facebook.com"
         assert by_rank[48].domain == "zoom.us"
         assert by_rank[61].domain == "cnn.com"
 
     def test_facebook_has_cdn_dependency(self, population):
-        facebook = [s for s in population.sites
+        facebook = [s for s in population.iter_sites()
                     if s.domain == "facebook.com"][0]
         assert "fbcdn-widget" in facebook.direct_services
         assert any(d.reader_key == "fbcdn-widget"
                    for d in facebook.functional_deps)
 
     def test_zoom_uses_microsoft_live_sso(self, population):
-        zoom = [s for s in population.sites if s.domain == "zoom.us"][0]
+        zoom = [s for s in population.iter_sites()
+                if s.domain == "zoom.us"][0]
         assert zoom.sso.setter_key == "microsoft-sso"
         assert zoom.sso.reader_key == "live-sso"
 
     def test_crawl_failure_rate(self):
         population = generate_population(PopulationConfig(n_sites=2000, seed=3))
-        failed = sum(1 for s in population.sites if s.crawl_fails)
+        failed = sum(1 for s in population.iter_sites() if s.crawl_fails)
         assert 0.20 < failed / 2000 < 0.31
 
     def test_gtm_excludes_standalone_ga(self, population):
         # Cloaked inclusions are exempt: a CNAME-cloaked analytics.js is a
         # *self-hosted* integration, not a second Google tag.
-        for site in population.sites:
+        for site in population.iter_sites():
             keys = set(site.direct_services)
             for children in site.indirect_assignments.values():
                 keys.update(children)
@@ -62,31 +65,32 @@ class TestPopulation:
                 assert "ua-legacy" not in keys
 
     def test_loaders_exist_for_assignments(self, population):
-        for site in population.sites:
+        for site in population.iter_sites():
             keys = set(site.all_service_keys())
             for loader in site.indirect_assignments:
                 assert loader in keys
 
     def test_services_resolvable(self, population):
-        for site in population.sites:
+        for site in population.iter_sites():
             for key in site.all_service_keys():
                 assert key in population.services
 
     def test_sso_rate(self):
         population = generate_population(PopulationConfig(n_sites=2000, seed=5))
-        with_sso = sum(1 for s in population.sites if s.sso is not None)
+        with_sso = sum(1 for s in population.iter_sites()
+                       if s.sso is not None)
         assert 0.10 < with_sso / 2000 < 0.24
 
     def test_successful_sites_helper(self, population):
         successes = population.successful_sites()
         assert all(not s.crawl_fails for s in successes)
-        assert len(successes) < len(population.sites)
+        assert len(successes) < len(population)
 
 
 class TestCrawler:
     def test_failed_sites_skipped(self, population):
         crawler = Crawler(population)
-        failed = [s for s in population.sites if s.crawl_fails][0]
+        failed = [s for s in population.iter_sites() if s.crawl_fails][0]
         assert crawler.visit_site(failed) is None
 
     def test_logs_deterministic(self, population):

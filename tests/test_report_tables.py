@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 import report_oracle as oracle
+from repro.analysis.entities import default_entity_map
 from repro.analysis.reports import Study
 from repro.crawler import CrawlConfig, Crawler
 from repro.ecosystem import PopulationConfig, generate_population
@@ -48,7 +49,7 @@ def _limits(n_ranked):
 def _event_entities(study):
     """Every entity an event names as actor, destination or manipulator,
     resolved the oracle's way."""
-    entity_of = study.entities.entity_of
+    entity_of = default_entity_map().entity_of
     names = set()
     for event in study.exfil_events:
         names.update((entity_of(event.actor), entity_of(event.destination)))

@@ -24,7 +24,7 @@ from urllib.parse import quote
 import pytest
 
 import report_oracle as oracle
-from repro.analysis import Study
+from repro.analysis import Study, default_entity_map
 from repro.crawler import save_logs
 from repro.serve import (StudyCatalog, canonical_resource, etag_matches,
                          make_server, parse_params, get_query, QueryError)
@@ -494,7 +494,7 @@ class TestReportFidelity:
 
     def test_entity_drilldown_matches_oracle(self, client, crawl_logs):
         study = Study(crawl_logs)
-        entity_of = study.entities.entity_of
+        entity_of = default_entity_map().entity_of
         event = study.exfil_events[0]
         names = {entity_of(event.actor), entity_of(event.destination),
                  entity_of(study.manipulations[0].actor), "Google",
@@ -568,15 +568,14 @@ class TestReportFidelity:
         study = Study(crawl_logs)
         if not study.exfil_events:
             pytest.skip("fixture crawl produced no exfiltration")
-        event = study.exfil_events[0]
-        entity = study.entities.entity_of(event.actor)
+        entity_of = default_entity_map().entity_of
+        entity = entity_of(study.exfil_events[0].actor)
         status, _, body = client(
             f"/studies/demo/reports/entity?name={entity}")
         assert status == 200
         result = json.loads(body)["result"]
-        expected = sum(
-            1 for e in study.exfil_events
-            if study.entities.entity_of(e.actor) == entity)
+        expected = sum(1 for e in study.exfil_events
+                       if entity_of(e.actor) == entity)
         assert result["as_exfiltrator"]["n_events"] == expected
         assert result["n_sites"] >= 1
 
@@ -973,21 +972,21 @@ class TestSnapshotSidecar:
                                                   tmp_path, monkeypatch):
         """A sidecar an older build wrote (version 1) is refused, rebuilt
         from the shards into the current version, and reused after."""
-        from repro.analysis.snapshot import (SNAPSHOT_VERSION, StudySnapshot,
-                                             load_snapshot, save_snapshot)
+        from repro.analysis.snapshot import SNAPSHOT_VERSION
         from repro.serve.catalog import SNAPSHOT_NAME
         directory = tmp_path / "study"
         directory.mkdir()
         save_logs(crawl_logs[:30], directory, shards=3)
         reference = self._entry(directory).study().report_bytes()
         sidecar = directory / SNAPSHOT_NAME
-        save_snapshot(StudySnapshot(load_snapshot(sidecar).parts, version=1),
-                      sidecar)
+        data = json.loads(sidecar.read_text())
+        data["version"] = 1
+        sidecar.write_text(json.dumps(data))
 
         calls = self._counting_ingest(monkeypatch)
         assert self._entry(directory).study().report_bytes() == reference
         assert len(calls) == 3
-        assert load_snapshot(sidecar).version == SNAPSHOT_VERSION
+        assert json.loads(sidecar.read_text())["version"] == SNAPSHOT_VERSION
         calls.clear()
         assert self._entry(directory).study().report_bytes() == reference
         assert calls == []

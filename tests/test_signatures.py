@@ -125,7 +125,7 @@ class TestCloakedDetection:
 
     def test_detects_cloaked_trackers(self, cloaked_world):
         population, logs = cloaked_world
-        cloaked_sites = {s.domain: s for s in population.sites
+        cloaked_sites = {s.domain: s for s in population.iter_sites()
                          if s.cloaked_services}
         store = SignatureStore()
         store.learn(logs)
@@ -141,7 +141,7 @@ class TestCloakedDetection:
 
     def test_matched_domain_is_true_service(self, cloaked_world):
         population, logs = cloaked_world
-        cloaked_sites = {s.domain: s for s in population.sites
+        cloaked_sites = {s.domain: s for s in population.iter_sites()
                          if s.cloaked_services}
         store = SignatureStore()
         store.learn(logs)

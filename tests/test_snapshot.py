@@ -185,11 +185,9 @@ class TestMergeAssociativity:
         def merge(groups):
             out = StudyAccumulator()
             for group in groups:
-                partial = StudyAccumulator(out.entities, out.filters)
+                partial = StudyAccumulator()
                 for part in group:
-                    partial.update(state_accumulator(part.state,
-                                                     out.entities,
-                                                     out.filters))
+                    partial.update(state_accumulator(part.state))
                 out.update(partial)
             return Study.from_accumulator(out).report_bytes()
 
@@ -319,8 +317,10 @@ class TestAnalyzeCLI:
         from repro.__main__ import main
         directory = _dataset(tmp_path, logs, n_shards=2)
         snap = tmp_path / "snap.json"
-        parts = refresh_study(None, directory).snapshot.parts
-        save_snapshot(StudySnapshot(parts, version=1), snap)
+        save_snapshot(refresh_study(None, directory).snapshot, snap)
+        data = json.loads(snap.read_text())
+        data["version"] = 1
+        snap.write_text(json.dumps(data))
         with pytest.raises(SystemExit) as exit_info:
             main(["analyze", str(directory), "--snapshot", str(snap),
                   "--resume"])
@@ -358,6 +358,48 @@ class TestAnalyzeCLI:
             main(["analyze", str(directory), "--snapshot", str(snap),
                   "--resume"])
         assert "unparseable snapshot" in capsys.readouterr().out
+
+    @staticmethod
+    def _refused(args, capsys):
+        """``analyze`` must exit 1 on an ``analyze:`` line and print no
+        traceback; that line."""
+        from repro.__main__ import main
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", *args])
+        assert exit_info.value.code == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        last = captured.out.splitlines()[-1]
+        assert last.startswith("analyze: ")
+        return last
+
+    @pytest.mark.parametrize("snapshot", [False, True],
+                             ids=["plain", "snapshot"])
+    def test_damaged_shard_is_refused(self, logs, tmp_path, capsys,
+                                      snapshot):
+        directory = _dataset(tmp_path, logs, n_shards=2)
+        shard = directory / "shard-0001.jsonl"
+        data = bytearray(shard.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        shard.write_bytes(bytes(data))
+        args = [str(directory)]
+        if snapshot:
+            args += ["--snapshot", str(tmp_path / "s.json")]
+        out = self._refused(args, capsys)
+        assert out.startswith("analyze: shard 1 (shard-0001.jsonl) "
+                              "hashes to ")
+
+    def test_missing_dataset_is_refused(self, tmp_path, capsys):
+        out = self._refused([str(tmp_path / "absent")], capsys)
+        assert "missing shard file" in out
+
+    @pytest.mark.parametrize("flag", ["--snapshot", "--report"])
+    def test_unwritable_output_is_refused(self, logs, tmp_path, capsys,
+                                          flag):
+        directory = _dataset(tmp_path, logs, n_shards=2)
+        target = tmp_path / "no" / "such" / "out.json"
+        out = self._refused([str(directory), flag, str(target)], capsys)
+        assert out.startswith(f"analyze: cannot write {flag[2:]} {target}: ")
 
 
 @pytest.mark.slow
