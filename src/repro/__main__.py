@@ -27,10 +27,10 @@ crawl-shard SPEC INDEX [--cache-dir D]
     its own side (keyed by the fingerprints the spec carries), so a
     repeat shard costs zero visits
 analyze DATASET [--snapshot PATH] [--resume] [--report F]
-    run the §5 analysis over a crawl dataset (a single shard file or a
-    sharded directory) and print the headline prevalence
-    numbers.  With ``--snapshot PATH`` the per-shard accumulator state
-    is saved as a versioned snapshot (sharded datasets only); with
+    run the §5 analysis over a crawl dataset directory (its
+    ``manifest.json`` pins every shard's count and SHA-256) and print
+    the headline prevalence numbers.  With ``--snapshot PATH`` the
+    per-shard accumulator state is saved as a versioned snapshot; with
     ``--resume`` an existing snapshot at PATH is diffed against the
     dataset's current shard digests and only changed/added shards are
     re-analyzed — O(delta), not O(population) — with unchanged shards
@@ -133,6 +133,9 @@ def _run_crawl(args: List[str]) -> None:
     except ValueError:
         print(f"crawl N expects an integer, got {args[0]!r}")
         raise SystemExit(2)
+    if n_sites < 0:
+        print(f"crawl N must be >= 0, got {n_sites}")
+        raise SystemExit(2)
     out = args[1] if len(args) > 1 else "crawl"
     if out.endswith((".jsonl", ".jsonl.gz")):
         print(f"crawl: OUT is a sharded directory, not a single file; "
@@ -189,16 +192,18 @@ def _run_analyze(args: List[str]) -> None:
     report_out = pop_flag(args, "--report")
     reject_unknown_flags(args)
     if len(args) != 1:
-        print("analyze needs exactly one DATASET (file or sharded dir)")
+        print("analyze needs exactly one DATASET directory")
         raise SystemExit(2)
     if resume and not snapshot_path:
         print("analyze: --resume requires --snapshot PATH")
         raise SystemExit(2)
     dataset = Path(args[0])
-    if snapshot_path and not dataset.is_dir():
-        print("analyze: --snapshot needs a sharded dataset directory "
-              "(snapshots are diffed against per-shard digests)")
-        raise SystemExit(2)
+    for label, target in (("snapshot", snapshot_path),
+                          ("report", report_out)):
+        if target and not Path(target).parent.is_dir():
+            print(f"analyze: cannot write {label} {target}: "
+                  f"{Path(target).parent} is not a directory")
+            raise SystemExit(1)
 
     from .analysis.columnar import iter_shard_batches
     from .analysis.reports import Study, StudyAccumulator
@@ -257,8 +262,12 @@ def _run_crawl_shard(args: List[str]) -> None:
     except ValueError:
         print(f"crawl-shard INDEX expects an integer, got {args[1]!r}")
         raise SystemExit(2)
-    from .crawler import run_shard_worker
-    result = run_shard_worker(args[0], index, cache_dir=cache_dir)
+    from .crawler import CoordinationError, run_shard_worker
+    try:
+        result = run_shard_worker(args[0], index, cache_dir=cache_dir)
+    except CoordinationError as exc:
+        print(f"crawl-shard: {exc}")
+        raise SystemExit(1)
     print(json.dumps(result, sort_keys=True))
 
 

@@ -62,7 +62,8 @@ import sys
 from array import array
 from itertools import accumulate, chain
 from operator import sub
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from ..encoding import b64, md5_hex, sha1_hex
 from ..records import (CookieReadEvent, CookieWriteEvent, DomMutationEvent,
@@ -71,6 +72,9 @@ from ..records import (CookieReadEvent, CookieWriteEvent, DomMutationEvent,
 from .attribution import (CookiePair, CrossDomainAction, SiteOwnership,
                           _attrs_from_raw)
 from .exfiltration import ExfilEvent, split_candidates_fast
+
+if TYPE_CHECKING:   # storage imports this module; import it lazily
+    from ..crawler.storage import ShardManifest
 
 __all__ = [
     "COLUMNS",
@@ -664,21 +668,21 @@ def _decode(view: memoryview) -> ShardBatch:
 # Streaming decode (storage → batches)
 # ---------------------------------------------------------------------------
 
-def iter_shard_batches(path, *, shard: Optional[int] = None,
-                       sha256: Optional[str] = None
+def iter_shard_batches(directory, *, shard: Optional[int] = None,
+                       manifest: Optional[ShardManifest] = None
                        ) -> Iterator[ShardBatch]:
-    """Stream a dataset as :class:`ShardBatch` es, one per row group.
+    """Stream a dataset directory as :class:`ShardBatch` es, one per row
+    group.
 
-    Accepts the same inputs as :func:`repro.crawler.storage.iter_logs`
-    (a single shard file or a sharded directory) with the same
-    validation: each shard must hash to its recorded digest and hold
-    its manifest count, or :class:`~repro.crawler.storage.ManifestError`
-    names it.  ``shard`` reads one shard of a directory, and ``sha256``
-    replaces the digest that shard (or a single file) must hash to.
+    Validates like :func:`repro.crawler.storage.iter_logs`: each shard
+    must hash to its manifest digest and hold its manifest count, or
+    :class:`~repro.crawler.storage.ManifestError` names it.  ``shard``
+    reads one shard, and ``manifest`` is the manifest the shards are
+    checked against (by default the directory's own ``manifest.json``).
     Memory stays O(row group), not O(dataset).
     """
     from ..crawler.storage import _iter_batches
-    yield from _iter_batches(path, shard=shard, sha256=sha256)
+    yield from _iter_batches(directory, shard=shard, manifest=manifest)
 
 
 # ---------------------------------------------------------------------------

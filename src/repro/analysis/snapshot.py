@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from ..crawler.storage import ShardManifest, dataset_digests
+from ..crawler.storage import ShardManifest
 from .attribution import CookiePair, CrossDomainAction
 from .columnar import iter_shard_batches
 from .exfiltration import ExfilEvent
@@ -295,32 +295,33 @@ class RefreshResult:
         return bool(self.reingested) or self.dropped > 0
 
 
-def _ingest_shard(dataset: Path, pos: int, digest: str) -> StudyAccumulator:
-    """Analyze shard ``pos``, which must hold its manifest count and
-    hash to ``digest`` — the digest its snapshot part is filed under."""
+def _ingest_shard(dataset: Path, manifest: ShardManifest,
+                  pos: int) -> StudyAccumulator:
+    """Analyze shard ``pos``, which must hold ``manifest``'s count and
+    hash to its digest — the digest its snapshot part is filed under."""
     acc = StudyAccumulator()
-    for batch in iter_shard_batches(dataset, shard=pos, sha256=digest):
+    for batch in iter_shard_batches(dataset, shard=pos, manifest=manifest):
         acc.add_shard_batch(batch)
     return acc
 
 
 def refresh_study(snapshot: Optional[StudySnapshot],
                   dataset: Union[str, Path], *,
-                  manifest: Optional[ShardManifest] = None,
-                  digests: Optional[Tuple[str, ...]] = None
+                  manifest: Optional[ShardManifest] = None
                   ) -> RefreshResult:
     """Bring a snapshot up to date with a dataset's current bytes.
 
-    Diffs the old snapshot's per-part digests against the dataset's
-    current per-shard digests: parts whose shard bytes are unchanged
-    are merged as-is, changed/added shards are re-ingested (columnar
-    batches, same path as a cold build), and parts for shards that no
-    longer exist are dropped.  A re-ingested shard must hold its
-    manifest count and its bytes must hash to the digest its new part
-    is filed under, or :class:`~repro.crawler.storage.ManifestError`
-    names it.  With ``snapshot=None`` this is a full
-    per-shard build — the one code path produces both cold snapshots
-    and incremental refreshes, so they cannot drift apart.
+    Diffs the old snapshot's per-part digests against the shard digests
+    of ``manifest`` (by default the dataset's own ``manifest.json``):
+    parts whose shard bytes are unchanged are merged as-is,
+    changed/added shards are re-ingested (columnar batches, same path
+    as a cold build), and parts for shards that no longer exist are
+    dropped.  A re-ingested shard must hold its manifest count and its
+    bytes must hash to its manifest digest, the one its new part is
+    filed under, or :class:`~repro.crawler.storage.ManifestError`
+    names it.  With ``snapshot=None`` this is a full per-shard build —
+    the one code path produces both cold snapshots and incremental
+    refreshes, so they cannot drift apart.
 
     A part's state is a pure function of its shard's bytes, because
     the filter list and the entity map are fixed, never per call: digest
@@ -329,15 +330,13 @@ def refresh_study(snapshot: Optional[StudySnapshot],
     dataset = Path(dataset)
     if manifest is None:
         manifest = ShardManifest.load(dataset)
-    if digests is None:
-        digests = dataset_digests(dataset, manifest)
     old = snapshot.part_by_digest() if snapshot is not None else {}
     parts: List[SnapshotPart] = []
     reused: List[str] = []
     reingested: List[str] = []
     seen: set = set()
     for pos, name in enumerate(manifest.files):
-        digest = digests[pos]
+        digest = manifest.digests[pos]
         seen.add(digest)
         part = old.get(digest)
         if part is not None:
@@ -347,7 +346,7 @@ def refresh_study(snapshot: Optional[StudySnapshot],
                                       count=manifest.counts[pos]))
             reused.append(name)
             continue
-        acc = _ingest_shard(dataset, pos, digest)
+        acc = _ingest_shard(dataset, manifest, pos)
         parts.append(SnapshotPart(state=accumulator_state(acc), file=name,
                                   sha256=digest,
                                   count=manifest.counts[pos]))

@@ -323,18 +323,16 @@ class WorkSpec:
     population: Dict          # PopulationConfig as a JSON dict
     config: Dict              # CrawlConfig as a JSON dict
     shards: Tuple[Sequence[int], ...]     # ranks per shard index
+    #: Fingerprints of the population and config, so workers (and
+    #: anything that keys the shard cache from a spec) never re-hash
+    #: the population/config payloads.
+    population_fp: str
+    config_fp: str
     compress: bool = False
-    #: Fingerprints computed once per plan by the coordinator and
-    #: threaded through, so workers (and anything that keys the shard
-    #: cache from a spec) never re-hash the population/config payloads.
-    population_fp: Optional[str] = None
-    config_fp: Optional[str] = None
 
     @classmethod
     def build(cls, population: Population, config: CrawlConfig,
-              plan: ShardPlan, compress: bool,
-              population_fp: Optional[str] = None,
-              config_fp: Optional[str] = None) -> "WorkSpec":
+              plan: ShardPlan, compress: bool) -> "WorkSpec":
         return cls(
             population=json.loads(json.dumps(
                 dataclasses.asdict(population.config), default=list)),
@@ -342,43 +340,50 @@ class WorkSpec:
             shards=tuple(shard.ranks if isinstance(shard.ranks, range)
                          else tuple(shard.ranks) for shard in plan),
             compress=compress,
-            population_fp=population_fp,
-            config_fp=config_fp,
+            population_fp=population_fingerprint(population),
+            config_fp=config_fingerprint(config),
         )
 
     def key_factory(self) -> ShardKeyFactory:
-        """Shard-cache keys for this spec's plan (fingerprints reused
-        when the coordinator recorded them, recomputed otherwise)."""
-        population_fp = self.population_fp or population_fingerprint(
-            _population_config_from_dict(self.population))
-        config_fp = self.config_fp or config_fingerprint(
-            _config_from_dict(self.config))
-        return ShardKeyFactory(population_fp, config_fp, self.compress)
+        """Shard-cache keys for this spec's plan, from the fingerprints
+        the spec carries."""
+        return ShardKeyFactory(self.population_fp, self.config_fp,
+                               self.compress)
 
     def to_dict(self) -> Dict:
-        out = {
+        return {
             "version": QUEUE_VERSION,
             "population": self.population,
             "config": self.config,
             "shards": [encode_ranks(ranks) for ranks in self.shards],
             "compress": self.compress,
+            "population_fp": self.population_fp,
+            "config_fp": self.config_fp,
         }
-        if self.population_fp is not None:
-            out["population_fp"] = self.population_fp
-        if self.config_fp is not None:
-            out["config_fp"] = self.config_fp
-        return out
 
     @classmethod
     def from_dict(cls, data: Dict) -> "WorkSpec":
-        return cls(
-            population=dict(data["population"]),
-            config=dict(data["config"]),
-            shards=tuple(decode_ranks(ranks) for ranks in data["shards"]),
-            compress=bool(data["compress"]),
-            population_fp=data.get("population_fp"),
-            config_fp=data.get("config_fp"),
-        )
+        """Refuses a spec of another ``QUEUE_VERSION``: its shard bytes
+        are not what this build's worker writes for it."""
+        try:
+            version = int(data["version"])
+            if version != QUEUE_VERSION:
+                raise CoordinationError(
+                    f"unsupported workspec version {version} "
+                    f"(expected {QUEUE_VERSION}; shard bytes from other "
+                    f"versions are not reproducible — run the "
+                    f"coordinator and its workers from one build)")
+            return cls(
+                population=dict(data["population"]),
+                config=dict(data["config"]),
+                shards=tuple(decode_ranks(ranks)
+                             for ranks in data["shards"]),
+                compress=bool(data["compress"]),
+                population_fp=str(data["population_fp"]),
+                config_fp=str(data["config_fp"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CoordinationError(f"malformed workspec: {exc}") from exc
 
     def save(self, directory: Union[str, Path]) -> Path:
         path = Path(directory) / WORKSPEC_NAME
@@ -388,8 +393,12 @@ class WorkSpec:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "WorkSpec":
-        return cls.from_dict(json.loads(Path(path).read_text(
-            encoding="utf-8")))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise CoordinationError(
+                f"unreadable workspec {path}: {exc}") from exc
+        return cls.from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -647,10 +656,12 @@ def run_shard_worker(spec_path: Union[str, Path], index: int,
 
     With ``cache_dir`` the worker consults (and backfills) a
     :class:`ShardStore` *on its side of the protocol* — keyed via
-    :meth:`WorkSpec.key_factory`, so a spec carrying the coordinator's
-    fingerprints never re-hashes the population/config payloads.  A
-    remote worker sharing a cache volume can then satisfy repeat shards
-    with zero visits while speaking the exact same result protocol.
+    :meth:`WorkSpec.key_factory` from the fingerprints the spec
+    carries, so the worker never re-hashes the population/config
+    payloads.  A remote worker sharing a cache volume can then satisfy
+    repeat shards with zero visits while speaking the exact same result
+    protocol.  A spec from another build's ``QUEUE_VERSION`` raises
+    :class:`CoordinationError`.
     """
     spec_path = Path(spec_path)
     spec = WorkSpec.load(spec_path)
@@ -1271,10 +1282,10 @@ class Coordinator:
         self.store = store
         self.compress = compress
         self.progress = progress
-        # Both fingerprints are computed exactly once per coordinator
-        # (they hash the full population/config payloads); every shard
-        # key derives from the precomputed factory, and the workspec
-        # carries the fingerprints to workers verbatim.
+        # Both fingerprints are computed once per coordinator (they
+        # hash the full population/config payloads); every shard key
+        # derives from the precomputed factory, and the workspec
+        # carries the same two fingerprints to workers.
         self.population_fp = population_fingerprint(population)
         self.config_fp = config_fingerprint(self.config)
         self._key_factory = ShardKeyFactory(self.population_fp,
@@ -1402,9 +1413,7 @@ class Coordinator:
                           task_timeout=self.task_timeout)
         if isinstance(self.backend, SubprocessBackend):
             spec = WorkSpec.build(self.population, self.config, plan,
-                                  self.compress,
-                                  population_fp=self.population_fp,
-                                  config_fp=self.config_fp)
+                                  self.compress)
             ctx.spec_path = spec.save(out_dir)
         while True:
             todo = queue.unfinished()

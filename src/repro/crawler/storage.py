@@ -1,16 +1,12 @@
 """Persistence for crawl datasets: columnar row-group shards.
 
-Two on-disk layouts are supported:
-
-* **Single file** — one shard file, no manifest.
-* **Sharded directory** — ``shard-0000.jsonl[.gz] … shard-NNNN.jsonl[.gz]``
-  plus a ``manifest.json`` describing the shards.  This is what the
-  crawl coordinator's workers stream to, so a full-scale crawl never
-  has to hold every :class:`VisitLog` in memory at once.
-
-``save_logs``/``load_logs`` speak both layouts: pass ``shards=N`` (or a
-directory path) to write the sharded form; ``load_logs`` detects a
-manifest directory automatically and validates it while reading.
+A crawl dataset is a directory: ``shard-0000.jsonl[.gz] …
+shard-NNNN.jsonl[.gz]`` plus a ``manifest.json`` recording every
+shard's file name, log count and SHA-256.  This is what the crawl
+coordinator's workers stream to, so a full-scale crawl never has to
+hold every :class:`VisitLog` in memory at once.  :func:`save_logs`
+writes one; a path without a manifest — a bare shard file included —
+is refused by every reader with :class:`ManifestError`.
 
 **Shard bytes (format v3).**  A shard file is a sequence of *row
 groups*, each holding :data:`ROW_GROUP_VISITS` consecutive visits (the
@@ -27,9 +23,9 @@ version (:data:`MANIFEST_VERSION` 2), not the suffix, says what the
 bytes are.  Every reader — :func:`iter_logs`, :func:`load_shard`,
 :func:`read_site`, :func:`repro.analysis.columnar.iter_shard_batches`
 — decodes through :func:`repro.analysis.columnar.decode_row_group`,
-and a shard listed in a manifest must hold the manifest's count and
-hash to its recorded digest, or the read fails with
-:class:`ManifestError` naming the shard.
+and a shard must hold its manifest count and hash to its manifest
+digest, or the read fails with :class:`ManifestError` naming the
+shard.
 
 A single-site lookup (:func:`locate_site`, under :func:`read_site` and
 the :mod:`repro.serve` HTTP catalog) reads and decodes the one row
@@ -51,7 +47,6 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List,
                     Optional, Sequence, Tuple, Union)
@@ -70,7 +65,6 @@ __all__ = [
     "ShardManifest",
     "ShardWriteResult",
     "compute_digest",
-    "dataset_digests",
     "iter_logs",
     "load_logs",
     "load_shard",
@@ -126,24 +120,6 @@ def compute_digest(path: Union[str, Path]) -> str:
     return digest.hexdigest()
 
 
-def dataset_digests(directory: Union[str, Path],
-                    manifest: Optional["ShardManifest"] = None
-                    ) -> Tuple[str, ...]:
-    """Every shard's SHA-256, in shard order, for a sharded dataset.
-
-    Manifest-recorded digests are trusted verbatim; pre-digest
-    manifests fall back to hashing the shard files.  This is the
-    complete digest list the serve catalog's ETags derive from and the
-    snapshot layer diffs against (:mod:`repro.analysis.snapshot`).
-    """
-    directory = Path(directory)
-    if manifest is None:
-        manifest = ShardManifest.load(directory)
-    return tuple(
-        manifest.digest_for(pos) or compute_digest(directory / name)
-        for pos, name in enumerate(manifest.files))
-
-
 def _is_gzip(name: str) -> bool:
     return name.endswith(".gz")
 
@@ -158,13 +134,13 @@ def shard_filename(index: int, compress: bool = False) -> str:
 
 @dataclass(frozen=True)
 class ShardManifest:
-    """Describes a sharded crawl directory (``manifest.json``).
+    """Describes a crawl dataset directory (``manifest.json``).
 
-    ``digests`` — per-shard SHA-256 over the raw shard-file bytes — is
-    optional (entries may be ``None``): datasets written before digests
-    existed still load.  When present, a digest pins the shard file
-    byte-for-byte, which is what makes distributed retry and the shard
-    cache verifiable (see :mod:`repro.crawler.distributed`).
+    Every shard has a file name, a log count and a SHA-256 over its raw
+    file bytes.  The digest pins the shard file byte-for-byte, which is
+    what makes distributed retry, the shard cache, snapshot parts and
+    ETags verifiable (see :mod:`repro.crawler.distributed`); a manifest
+    with a shard that records no digest is refused on load.
     """
 
     n_shards: int
@@ -172,27 +148,18 @@ class ShardManifest:
     compress: bool
     files: tuple          # shard file names, indexed by shard
     counts: tuple         # logs per shard, indexed by shard
-    digests: tuple = ()   # sha256 hex (or None) per shard; () = none known
-
-    def digest_for(self, index: int) -> Optional[str]:
-        if 0 <= index < len(self.digests):
-            return self.digests[index]
-        return None
+    digests: tuple        # sha256 hex per shard, indexed by shard
 
     def to_dict(self) -> Dict:
-        shards = []
-        for i, (name, count) in enumerate(zip(self.files, self.counts)):
-            entry: Dict = {"index": i, "file": name, "count": count}
-            digest = self.digest_for(i)
-            if digest is not None:
-                entry["sha256"] = digest
-            shards.append(entry)
         return {
             "version": MANIFEST_VERSION,
             "n_shards": self.n_shards,
             "total": self.total,
             "compress": self.compress,
-            "shards": shards,
+            "shards": [{"index": i, "file": name, "count": count,
+                        "sha256": digest}
+                       for i, (name, count, digest) in enumerate(
+                           zip(self.files, self.counts, self.digests))],
         }
 
     @classmethod
@@ -212,18 +179,19 @@ class ShardManifest:
             indexes = [int(s["index"]) for s in shards]
             if indexes != list(range(len(shards))):
                 raise ManifestError(f"non-contiguous shard indexes {indexes}")
-            digests = tuple(
-                str(s["sha256"]) if s.get("sha256") is not None else None
-                for s in shards)
-            if all(d is None for d in digests):
-                digests = ()
+            for pos, shard in enumerate(shards):
+                if shard.get("sha256") is None:
+                    raise ManifestError(
+                        f"shard {pos} ({shard['file']}) records no sha256 "
+                        f"in {MANIFEST_NAME}; re-crawl or re-save the "
+                        f"dataset")
             manifest = cls(
                 n_shards=int(data["n_shards"]),
                 total=int(data["total"]),
                 compress=bool(data["compress"]),
                 files=tuple(str(s["file"]) for s in shards),
                 counts=tuple(int(s["count"]) for s in shards),
-                digests=digests,
+                digests=tuple(str(s["sha256"]) for s in shards),
             )
         except ManifestError:
             raise
@@ -233,10 +201,6 @@ class ShardManifest:
             raise ManifestError(
                 f"manifest lists {len(manifest.files)} shards "
                 f"but declares n_shards={manifest.n_shards}")
-        if manifest.digests and len(manifest.digests) != len(manifest.files):
-            raise ManifestError(
-                f"manifest carries {len(manifest.digests)} digests "
-                f"for {len(manifest.files)} shards")
         if manifest.total != sum(manifest.counts):
             raise ManifestError(
                 f"manifest total {manifest.total} != "
@@ -298,18 +262,25 @@ def _gzip_member(data: bytes) -> bytes:
                                  len(data) & 0xFFFFFFFF)))
 
 
-def _write_shard(logs: Iterable[VisitLog], path: Path) -> ShardWriteResult:
-    """Stream logs to ``path`` as row groups; returns count + digest.
+def write_shard(logs: Iterable[VisitLog], directory: Union[str, Path],
+                index: int, compress: bool = False) -> ShardWriteResult:
+    """Write one shard file into ``directory``; returns name/count/digest.
 
-    Logs are encoded :data:`ROW_GROUP_VISITS` at a time, so memory
-    stays O(group).  The on-disk bytes are digested as they are
-    written (no read-back pass).
+    Used by :func:`save_logs` and by the coordinator's workers, which
+    each own one shard; the :class:`ShardManifest` is assembled from
+    the returned digests afterwards.  Logs are encoded
+    :data:`ROW_GROUP_VISITS` at a time, so memory stays O(group), and
+    the on-disk bytes are digested as they are written (no read-back
+    pass).  Gzip output is deterministic (zeroed header), so the digest
+    is a pure function of the logs.
     """
     from ..analysis.columnar import ShardBatch, encode_row_group
-    compress = _is_gzip(path.name)
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    name = shard_filename(index, compress)
     sha = hashlib.sha256()
     count = 0
-    with open(path, "wb") as out:
+    with open(directory / name, "wb") as out:
         def flush(chunk: List[VisitLog]) -> None:
             group = encode_row_group(ShardBatch.from_logs(chunk))
             if compress:
@@ -326,23 +297,6 @@ def _write_shard(logs: Iterable[VisitLog], path: Path) -> ShardWriteResult:
                 chunk = []
         if chunk or not count:
             flush(chunk)
-    return ShardWriteResult(name=path.name, count=count,
-                            sha256=sha.hexdigest())
-
-
-def write_shard(logs: Iterable[VisitLog], directory: Union[str, Path],
-                index: int, compress: bool = False) -> ShardWriteResult:
-    """Write one shard file into ``directory``; returns name/count/digest.
-
-    Used by the coordinator's workers, which each own one shard;
-    the coordinator assembles and saves the :class:`ShardManifest` from
-    the returned digests afterwards.  Gzip output is deterministic
-    (zeroed header), so the digest is a pure function of the logs.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    name = shard_filename(index, compress)
-    result = _write_shard(logs, directory / name)
     point = maybe_fire("storage.write_shard", scope=str(index))
     if point is not None and point.kind == "torn":
         # Simulate a crash mid-write: truncate the freshly written
@@ -351,24 +305,18 @@ def write_shard(logs: Iterable[VisitLog], directory: Union[str, Path],
         with open(directory / name, "r+b") as handle:
             handle.truncate(max(handle.seek(0, 2) // 2, 1))
         raise InjectedFault(f"torn shard write: {name}")
-    return result
+    return ShardWriteResult(name=name, count=count, sha256=sha.hexdigest())
 
 
 def save_logs(logs: Iterable[VisitLog], path: Union[str, Path],
-              shards: Optional[int] = None, compress: bool = False) -> int:
-    """Write a crawl dataset; returns the number of logs written.
+              shards: int = 1, compress: bool = False) -> int:
+    """Write a crawl dataset directory; returns the number of logs written.
 
-    With ``shards`` unset and a file path, writes the single-file
-    layout (gzipped when the name ends in ``.gz``).  With ``shards=N``
-    — or when ``path`` is an existing directory — writes the sharded
-    layout: logs are split into ``N`` near-even contiguous runs (in the
-    given order), one file per shard, plus ``manifest.json``.
+    The logs are split into ``shards`` near-even contiguous runs (in
+    the given order), one shard file each, plus ``manifest.json``.
     """
     path = Path(path)
-    if shards is None and not path.is_dir():
-        return _write_shard(logs, path).count
-
-    n_shards = max(int(shards or 1), 1)
+    n_shards = max(shards, 1)
     logs = list(logs)
     path.mkdir(parents=True, exist_ok=True)
     base, extra = divmod(len(logs), n_shards)
@@ -467,60 +415,49 @@ def _file_groups(path: Path, label: str, count: Optional[int] = None,
                             f"manifest says {count}")
 
 
-def _shard_groups(directory: Path, manifest: ShardManifest, pos: int,
-                  sha256: Optional[str] = None
-                  ) -> Iterator[Tuple[int, int, ShardBatch]]:
-    name = manifest.files[pos]
-    return _file_groups(directory / name, f"shard {pos} ({name})",
-                        manifest.counts[pos],
-                        sha256 or manifest.digest_for(pos))
-
-
-def _iter_batches(path: Union[str, Path], *, shard: Optional[int] = None,
-                  sha256: Optional[str] = None) -> Iterator[ShardBatch]:
-    """Batches of a single shard file, a sharded directory, or (with
-    ``shard``) one shard of a directory; see ``iter_shard_batches``."""
-    path = Path(path)
-    if not path.is_dir():
-        if shard is not None:
-            raise ManifestError(f"{path} is a single shard file, not a "
-                                f"sharded directory")
-        groups = _file_groups(path, f"dataset file {path}", sha256=sha256)
+def _iter_batches(directory: Union[str, Path], *,
+                  shard: Optional[int] = None,
+                  manifest: Optional[ShardManifest] = None
+                  ) -> Iterator[ShardBatch]:
+    """Batches of a dataset directory, or (with ``shard``) of one of its
+    shards; see ``iter_shard_batches``."""
+    directory = Path(directory)
+    if manifest is None:
+        manifest = ShardManifest.load(directory)
+    if shard is None:
+        positions: Iterable[int] = range(manifest.n_shards)
+    elif 0 <= shard < manifest.n_shards:
+        positions = (shard,)
     else:
-        manifest = ShardManifest.load(path)
-        if shard is None:
-            groups = chain.from_iterable(
-                _shard_groups(path, manifest, pos)
-                for pos in range(manifest.n_shards))
-        elif 0 <= shard < manifest.n_shards:
-            groups = _shard_groups(path, manifest, shard, sha256)
-        else:
-            raise ManifestError(f"shard index {shard} out of range "
-                                f"0..{manifest.n_shards - 1}")
-    for _offset, _length, batch in groups:
-        if len(batch):
-            yield batch
+        raise ManifestError(f"shard index {shard} out of range "
+                            f"0..{manifest.n_shards - 1}")
+    for pos in positions:
+        name = manifest.files[pos]
+        for _offset, _length, batch in _file_groups(
+                directory / name, f"shard {pos} ({name})",
+                manifest.counts[pos], manifest.digests[pos]):
+            if len(batch):
+                yield batch
 
 
-def iter_logs(path: Union[str, Path]) -> Iterator[VisitLog]:
-    """Stream a dataset one :class:`VisitLog` at a time.
+def iter_logs(directory: Union[str, Path]) -> Iterator[VisitLog]:
+    """Stream a dataset directory one :class:`VisitLog` at a time.
 
-    Accepts a single shard file or a sharded directory; shards stream
-    in index order and each shard's log count and digest are checked
-    against the manifest (:class:`ManifestError` on mismatch or
-    missing files).
+    Shards stream in index order and each shard's log count and digest
+    are checked against the manifest (:class:`ManifestError` on a
+    mismatch, a missing file or a missing manifest).
     """
-    for batch in _iter_batches(path):
+    for batch in _iter_batches(directory):
         yield from map(batch.log, range(len(batch)))
 
 
-def load_logs(path: Union[str, Path]) -> List[VisitLog]:
-    """Read a crawl dataset (single file or sharded directory)."""
-    return list(iter_logs(path))
+def load_logs(directory: Union[str, Path]) -> List[VisitLog]:
+    """Read a crawl dataset directory (see :func:`iter_logs`)."""
+    return list(iter_logs(directory))
 
 
 def load_shard(directory: Union[str, Path], index: int) -> List[VisitLog]:
-    """Read one shard of a sharded dataset (count and digest checked)."""
+    """Read one shard of a dataset directory (count and digest checked)."""
     return [log for batch in _iter_batches(directory, shard=index)
             for log in batch.logs()]
 
@@ -530,19 +467,16 @@ def verify_shard_files(directory: Union[str, Path],
     """Check every shard file against the manifest's recorded digests.
 
     Raises :class:`ManifestError` naming the first shard whose file is
-    missing or whose bytes do not hash to the recorded SHA-256; shards
-    without a recorded digest are only checked for existence.
+    missing or whose bytes do not hash to the recorded SHA-256.
     """
     directory = Path(directory)
     if manifest is None:
         manifest = ShardManifest.load(directory)
-    for index, name in enumerate(manifest.files):
+    for index, (name, expected) in enumerate(zip(manifest.files,
+                                                 manifest.digests)):
         shard_path = directory / name
         if not shard_path.exists():
             raise ManifestError(f"manifest lists missing shard {name}")
-        expected = manifest.digest_for(index)
-        if expected is None:
-            continue
         actual = compute_digest(shard_path)
         if actual != expected:
             raise ManifestError(
@@ -645,7 +579,7 @@ def locate_site(directory: Union[str, Path], rank: int, *,
     for pos, name in enumerate(manifest.files):
         index = index_cache.get(pos) if index_cache is not None else None
         if index is None:
-            index = load_shard_index(directory, name, manifest.digest_for(pos),
+            index = load_shard_index(directory, name, manifest.digests[pos],
                                      manifest.counts[pos])
             if index_cache is not None:
                 index_cache[pos] = index

@@ -9,9 +9,9 @@ serve some-crawl/`` just works.
 Each :class:`StudyEntry` wraps one study with everything the HTTP layer
 needs:
 
-* the verified :class:`~repro.crawler.storage.ShardManifest` and a
-  complete per-shard digest list (computed on first touch for
-  pre-digest manifests), from which the study's dataset etag derives;
+* the verified :class:`~repro.crawler.storage.ShardManifest`, whose
+  per-shard digests every shard read is checked against and the
+  study's dataset etag derives from;
 * seekable single-site lookup via
   :func:`~repro.crawler.storage.locate_site`, with every shard's
   :class:`~repro.crawler.storage.ShardIndex` built once per entry from
@@ -45,8 +45,7 @@ from ..analysis.reports import Study, StudyAccumulator
 from ..analysis.snapshot import (RefreshResult, SnapshotError, load_snapshot,
                                  refresh_study, save_snapshot)
 from ..crawler.storage import (ManifestError, ShardIndex, ShardManifest,
-                               dataset_digests, load_shard_index,
-                               locate_site)
+                               load_shard_index, locate_site)
 from ..records import VisitLog
 from .etag import listing_etag, study_etag
 
@@ -70,8 +69,7 @@ class StudyEntry:
         self.id = study_id
         self.directory = Path(directory)
         self.manifest = ShardManifest.load(self.directory)
-        self.digests = dataset_digests(self.directory, self.manifest)
-        self.etag = study_etag(self.manifest, self.digests)
+        self.etag = study_etag(self.manifest)
         self.snapshot_path = self.directory / SNAPSHOT_NAME
         self._index_cache: Optional[Dict[int, ShardIndex]] = None
         self._study: Optional[Study] = None
@@ -110,7 +108,8 @@ class StudyEntry:
 
     def shards(self) -> List[Dict]:
         return [{"index": i, "file": name,
-                 "count": self.manifest.counts[i], "sha256": self.digests[i]}
+                 "count": self.manifest.counts[i],
+                 "sha256": self.manifest.digests[i]}
                 for i, name in enumerate(self.manifest.files)]
 
     # ------------------------------------------------------------------
@@ -139,7 +138,7 @@ class StudyEntry:
 
     def _indexes(self) -> Dict[int, ShardIndex]:
         """Every shard's index, built once per entry from shard bytes
-        checked against the entry's digests and counts.
+        checked against the entry's manifest.
 
         The lock covers only the build: lookups read the shards outside
         it, so they run side by side.  A shard that fails its checks
@@ -151,7 +150,7 @@ class StudyEntry:
                 if self._index_cache is None:
                     self._index_cache = {
                         pos: load_shard_index(self.directory, name,
-                                              self.digests[pos],
+                                              self.manifest.digests[pos],
                                               self.manifest.counts[pos])
                         for pos, name in enumerate(self.manifest.files)}
                 indexes = self._index_cache
@@ -184,8 +183,7 @@ class StudyEntry:
         except SnapshotError:
             # Missing, torn, or another version: rebuild from shards.
             old = None
-        result = refresh_study(old, self.directory, manifest=self.manifest,
-                               digests=self.digests)
+        result = refresh_study(old, self.directory, manifest=self.manifest)
         if old is None or result.changed:
             try:
                 save_snapshot(result.snapshot, self.snapshot_path)
@@ -198,9 +196,9 @@ class StudyEntry:
 
         Streams the shards once per ``bucket_size`` not among the
         :data:`BUCKET_SIZES_KEPT` most recently asked for, as columnar
-        batches, each shard checked against the digest the entry's ETag
-        pins (so it refuses exactly when :meth:`study` does), and counts
-        each row into its bucket's accumulator
+        batches, each shard checked against the entry's manifest, which
+        its ETag pins (so it refuses exactly when :meth:`study` does),
+        and counts each row into its bucket's accumulator
         (:meth:`~repro.analysis.reports.StudyAccumulator.count_visit`,
         no detectors) — the same associative decomposition
         ``Study.from_shards`` uses, so the per-bucket numbers are
@@ -217,10 +215,8 @@ class StudyEntry:
                 self._buckets.move_to_end(bucket_size)
                 return cached
             accs: Dict[int, StudyAccumulator] = {}
-            batches = (batch for pos, digest in enumerate(self.digests)
-                       for batch in iter_shard_batches(
-                           self.directory, shard=pos, sha256=digest))
-            for batch in batches:
+            for batch in iter_shard_batches(self.directory,
+                                            manifest=self.manifest):
                 for i, rank in enumerate(batch.ranks):
                     bucket = rank // bucket_size
                     acc = accs.get(bucket)
@@ -268,15 +264,16 @@ class StudyCatalog:
         """Rescan the root; rebuild entries whose manifest changed.
 
         All disk work — staleness probes and entry construction, which
-        hashes every shard of a pre-digest manifest — happens *outside*
-        the lock, then the fresh entry map is swapped in atomically:
+        reads the manifest and hashes nothing — happens *outside* the
+        lock, then the fresh entry map is swapped in atomically:
         concurrent ``get()``/``listing()`` calls never stall behind a
         rebuild.  A rebuilt entry's aggregation is not thrown away
         either — its persisted sidecar snapshot (written by
         ``StudyEntry.study()``) carries the unchanged shards' state
         across the rebuild, so the new entry re-ingests only the delta.
-        A study directory deleted between discovery and construction
-        (or mid-hash) is simply skipped until the next refresh.
+        A study whose manifest is missing, torn, from another version
+        or records a shard without a digest is skipped until a refresh
+        finds it readable.
         """
         found = self._discover()
         with self._lock:
@@ -290,8 +287,8 @@ class StudyCatalog:
             try:
                 fresh[study_id] = StudyEntry(study_id, directory)
             except (FileNotFoundError, ManifestError):
-                # Vanished (or torn mid-write) since _discover(); the
-                # next refresh picks it up if it comes back.
+                # Vanished since _discover(), or its manifest is torn
+                # or unreadable; the next refresh retries it.
                 continue
         with self._lock:
             self._entries = fresh

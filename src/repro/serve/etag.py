@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from ..crawler.storage import ShardManifest
 
@@ -42,17 +42,16 @@ def _sha256_of(payload: object) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def study_etag(manifest: ShardManifest, digests: Sequence[str]) -> str:
+def study_etag(manifest: ShardManifest) -> str:
     """The dataset-version etag for one study.
 
-    ``digests`` must hold one SHA-256 per shard (the catalog computes
-    missing ones for pre-digest manifests), so the etag is a pure
-    function of the shard bytes and stable across restarts.
+    A hash of the manifest's shard names, counts and digests: a pure
+    function of the shard bytes, stable across restarts.
     """
     return _sha256_of({
         "files": list(manifest.files),
         "counts": list(manifest.counts),
-        "digests": list(digests),
+        "digests": list(manifest.digests),
         "compress": manifest.compress,
     })
 

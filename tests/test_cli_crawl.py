@@ -4,7 +4,7 @@ Every crawl runs through the coordinator and writes OUT as its sharded,
 digest-pinned directory.  The checks: ``--gzip`` keeps OUT's name,
 ``--jobs`` never changes a byte, a re-run into the same OUT resumes, a
 re-run that changes the crawl is refused with exit 1, and a single-file
-OUT or a non-integer N is refused with exit 2.
+OUT or a non-integer or negative N is refused with exit 2.
 """
 
 from __future__ import annotations
@@ -80,3 +80,12 @@ def test_non_integer_n_exits_2(tmp_path, capsys, n):
     assert capsys.readouterr().out == \
         f"crawl N expects an integer, got {n!r}\n"
     assert not (tmp_path / "crawl").exists()
+
+
+def test_negative_n_exits_2_before_creating_out(tmp_path, capsys):
+    out = tmp_path / "crawl"
+    with pytest.raises(SystemExit) as exc:
+        main(["crawl", "--", "-5", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == "crawl N must be >= 0, got -5\n"
+    assert not out.exists()

@@ -572,9 +572,10 @@ class TestWorkerProtocol:
             out, n_shards=2)
         assert [r["sha256"] for r in results] \
             == list(report.manifest.digests)
-        worker_logs = [log for r in results
-                       for log in load_logs(tmp_path / r["file"])]
-        assert _stream(worker_logs) == serial_stream
+        for r in results:
+            assert (tmp_path / r["file"]).read_bytes() \
+                == (out / r["file"]).read_bytes()
+        assert _stream(load_logs(out)) == serial_stream
 
     def test_worker_rejects_bad_index(self, small_population, tmp_path):
         from repro.crawler import ShardPlan
@@ -584,6 +585,35 @@ class TestWorkerProtocol:
         spec_path = spec.save(tmp_path)
         with pytest.raises(CoordinationError, match="out of range"):
             run_shard_worker(spec_path, 5)
+
+    def test_workspec_of_another_version_is_refused(self, small_population,
+                                                    tmp_path, capsys):
+        """A spec another build wrote (here a ``QUEUE_VERSION`` 3 one),
+        like a torn one, is refused by ``WorkSpec.load`` and by
+        ``crawl-shard``, which exits 1 on one line and writes no shard."""
+        from repro.__main__ import main
+        from repro.crawler import ShardPlan
+        plan = ShardPlan.for_population(small_population, 2)
+        spec_path = WorkSpec.build(small_population, CrawlConfig(seed=SEED),
+                                   plan, compress=False).save(tmp_path)
+        data = json.loads(spec_path.read_text())
+        data["version"] = 3
+        for text, message in (
+                (json.dumps(data), "unsupported workspec version 3 "
+                                   "(expected 4;"),
+                ("{", f"unreadable workspec {spec_path}: ")):
+            spec_path.write_text(text)
+            with pytest.raises(CoordinationError) as exc_info:
+                WorkSpec.load(spec_path)
+            assert str(exc_info.value).startswith(message)
+            with pytest.raises(SystemExit) as exit_info:
+                main(["crawl-shard", str(spec_path), "0"])
+            assert exit_info.value.code == 1
+            captured = capsys.readouterr()
+            assert captured.out.startswith(f"crawl-shard: {message}")
+            assert "Traceback" not in captured.out + captured.err
+            assert [path.name for path in tmp_path.iterdir()] \
+                == ["workspec.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from repro.cookies.cookie import (Cookie, domain_match, parse_cookie_pair,
 from repro.cookies.jar import CookieJar
 from repro.crawler.distributed import ShardKeyFactory, ShardStore, WorkSpec
 from repro.crawler.storage import (ShardManifest, compute_digest,
-                                   load_logs, write_shard)
+                                   load_logs, save_logs, write_shard)
 from repro.net.psl import DEFAULT_PSL, PublicSuffixList
 from repro.net.url import URL, parse_url
 from repro.records import VisitLog
@@ -428,8 +428,8 @@ class TestSerializerEquivalence:
         """GOLDEN fixture → new serializer → load → re-render == fixture."""
         entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
         logs = [VisitLog.from_dict(e) for e in entries]
-        written = write_shard(logs, tmp_path, 0)
-        loaded = load_logs(tmp_path / written.name)
+        save_logs(logs, tmp_path)
+        loaded = load_logs(tmp_path)
         rendered = json.dumps([log.to_dict() for log in loaded],
                               sort_keys=True, indent=1) + "\n"
         assert rendered == GOLDEN.read_text(encoding="utf-8")
@@ -441,10 +441,9 @@ class TestSerializerEquivalence:
         from v2_oracle import columns, from_dicts, v2_lines
         entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
         logs = [VisitLog.from_dict(e) for e in entries]
-        written = write_shard(logs, tmp_path, 0)
+        save_logs(logs, tmp_path)
         oracle = from_dicts([json.loads(line) for line in v2_lines(logs)])
-        assert columns(iter_shard_batches(tmp_path / written.name)) \
-            == columns([oracle])
+        assert columns(iter_shard_batches(tmp_path)) == columns([oracle])
 
     def test_streaming_digest_matches_file_digest(self, tmp_path):
         entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -537,10 +536,9 @@ class TestShardKeyFactoryEquivalence:
             PopulationConfig(n_sites=6, seed=2025))
         config = CrawlConfig(seed=2025)
         plan = ShardPlan.for_population(population, 2)
-        spec = WorkSpec.build(
-            population, config, plan, False,
-            population_fp=population_fingerprint(population),
-            config_fp=config_fingerprint(config))
+        spec = WorkSpec.build(population, config, plan, False)
+        assert (spec.population_fp, spec.config_fp) == (
+            population_fingerprint(population), config_fingerprint(config))
         spec_path = spec.save(tmp_path)
         cache = tmp_path / "cache"
 
@@ -555,20 +553,6 @@ class TestShardKeyFactoryEquivalence:
         assert second == first
         assert (tmp_path / "two" / first["file"]).read_bytes() == \
             (tmp_path / "one" / first["file"]).read_bytes()
-
-    def test_workspec_without_fingerprints_still_keys(self, tmp_path):
-        # Back-compat: specs written before PR 5 carry no fingerprints;
-        # key_factory falls back to recomputing them.
-        spec = WorkSpec(population={"n_sites": 4, "seed": 1},
-                        config={"seed": 1, "interact": True,
-                                "max_clicks": 3, "install_guard": False,
-                                "guard_policy": None,
-                                "guard_uncloak_dns": False},
-                        shards=((0, 1),))
-        data = spec.to_dict()
-        assert "population_fp" not in data and "config_fp" not in data
-        factory = WorkSpec.from_dict(data).key_factory()
-        assert len(factory.key_for((0, 1))) == 64
 
 
 def _report_blob(study) -> str:
@@ -704,10 +688,10 @@ class TestColumnarEquivalence:
         acc = StudyAccumulator()
         acc.add_shard_batch(from_dicts(entries))
         assert _report_blob(Study.from_accumulator(acc)) == reference
-        # The v3 decode loop: row groups off a shard file.
-        written = write_shard(logs, tmp_path, 0, compress=True)
+        # The v3 decode loop: row groups off a one-shard dataset.
+        save_logs(logs, tmp_path, compress=True)
         acc = StudyAccumulator()
-        for batch in iter_shard_batches(tmp_path / written.name):
+        for batch in iter_shard_batches(tmp_path):
             acc.add_shard_batch(batch)
         assert _report_blob(Study.from_accumulator(acc)) == reference
 
@@ -751,7 +735,8 @@ class TestSplitCandidatesFastEquivalence:
 class TestAtomicManifestSave:
     def _manifest(self) -> ShardManifest:
         return ShardManifest(n_shards=1, total=2, compress=False,
-                             files=("shard-0000.jsonl",), counts=(2,))
+                             files=("shard-0000.jsonl",), counts=(2,),
+                             digests=("0" * 64,))
 
     def test_save_leaves_no_temp_file(self, tmp_path):
         self._manifest().save(tmp_path)

@@ -15,7 +15,10 @@ digest notices a change to the guard's read or write path.
 ``SHARD_SHA256`` pins the shard bytes: the golden crawl written as one
 gzip and one plain shard (format v3).  CI runs this file on several
 Python versions, so one constant per layout shows the bytes do not
-depend on the interpreter.
+depend on the interpreter.  ``MANIFEST_SHA256`` and ``STUDY_ETAG`` pin
+what a dataset adds to its shards: the golden crawl saved as a
+two-shard dataset, its ``manifest.json`` bytes and the serve catalog's
+study ETag over it.
 
 If a change is *intentional* (a new log field, a schema migration),
 regenerate the fixture and print the new guarded digest with::
@@ -24,7 +27,8 @@ regenerate the fixture and print the new guarded digest with::
 
 and call the change out in the PR, since it breaks byte-compatibility
 of stored crawl datasets.  A shard-format change moves only
-``SHARD_SHA256``; ``--regenerate`` prints that too.
+``SHARD_SHA256``, ``MANIFEST_SHA256`` and ``STUDY_ETAG``;
+``--regenerate`` prints those too.
 """
 
 from __future__ import annotations
@@ -46,6 +50,17 @@ GUARDED_SHA256 = (
 SHARD_SHA256 = {
     "gzip": "04270b729535ace55178adec4b04dd26a782f76a740d778d899ab3cde6c834fd",
     "plain": "617385e1299ce683837c37c93d8a220a5ac2800955ce4b25fdf66feebcd611cf",
+}
+#: SHA-256 of the ``manifest.json`` that ``save_logs`` writes for the
+#: golden crawl in two shards, per layout.
+MANIFEST_SHA256 = {
+    "gzip": "778c5043e5b7152bf997e23f3ca7ac6888652d45d0e7be17570f339131c0c814",
+    "plain": "3e5a6db4fb83f97a0294c546ca01b4da338f230d9285db5ae9e1e129b78342ec",
+}
+#: ``StudyEntry.etag`` of those two datasets.
+STUDY_ETAG = {
+    "gzip": "a2a0661f07a841f9acf1552187234803a1c361991b3925b5e51f93443cfec5b4",
+    "plain": "7ca0ad6a2d3f681c1c2af5996eb53aa90865ecc2e4a748e82ee3d2c636f8be85",
 }
 
 
@@ -70,6 +85,22 @@ def _shard_digests(directory: Path) -> dict:
             for layout in ("gzip", "plain")}
 
 
+def _dataset_pins(directory: Path) -> tuple:
+    """(manifest SHA-256, study ETag) per layout of the golden crawl
+    saved as a two-shard dataset."""
+    from repro.crawler import save_logs
+    from repro.serve.catalog import StudyEntry
+    logs = _golden_crawl()
+    manifests, etags = {}, {}
+    for layout in ("gzip", "plain"):
+        target = directory / layout
+        save_logs(logs, target, shards=2, compress=layout == "gzip")
+        manifests[layout] = hashlib.sha256(
+            (target / "manifest.json").read_bytes()).hexdigest()
+        etags[layout] = StudyEntry("golden", target).etag
+    return manifests, etags
+
+
 def _render(logs) -> str:
     return json.dumps([log.to_dict() for log in logs],
                       sort_keys=True, indent=1) + "\n"
@@ -91,6 +122,9 @@ class TestGoldenLog:
     def test_shard_bytes_match_golden_digests(self, tmp_path):
         assert _shard_digests(tmp_path) == SHARD_SHA256
 
+    def test_manifest_and_study_etag_match_golden_digests(self, tmp_path):
+        assert _dataset_pins(tmp_path) == (MANIFEST_SHA256, STUDY_ETAG)
+
     def test_round_trip_through_from_dict(self):
         from repro.crawler import VisitLog
         golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
@@ -110,5 +144,9 @@ if __name__ == "__main__":
         import tempfile
         with tempfile.TemporaryDirectory() as scratch:
             print(f"SHARD_SHA256 = {_shard_digests(Path(scratch))!r}")
+        with tempfile.TemporaryDirectory() as scratch:
+            manifests, etags = _dataset_pins(Path(scratch))
+            print(f"MANIFEST_SHA256 = {manifests!r}")
+            print(f"STUDY_ETAG = {etags!r}")
     else:
         print(__doc__)

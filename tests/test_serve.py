@@ -19,6 +19,7 @@ import threading
 import urllib.error
 import urllib.request
 from functools import cached_property
+from pathlib import Path
 from urllib.parse import quote
 
 import pytest
@@ -299,19 +300,16 @@ class TestConditionalBeforeRead:
         assert (status, headers2["ETag"], body2) \
             == (200, headers["ETag"], body)
 
-    @pytest.mark.parametrize("digests", [True, False],
-                             ids=["digests", "digestless"])
+    @pytest.mark.parametrize("digests", [True], ids=["digests"])
     def test_unpinned_sidecar_is_not_trusted(self, study, crawl_logs,
                                              digests):
         """A ``shard-0000.index.json`` that an older build left next to
         its shard is never read: not to answer a revalidation, not to
-        steer a lookup, even when it records the shard's own digest,
-        with or without digests in the manifest."""
+        steer a lookup, even when it records the shard's own digest
+        (which the manifest pins too)."""
         from repro.crawler.storage import (ShardManifest, compute_digest,
                                            load_shard_index)
         manifest = ShardManifest.load(study)
-        if not digests:
-            dataclasses.replace(manifest, digests=()).save(study)
         name = manifest.files[0]
         index = load_shard_index(study, name)
         log = next(log for log in crawl_logs if log.rank == index.ranks[0])
@@ -657,8 +655,8 @@ def _touch_shard(directory, shard=0):
 class TestCatalogRefreshLocking:
     def test_refresh_does_not_hold_the_lock_while_hashing(
             self, crawl_logs, tmp_path, monkeypatch):
-        """Entry construction (which digests every shard of a pre-digest
-        manifest) must not stall concurrent get()/listing() calls."""
+        """Entry construction (which reads the study's manifest) must
+        not stall concurrent get()/listing() calls."""
         from repro.crawler import storage
 
         root = tmp_path
@@ -667,32 +665,29 @@ class TestCatalogRefreshLocking:
         save_logs(crawl_logs[:20], alpha, shards=2)
         catalog = StudyCatalog(root)
 
-        # A second study whose manifest carries no digests, so the
-        # refresh has to hash its shards during StudyEntry.__init__.
+        # A second study, whose manifest load in StudyEntry.__init__
+        # blocks until the readers are done.
         beta = root / "beta"
         beta.mkdir()
         save_logs(crawl_logs[:20], beta, shards=2)
-        manifest_path = beta / "manifest.json"
-        data = json.loads(manifest_path.read_text())
-        for shard in data["shards"]:
-            shard.pop("sha256", None)
-        manifest_path.write_text(json.dumps(data))
 
-        hashing = threading.Event()
+        loading = threading.Event()
         release = threading.Event()
-        real_digest = storage.compute_digest
+        real_load = storage.ShardManifest.load.__func__
 
-        def slow_digest(path):
-            hashing.set()
-            assert release.wait(timeout=10), "test deadlocked"
-            return real_digest(path)
+        def slow_load(cls, directory):
+            if Path(directory) == beta:
+                loading.set()
+                assert release.wait(timeout=10), "test deadlocked"
+            return real_load(cls, directory)
 
-        monkeypatch.setattr(storage, "compute_digest", slow_digest)
+        monkeypatch.setattr(storage.ShardManifest, "load",
+                            classmethod(slow_load))
         refresher = threading.Thread(target=catalog.refresh)
         refresher.start()
         try:
-            assert hashing.wait(timeout=10)
-            # The rebuild is mid-hash: reads must not block on it.
+            assert loading.wait(timeout=10)
+            # The rebuild is mid-load: reads must not block on it.
             got = {}
             reader = threading.Thread(target=lambda: got.update(
                 ids=catalog.study_ids(), listing=catalog.listing(),
@@ -867,7 +862,7 @@ class TestBucketSizeGuard:
         real = catalog.iter_shard_batches
 
         def counting(*args, **kwargs):
-            scans.append(kwargs["shard"])
+            scans.append(args[0])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(catalog, "iter_shard_batches", counting)
@@ -875,7 +870,7 @@ class TestBucketSizeGuard:
             assert entry.prevalence_by_bucket(size) is first[size]
         assert scans == []
         assert entry.prevalence_by_bucket(1) == first[1]
-        assert scans == [0, 1]
+        assert scans == [directory]
         assert len(entry._buckets) <= catalog.BUCKET_SIZES_KEPT
 
 
@@ -937,13 +932,12 @@ class TestSnapshotSidecar:
 
     def _counting_ingest(self, monkeypatch):
         import repro.analysis.snapshot as snapshot_module
-        from repro.crawler import ShardManifest
         calls = []
         real = snapshot_module._ingest_shard
 
-        def counting(dataset, pos, *rest):
-            calls.append(ShardManifest.load(dataset).files[pos])
-            return real(dataset, pos, *rest)
+        def counting(dataset, manifest, pos):
+            calls.append(manifest.files[pos])
+            return real(dataset, manifest, pos)
 
         monkeypatch.setattr(snapshot_module, "_ingest_shard", counting)
         return calls

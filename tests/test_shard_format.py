@@ -338,16 +338,17 @@ class TestPerShardChecks:
 
     def test_refresh_checks_the_digest_its_part_is_filed_under(
             self, forty_site_crawl):
-        """A digest-less manifest: parts are filed under the digests the
-        caller computed, and the ingested bytes must hash to them."""
+        """A manifest passed in, not the one on disk: parts are filed
+        under its digests, and the ingested bytes must hash to them."""
         manifest = ShardManifest.load(forty_site_crawl)
-        digestless = dataclasses.replace(manifest, digests=())
-        digestless.save(forty_site_crawl)
-        stale = ("0" * 64, manifest.digests[1])
+        stale = dataclasses.replace(
+            manifest, digests=("0" * 64, manifest.digests[1]))
         with pytest.raises(ManifestError, match=r"shard 0 .*hashes to"):
-            refresh_study(None, forty_site_crawl, digests=stale)
-        result = refresh_study(None, forty_site_crawl,
-                               digests=manifest.digests)
+            list(iter_shard_batches(forty_site_crawl, shard=0,
+                                    manifest=stale))
+        with pytest.raises(ManifestError, match=r"shard 0 .*hashes to"):
+            refresh_study(None, forty_site_crawl, manifest=stale)
+        result = refresh_study(None, forty_site_crawl, manifest=manifest)
         assert [part.sha256 for part in result.snapshot.parts] \
             == list(manifest.digests)
 

@@ -90,12 +90,6 @@ class TestShardedRoundTrip:
         flat = [log for piece in pieces for log in piece]
         assert _stream(flat) == _stream(crawl_logs)
 
-    def test_single_file_layout_unchanged(self, crawl_logs, tmp_path):
-        path = tmp_path / "crawl.jsonl"
-        save_logs(crawl_logs[:5], path)
-        assert path.is_file()
-        assert len(load_logs(path)) == 5
-
 
 class TestManifestErrors:
     def test_missing_manifest(self, tmp_path):
@@ -210,10 +204,15 @@ class TestManifestErrors:
 
     def test_json_lines_single_file_asks_for_a_recrawl(self, crawl_logs,
                                                        tmp_path):
-        path = tmp_path / "old.jsonl"
-        path.write_text(json.dumps(crawl_logs[0].to_dict()) + "\n")
+        """A one-shard dataset whose shard holds a JSON line (format v2),
+        its digest republished: the read asks for a re-crawl."""
+        directory = tmp_path / "old"
+        save_logs(crawl_logs[:1], directory)
+        shard = directory / shard_filename(0)
+        shard.write_text(json.dumps(crawl_logs[0].to_dict()) + "\n")
+        _republish(directory, 0, compute_digest(shard))
         with pytest.raises(ManifestError, match="format v2.*re-crawl"):
-            load_logs(path)
+            load_logs(directory)
 
 
 class TestShardDigests:
@@ -221,7 +220,7 @@ class TestShardDigests:
         manifest = ShardManifest.load(sharded_dir)
         assert len(manifest.digests) == manifest.n_shards
         for index, name in enumerate(manifest.files):
-            assert manifest.digest_for(index) \
+            assert manifest.digests[index] \
                 == compute_digest(sharded_dir / name)
 
     def test_verify_shard_files_passes_clean_dataset(self, sharded_dir):
@@ -238,18 +237,33 @@ class TestShardDigests:
         with pytest.raises(ManifestError, match="missing shard"):
             verify_shard_files(sharded_dir)
 
-    def test_digestless_manifest_still_loads(self, sharded_dir, crawl_logs):
-        """Datasets written before digests existed remain readable."""
+    def test_digestless_manifest_is_refused(self, sharded_dir, crawl_logs,
+                                            capsys):
+        """A manifest with a shard that records no digest is refused by
+        the readers, by ``analyze`` (exit 1, no traceback) and by the
+        serve catalog, which lists the other studies."""
+        from repro.__main__ import main
+        from repro.serve import StudyCatalog
         manifest_path = sharded_dir / MANIFEST_NAME
         data = json.loads(manifest_path.read_text())
-        for shard in data["shards"]:
-            shard.pop("sha256", None)
+        del data["shards"][1]["sha256"]
         manifest_path.write_text(json.dumps(data))
-        manifest = ShardManifest.load(sharded_dir)
-        assert manifest.digests == ()
-        assert manifest.digest_for(0) is None
-        verify_shard_files(sharded_dir)    # existence-only check
-        assert len(load_logs(sharded_dir)) == len(crawl_logs)
+        message = ("shard 1 (shard-0001.jsonl) records no sha256 in "
+                   "manifest.json; re-crawl or re-save the dataset")
+        for read in (ShardManifest.load, load_logs, verify_shard_files):
+            with pytest.raises(ManifestError) as exc_info:
+                read(sharded_dir)
+            assert str(exc_info.value) == message
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", str(sharded_dir)])
+        assert exit_info.value.code == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.out.splitlines()[-1] == f"analyze: {message}"
+        save_logs(crawl_logs[:6], sharded_dir.parent / "current", shards=2)
+        catalog = StudyCatalog(sharded_dir.parent)
+        assert catalog.study_ids() == ["current"]
+        assert [row["id"] for row in catalog.listing()] == ["current"]
 
     @pytest.mark.parametrize("compress", [False, True],
                              ids=["plain", "gzip"])
@@ -396,12 +410,11 @@ class TestLookupPathEquivalence:
 class TestTruncatedShards:
     """Cut a small shard at every byte: every read of the manifest's
     shard, a single-site lookup included, raises ManifestError; the
-    cut as a single file raises or, only at a row-group boundary,
-    returns a prefix of the rows."""
+    unchecked index of the cut shard raises or, only at a row-group
+    boundary, lists the first ranks."""
 
     @pytest.mark.parametrize("group", [1, 2], ids=["g1", "g2"])
-    @pytest.mark.parametrize("digests", [True, False],
-                             ids=["digests", "digestless"])
+    @pytest.mark.parametrize("digests", [True], ids=["digests"])
     @pytest.mark.parametrize("compress", [False, True],
                              ids=["plain", "gzip"])
     def test_every_prefix(self, crawl_logs, tmp_path, monkeypatch, group,
@@ -411,38 +424,28 @@ class TestTruncatedShards:
         monkeypatch.setattr(storage, "ROW_GROUP_VISITS", group)
         logs = sorted(crawl_logs, key=lambda log: len(
             json.dumps(log.to_dict())))[:3]
-        expected = [log.to_dict() for log in logs]
+        ranks = [log.rank for log in logs]
         directory = tmp_path / "crawl"
         save_logs(logs, directory, shards=1, compress=compress)
-        if not digests:
-            manifest = ShardManifest.load(directory)
-            dataclasses.replace(manifest, digests=()).save(directory)
         shard = directory / shard_filename(0, compress)
-        single = tmp_path / shard.name
         full = shard.read_bytes()
         index = storage.load_shard_index(directory, shard.name)
         ends = {offset + length: rows for offset, length, rows in zip(
             index.offsets, index.lengths, range(1, len(logs) + 1))}
         boundaries = {0: 0, **ends}
 
-        def rows_of(path, **kwargs):
-            return [log.to_dict()
-                    for batch in iter_shard_batches(path, **kwargs)
-                    for log in batch.logs()]
-
         for cut in range(len(full)):
-            prefix = full[:cut]
-            shard.write_bytes(prefix)
-            single.write_bytes(prefix)
+            shard.write_bytes(full[:cut])
             with pytest.raises(ManifestError):
-                rows_of(directory)
+                list(iter_shard_batches(directory))
             with pytest.raises(ManifestError):
                 load_shard(directory, 0)
             for log in logs:
                 with pytest.raises(ManifestError):
                     storage.read_site(directory, log.rank)
             if cut in boundaries:
-                assert rows_of(single) == expected[:boundaries[cut]], cut
+                unchecked = storage.load_shard_index(directory, shard.name)
+                assert list(unchecked.ranks) == ranks[:boundaries[cut]], cut
             else:
                 with pytest.raises(ManifestError):
-                    rows_of(single)
+                    storage.load_shard_index(directory, shard.name)

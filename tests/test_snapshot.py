@@ -338,13 +338,12 @@ class TestAnalyzeCLI:
 
     def test_snapshot_rejects_single_file_datasets(self, logs, tmp_path,
                                                    capsys):
-        from repro.__main__ import main
-        path = tmp_path / "crawl.jsonl"
-        save_logs(logs, path)
-        with pytest.raises(SystemExit):
-            main(["analyze", str(path), "--snapshot",
-                  str(tmp_path / "s.json")])
-        assert "sharded dataset" in capsys.readouterr().out
+        """A bare shard file is not a dataset, with or without
+        ``--snapshot``."""
+        shard = _dataset(tmp_path, logs, n_shards=1) / "shard-0000.jsonl"
+        for flags in ([], ["--snapshot", str(tmp_path / "s.json")]):
+            out = self._refused([str(shard), *flags], capsys)
+            assert out == f"analyze: no manifest.json in {shard}"
 
     def test_corrupt_snapshot_fails_with_clear_message(self, logs,
                                                        tmp_path, capsys):
@@ -391,12 +390,20 @@ class TestAnalyzeCLI:
 
     def test_missing_dataset_is_refused(self, tmp_path, capsys):
         out = self._refused([str(tmp_path / "absent")], capsys)
-        assert "missing shard file" in out
+        assert "no manifest.json" in out
 
     @pytest.mark.parametrize("flag", ["--snapshot", "--report"])
     def test_unwritable_output_is_refused(self, logs, tmp_path, capsys,
-                                          flag):
+                                          monkeypatch, flag):
+        """Refused before the analysis reads a shard."""
+        from repro.analysis import columnar, snapshot
+
+        def analysed(*args, **kwargs):
+            raise AssertionError("analyze ran before checking its output")
+
         directory = _dataset(tmp_path, logs, n_shards=2)
+        monkeypatch.setattr(snapshot, "refresh_study", analysed)
+        monkeypatch.setattr(columnar, "iter_shard_batches", analysed)
         target = tmp_path / "no" / "such" / "out.json"
         out = self._refused([str(directory), flag, str(target)], capsys)
         assert out.startswith(f"analyze: cannot write {flag[2:]} {target}: ")

@@ -1,4 +1,4 @@
-"""Crawl dataset persistence (JSONL round-trips)."""
+"""Crawl dataset persistence (one-shard dataset round-trips)."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.crawler.storage import load_logs, save_logs
 
 class TestRoundTrip:
     def test_jsonl_roundtrip(self, crawl_logs, tmp_path):
-        path = tmp_path / "crawl.jsonl"
+        path = tmp_path / "crawl"
         written = save_logs(crawl_logs[:10], path)
         assert written == 10
         restored = load_logs(path)
@@ -16,14 +16,14 @@ class TestRoundTrip:
         assert len(restored[0].cookie_writes) == len(crawl_logs[0].cookie_writes)
 
     def test_gzip_roundtrip(self, crawl_logs, tmp_path):
-        path = tmp_path / "crawl.jsonl.gz"
-        save_logs(crawl_logs[:5], path)
+        path = tmp_path / "crawl"
+        save_logs(crawl_logs[:5], path, compress=True)
         restored = load_logs(path)
         assert len(restored) == 5
 
     def test_events_preserved_exactly(self, crawl_logs, tmp_path):
         original = crawl_logs[0]
-        path = tmp_path / "one.jsonl"
+        path = tmp_path / "one"
         save_logs([original], path)
         restored = load_logs(path)[0]
         assert restored.cookie_writes == original.cookie_writes
@@ -35,7 +35,7 @@ class TestRoundTrip:
 
     def test_counters_preserved(self, crawl_logs, tmp_path):
         original = crawl_logs[0]
-        path = tmp_path / "one.jsonl"
+        path = tmp_path / "one"
         save_logs([original], path)
         restored = load_logs(path)[0]
         assert restored.n_scripts == original.n_scripts
@@ -43,6 +43,6 @@ class TestRoundTrip:
         assert restored.rank == original.rank
 
     def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
+        path = tmp_path / "empty"
         save_logs([], path)
         assert load_logs(path) == []

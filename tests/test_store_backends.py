@@ -243,11 +243,13 @@ class TestRemoteStoreEndToEnd:
                    for index in range(2)]
         assert [r["sha256"] for r in results] \
             == list(report.manifest.digests)
-        worker_logs = [log for r in results
-                       for log in load_logs(tmp_path / "worker" / r["file"])]
+        for r in results:
+            assert (tmp_path / "worker" / r["file"]).read_bytes() \
+                == (tmp_path / "seed-run" / r["file"]).read_bytes()
         serial = Crawler(population, config).crawl()
         assert [log.to_dict() for log in
-                sorted(worker_logs, key=lambda l: l.rank)] \
+                sorted(load_logs(tmp_path / "seed-run"),
+                       key=lambda l: l.rank)] \
             == [log.to_dict() for log in serial]
 
 
