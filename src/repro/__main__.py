@@ -83,10 +83,12 @@ Options
 --max-retries R  retry a failed/lost shard up to R times (default 2)
                  before giving up; retried bytes must match any
                  previously recorded digest.
---task-timeout S lease deadline in seconds (subprocess backend): a
-                 worker still running past it is killed, its log kept
-                 as evidence, and the shard re-pended under the same
-                 digest-checked retry invariant.  Default: no deadline.
+--task-timeout S lease deadline in seconds; needs ``--backend
+                 subprocess`` (exit 2 with any other backend, which
+                 cannot stop a shard mid-run): a worker still running
+                 past it is killed, its log kept as evidence, and the
+                 shard re-pended under the same digest-checked retry
+                 invariant.  Default: no deadline.
 --store-retries N / --store-backoff S
                  retry policy for an ``http(s)://`` --cache-dir store:
                  N total attempts (default 3) with exponential backoff
@@ -102,6 +104,7 @@ A lone ``--`` ends option parsing; later arguments are positional.
 
 from __future__ import annotations
 
+import os
 import sys
 from typing import List
 
@@ -151,7 +154,12 @@ def _run_crawl(args: List[str]) -> None:
     population = generate_population(PopulationConfig(n_sites=n_sites,
                                                       seed=2025))
     config = CrawlConfig(seed=2025)
-    backend = make_backend(backend_name, jobs=jobs, cache_dir=cache_dir)
+    try:
+        backend = make_backend(backend_name, jobs=jobs, cache_dir=cache_dir,
+                               task_timeout=task_timeout)
+    except ValueError as exc:
+        print(f"crawl: {exc}")
+        raise SystemExit(2)
     store = None
     if cache_dir:
         # The CLI runs resilient by default: a store outage spills
@@ -166,8 +174,7 @@ def _run_crawl(args: List[str]) -> None:
     progress = print_progress if show_progress else None
     coordinator = Coordinator(population, config, backend=backend,
                               max_retries=max_retries, store=store,
-                              compress=compress, progress=progress,
-                              task_timeout=task_timeout)
+                              compress=compress, progress=progress)
     try:
         report = coordinator.run(out, n_shards=shards)
     except CoordinationError as exc:
@@ -223,6 +230,8 @@ def _run_analyze(args: List[str]) -> None:
     except (ManifestError, SnapshotError) as exc:
         print(f"analyze: {exc}")
         raise SystemExit(1)
+    # Every output file is written before the first line is printed,
+    # so a reader that closes stdout early cannot cost one.
     if snapshot_path:
         try:
             save_snapshot(result.snapshot, snapshot_path)
@@ -230,21 +239,23 @@ def _run_analyze(args: List[str]) -> None:
             print(f"analyze: cannot write snapshot {snapshot_path}: {exc}")
             raise SystemExit(1)
         study = result.snapshot.study()
-        print(f"analyzed {dataset}: {study.n_sites} sites "
-              f"(reused={len(result.reused)}, "
-              f"re-ingested={len(result.reingested)}, "
-              f"dropped={result.dropped}); snapshot -> {snapshot_path}")
+        summary = (f"analyzed {dataset}: {study.n_sites} sites "
+                   f"(reused={len(result.reused)}, "
+                   f"re-ingested={len(result.reingested)}, "
+                   f"dropped={result.dropped}); snapshot -> {snapshot_path}")
     else:
         study = Study.from_accumulator(acc)
-        print(f"analyzed {dataset}: {study.n_sites} sites")
-    for key, value in sorted(study.sec51_prevalence().items()):
-        print(f"  {key:<34} {value:8.2f}")
+        summary = f"analyzed {dataset}: {study.n_sites} sites"
     if report_out:
         try:
             Path(report_out).write_bytes(study.report_bytes() + b"\n")
         except OSError as exc:
             print(f"analyze: cannot write report {report_out}: {exc}")
             raise SystemExit(1)
+    print(summary)
+    for key, value in sorted(study.sec51_prevalence().items()):
+        print(f"  {key:<34} {value:8.2f}")
+    if report_out:
         print(f"wrote {report_out}")
 
 
@@ -307,19 +318,20 @@ def main(argv=None) -> None:
     if not argv:
         _usage()
     command, *args = argv
-
-    if command == "crawl":
-        _run_crawl(args)
-    elif command == "crawl-shard":
-        _run_crawl_shard(args)
-    elif command == "analyze":
-        _run_analyze(args)
-    elif command == "serve":
-        _run_serve(args)
-    elif command == "store-serve":
-        _run_store_serve(args)
-    else:
+    run = {"crawl": _run_crawl, "crawl-shard": _run_crawl_shard,
+           "analyze": _run_analyze, "serve": _run_serve,
+           "store-serve": _run_store_serve}.get(command)
+    if run is None:
         _usage()
+    try:
+        run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  Python flushes stdout
+        # again at exit, which would raise once more; point it at
+        # devnull first (the idiom in the ``signal`` module docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

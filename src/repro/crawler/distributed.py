@@ -45,10 +45,12 @@ seeded :class:`~repro.faults.FaultPlan` can drive reproducible chaos
 schedules (the chaos matrix in ``tests/test_faults.py`` and the
 ``chaos-smoke`` CI job).
 
-Resilience: ``Coordinator(task_timeout=...)`` arms a lease deadline —
-the subprocess backend kills a worker whose deadline passes (its log
-is preserved and named in the outcome) and the task is re-pended under
-the same digest-checked retry invariant.  A :class:`ShardStore`
+Resilience: ``SubprocessBackend(task_timeout=...)`` arms a lease
+deadline — a worker whose deadline passes is killed (its log is
+preserved and named in the outcome) and the task is re-pended under
+the same digest-checked retry invariant; the in-process and pool
+backends cannot stop a shard mid-run, so :func:`make_backend` refuses
+a timeout for them.  A :class:`ShardStore`
 constructed with ``overflow_dir`` degrades gracefully when its backend
 is unreachable: fetches become misses, puts spill to the local
 overflow directory, and :meth:`ShardStore.reconcile_overflow` uploads
@@ -434,15 +436,56 @@ class ShardOutcome:
     error: Optional[str] = None
 
 
+def _apply(tasks: Dict[int, ShardTask], record: Dict) -> None:
+    """Apply one ``task``, ``lease``, ``done`` or ``fail`` record.
+
+    This is the only code that says what a journal event does to a
+    :class:`ShardTask`: :meth:`WorkQueue.load` folds it over the
+    replayed records, and :meth:`WorkQueue.lease`/``done``/``fail``
+    append their record and then apply it.  A malformed record raises
+    ``KeyError``, ``TypeError`` or ``ValueError``; an unknown event
+    raises :class:`CoordinationError`.
+    """
+    event = record["event"]
+    if event == "task":
+        index = int(record["index"])
+        tasks[index] = ShardTask(index=index,
+                                 ranks=decode_ranks(record["ranks"]))
+        return
+    if event not in ("lease", "done", "fail"):
+        raise CoordinationError(f"unknown event {event!r}")
+    task = tasks[int(record["index"])]
+    if event == "lease":
+        task.state = LEASED
+        task.attempts = int(record["attempt"])
+        task.error = None
+        if task.sha256:
+            # A re-lease after a recorded completion: the retry must
+            # reproduce those exact bytes, even if the coordinator
+            # crashes before the outcome.
+            task.expected_sha256 = task.sha256
+    elif event == "done":
+        task.state = DONE
+        task.file = str(record["file"])
+        task.count = int(record["count"])
+        task.sha256 = str(record["sha256"])
+        task.source = str(record["source"])
+        task.error = None
+    else:
+        task.state = FAILED
+        task.error = str(record.get("error") or "unknown")
+
+
 class WorkQueue:
     """Durable shard work-queue: an append-only ``queue.jsonl`` journal.
 
-    Every state transition is one JSON line, flushed immediately, so the
-    queue survives a coordinator crash at any point.  Loading replays
-    the journal; a task whose last event is a ``lease`` (worker lost
-    mid-flight) comes back as pending with its attempt count intact, and
-    a ``done`` task keeps its digest so re-verification and idempotent
-    retry are possible.
+    The plan header (a ``plan`` record and one ``task`` record per
+    shard) is published whole, and every later state transition is one
+    JSON line, flushed immediately, so the queue survives a coordinator
+    crash at any point.  Loading replays the journal; a task whose last
+    event is a ``lease`` (worker lost mid-flight) comes back as pending
+    with its attempt count intact, and a ``done`` task keeps its digest
+    so re-verification and idempotent retry are possible.
     """
 
     def __init__(self, path: Path, run_key: str,
@@ -455,18 +498,26 @@ class WorkQueue:
     @classmethod
     def create(cls, path: Union[str, Path], plan: ShardPlan,
                run_key: str) -> "WorkQueue":
+        """Write the plan header atomically (temp file, fsync,
+        ``os.replace``, as :meth:`ShardManifest.save` does): a crash
+        mid-write leaves no ``queue.jsonl``, so the next run starts
+        over instead of refusing a header it cannot read."""
         path = Path(path)
-        tasks = {shard.index: ShardTask(index=shard.index, ranks=shard.ranks)
-                 for shard in plan}
-        queue = cls(path, run_key, tasks)
+        tasks: Dict[int, ShardTask] = {}
         records = [{"event": "plan", "version": QUEUE_VERSION,
                     "run_key": run_key, "n_shards": plan.n_shards}]
         records += [{"event": "task", "index": shard.index,
                      "ranks": encode_ranks(shard.ranks)} for shard in plan]
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-        return queue
+        for record in records[1:]:
+            _apply(tasks, record)
+        tmp = path.with_name(path.name + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write("".join(json.dumps(record, sort_keys=True) + "\n"
+                                 for record in records))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+        return cls(path, run_key, tasks)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "WorkQueue":
@@ -476,7 +527,7 @@ class WorkQueue:
         n_shards = 0
         try:
             lines = path.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CoordinationError(f"unreadable queue {path}: {exc}") from exc
         last_content = max((i for i, text in enumerate(lines, 1)
                             if text.strip()), default=0)
@@ -502,46 +553,17 @@ class WorkQueue:
                 raise CoordinationError(
                     f"corrupt queue {path} line {lineno}: {exc}") from exc
             try:
-                event = record["event"]
-                if event == "plan":
-                    if int(record["version"]) != QUEUE_VERSION:
-                        raise CoordinationError(
-                            f"unsupported queue version {record['version']} "
-                            f"(expected {QUEUE_VERSION}; shard bytes from "
-                            f"older versions are not reproducible — "
-                            f"re-crawl into a fresh directory)")
-                    run_key = str(record["run_key"])
-                    n_shards = int(record["n_shards"])
-                elif event == "task":
-                    index = int(record["index"])
-                    tasks[index] = ShardTask(
-                        index=index, ranks=decode_ranks(record["ranks"]))
-                elif event == "lease":
-                    task = tasks[int(record["index"])]
-                    task.state = LEASED
-                    task.attempts = int(record["attempt"])
-                    task.error = None
-                    if task.sha256:
-                        # A re-lease after a recorded completion: the
-                        # retry must reproduce those exact bytes, even
-                        # if the coordinator crashes before the outcome.
-                        task.expected_sha256 = task.sha256
-                elif event == "done":
-                    task = tasks[int(record["index"])]
-                    task.state = DONE
-                    task.file = str(record["file"])
-                    task.count = int(record["count"])
-                    task.sha256 = str(record["sha256"])
-                    task.source = str(record["source"])
-                    task.error = None
-                elif event == "fail":
-                    task = tasks[int(record["index"])]
-                    task.state = FAILED
-                    task.error = str(record.get("error") or "unknown")
-                else:
-                    raise CoordinationError(f"unknown event {event!r}")
-            except CoordinationError:
-                raise
+                if record["event"] != "plan":
+                    _apply(tasks, record)
+                    continue
+                if int(record["version"]) != QUEUE_VERSION:
+                    raise CoordinationError(
+                        f"unsupported queue version {record['version']} "
+                        f"(expected {QUEUE_VERSION}; shard bytes from "
+                        f"older versions are not reproducible — "
+                        f"re-crawl into a fresh directory)")
+                run_key = str(record["run_key"])
+                n_shards = int(record["n_shards"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise CoordinationError(
                     f"corrupt queue {path} line {lineno}: {exc}") from exc
@@ -576,28 +598,18 @@ class WorkQueue:
             handle.write(line)
             handle.flush()
             os.fsync(handle.fileno())
+        _apply(self.tasks, record)
 
     def lease(self, task: ShardTask, worker: str) -> None:
-        task.attempts += 1
-        task.state = LEASED
-        task.error = None
         self._append({"event": "lease", "index": task.index,
-                      "attempt": task.attempts, "worker": worker})
+                      "attempt": task.attempts + 1, "worker": worker})
 
     def done(self, task: ShardTask, *, file: str, count: int, sha256: str,
              source: str) -> None:
-        task.state = DONE
-        task.file = file
-        task.count = count
-        task.sha256 = sha256
-        task.source = source
-        task.error = None
         self._append({"event": "done", "index": task.index, "file": file,
                       "count": count, "sha256": sha256, "source": source})
 
     def fail(self, task: ShardTask, error: str) -> None:
-        task.state = FAILED
-        task.error = error
         self._append({"event": "fail", "index": task.index,
                       "attempt": task.attempts, "error": error})
 
@@ -630,6 +642,25 @@ def _execute_shard(population: Population, config: CrawlConfig,
     return write_shard(stream, out_dir, index, compress=compress)
 
 
+def _run_task(population: Population, config: CrawlConfig,
+              ranks: Sequence[int], index: int, out_dir: Union[str, Path],
+              compress: bool) -> ShardOutcome:
+    """Crawl one shard for an in-process or pool backend.
+
+    A task failure is an outcome, never an exception: one raised inside
+    the pool's ``imap_unordered`` would abort the whole iteration in the
+    parent and lose the other shards' outcomes.
+    """
+    try:
+        written = _execute_shard(population, config, ranks, index, out_dir,
+                                 compress)
+    except Exception as exc:                   # noqa: BLE001 — reported
+        return ShardOutcome(index=index, ok=False,
+                            error=f"{type(exc).__name__}: {exc}")
+    return ShardOutcome(index=index, ok=True, file=written.name,
+                        count=written.count, sha256=written.sha256)
+
+
 def _worker_exec_fault(index: int) -> None:
     """Evaluate the ``worker.exec`` injection point for one shard.
 
@@ -646,13 +677,12 @@ def _worker_exec_fault(index: int) -> None:
 
 
 def run_shard_worker(spec_path: Union[str, Path], index: int,
-                     out_dir: Optional[Union[str, Path]] = None,
                      cache_dir: Optional[Union[str, Path]] = None) -> Dict:
     """The ``python -m repro crawl-shard`` worker body.
 
     Reads the :class:`WorkSpec`, regenerates the population, crawls the
-    shard, writes the shard file next to the spec (or into ``out_dir``),
-    and returns the result record the CLI prints as one JSON line.
+    shard, writes the shard file next to the spec, and returns the
+    result record the CLI prints as one JSON line.
 
     With ``cache_dir`` the worker consults (and backfills) a
     :class:`ShardStore` *on its side of the protocol* — keyed via
@@ -669,7 +699,7 @@ def run_shard_worker(spec_path: Union[str, Path], index: int,
         raise CoordinationError(
             f"shard index {index} out of range 0..{len(spec.shards) - 1}")
     _worker_exec_fault(index)
-    target = Path(out_dir) if out_dir is not None else spec_path.parent
+    target = spec_path.parent
     store = key = None
     if cache_dir is not None:
         # Workers degrade gracefully by default: a store outage spills
@@ -705,12 +735,9 @@ class WorkContext:
 
     population: Population
     config: CrawlConfig
+    plan: ShardPlan
     out_dir: Path
     compress: bool
-    spec_path: Optional[Path] = None   # workspec.json (subprocess protocol)
-    #: Lease deadline in seconds: a task still running past it is
-    #: killed and re-pended (subprocess backend; see Coordinator).
-    task_timeout: Optional[float] = None
 
 
 class WorkerBackend:
@@ -736,17 +763,8 @@ class InProcessBackend(WorkerBackend):
     def run(self, ctx: WorkContext,
             tasks: Sequence[ShardTask]) -> Iterator[ShardOutcome]:
         for task in tasks:
-            try:
-                written = _execute_shard(
-                    ctx.population, ctx.config, task.ranks, task.index,
-                    ctx.out_dir, ctx.compress)
-            except Exception as exc:           # noqa: BLE001 — reported
-                yield ShardOutcome(index=task.index, ok=False,
-                                   error=f"{type(exc).__name__}: {exc}")
-            else:
-                yield ShardOutcome(index=task.index, ok=True,
-                                   file=written.name, count=written.count,
-                                   sha256=written.sha256)
+            yield _run_task(ctx.population, ctx.config, task.ranks,
+                            task.index, ctx.out_dir, ctx.compress)
 
 
 # Populated once per pool worker by the initializer; workers then only
@@ -759,20 +777,8 @@ def _init_worker(population: Population, config: CrawlConfig) -> None:
     _WORKER["config"] = config
 
 
-def _pool_run_shard(args) -> Tuple[int, bool, str, int, str]:
-    """Pool task: crawl one shard; errors are values, not exceptions.
-
-    An exception raised inside ``imap_unordered`` aborts the whole
-    iteration in the parent, losing the other shards' outcomes — so
-    failures are returned as data and surfaced per-task.
-    """
-    index, ranks, directory, compress = args
-    try:
-        written = _execute_shard(_WORKER["population"], _WORKER["config"],
-                                 ranks, index, directory, compress)
-    except Exception as exc:                   # noqa: BLE001 — reported
-        return index, False, "", 0, f"{type(exc).__name__}: {exc}"
-    return index, True, written.name, written.count, written.sha256
+def _pool_run_shard(args) -> ShardOutcome:
+    return _run_task(_WORKER["population"], _WORKER["config"], *args)
 
 
 class ProcessPoolBackend(WorkerBackend):
@@ -791,33 +797,18 @@ class ProcessPoolBackend(WorkerBackend):
 
     def run(self, ctx: WorkContext,
             tasks: Sequence[ShardTask]) -> Iterator[ShardOutcome]:
-        import multiprocessing
-        args_list = [(task.index, task.ranks, str(ctx.out_dir),
-                      ctx.compress) for task in tasks]
-        if len(args_list) == 1 or self.jobs == 1:
-            # One worker would only add pickling overhead; reuse the
-            # in-process path through the same task function.
-            _init_worker(ctx.population, ctx.config)
-            try:
-                for args in args_list:
-                    yield _to_outcome(_pool_run_shard(args))
-            finally:
-                _WORKER.clear()
+        if len(tasks) == 1 or self.jobs == 1:
+            # One worker would only add pickling overhead.
+            yield from InProcessBackend().run(ctx, tasks)
             return
+        import multiprocessing
+        args_list = [(task.ranks, task.index, str(ctx.out_dir),
+                      ctx.compress) for task in tasks]
         context = multiprocessing.get_context()
         processes = min(self.jobs, len(args_list))
         with context.Pool(processes=processes, initializer=_init_worker,
                           initargs=(ctx.population, ctx.config)) as pool:
-            for result in pool.imap_unordered(_pool_run_shard, args_list):
-                yield _to_outcome(result)
-
-
-def _to_outcome(result: Tuple[int, bool, str, int, str]) -> ShardOutcome:
-    index, ok, name, count, payload = result
-    if ok:
-        return ShardOutcome(index=index, ok=True, file=name, count=count,
-                            sha256=payload)
-    return ShardOutcome(index=index, ok=False, error=payload)
+            yield from pool.imap_unordered(_pool_run_shard, args_list)
 
 
 class SubprocessBackend(WorkerBackend):
@@ -835,22 +826,32 @@ class SubprocessBackend(WorkerBackend):
     and backfill the shared shard store *themselves* (uploading shard
     bytes directly, e.g. to the cluster's HTTP store), and the
     coordinator only moves digests.
+
+    ``task_timeout`` is a lease deadline in seconds: a worker still
+    running past it is killed, its log kept as evidence, and the task
+    reported lost so the coordinator re-pends it.  Like the worker
+    count, it never enters a run or cache key.
     """
 
     name = "subprocess"
 
     def __init__(self, jobs: int = 1,
-                 cache_dir: Optional[Union[str, Path]] = None):
+                 cache_dir: Optional[Union[str, Path]] = None,
+                 task_timeout: Optional[float] = None):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
+        if task_timeout is not None and task_timeout <= 0:
+            raise ValueError(
+                f"task_timeout must be > 0 seconds, got {task_timeout}")
         self.jobs = jobs
         self.cache_dir = cache_dir
+        self.task_timeout = task_timeout
 
-    def _command(self, ctx: WorkContext, index: int) -> List[str]:
+    def _command(self, spec_path: Path, index: int) -> List[str]:
         # The worker runs with cwd=out_dir, so the spec path must be
         # absolute to survive the directory change.
         command = [sys.executable, "-m", "repro", "crawl-shard",
-                   str(Path(ctx.spec_path).resolve()), str(index)]
+                   str(spec_path.resolve()), str(index)]
         if self.cache_dir is not None:
             cache = str(self.cache_dir)
             if "://" not in cache:
@@ -869,12 +870,9 @@ class SubprocessBackend(WorkerBackend):
 
     def run(self, ctx: WorkContext,
             tasks: Sequence[ShardTask]) -> Iterator[ShardOutcome]:
-        if ctx.spec_path is None:
-            raise CoordinationError(
-                "subprocess backend needs a workspec.json "
-                "(coordinator did not write one)")
+        spec_path = WorkSpec.build(ctx.population, ctx.config, ctx.plan,
+                                   ctx.compress).save(ctx.out_dir)
         env = self._env()
-        timeout = ctx.task_timeout
         queue = list(tasks)
         running: List[Tuple[ShardTask, subprocess.Popen, Path,
                             Optional[float]]] = []
@@ -891,11 +889,11 @@ class SubprocessBackend(WorkerBackend):
                     f".worker-{task.index:04d}-a{task.attempts:02d}.log")
                 with open(log_path, "w", encoding="utf-8") as log:
                     proc = subprocess.Popen(
-                        self._command(ctx, task.index), env=env,
+                        self._command(spec_path, task.index), env=env,
                         stdout=log, stderr=subprocess.STDOUT,
                         cwd=str(ctx.out_dir))
-                deadline = (time.monotonic() + timeout
-                            if timeout is not None else None)
+                deadline = (time.monotonic() + self.task_timeout
+                            if self.task_timeout is not None else None)
                 running.append((task, proc, log_path, deadline))
             still_running: List[Tuple[ShardTask, subprocess.Popen, Path,
                                       Optional[float]]] = []
@@ -905,8 +903,7 @@ class SubprocessBackend(WorkerBackend):
                     if deadline is not None \
                             and time.monotonic() >= deadline:
                         progressed = True
-                        yield self._kill_on_deadline(task, proc, log_path,
-                                                     timeout or 0.0)
+                        yield self._kill_on_deadline(task, proc, log_path)
                         continue
                     still_running.append((task, proc, log_path, deadline))
                     continue
@@ -917,7 +914,7 @@ class SubprocessBackend(WorkerBackend):
                 time.sleep(0.02)
 
     def _kill_on_deadline(self, task: ShardTask, proc: subprocess.Popen,
-                          log_path: Path, timeout: float) -> ShardOutcome:
+                          log_path: Path) -> ShardOutcome:
         """Kill a worker whose lease deadline passed; report the task lost.
 
         The worker log is deliberately preserved — it is the only
@@ -929,8 +926,8 @@ class SubprocessBackend(WorkerBackend):
         proc.wait()
         return ShardOutcome(
             index=task.index, ok=False,
-            error=f"worker exceeded task deadline ({timeout:g}s) and was "
-                  f"killed (worker log kept at {log_path})")
+            error=f"worker exceeded task deadline ({self.task_timeout:g}s) "
+                  f"and was killed (worker log kept at {log_path})")
 
     def _finish(self, task: ShardTask, proc: subprocess.Popen,
                 log_path: Path) -> ShardOutcome:
@@ -968,25 +965,30 @@ class SubprocessBackend(WorkerBackend):
 
 
 def make_backend(name: Optional[str] = None, jobs: int = 1,
-                 cache_dir: Optional[Union[str, Path]] = None
-                 ) -> WorkerBackend:
+                 cache_dir: Optional[Union[str, Path]] = None,
+                 task_timeout: Optional[float] = None) -> WorkerBackend:
     """Backend factory for the CLI: inprocess | pool | subprocess.
 
     With no ``name``, ``jobs > 1`` picks ``pool`` and ``jobs == 1``
     picks ``inprocess``.  ``cache_dir`` only reaches the subprocess
     backend (whose workers speak ``--cache-dir`` themselves); in-process
-    backends share the coordinator's store object instead.
+    backends share the coordinator's store object instead.  Only the
+    subprocess backend can kill a shard past its deadline, so a
+    ``task_timeout`` for another backend is refused, not ignored.
     """
     if name is None:
         name = "pool" if jobs > 1 else "inprocess"
-    if name == "inprocess":
-        return InProcessBackend()
-    if name == "pool":
-        return ProcessPoolBackend(jobs=jobs)
     if name == "subprocess":
-        return SubprocessBackend(jobs=jobs, cache_dir=cache_dir)
-    raise ValueError(f"unknown backend {name!r} "
-                     "(expected inprocess, pool, or subprocess)")
+        return SubprocessBackend(jobs=jobs, cache_dir=cache_dir,
+                                 task_timeout=task_timeout)
+    if name not in ("inprocess", "pool"):
+        raise ValueError(f"unknown backend {name!r} "
+                         "(expected inprocess, pool, or subprocess)")
+    if task_timeout is not None:
+        raise ValueError(f"--task-timeout needs --backend subprocess; the "
+                         f"{name} backend cannot stop a shard mid-run")
+    return InProcessBackend() if name == "inprocess" \
+        else ProcessPoolBackend(jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -1038,15 +1040,12 @@ class ShardStore:
         if isinstance(root, str) and root.startswith(("http://",
                                                       "https://")):
             self.backend = HTTPStoreBackend(root)
-            self.root = None
         elif isinstance(root, (str, Path)):
             self.backend = LocalDirectoryBackend(root)
-            self.root = Path(root)
         else:
             # Any backend-shaped object (including wrappers like
             # repro.faults.FaultyBackend that don't subclass the base).
             self.backend = root
-            self.root = getattr(root, "root", None)
         self.overflow_dir = (Path(overflow_dir) if overflow_dir is not None
                              else None)
         self._overflow: Optional[LocalDirectoryBackend] = (
@@ -1056,10 +1055,15 @@ class ShardStore:
         self.stats: Dict[str, int] = {"store_errors": 0, "spilled": 0,
                                       "reconciled": 0}
 
-    def _degraded(self, detail: str) -> None:
+    def _degrade(self, op: str, exc: StoreBackendError) -> None:
+        """The one fallback rule: a strict store re-raises ``exc``; a
+        degraded one counts and warns, and the caller falls back to
+        its overflow directory."""
+        if self._overflow is None:
+            raise exc
         self.stats["store_errors"] += 1
         warnings.warn(
-            f"shard store degraded ({detail}); continuing with local "
+            f"shard store degraded ({op}: {exc}); continuing with local "
             f"overflow at {self.overflow_dir}", RuntimeWarning,
             stacklevel=3)
 
@@ -1078,39 +1082,12 @@ class ShardStore:
         return "shard.jsonl" + (".gz" if compress else "")
 
     # -- operations --------------------------------------------------------
-    @staticmethod
-    def _meta_from(backend: ShardStoreBackend,
-                   key: str) -> Tuple[bool, Optional[Dict]]:
-        """(meta blob present, parsed meta or None) for one backend."""
-        blob = backend.get(key, META_NAME)
-        if blob is None:
-            return False, None
-        try:
-            return True, json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return True, None
-
-    def get_meta(self, key: str) -> Optional[Dict]:
-        return self._meta_from(self.backend, key)[1]
-
     def contains(self, key: str) -> bool:
         try:
             return self.backend.exists(key)
         except StoreBackendError as exc:
-            if self._overflow is None:
-                raise
-            self._degraded(f"exists: {exc}")
+            self._degrade("exists", exc)
             return self._overflow.exists(key)
-
-    def evict(self, key: str) -> None:
-        try:
-            self.backend.evict(key)
-        except StoreBackendError as exc:
-            if self._overflow is None:
-                raise
-            self._degraded(f"evict: {exc}")
-        if self._overflow is not None:
-            self._overflow.evict(key)
 
     def fetch(self, key: str, out_dir: Union[str, Path],
               index: int) -> Optional[ShardWriteResult]:
@@ -1124,29 +1101,26 @@ class ShardStore:
         try:
             return self._fetch_from(self.backend, key, out_dir, index)
         except StoreBackendError as exc:
-            if self._overflow is None:
-                raise
-            self._degraded(f"fetch: {exc}")
+            self._degrade("fetch", exc)
             return self._fetch_from(self._overflow, key, out_dir, index)
 
     def _fetch_from(self, backend: ShardStoreBackend, key: str,
                     out_dir: Union[str, Path],
                     index: int) -> Optional[ShardWriteResult]:
-        present, meta = self._meta_from(backend, key)
-        if meta is None:
-            if present:
-                # meta.json is the commit record; torn/garbage bytes
-                # there mean the commit never happened.  Evict so the
-                # entry reads as a clean miss and can republish — it
-                # must never linger corrupt-but-present.
-                backend.evict(key)
+        blob = backend.get(key, META_NAME)
+        if blob is None:
             return None
         try:
+            meta = json.loads(blob.decode("utf-8"))
             compress = bool(meta["compress"])
             count = int(meta["count"])
             recorded = str(meta["sha256"])
             data_name = str(meta["file"])
         except (KeyError, TypeError, ValueError):
+            # meta.json is the commit record; torn/garbage bytes there
+            # mean the commit never happened.  Evict so the entry reads
+            # as a clean miss and can republish — it must never linger
+            # corrupt-but-present.
             backend.evict(key)
             return None
         data = backend.get(key, data_name)
@@ -1180,9 +1154,7 @@ class ShardStore:
         try:
             self.backend.put(key, blobs)
         except StoreBackendError as exc:
-            if self._overflow is None:
-                raise
-            self._degraded(f"put: {exc}")
+            self._degrade("put", exc)
             self._overflow.put(key, blobs)
             self.stats["spilled"] += 1
 
@@ -1194,7 +1166,7 @@ class ShardStore:
         spilled entry without its committing ``meta.json`` is skipped
         (a torn spill is a miss, same as everywhere else).
         """
-        if self._overflow is None or self.overflow_dir is None:
+        if self.overflow_dir is None:
             return 0
         objects = self.overflow_dir / "objects"
         if not objects.is_dir():
@@ -1211,7 +1183,7 @@ class ShardStore:
             try:
                 self.backend.put(entry.name, blobs)
             except StoreBackendError as exc:
-                self._degraded(f"reconcile: {exc}")
+                self._degrade("reconcile", exc)
                 break
             self._overflow.evict(entry.name)
             moved += 1
@@ -1228,14 +1200,11 @@ class CrawlReport:
     """What a coordinator run did, and the manifest it produced."""
 
     manifest: ShardManifest
-    out_dir: Path
     executed_shards: int      # shards crawled by a backend this run
     cached_shards: int        # shards materialized from the ShardStore
     reused_shards: int        # shards already done in the journal
     visits_executed: int      # site visits actually performed this run
     retries: int              # extra attempts beyond each shard's first
-    population_fingerprint: str
-    config_fingerprint: str
 
 
 class Coordinator:
@@ -1256,13 +1225,9 @@ class Coordinator:
                  max_retries: int = 2,
                  store: Optional[ShardStore] = None,
                  compress: bool = False,
-                 progress: Optional[Callable[[CrawlProgress], None]] = None,
-                 task_timeout: Optional[float] = None):
+                 progress: Optional[Callable[[CrawlProgress], None]] = None):
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError(
-                f"task_timeout must be > 0 seconds, got {task_timeout}")
         self.population = population
         self.config = config or CrawlConfig()
         policy = self.config.guard_policy
@@ -1275,10 +1240,6 @@ class Coordinator:
                 "fingerprinted for the shard cache; run without a store")
         self.backend = backend or InProcessBackend()
         self.max_retries = max_retries
-        # A lease deadline, not an output knob: enforced by the
-        # subprocess backend's poll loop (in-process backends cannot be
-        # killed safely mid-shard).  Never part of run or cache keys.
-        self.task_timeout = task_timeout
         self.store = store
         self.compress = compress
         self.progress = progress
@@ -1341,14 +1302,12 @@ class Coordinator:
         manifest = self._assemble_manifest(queue, out_dir)
         self._backfill_store(queue, out_dir)
         return CrawlReport(
-            manifest=manifest, out_dir=out_dir,
+            manifest=manifest,
             executed_shards=stats["executed"],
             cached_shards=stats["cached"],
             reused_shards=stats["reused"],
             visits_executed=stats["visits"],
             retries=stats["retries"],
-            population_fingerprint=self.population_fp,
-            config_fingerprint=self.config_fp,
         )
 
     # ------------------------------------------------------------------
@@ -1396,25 +1355,15 @@ class Coordinator:
                                        task.index)
             if written is None:
                 continue
-            if task.expected_sha256 and written.sha256 != task.expected_sha256:
-                raise CoordinationError(
-                    f"shard {task.index}: cached bytes hash to "
-                    f"{written.sha256[:12]}…, journal recorded "
-                    f"{task.expected_sha256[:12]}…")
-            queue.done(task, file=written.name, count=written.count,
-                       sha256=written.sha256, source="cache")
+            self._done(queue, task, "cache", written.name, written.count,
+                       written.sha256)
             stats["cached"] += 1
             self._report_progress(queue, plan, task, stats, started)
 
     def _dispatch(self, queue: WorkQueue, out_dir: Path, plan: ShardPlan,
                   stats: Dict[str, int], started: float) -> None:
         ctx = WorkContext(population=self.population, config=self.config,
-                          out_dir=out_dir, compress=self.compress,
-                          task_timeout=self.task_timeout)
-        if isinstance(self.backend, SubprocessBackend):
-            spec = WorkSpec.build(self.population, self.config, plan,
-                                  self.compress)
-            ctx.spec_path = spec.save(out_dir)
+                          plan=plan, out_dir=out_dir, compress=self.compress)
         while True:
             todo = queue.unfinished()
             if not todo:
@@ -1436,19 +1385,27 @@ class Coordinator:
                 if not outcome.ok:
                     queue.fail(task, outcome.error or "worker failed")
                     continue
-                expected = task.expected_sha256
-                if expected and outcome.sha256 != expected:
-                    raise CoordinationError(
-                        f"shard {task.index}: retried bytes hash to "
-                        f"{(outcome.sha256 or '?')[:12]}…, a previous "
-                        f"attempt recorded {expected[:12]}… — the "
-                        f"determinism contract is broken")
-                queue.done(task, file=outcome.file or "",
-                           count=outcome.count,
-                           sha256=outcome.sha256 or "", source="crawl")
+                self._done(queue, task, "crawl", outcome.file or "",
+                           outcome.count, outcome.sha256 or "")
                 stats["executed"] += 1
                 stats["visits"] += len(task.ranks)
                 self._report_progress(queue, plan, task, stats, started)
+
+    @staticmethod
+    def _done(queue: WorkQueue, task: ShardTask, source: str, file: str,
+              count: int, sha256: str) -> None:
+        """Journal ``task`` done from ``source`` (``"cache"`` or
+        ``"crawl"``) once its bytes match any digest the journal
+        recorded for it: a cache hit and a crawled retry answer to the
+        same check."""
+        expected = task.expected_sha256
+        if expected and sha256 != expected:
+            raise CoordinationError(
+                f"shard {task.index}: {source} bytes hash to "
+                f"{(sha256 or '?')[:12]}…, the journal recorded "
+                f"{expected[:12]}… — the determinism contract is broken")
+        queue.done(task, file=file, count=count, sha256=sha256,
+                   source=source)
 
     def _report_progress(self, queue: WorkQueue, plan: ShardPlan,
                          task: ShardTask, stats: Dict[str, int],

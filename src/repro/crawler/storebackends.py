@@ -81,37 +81,35 @@ class StoreBackendError(RuntimeError):
         self.retryable = retryable
 
 
+#: Each retry waits ``_BACKOFF_GROWTH`` times as long as the one before,
+#: and never longer than ``_MAX_BACKOFF_S`` seconds.
+_BACKOFF_GROWTH = 2.0
+_MAX_BACKOFF_S = 2.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded exponential backoff for idempotent store requests.
 
     ``attempts`` counts total tries (1 = no retry); the Nth retry waits
-    ``min(backoff * multiplier**(N-1), max_backoff)`` seconds.  These
-    knobs shape only *when* bytes move, never *which* bytes — they are
-    excluded from cache keys and output by construction.
+    ``min(backoff * 2**(N-1), 2)`` seconds.  These knobs shape only
+    *when* bytes move, never *which* bytes — they are excluded from
+    cache keys and output by construction.
     """
 
     attempts: int = 3
     backoff: float = 0.1
-    multiplier: float = 2.0
-    max_backoff: float = 2.0
 
     def __post_init__(self):
         if self.attempts < 1:
             raise ValueError(f"attempts must be >= 1, got {self.attempts}")
         if self.backoff < 0:
             raise ValueError(f"backoff must be >= 0, got {self.backoff}")
-        if self.multiplier < 1:
-            raise ValueError(
-                f"multiplier must be >= 1, got {self.multiplier}")
-        if self.max_backoff < 0:
-            raise ValueError(
-                f"max_backoff must be >= 0, got {self.max_backoff}")
 
     def delay(self, retry_index: int) -> float:
         """Seconds to wait before retry number ``retry_index`` (0-based)."""
-        return min(self.backoff * self.multiplier ** retry_index,
-                   self.max_backoff)
+        return min(self.backoff * _BACKOFF_GROWTH ** retry_index,
+                   _MAX_BACKOFF_S)
 
 
 def _meta_last(names: Iterable[str]) -> list:

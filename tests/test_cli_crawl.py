@@ -4,7 +4,8 @@ Every crawl runs through the coordinator and writes OUT as its sharded,
 digest-pinned directory.  The checks: ``--gzip`` keeps OUT's name,
 ``--jobs`` never changes a byte, a re-run into the same OUT resumes, a
 re-run that changes the crawl is refused with exit 1, and a single-file
-OUT or a non-integer or negative N is refused with exit 2.
+OUT, a non-integer or negative N, or a ``--task-timeout`` the backend
+cannot enforce is refused with exit 2.
 """
 
 from __future__ import annotations
@@ -88,4 +89,20 @@ def test_negative_n_exits_2_before_creating_out(tmp_path, capsys):
         main(["crawl", "--", "-5", str(out)])
     assert exc.value.code == 2
     assert capsys.readouterr().out == "crawl N must be >= 0, got -5\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--jobs", "2"],
+                                   ["--backend", "inprocess"],
+                                   ["--backend", "pool", "--jobs", "2"]],
+                         ids=["default", "jobs", "inprocess", "pool"])
+def test_task_timeout_needs_the_subprocess_backend(tmp_path, capsys, flags):
+    """Only the subprocess backend can kill a shard past its deadline;
+    any other backend refuses the deadline instead of ignoring it."""
+    out = tmp_path / "crawl"
+    with pytest.raises(SystemExit) as exc:
+        main(["crawl", N_SITES, str(out), "--task-timeout", "30", *flags])
+    assert exc.value.code == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and "--backend subprocess" in lines[0]
     assert not out.exists()

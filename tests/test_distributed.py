@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,7 @@ from repro.crawler.distributed import (
     ShardTask,
     WorkQueue,
     WorkSpec,
+    _apply,
     _config_from_dict,
     _config_to_dict,
     run_shard_worker,
@@ -167,6 +169,21 @@ class TestBackendEquivalence:
         assert manifests["inprocess"] == manifests["pool"]
         assert manifests["inprocess"] == manifests["subprocess"]
 
+    def test_subprocess_rerun_with_nothing_to_dispatch_writes_no_workspec(
+            self, backend_runs, small_population, tmp_path):
+        """The subprocess backend writes ``workspec.json`` only when it
+        runs a shard; a re-run that reuses every shard runs none."""
+        import shutil
+        source, _report = backend_runs["subprocess"]
+        out = tmp_path / "rerun"
+        shutil.copytree(source, out)
+        (out / "workspec.json").unlink()
+        report = Coordinator(small_population, CrawlConfig(seed=SEED),
+                             backend=SubprocessBackend(jobs=2)).run(
+            out, n_shards=N_SHARDS)
+        assert report.reused_shards == N_SHARDS
+        assert not (out / "workspec.json").exists()
+
     def test_manifest_records_digests(self, backend_runs):
         out, _report = backend_runs["inprocess"]
         manifest = ShardManifest.load(out)
@@ -269,6 +286,52 @@ class TestWorkQueue:
         with pytest.raises(CoordinationError,
                            match="unsupported queue version 1"):
             WorkQueue.load(path)
+
+    def test_create_killed_mid_write_leaves_no_queue(
+            self, small_population, tmp_path, monkeypatch):
+        """The plan header is published whole or not at all: a crawl
+        killed while writing it leaves no ``queue.jsonl`` to refuse, and
+        the next run into OUT starts over and writes the golden bytes."""
+        from repro.crawler import distributed as dist
+
+        class DiesMidWrite:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[:len(text) // 2])
+                self.handle.flush()
+                raise OSError("killed mid-write")
+
+        def dying_open(file, mode="r", *args, **kwargs):
+            handle = open(file, mode, *args, **kwargs)
+            if mode == "w" and Path(file).name.startswith(QUEUE_NAME):
+                return DiesMidWrite(handle)
+            return handle
+
+        out = tmp_path / "out"
+        monkeypatch.setattr(dist, "open", dying_open, raising=False)
+        with pytest.raises(OSError, match="killed mid-write"):
+            Coordinator(small_population, CrawlConfig(seed=SEED)).run(
+                out, n_shards=N_SHARDS)
+        monkeypatch.undo()
+        assert not (out / QUEUE_NAME).exists()
+        golden = tmp_path / "golden"
+        Coordinator(small_population, CrawlConfig(seed=SEED)).run(
+            golden, n_shards=N_SHARDS)
+        report = Coordinator(small_population, CrawlConfig(seed=SEED)).run(
+            out, n_shards=N_SHARDS)
+        assert report.executed_shards == N_SHARDS
+        assert sorted(path.name for path in out.iterdir()) \
+            == sorted(path.name for path in golden.iterdir())
+        for path in golden.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes()
 
     def test_foreign_queue_rejected(self, small_population, tmp_path):
         out = tmp_path / "out"
@@ -768,6 +831,119 @@ class TestTornJournalTail:
 
 
 # ---------------------------------------------------------------------------
+# Every journal prefix (CI: coordinator-faults job)
+# ---------------------------------------------------------------------------
+
+PREFIX_SITES = 24
+
+
+def _shards_and_manifest(out_dir):
+    """The output bytes a resumed crawl must reproduce."""
+    return {path.name: path.read_bytes()
+            for path in sorted(Path(out_dir).iterdir())
+            if path.name.startswith("shard-") or path.name == "manifest.json"}
+
+
+class TestJournalPrefixes:
+    """Each byte prefix of a finished crawl's ``queue.jsonl`` is what a
+    crash at that byte leaves behind.  Loading it must give exactly the
+    state ``_apply`` folds from the prefix's whole records, or refuse it
+    with :class:`CoordinationError`, and a coordinator resumed from it
+    must write the golden shard and manifest bytes."""
+
+    @pytest.fixture(scope="class")
+    def finished(self, tmp_path_factory):
+        population = generate_population(
+            PopulationConfig(n_sites=PREFIX_SITES, seed=SEED))
+        out = tmp_path_factory.mktemp("journal-golden")
+        Coordinator(population, CrawlConfig(seed=SEED)).run(
+            out, n_shards=N_SHARDS)
+        return population, out
+
+    @staticmethod
+    def _fold(lines):
+        """The reference replay: ``_apply`` over the whole records after
+        the plan header, then lost leases pending again."""
+        tasks = {}
+        for line in lines[1:]:
+            _apply(tasks, json.loads(line))
+        for task in tasks.values():
+            if task.state == "leased":
+                task.state = "pending"
+        return tasks
+
+    def test_every_byte_prefix_loads_its_fold_or_is_refused(self, finished,
+                                                           tmp_path):
+        _population, golden = finished
+        data = (golden / QUEUE_NAME).read_bytes()
+        lines = data.decode("ascii").splitlines()
+        # Line i spans [starts[i], ends[i]) without its newline.
+        starts, ends, offset = [], [], 0
+        for line in lines:
+            starts.append(offset)
+            ends.append(offset + len(line))
+            offset += len(line) + 1
+        assert offset == len(data)
+        header = 1 + N_SHARDS
+        path = tmp_path / QUEUE_NAME
+        refused = 0
+        for n in range(len(data) + 1):
+            path.write_bytes(data[:n])
+            whole = [line for line, end in zip(lines, ends) if end <= n]
+            torn = any(start < n < end for start, end in zip(starts, ends))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    queue = WorkQueue.load(path)
+                except CoordinationError:
+                    assert len(whole) < header, n
+                    refused += 1
+                    continue
+            assert len(whole) >= header, n
+            assert queue.run_key == json.loads(whole[0])["run_key"]
+            assert queue.tasks == self._fold(whole), n
+            torn_warnings = [w for w in caught
+                             if issubclass(w.category, RuntimeWarning)
+                             and "torn final line" in str(w.message)]
+            assert len(torn_warnings) == int(torn), n
+        # Exactly the prefixes shorter than the plan header are refused.
+        assert refused == ends[header - 1]
+        assert len(lines) == header + 2 * N_SHARDS   # a lease, a done each
+
+    def test_resume_from_every_record_boundary_and_torn_record(
+            self, finished, tmp_path):
+        population, golden = finished
+        expected = _shards_and_manifest(golden)
+        lines = (golden / QUEUE_NAME).read_bytes().splitlines(keepends=True)
+        header = 1 + N_SHARDS
+        cuts = []
+        for k in range(len(lines) - header + 1):
+            whole = b"".join(lines[:header + k])
+            cuts.append(whole)
+            if header + k < len(lines):
+                following = lines[header + k]
+                cuts.append(whole + following[:len(following) // 2])
+        for i, cut in enumerate(cuts):
+            out = tmp_path / f"cut-{i:02d}"
+            out.mkdir()
+            (out / QUEUE_NAME).write_bytes(cut)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                done = [task for task in
+                        WorkQueue.load(out / QUEUE_NAME).in_order()
+                        if task.state == "done"]
+                # The crash left the shards the prefix records as done.
+                for task in done:
+                    (out / task.file).write_bytes(
+                        (golden / task.file).read_bytes())
+                report = Coordinator(population, CrawlConfig(seed=SEED)) \
+                    .run(out, n_shards=N_SHARDS)
+            assert report.reused_shards == len(done), i
+            assert report.executed_shards == N_SHARDS - len(done), i
+            assert _shards_and_manifest(out) == expected, i
+
+
+# ---------------------------------------------------------------------------
 # Worker protocol: the result log survives a parse failure
 # ---------------------------------------------------------------------------
 
@@ -860,36 +1036,32 @@ class TestDurabilityFsync:
 # ---------------------------------------------------------------------------
 
 class TestTaskDeadline:
-    def test_coordinator_rejects_nonpositive_timeout(self, small_population):
+    def test_subprocess_backend_rejects_nonpositive_timeout(self):
         for bad in (0, -1.5):
             with pytest.raises(ValueError):
-                Coordinator(small_population, CrawlConfig(seed=SEED),
-                            task_timeout=bad)
+                SubprocessBackend(task_timeout=bad)
 
-    def test_timeout_flows_into_work_context(self, small_population,
-                                             tmp_path):
-        captured = []
-
-        class Probe(InProcessBackend):
-            def run(self, ctx, tasks):
-                captured.append(ctx.task_timeout)
-                return super().run(ctx, tasks)
-
-        Coordinator(small_population, CrawlConfig(seed=SEED),
-                    backend=Probe(), task_timeout=12.5).run(
-            tmp_path / "crawl", n_shards=N_SHARDS)
-        assert captured == [12.5]
+    def test_timeout_reaches_only_the_subprocess_backend(self):
+        """A deadline the chosen backend cannot enforce is refused, not
+        silently ignored."""
+        assert make_backend("subprocess",
+                            task_timeout=12.5).task_timeout == 12.5
+        for name, jobs in (("inprocess", 1), ("pool", 2), (None, 1),
+                           (None, 2)):
+            with pytest.raises(ValueError, match="--backend subprocess"):
+                make_backend(name, jobs=jobs, task_timeout=12.5)
+        assert make_backend(None, jobs=2).name == "pool"
 
     def test_kill_on_deadline_preserves_log_and_names_it(self, tmp_path):
         import subprocess
         import sys
-        backend = SubprocessBackend(jobs=1)
+        backend = SubprocessBackend(jobs=1, task_timeout=1.5)
         log_path = tmp_path / ".worker-0000-a01.log"
         log_path.write_text("partial worker chatter\n")
         task = ShardTask(index=0, ranks=(1,), attempts=1)
         proc = subprocess.Popen([sys.executable, "-c",
                                  "import time; time.sleep(600)"])
-        outcome = backend._kill_on_deadline(task, proc, log_path, 1.5)
+        outcome = backend._kill_on_deadline(task, proc, log_path)
         assert proc.poll() is not None          # actually dead
         assert not outcome.ok
         assert outcome.index == 0

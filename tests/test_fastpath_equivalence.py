@@ -539,16 +539,19 @@ class TestShardKeyFactoryEquivalence:
         spec = WorkSpec.build(population, config, plan, False)
         assert (spec.population_fp, spec.config_fp) == (
             population_fingerprint(population), config_fingerprint(config))
-        spec_path = spec.save(tmp_path)
+        # A worker writes its shard next to its spec: one spec per side.
+        for side in ("one", "two"):
+            (tmp_path / side).mkdir()
+            spec.save(tmp_path / side)
         cache = tmp_path / "cache"
 
-        first = run_shard_worker(spec_path, 0, out_dir=tmp_path / "one",
+        first = run_shard_worker(tmp_path / "one" / "workspec.json", 0,
                                  cache_dir=cache)
         # Any further crawl attempt would prove the cache was bypassed.
         monkeypatch.setattr(
             dist, "_execute_shard",
             lambda *a, **k: pytest.fail("cache miss: shard re-crawled"))
-        second = run_shard_worker(spec_path, 0, out_dir=tmp_path / "two",
+        second = run_shard_worker(tmp_path / "two" / "workspec.json", 0,
                                   cache_dir=cache)
         assert second == first
         assert (tmp_path / "two" / first["file"]).read_bytes() == \

@@ -243,7 +243,7 @@ class TestChaosMatrix:
         try:
             url = (f"http://{server.server_address[0]}:"
                    f"{server.server_address[1]}")
-            retry = RetryPolicy(attempts=5, backoff=0.01, max_backoff=0.05)
+            retry = RetryPolicy(attempts=5, backoff=0.01)
             cold = Coordinator(
                 population, CrawlConfig(seed=SEED),
                 store=ShardStore(HTTPStoreBackend(url, retry=retry))).run(
@@ -316,9 +316,9 @@ class TestChaosMatrix:
         monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps(spec))
         out = tmp_path / "crawl"
         report = Coordinator(population, CrawlConfig(seed=SEED),
-                             backend=SubprocessBackend(jobs=N_SHARDS),
-                             max_retries=4, task_timeout=2.0).run(
-            out, n_shards=N_SHARDS)
+                             backend=SubprocessBackend(jobs=N_SHARDS,
+                                                       task_timeout=2.0),
+                             max_retries=4).run(out, n_shards=N_SHARDS)
         # >= not ==: a busy host can push a legitimate retry past the
         # deadline too; what must hold is that every hang was killed
         # and the final bytes are golden.
@@ -338,7 +338,8 @@ class TestChaosMatrix:
         # key and shard cache keys must be identical with or without.
         plain = Coordinator(population, CrawlConfig(seed=SEED))
         tuned = Coordinator(population, CrawlConfig(seed=SEED),
-                            task_timeout=42.0, max_retries=7)
+                            backend=SubprocessBackend(task_timeout=42.0),
+                            max_retries=7)
         plan = plain.plan(N_SHARDS)
         assert plain._run_key(plan) == tuned._run_key(plan)
         for shard in plan:

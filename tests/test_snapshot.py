@@ -392,6 +392,48 @@ class TestAnalyzeCLI:
         out = self._refused([str(tmp_path / "absent")], capsys)
         assert "no manifest.json" in out
 
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    def test_closed_stdout_costs_no_output_file(self, logs, tmp_path,
+                                               capsys, unbuffered):
+        """A reader that closed stdout before ``analyze`` prints (``|
+        head``) still gets the snapshot and report of a normal run; the
+        run exits 1 and prints no traceback."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.__main__ import main
+        directory = _dataset(tmp_path, logs, n_shards=2)
+        main(["analyze", str(directory), "--snapshot",
+              str(tmp_path / "snap.json"), "--report",
+              str(tmp_path / "report.json")])
+        capsys.readouterr()
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "analyze", str(directory),
+                 "--snapshot", str(tmp_path / "closed-snap.json"),
+                 "--report", str(tmp_path / "closed-report.json")],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=300)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        assert b"BrokenPipeError" not in proc.stderr
+        for name in ("snap.json", "report.json"):
+            assert (tmp_path / f"closed-{name}").read_bytes() \
+                == (tmp_path / name).read_bytes()
+
     @pytest.mark.parametrize("flag", ["--snapshot", "--report"])
     def test_unwritable_output_is_refused(self, logs, tmp_path, capsys,
                                           monkeypatch, flag):
