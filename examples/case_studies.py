@@ -15,12 +15,26 @@ import numpy as np
 
 from repro.analysis import Study
 from repro.analysis.columnar import ShardBatch, build_ownership_batch
+from repro.analysis.exfiltration import split_candidates
 from repro.browser import Browser, Script
 from repro.crawler import CrawlConfig, Crawler
 from repro.ecosystem import PopulationConfig, generate_population
 from repro.ecosystem.behaviors import build_behavior
 from repro.ecosystem.catalog import service_index
+from repro.encoding import encoded_forms
 from repro.extension import InstrumentationExtension
+
+FORMS = ("plain", "b64", "md5", "sha1")   # encoded_forms' order
+
+
+def carried_form(query, candidates):
+    """The first of the candidates' four forms that ``query`` carries."""
+    tokens = set(split_candidates(query))
+    for candidate in candidates:
+        for name, encoded in zip(FORMS, encoded_forms(candidate)):
+            if encoded in tokens:
+                return name
+    return None
 
 
 def case_optimonk(population):
@@ -32,11 +46,20 @@ def case_optimonk(population):
     ownership = build_ownership_batch(ShardBatch.from_logs([log]), 0)
     print(f"  _ga creator: {ownership.creators.get('_ga')}")
     print(f"  _ga value:   {ownership.values['_ga'][0]}")
+    candidates = split_candidates(ownership.values["_ga"][0])
     for event in study.exfil_events:
         if event.actor == "licdn.com" and event.pair.name == "_ga":
-            print(f"  licdn.com exfiltrated ({event.matched_form}) -> "
-                  f"{event.destination}")
-            print(f"  URL: {event.url[:110]}...")
+            # The event says who sent the cookie where; the request and
+            # the form the id took in it are read off the log.
+            for request in log.requests:
+                form = (request.script_domain == "licdn.com"
+                        and request.domain == event.destination
+                        and carried_form(request.query, candidates))
+                if form:
+                    print(f"  licdn.com exfiltrated ({form}) -> "
+                          f"{event.destination}")
+                    print(f"  URL: {request.url[:110]}...")
+                    break
 
 
 def case_goosecreek(population):

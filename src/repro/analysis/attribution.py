@@ -60,8 +60,6 @@ class CrossDomainAction:
     pair: CookiePair
     actor: str
     kind: str                     # "overwrite" | "delete"
-    api: str                      # API of the acting write
-    inclusion: str                # "direct" | "indirect" | "inline"
     api_of_cookie: str            # creation API of the cookie
     attrs_changed: Tuple[str, ...] = ()
 

@@ -787,16 +787,13 @@ def detect_manipulations_batch(batch: ShardBatch, i: int,
             continue
         actions.append(CrossDomainAction(
             site=site, pair=CookiePair(name, creator), actor=actor,
-            kind=kind, api=batch.w_api[j], inclusion=batch.w_inclusion[j],
-            api_of_cookie=apis[name], attrs_changed=attrs))
+            kind=kind, api_of_cookie=apis[name], attrs_changed=attrs))
     return actions
 
 
-_FORM_NAMES = ("plain", "b64", "md5", "sha1")
-
-#: Hex digest length → (hash, form number).  Only a token of that many
-#: lowercase hex characters can equal an MD5 (32) or SHA1 (40) form.
-_DIGESTS = {32: (md5_hex, 2), 40: (sha1_hex, 3)}
+#: Hex digest length → hash.  Only a token of that many lowercase hex
+#: characters can equal an MD5 (32) or SHA1 (40) form.
+_DIGESTS = {32: md5_hex, 40: sha1_hex}
 _LOWER_HEX = re.compile("[0-9a-f]+")
 
 #: Query/body string → deduplicated candidate tokens.  Pure function of
@@ -825,10 +822,11 @@ def detect_exfiltration_batch(batch: ShardBatch, i: int,
     ``k`` (names in insertion order, values in first-seen order, then
     the split).  A request token matches a candidate's plain, Base64,
     MD5 or SHA1 form; the MD5 or SHA1 table is built only for a token
-    of 32 or 40 lowercase hex characters.  A token equal to several
-    forms takes the smallest (candidate position, form), so on a
-    collision the first pair wins (identical identifiers across cookies
-    are overwhelmingly the same underlying id).  Query then body tokens
+    of 32 or 40 lowercase hex characters.  A token equal to forms of
+    several candidates takes the smallest position, so on a collision
+    the first pair wins (identical identifiers across cookies are
+    overwhelmingly the same underlying id); which form matched is not
+    kept, since one position names one pair.  Query then body tokens
     are looked up, deduplicated in occurrence order.  Only cross-domain
     events are reported: the paper treats a script sending its own
     cookie home (GA's ``_ga``) as authorized.  One event is kept per
@@ -837,8 +835,8 @@ def detect_exfiltration_batch(batch: ShardBatch, i: int,
     site = batch.sites[i]
     creators = ownership.creators
     candidates: List[Tuple[str, CookiePair]] = []
-    # Plain and Base64 form → first position 4·k + form.  Filling one
-    # table in (k, form) order keeps the smallest position per key.
+    # Plain and Base64 form → first position k.  Filling one table in
+    # k order keeps the smallest position per key.
     positions: Dict[str, int] = {}
     for name, values in ownership.values.items():
         creator = creators.get(name)
@@ -849,8 +847,8 @@ def detect_exfiltration_batch(batch: ShardBatch, i: int,
             for candidate in split_candidates_fast(value):
                 k = len(candidates)
                 candidates.append((candidate, pair))
-                positions.setdefault(candidate, 4 * k)
-                positions.setdefault(b64(candidate), 4 * k + 1)
+                positions.setdefault(candidate, k)
+                positions.setdefault(b64(candidate), k)
     if not candidates:
         return []
     digests: Dict[int, Dict[str, int]] = {}
@@ -878,17 +876,17 @@ def detect_exfiltration_batch(batch: ShardBatch, i: int,
             if size in _DIGESTS and _LOWER_HEX.fullmatch(token):
                 table = digests.get(size)
                 if table is None:
-                    digest, form = _DIGESTS[size]
+                    digest = _DIGESTS[size]
                     table = digests[size] = {}
                     for k, (candidate, _pair) in enumerate(candidates):
-                        table.setdefault(digest(candidate), 4 * k + form)
+                        table.setdefault(digest(candidate), k)
                 hashed = table.get(token)
                 if hashed is not None and (position is None
                                            or hashed < position):
                     position = hashed
             if position is None:
                 continue
-            pair = candidates[position >> 2][1]
+            pair = candidates[position][1]
             if pair.creator == actor:
                 continue
             key = (pair.name, pair.creator, actor, batch.q_domain[j])
@@ -897,7 +895,6 @@ def detect_exfiltration_batch(batch: ShardBatch, i: int,
             seen.add(key)
             events.append(ExfilEvent(
                 site=site, pair=pair, actor=actor,
-                destination=batch.q_domain[j], url=batch.q_url[j],
-                matched_form=_FORM_NAMES[position & 3],
-                api_of_cookie=apis.get(pair.name, "script")))
+                destination=batch.q_domain[j],
+                api_of_cookie=apis[pair.name]))
     return events

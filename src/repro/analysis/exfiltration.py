@@ -12,12 +12,17 @@ Pipeline, exactly as described in the paper:
    same way;
 4. a token found in (2) confirms exfiltration; it is *cross-domain*
    when the initiating script's eTLD+1 differs from the cookie's
-   creator.
+   creator, and only cross-domain events are reported.
 
 This module holds the candidate split (steps 1 and 3) and the
 :class:`ExfilEvent` record; the forms are :mod:`repro.encoding`'s.  The
 lookup and matching (steps 2 and 4) are
 :func:`repro.analysis.columnar.detect_exfiltration_batch`.
+
+An event keeps what a report reads: the site, the cookie pair, the
+actor, the destination and the cookie's creation API.  Which form
+matched and the request URL stay in the visit log, where the §5.4 case
+studies (``examples/case_studies.py``) read them.
 """
 
 from __future__ import annotations
@@ -72,16 +77,10 @@ def split_candidates_fast(value: str) -> List[str]:
 
 @dataclass(frozen=True)
 class ExfilEvent:
-    """One confirmed identifier transmission."""
+    """One confirmed cross-domain identifier transmission."""
 
     site: str
     pair: CookiePair
     actor: str                 # eTLD+1 of the exfiltrating script
     destination: str           # eTLD+1 receiving the identifier
-    url: str
-    matched_form: str          # "plain" | "b64" | "md5" | "sha1"
     api_of_cookie: str         # creation API of the cookie ("http" included)
-
-    @property
-    def cross_domain(self) -> bool:
-        return self.actor != self.pair.creator

@@ -6,6 +6,11 @@ A *snapshot* is the serialized state of a
 exfiltration events, manipulations, ``pairs_by_api``,
 ``store_name_counts`` and the integer counters — split into **parts**,
 one per ingested shard, each pinned to that shard file's SHA-256.
+An exfiltration event is the row ``[site, name, creator, actor,
+destination, api_of_cookie]`` and a manipulation the row ``[site,
+name, creator, actor, kind, api_of_cookie, attrs]``: the fields a
+report reads, and no more.
+
 Because accumulators merge associatively (proven by
 ``tests/test_fastpath_equivalence.py``) and every report derivation is
 order-independent, *save → load → refresh against the dataset*
@@ -57,7 +62,7 @@ __all__ = [
 #: Version of the snapshot file format.  Bumped whenever the serialized
 #: accumulator state changes shape; a mismatched file is refused with a
 #: clear "re-analyze" message rather than silently misread.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 class SnapshotError(ValueError):
@@ -79,11 +84,11 @@ def accumulator_state(acc: StudyAccumulator) -> Dict:
     """
     exfil = sorted(
         [e.site, e.pair.name, e.pair.creator, e.actor, e.destination,
-         e.url, e.matched_form, e.api_of_cookie]
+         e.api_of_cookie]
         for e in acc.exfil_events)
     manip = sorted(
-        [m.site, m.pair.name, m.pair.creator, m.actor, m.kind, m.api,
-         m.inclusion, m.api_of_cookie, list(m.attrs_changed)]
+        [m.site, m.pair.name, m.pair.creator, m.actor, m.kind,
+         m.api_of_cookie, list(m.attrs_changed)]
         for m in acc.manipulations)
     return {
         "counters": {name: getattr(acc, name) for name in COUNTER_FIELDS},
@@ -110,19 +115,17 @@ def state_accumulator(state: Dict) -> StudyAccumulator:
         acc.sites.update(str(site) for site in state["sites"])
         acc.exfil_events.extend(
             ExfilEvent(site=site, pair=CookiePair(name, creator),
-                       actor=actor, destination=destination, url=url,
-                       matched_form=matched_form,
+                       actor=actor, destination=destination,
                        api_of_cookie=api_of_cookie)
-            for site, name, creator, actor, destination, url,
-            matched_form, api_of_cookie in state["exfil_events"])
+            for site, name, creator, actor, destination, api_of_cookie
+            in state["exfil_events"])
         acc.manipulations.extend(
             CrossDomainAction(site=site, pair=CookiePair(name, creator),
-                              actor=actor, kind=kind, api=api,
-                              inclusion=inclusion,
+                              actor=actor, kind=kind,
                               api_of_cookie=api_of_cookie,
                               attrs_changed=tuple(attrs))
-            for site, name, creator, actor, kind, api, inclusion,
-            api_of_cookie, attrs in state["manipulations"])
+            for site, name, creator, actor, kind, api_of_cookie, attrs
+            in state["manipulations"])
         for api, pairs in state["pairs_by_api"].items():
             acc.pairs_by_api.setdefault(api, set()).update(
                 CookiePair(name, creator) for name, creator in pairs)
@@ -261,7 +264,7 @@ def load_snapshot(path: Union[str, Path]) -> StudySnapshot:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(
             f"unparseable snapshot {path}: {exc}") from exc
     if not isinstance(data, dict):

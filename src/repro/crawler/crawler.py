@@ -28,6 +28,7 @@ import numpy as np
 
 from ..browser.browser import Browser
 from ..browser.scripts import Script
+from ..cookieguard.guard import CookieGuardExtension
 from ..cookieguard.policy import PolicyConfig
 from ..cookies.serialize import serialize_set_cookie
 from ..ecosystem.behaviors import build_behavior, first_party_behavior
@@ -164,9 +165,6 @@ class Crawler:
         rng = np.random.default_rng([self.config.seed, site.rank])
         browser = self._build_browser(site, rng)
         if self.config.install_guard:
-            # Imported here: cookieguard depends on the extension platform,
-            # whose package initialisation reaches back into crawler.logs.
-            from ..cookieguard.guard import CookieGuardExtension
             guard = CookieGuardExtension(
                 self.config.guard_policy,
                 uncloak_dns=self.config.guard_uncloak_dns)

@@ -397,7 +397,7 @@ class WorkSpec:
     def load(cls, path: Union[str, Path]) -> "WorkSpec":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CoordinationError(
                 f"unreadable workspec {path}: {exc}") from exc
         return cls.from_dict(data)

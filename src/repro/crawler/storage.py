@@ -52,7 +52,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List,
                     Optional, Sequence, Tuple, Union)
 
 from ..faults import InjectedFault, maybe_fire
-from .logs import VisitLog
+from ..records import VisitLog
 
 if TYPE_CHECKING:   # the codec imports this package; import it lazily
     from ..analysis.columnar import ShardBatch
@@ -234,7 +234,7 @@ class ShardManifest:
             raise ManifestError(f"no {MANIFEST_NAME} in {directory}")
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ManifestError(f"unreadable manifest {path}: {exc}") from exc
         return cls.from_dict(data)
 

@@ -11,7 +11,7 @@ Reproduces the paper's custom Chrome extension:
 * records outbound requests with initiator stacks via the debugger
   protocol's ``Network.requestWillBeSent``.
 
-One :class:`~repro.crawler.logs.VisitLog` is produced per page and
+One :class:`~repro.records.VisitLog` is produced per page and
 retrieved with :meth:`InstrumentationExtension.log_for`.
 """
 

@@ -3,7 +3,8 @@ and the analysis framework.
 
 This module lives at the package root (rather than inside ``repro.crawler``)
 so the extension layer can use the schemas without importing the crawler
-package; :mod:`repro.crawler.logs` re-exports everything for convenience.
+package; :mod:`repro.crawler` re-exports the record classes for
+convenience.
 
 Each record is a frozen, ``slots=True`` dataclass with ``to_dict``/
 ``from_dict`` for JSON renderings (the golden fixture, the serve site

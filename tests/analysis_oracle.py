@@ -22,8 +22,6 @@ from repro.analysis.reports import Study, StudyAccumulator
 from repro.encoding import encoded_forms
 from repro.records import API_COOKIE_STORE, API_DOCUMENT_COOKIE, VisitLog
 
-_FORM_NAMES = ("plain", "b64", "md5", "sha1")
-
 
 def _actor(script_domain, site: str) -> str:
     """Acting eTLD+1; inline scripts resolve to the site (first-party)."""
@@ -84,25 +82,24 @@ def detect_manipulations(log: VisitLog) -> List[CrossDomainAction]:
             continue
         actions.append(CrossDomainAction(
             site=log.site, pair=CookiePair(name, creator), actor=actor,
-            kind=kind, api=write.api, inclusion=write.inclusion,
-            api_of_cookie=ownership.apis[name], attrs_changed=attrs))
+            kind=kind, api_of_cookie=ownership.apis[name],
+            attrs_changed=attrs))
     return actions
 
 
 def detect_exfiltration(log: VisitLog) -> List[ExfilEvent]:
     """Cross-domain exfiltration events: request tokens (query, then
     body, deduplicated in occurrence order) looked up in an index of
-    every candidate's four encoded forms → (pair, form name), first
-    (candidate, form) winning."""
+    every candidate's four encoded forms → pair, first (candidate,
+    form) winning."""
     ownership = build_ownership(log)
-    index: Dict[str, Tuple[CookiePair, str]] = {}
+    index: Dict[str, CookiePair] = {}
     for name, values in ownership.values.items():
         pair = CookiePair(name, ownership.creators[name])
         for value in values:
             for candidate in split_candidates_fast(value):
-                for form_name, form in zip(_FORM_NAMES,
-                                           encoded_forms(candidate)):
-                    index.setdefault(form, (pair, form_name))
+                for form in encoded_forms(candidate):
+                    index.setdefault(form, pair)
 
     events: List[ExfilEvent] = []
     seen: Set[Tuple[str, str, str, str]] = set()
@@ -112,10 +109,9 @@ def detect_exfiltration(log: VisitLog) -> List[ExfilEvent]:
         if request.body:
             tokens.update(dict.fromkeys(split_candidates_fast(request.body)))
         for token in tokens:
-            hit = index.get(token)
-            if hit is None:
+            pair = index.get(token)
+            if pair is None:
                 continue
-            pair, form_name = hit
             if pair.creator == actor:
                 continue
             key = (pair.name, pair.creator, actor, request.domain)
@@ -124,9 +120,8 @@ def detect_exfiltration(log: VisitLog) -> List[ExfilEvent]:
             seen.add(key)
             events.append(ExfilEvent(
                 site=log.site, pair=pair, actor=actor,
-                destination=request.domain, url=request.url,
-                matched_form=form_name,
-                api_of_cookie=ownership.apis.get(pair.name, "script")))
+                destination=request.domain,
+                api_of_cookie=ownership.apis[pair.name]))
     return events
 
 

@@ -652,20 +652,24 @@ class TestWorkerProtocol:
     def test_workspec_of_another_version_is_refused(self, small_population,
                                                     tmp_path, capsys):
         """A spec another build wrote (here a ``QUEUE_VERSION`` 3 one),
-        like a torn one, is refused by ``WorkSpec.load`` and by
-        ``crawl-shard``, which exits 1 on one line and writes no shard."""
+        like a torn one or one that is not UTF-8, is refused by
+        ``WorkSpec.load`` and by ``crawl-shard``, which exits 1 on one
+        line and writes no shard."""
         from repro.__main__ import main
         from repro.crawler import ShardPlan
         plan = ShardPlan.for_population(small_population, 2)
         spec_path = WorkSpec.build(small_population, CrawlConfig(seed=SEED),
                                    plan, compress=False).save(tmp_path)
-        data = json.loads(spec_path.read_text())
+        original = spec_path.read_bytes()
+        data = json.loads(original)
         data["version"] = 3
-        for text, message in (
-                (json.dumps(data), "unsupported workspec version 3 "
-                                   "(expected 4;"),
-                ("{", f"unreadable workspec {spec_path}: ")):
-            spec_path.write_text(text)
+        unreadable = f"unreadable workspec {spec_path}: "
+        for damaged, message in (
+                (json.dumps(data).encode(), "unsupported workspec version 3 "
+                                            "(expected 4;"),
+                (b"{", unreadable),
+                (b"\xff\xfe" + original, unreadable)):
+            spec_path.write_bytes(damaged)
             with pytest.raises(CoordinationError) as exc_info:
                 WorkSpec.load(spec_path)
             assert str(exc_info.value).startswith(message)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import analysis_oracle
 from repro.analysis import Study
+from repro.analysis.attribution import CookiePair
 from repro.analysis.exfiltration import (
     MIN_IDENTIFIER_LENGTH,
     split_candidates,
@@ -51,6 +52,11 @@ def detect_exfiltration(log):
     return Study([log]).exfil_events
 
 
+def sent(events):
+    """(pair, actor, destination) of each event, in order."""
+    return [(e.pair, e.actor, e.destination) for e in events]
+
+
 class TestSplitCandidates:
     def test_ga_value(self):
         segments = split_candidates("GA1.1.444332364.1746838827")
@@ -81,12 +87,8 @@ class TestDetection:
         log = log_with(
             writes=[write("_ga", "GA1.1.444332364.1746838827", "gtm.com")],
             requests=[request("ga=444332364")])
-        events = detect_exfiltration(log)
-        assert len(events) == 1
-        event = events[0]
-        assert event.pair.creator == "gtm.com"
-        assert event.actor == "thief.com"
-        assert event.matched_form == "plain"
+        assert sent(detect_exfiltration(log)) == \
+            [(CookiePair("_ga", "gtm.com"), "thief.com", "dest.com")]
 
     def test_base64_match(self):
         # The LinkedIn insight-tag encoding (§5.4 case study).
@@ -95,8 +97,8 @@ class TestDetection:
             requests=[request(f"ga={b64('444332364')}",
                               domain="linkedin.com",
                               script_domain="licdn.com")])
-        events = detect_exfiltration(log)
-        assert events[0].matched_form == "b64"
+        assert sent(detect_exfiltration(log)) == \
+            [(CookiePair("_ga", "gtm.com"), "licdn.com", "linkedin.com")]
 
     def test_md5_and_sha1_matches(self):
         value = "uniqueident99"
@@ -105,8 +107,10 @@ class TestDetection:
             requests=[request(f"h={md5_hex(value)}"),
                       request(f"h={sha1_hex(value)}",
                               script_domain="other-thief.com")])
-        forms = {e.matched_form for e in detect_exfiltration(log)}
-        assert forms == {"md5", "sha1"}
+        pair = CookiePair("c", "owner.com")
+        assert sent(detect_exfiltration(log)) == \
+            [(pair, "thief.com", "dest.com"),
+             (pair, "other-thief.com", "dest.com")]
 
     def test_same_domain_excluded_by_default(self):
         log = log_with(
@@ -279,9 +283,9 @@ class TestFormResolution:
         monkeypatch.setattr(hashlib, "md5", counting("md5", hashlib.md5))
         monkeypatch.setattr(hashlib, "sha1", counting("sha1", hashlib.sha1))
         events = Study([quiet]).exfil_events
-        assert [e.matched_form for e in events] == ["plain"]
+        assert [e.site for e in events] == ["quiet.com"]
         assert hashed == {"md5": [], "sha1": []}
         events = Study([quiet, hexy]).exfil_events
-        assert [e.matched_form for e in events] == ["plain", "md5"]
+        assert [e.site for e in events] == ["quiet.com", "hexy.com"]
         assert hashed == {"md5": [b"hexyvalue0917", b"second0917"],
                           "sha1": []}

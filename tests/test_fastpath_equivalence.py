@@ -609,9 +609,8 @@ class TestColumnarEquivalence:
 
     @pytest.mark.parametrize("seed", [3, 11, 2025, "golden"])
     def test_events_equal_the_oracle_field_for_field(self, seed):
-        """Every exfiltration event and manipulation, in order: the
-        report reads neither ``url`` nor ``matched_form``, so report
-        bytes alone do not pin the form a token resolves to."""
+        """Every exfiltration event and manipulation, in order, field
+        for field; every compared field is one a report reads."""
         from repro.analysis.reports import Study
         if seed == "golden":
             logs = [VisitLog.from_dict(entry) for entry in

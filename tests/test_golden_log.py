@@ -18,7 +18,9 @@ Python versions, so one constant per layout shows the bytes do not
 depend on the interpreter.  ``MANIFEST_SHA256`` and ``STUDY_ETAG`` pin
 what a dataset adds to its shards: the golden crawl saved as a
 two-shard dataset, its ``manifest.json`` bytes and the serve catalog's
-study ETag over it.
+study ETag over it.  ``SNAPSHOT_SHA256`` pins the study snapshot that
+``repro analyze --snapshot`` writes for those datasets: a change to the
+snapshot state moves it, and must bump ``SNAPSHOT_VERSION`` too.
 
 If a change is *intentional* (a new log field, a schema migration),
 regenerate the fixture and print the new guarded digest with::
@@ -27,8 +29,8 @@ regenerate the fixture and print the new guarded digest with::
 
 and call the change out in the PR, since it breaks byte-compatibility
 of stored crawl datasets.  A shard-format change moves only
-``SHARD_SHA256``, ``MANIFEST_SHA256`` and ``STUDY_ETAG``;
-``--regenerate`` prints those too.
+``SHARD_SHA256``, ``MANIFEST_SHA256``, ``STUDY_ETAG`` and
+``SNAPSHOT_SHA256``; ``--regenerate`` prints those too.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ MANIFEST_SHA256 = {
 STUDY_ETAG = {
     "gzip": "a2a0661f07a841f9acf1552187234803a1c361991b3925b5e51f93443cfec5b4",
     "plain": "7ca0ad6a2d3f681c1c2af5996eb53aa90865ecc2e4a748e82ee3d2c636f8be85",
+}
+#: SHA-256 of the snapshot file ``save_snapshot`` writes for them.
+SNAPSHOT_SHA256 = {
+    "gzip": "1c8ec18974e0d1039831c76b3cf9c10710c4e01ca38fff7b778f65de630d915e",
+    "plain": "7730f3e36b5a33651e83743158264acc0436eefdad9210f7c382ced26f77ab8d",
 }
 
 
@@ -101,6 +108,22 @@ def _dataset_pins(directory: Path) -> tuple:
     return manifests, etags
 
 
+def _snapshot_digests(directory: Path) -> dict:
+    """Snapshot file SHA-256 per layout of the golden crawl saved as a
+    two-shard dataset."""
+    from repro.analysis.snapshot import refresh_study, save_snapshot
+    from repro.crawler import save_logs
+    logs = _golden_crawl()
+    digests = {}
+    for layout in ("gzip", "plain"):
+        target = directory / layout
+        save_logs(logs, target, shards=2, compress=layout == "gzip")
+        path = save_snapshot(refresh_study(None, target).snapshot,
+                             directory / f"{layout}.snapshot.json")
+        digests[layout] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
 def _render(logs) -> str:
     return json.dumps([log.to_dict() for log in logs],
                       sort_keys=True, indent=1) + "\n"
@@ -125,6 +148,9 @@ class TestGoldenLog:
     def test_manifest_and_study_etag_match_golden_digests(self, tmp_path):
         assert _dataset_pins(tmp_path) == (MANIFEST_SHA256, STUDY_ETAG)
 
+    def test_snapshot_bytes_match_golden_digests(self, tmp_path):
+        assert _snapshot_digests(tmp_path) == SNAPSHOT_SHA256
+
     def test_round_trip_through_from_dict(self):
         from repro.crawler import VisitLog
         golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
@@ -148,5 +174,7 @@ if __name__ == "__main__":
             manifests, etags = _dataset_pins(Path(scratch))
             print(f"MANIFEST_SHA256 = {manifests!r}")
             print(f"STUDY_ETAG = {etags!r}")
+        with tempfile.TemporaryDirectory() as scratch:
+            print(f"SNAPSHOT_SHA256 = {_snapshot_digests(Path(scratch))!r}")
     else:
         print(__doc__)

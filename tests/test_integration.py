@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis import Study
 from repro.analysis.columnar import ShardBatch, build_ownership_batch
+from repro.analysis.exfiltration import split_candidates
 from repro.browser.browser import Browser
 from repro.browser.scripts import Script
 from repro.cookieguard.guard import CookieGuardExtension
@@ -12,6 +13,7 @@ from repro.crawler import CrawlConfig, Crawler
 from repro.ecosystem import PopulationConfig, generate_population
 from repro.ecosystem.behaviors import build_behavior
 from repro.ecosystem.catalog import service_index
+from repro.encoding import b64
 from repro.extension.instrumentation import InstrumentationExtension
 
 
@@ -47,7 +49,14 @@ class TestOptimonkCaseStudy:
         events = [e for e in exfiltration_of(log)
                   if e.actor == "licdn.com" and e.pair.name == "_ga"]
         assert events
-        assert any(e.matched_form == "b64" for e in events)
+        ownership = build_ownership_batch(ShardBatch.from_logs([log]), 0)
+        encoded = {b64(candidate) for value in ownership.values["_ga"]
+                   for candidate in split_candidates(value)}
+        destinations = {e.destination for e in events}
+        assert any(encoded & set(split_candidates(r.query))
+                   for r in log.requests
+                   if r.script_domain == "licdn.com"
+                   and r.domain in destinations)
 
     def test_linkedin_request_targets_px_ads(self, log):
         pixel = [r for r in log.requests

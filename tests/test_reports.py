@@ -61,8 +61,7 @@ class TestTable1:
                                      api=API_DOCUMENT_COOKIE)])
         study, rows = self._rows(log)
         overwrite, = study.manipulations
-        assert (overwrite.api, overwrite.api_of_cookie) == \
-            (API_DOCUMENT_COOKIE, "http")
+        assert overwrite.api_of_cookie == "http"
         assert all(row.n_cookies == 0 and row.pct_websites == 0.0
                    for row in rows.values())
 
@@ -195,7 +194,7 @@ class TestStudyInternals:
         assert not {p.name for p in doc} & store_names
 
     def test_exfiltration_events_cross_domain(self, study):
-        assert all(e.cross_domain for e in study.exfil_events)
+        assert all(e.actor != e.pair.creator for e in study.exfil_events)
 
     def test_manipulations_have_valid_kinds(self, study):
         assert {m.kind for m in study.manipulations} <= {"overwrite", "delete"}

@@ -962,10 +962,13 @@ class TestSnapshotSidecar:
         assert fresh.study().report_bytes() == reference
         assert calls == []
 
-    def test_a_version_1_sidecar_is_replaced_once(self, crawl_logs,
-                                                  tmp_path, monkeypatch):
-        """A sidecar an older build wrote (version 1) is refused, rebuilt
-        from the shards into the current version, and reused after."""
+    @pytest.mark.parametrize("version", [1, 2, None],
+                             ids=["version-1", "version-2", "non-utf8"])
+    def test_an_older_or_unreadable_sidecar_is_replaced_once(
+            self, crawl_logs, tmp_path, monkeypatch, version):
+        """A sidecar an older build wrote, or one that is not UTF-8, is
+        refused, rebuilt from the shards into the current version, and
+        reused after."""
         from repro.analysis.snapshot import SNAPSHOT_VERSION
         from repro.serve.catalog import SNAPSHOT_NAME
         directory = tmp_path / "study"
@@ -973,9 +976,12 @@ class TestSnapshotSidecar:
         save_logs(crawl_logs[:30], directory, shards=3)
         reference = self._entry(directory).study().report_bytes()
         sidecar = directory / SNAPSHOT_NAME
-        data = json.loads(sidecar.read_text())
-        data["version"] = 1
-        sidecar.write_text(json.dumps(data))
+        if version is None:
+            sidecar.write_bytes(b"\xff\xfe" + sidecar.read_bytes())
+        else:
+            data = json.loads(sidecar.read_text())
+            data["version"] = version
+            sidecar.write_text(json.dumps(data))
 
         calls = self._counting_ingest(monkeypatch)
         assert self._entry(directory).study().report_bytes() == reference

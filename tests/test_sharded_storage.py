@@ -265,6 +265,38 @@ class TestShardDigests:
         assert catalog.study_ids() == ["current"]
         assert [row["id"] for row in catalog.listing()] == ["current"]
 
+    @pytest.mark.parametrize("damage", ["non-utf8", "directory"])
+    def test_unreadable_manifest_is_refused(self, sharded_dir, crawl_logs,
+                                            capsys, damage):
+        """A ``manifest.json`` that is not UTF-8, or not a file, is
+        refused by the loader, by ``analyze`` (exit 1, no traceback) and
+        by the serve catalog, which still starts and lists the other
+        studies."""
+        from repro.__main__ import main
+        from repro.serve import make_server
+        manifest_path = sharded_dir / MANIFEST_NAME
+        if damage == "non-utf8":
+            manifest_path.write_bytes(b"\xff\xfe" + manifest_path.read_bytes())
+        else:
+            manifest_path.unlink()
+            manifest_path.mkdir()
+        message = f"unreadable manifest {manifest_path}: "
+        with pytest.raises(ManifestError) as exc_info:
+            ShardManifest.load(sharded_dir)
+        assert str(exc_info.value).startswith(message)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", str(sharded_dir)])
+        assert exit_info.value.code == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.out.splitlines()[-1].startswith(f"analyze: {message}")
+        save_logs(crawl_logs[:6], sharded_dir.parent / "current", shards=2)
+        server = make_server(sharded_dir.parent, port=0)
+        try:
+            assert server.catalog.study_ids() == ["current"]
+        finally:
+            server.server_close()
+
     @pytest.mark.parametrize("compress", [False, True],
                              ids=["plain", "gzip"])
     def test_write_shard_digest_is_pure_function_of_logs(self, crawl_logs,

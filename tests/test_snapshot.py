@@ -311,23 +311,34 @@ class TestAnalyzeCLI:
         assert warm.read_bytes() == scratch.read_bytes()
         assert cold.read_bytes() != warm.read_bytes()
 
-    def test_version_1_snapshot_is_refused_on_resume(self, logs, tmp_path,
-                                                    capsys):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_snapshot_is_refused_on_resume(self, logs, tmp_path,
+                                                 capsys, version):
         """A snapshot from an older build is refused, never misread."""
         from repro.__main__ import main
         directory = _dataset(tmp_path, logs, n_shards=2)
         snap = tmp_path / "snap.json"
         save_snapshot(refresh_study(None, directory).snapshot, snap)
         data = json.loads(snap.read_text())
-        data["version"] = 1
+        data["version"] = version
         snap.write_text(json.dumps(data))
         with pytest.raises(SystemExit) as exit_info:
             main(["analyze", str(directory), "--snapshot", str(snap),
                   "--resume"])
         assert exit_info.value.code == 1
         out = capsys.readouterr().out
-        assert "unsupported snapshot version 1" in out
+        assert f"unsupported snapshot version {version}" in out
         assert "re-analyze" in out
+
+    def test_non_utf8_snapshot_is_refused_on_resume(self, logs, tmp_path,
+                                                    capsys):
+        directory = _dataset(tmp_path, logs, n_shards=2)
+        snap = tmp_path / "snap.json"
+        save_snapshot(refresh_study(None, directory).snapshot, snap)
+        snap.write_bytes(b"\xff\xfe" + snap.read_bytes())
+        out = self._refused([str(directory), "--snapshot", str(snap),
+                             "--resume"], capsys)
+        assert out.startswith(f"analyze: unparseable snapshot {snap}: ")
 
     def test_resume_requires_snapshot_flag(self, logs, tmp_path, capsys):
         from repro.__main__ import main
