@@ -821,16 +821,21 @@ def detect_exfiltration_batch(batch: ShardBatch, i: int,
     Each candidate identifier of each cookie value takes a position
     ``k`` (names in insertion order, values in first-seen order, then
     the split).  A request token matches a candidate's plain, Base64,
-    MD5 or SHA1 form; the MD5 or SHA1 table is built only for a token
-    of 32 or 40 lowercase hex characters.  A token equal to forms of
-    several candidates takes the smallest position, so on a collision
-    the first pair wins (identical identifiers across cookies are
-    overwhelmingly the same underlying id); which form matched is not
-    kept, since one position names one pair.  Query then body tokens
-    are looked up, deduplicated in occurrence order.  Only cross-domain
-    events are reported: the paper treats a script sending its own
-    cookie home (GA's ``_ga``) as authorized.  One event is kept per
-    (pair, actor, destination).
+    MD5 or SHA1 form.  A token equal to forms of several candidates
+    takes the smallest position, so on a collision the first pair wins
+    (identical identifiers across cookies are overwhelmingly the same
+    underlying id); which form matched is not kept, since one position
+    names one pair.  Query then body tokens are looked up, deduplicated
+    in occurrence order.  Only cross-domain events are reported: the
+    paper treats a script sending its own cookie home (GA's ``_ga``) as
+    authorized.  One event is kept per (pair, actor, destination).
+
+    Digests are computed only for a token of 32 or 40 lowercase hex
+    characters, and only as far as one can still win: the visit's MD5
+    or SHA1 table is filled in ``k`` order and remembers how far it
+    got, so a token whose plain or Base64 position is ``k`` extends it
+    to ``k`` at most, and a token with no such hit extends it until the
+    token appears or the candidates run out.
     """
     site = batch.sites[i]
     creators = ownership.creators
@@ -851,7 +856,8 @@ def detect_exfiltration_batch(batch: ShardBatch, i: int,
                 positions.setdefault(b64(candidate), k)
     if not candidates:
         return []
-    digests: Dict[int, Dict[str, int]] = {}
+    # Digest size → [digest → first position, positions hashed so far].
+    digests: Dict[int, list] = {}
 
     events: List[ExfilEvent] = []
     seen: set = set()
@@ -874,13 +880,22 @@ def detect_exfiltration_batch(batch: ShardBatch, i: int,
             position = lookup(token)
             size = len(token)
             if size in _DIGESTS and _LOWER_HEX.fullmatch(token):
-                table = digests.get(size)
-                if table is None:
-                    digest = _DIGESTS[size]
-                    table = digests[size] = {}
-                    for k, (candidate, _pair) in enumerate(candidates):
-                        table.setdefault(digest(candidate), k)
+                state = digests.get(size)
+                if state is None:
+                    state = digests[size] = [{}, 0]
+                table, done = state
                 hashed = table.get(token)
+                if hashed is None:
+                    digest = _DIGESTS[size]
+                    limit = len(candidates) if position is None else position
+                    while done < limit:
+                        value = digest(candidates[done][0])
+                        table.setdefault(value, done)
+                        done += 1
+                        if value == token:
+                            hashed = done - 1
+                            break
+                    state[1] = done
                 if hashed is not None and (position is None
                                            or hashed < position):
                     position = hashed

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from ..cookies.jar import CookieChange, CookieJar
-from ..cookies.serialize import to_cookie_string
 from ..net.url import URL
 from .events import Clock
 
@@ -42,8 +41,7 @@ class DocumentCookie:
 
     # -- native implementations -----------------------------------------
     def _native_get(self) -> str:
-        cookies = self._jar.script_visible(self._url, now=self._clock.now())
-        return to_cookie_string(cookies)
+        return self._jar.script_cookie_string(self._url, self._clock.now())
 
     def _native_set(self, cookie_string: str) -> Optional[CookieChange]:
         return self._jar.set_from_header(

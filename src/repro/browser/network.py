@@ -1,11 +1,12 @@
 """Page-level network layer with initiator attribution.
 
-Every outbound request snapshots the live JS call stack, reproducing the
-Chrome Debugger Protocol's ``Network.requestWillBeSent`` initiator stacks
-that the paper uses to "connect network activity (e.g., exfiltration) to
-prior cookie accesses" (§4.1).  ``Set-Cookie`` response headers are applied
-to the jar exactly as a browser would, and both request and response events
-fan out to extension listeners (``webRequest.onHeadersReceived`` etc.).
+Every outbound request records the live JS call stack's script URLs,
+reproducing the Chrome Debugger Protocol's ``Network.requestWillBeSent``
+initiator stacks that the paper uses to "connect network activity (e.g.,
+exfiltration) to prior cookie accesses" (§4.1).  ``Set-Cookie`` response
+headers are applied to the jar exactly as a browser would, and both
+request and response events fan out to extension listeners
+(``webRequest.onHeadersReceived`` etc.).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ..net.headers import Headers
 from ..net.http import Request, Response, ResourceType
 from ..net.url import URL, encode_qs, parse_url
 from .events import Clock
-from .stack import CallStack, StackSnapshot
+from .stack import CallStack
 
 __all__ = ["NetworkManager", "Transport"]
 
@@ -53,8 +54,7 @@ class NetworkManager:
                 body: str = "", extra_headers: Optional[Headers] = None) -> Response:
         """Send a request, apply Set-Cookie, and fan out events."""
         now = self._clock.now()
-        snapshot = self._stack.snapshot()
-        initiator = snapshot.attribute()
+        initiator = self._stack.attribute()
         headers = extra_headers.copy() if extra_headers else Headers()
         attached = self._jar.cookies_for_url(url, now=now)
         if attached:
@@ -65,7 +65,7 @@ class NetworkManager:
             resource_type=resource_type,
             headers=headers,
             initiator_url=initiator.url if initiator else None,
-            initiator_stack=snapshot.attributed_urls(),
+            initiator_stack=self._stack.attributed_urls(),
             frame_is_main=True,
             body=body,
         )

@@ -178,25 +178,26 @@ class Page:
     def run_scripts(self) -> int:
         """Execute queued scripts (and any they insert) to completion.
 
-        Returns the number of scripts executed.  After the synchronous
-        pass, the event loop is drained so timers and cookieStore promises
-        settle too.
+        Returns the number of scripts executed.  After each synchronous
+        pass the event loop is drained, so timers and cookieStore
+        promises settle too; scripts the timers inserted run in the next
+        pass.  More than 10,000 scripts in one call, over all passes, is
+        an inclusion loop.
         """
         executed = 0
-        while self._queue:
-            script = self._queue.pop(0)
-            self.scripts.append(script)
-            if script.behavior is not None:
-                with self.stack.executing(script):
-                    script.behavior(self.js)
-            executed += 1
-            if executed > 10_000:
-                raise RuntimeError("script storm — probable inclusion loop")
-        self.loop.run_until_idle()
-        # Timer callbacks may have inserted more scripts.
-        if self._queue:
-            executed += self.run_scripts()
-        return executed
+        while True:
+            while self._queue:
+                script = self._queue.pop(0)
+                self.scripts.append(script)
+                if script.behavior is not None:
+                    with self.stack.executing(script):
+                        script.behavior(self.js)
+                executed += 1
+                if executed > 10_000:
+                    raise RuntimeError("script storm — probable inclusion loop")
+            self.loop.run_until_idle()
+            if not self._queue:
+                return executed
 
     # -- queries used by analyses -------------------------------------------
     def third_party_scripts(self) -> List[Script]:

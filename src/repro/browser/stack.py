@@ -31,11 +31,28 @@ class StackFrame:
     async_boundary: bool = False
 
 
+def _attribute(frames, async_traces: bool) -> Optional[Script]:
+    """The last external script in ``frames`` (innermost last)."""
+    for frame in reversed(frames):
+        if frame.script.url is not None:
+            return frame.script
+        if frame.async_boundary and not async_traces:
+            return None
+    return None
+
+
+def _attributed_urls(frames) -> Tuple[str, ...]:
+    return tuple(str(f.script.url) for f in frames
+                 if f.script.url is not None)
+
+
 @dataclass(frozen=True)
 class StackSnapshot:
     """An immutable copy of the stack, innermost frame last.
 
-    This is what network requests and cookie-access logs record, mirroring
+    This is what DOM mutation logs record.  Network requests and
+    cookie-access logs read the same facts off the live
+    :class:`CallStack` instead, mirroring
     ``Network.requestWillBeSent.initiator.stack``.
     """
 
@@ -51,16 +68,11 @@ class StackSnapshot:
         callback itself is on the stack — so the loss only bites when the
         callback frame is inline or extension-owned.
         """
-        for frame in reversed(self.frames):
-            if frame.script.url is not None:
-                return frame.script
-            if frame.async_boundary and not async_traces:
-                return None
-        return None
+        return _attribute(self.frames, async_traces)
 
     def attributed_urls(self) -> Tuple[str, ...]:
         """Script URLs outermost-first (what the devtools stack shows)."""
-        return tuple(str(f.script.url) for f in self.frames if f.script.url is not None)
+        return _attributed_urls(self.frames)
 
     def innermost(self) -> Optional[StackFrame]:
         return self.frames[-1] if self.frames else None
@@ -70,7 +82,12 @@ class StackSnapshot:
 
 
 class CallStack:
-    """Mutable execution stack for one page."""
+    """Mutable execution stack for one page.
+
+    :meth:`attribute` and :meth:`attributed_urls` walk the live frames
+    and give what the same calls on :meth:`snapshot` would, without
+    copying the stack.
+    """
 
     def __init__(self) -> None:
         self._frames: List[StackFrame] = []
@@ -95,7 +112,11 @@ class CallStack:
 
     def attribute(self, *, async_traces: bool = True) -> Optional[Script]:
         """Attribution of the *live* stack (see :class:`StackSnapshot`)."""
-        return self.snapshot().attribute(async_traces=async_traces)
+        return _attribute(self._frames, async_traces)
+
+    def attributed_urls(self) -> Tuple[str, ...]:
+        """Script URLs of the live stack, outermost first."""
+        return _attributed_urls(self._frames)
 
     @property
     def depth(self) -> int:

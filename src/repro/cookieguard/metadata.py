@@ -9,25 +9,29 @@ headers.  The store lives in the background service worker
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional
 
 __all__ = ["CreatorStore", "INLINE_CREATOR"]
 
 #: Sentinel creator for cookies written by inline / unattributable scripts.
 INLINE_CREATOR = "<inline>"
 
+_EMPTY: Mapping[str, str] = MappingProxyType({})
 
-@dataclass
+
 class CreatorStore:
     """Maps (top-level site, cookie name) → creator eTLD+1.
 
     Keys are scoped per visited site because the same cookie name set by
     the same tracker on two sites is two different first-party cookies
-    (the paper's "cookie pair" framing).
+    (the paper's "cookie pair" framing).  The store is kept as one
+    ``{name: creator}`` map per site, so the per-read dataset query is a
+    lookup, not a scan.
     """
 
-    _creators: Dict[Tuple[str, str], str] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self._by_site: Dict[str, Dict[str, str]] = {}
 
     def record_creation(self, site: str, cookie_name: str, creator: str) -> None:
         """Record a creation; the *first* creator wins.
@@ -36,20 +40,23 @@ class CreatorStore:
         must not be able to steal ownership by overwriting (that would let
         a tracker claim a session cookie by clobbering it once).
         """
-        key = (site, cookie_name)
-        self._creators.setdefault(key, creator)
+        self._by_site.setdefault(site, {}).setdefault(cookie_name, creator)
 
     def creator_of(self, site: str, cookie_name: str) -> Optional[str]:
-        return self._creators.get((site, cookie_name))
+        return self._by_site.get(site, _EMPTY).get(cookie_name)
 
     def forget(self, site: str, cookie_name: str) -> None:
         """Drop metadata once the owner deletes its cookie."""
-        self._creators.pop((site, cookie_name), None)
+        self._by_site.get(site, {}).pop(cookie_name, None)
 
-    def known_cookies(self, site: str) -> Dict[str, str]:
-        """All (cookie name → creator) pairs recorded for ``site``."""
-        return {name: creator for (s, name), creator in self._creators.items()
-                if s == site}
+    def known_cookies(self, site: str) -> Mapping[str, str]:
+        """All (cookie name → creator) pairs recorded for ``site``.
+
+        A read-only view of the live map: it reflects later records and
+        forgets.
+        """
+        names = self._by_site.get(site)
+        return _EMPTY if names is None else MappingProxyType(names)
 
     def __len__(self) -> int:
-        return len(self._creators)
+        return sum(len(names) for names in self._by_site.values())

@@ -251,7 +251,11 @@ def parse_set_cookie(header: str, *, request_host: str, request_path: str = "/",
     if max_age is not None:
         expires = now + max_age
 
-    return Cookie(
+    # Built the way ``Cookie.touched`` clones: the frozen dataclass
+    # ``__init__`` sets its 12 fields one ``object.__setattr__`` at a
+    # time, which costs several times this for the same fields.
+    cookie = object.__new__(Cookie)
+    cookie.__dict__.update(
         name=name,
         value=value,
         domain=effective_domain,
@@ -265,3 +269,4 @@ def parse_set_cookie(header: str, *, request_host: str, request_path: str = "/",
         last_access_time=now,
         from_http=from_http,
     )
+    return cookie

@@ -13,38 +13,45 @@ Retrieval is domain-indexed: cookies are bucketed by their normalized
 domain, and ``cookies_for_url`` only inspects the buckets for the
 request host's dot-suffixes (the only domains RFC 6265 §5.1.3 can ever
 match), so a visibility check costs O(matching domains), not O(jar).
-The result — order included — is provably identical to the full scan:
-candidates are re-filtered by the same per-cookie predicate and
-re-ordered by insertion sequence before the RFC §5.4 sort, which is
-exactly the order the linear scan produced.
+The result — order included — is provably identical to the full scan.
+A bucket keyed by a dot-suffix of the host always domain-matches it,
+so candidates are re-filtered by the rest of the per-cookie predicate
+only, then sorted once by (longer path, earlier creation, insertion
+sequence): the RFC §5.4 order with ties in store order, which is
+exactly the order the linear scan produced.  A read whose buckets are
+all empty returns before the filter.
 
 Reads are memoized per jar: ``cookies_for_url`` keeps its result per
-(host, path, secure, include_http_only, touch, now).  A memo entry is
-valid only while ``_store`` is unchanged, so every store write clears
-the table — ``_index_put``, ``_index_drop``, a touch that changes a
-``last_access_time``, and ``clear()``.  That makes the memo exact: a
-repeated read of an unchanged store at the same clock finds its
-matches already touched to ``now``, so re-running it would have no
-side effect and return the same cookies.  ``document.cookie`` returns
-the whole jar to every script (§5.5), so a visit repeats many reads
+(host, path, secure, include_http_only, touch, now), and
+``script_cookie_string`` keeps the joined ``document.cookie`` string
+per (host, path, scheme, now).  An entry in either table is valid only
+while ``_store`` is unchanged, so every store write calls the one
+``_invalidate()``, which empties both — ``_index_put``,
+``_index_drop``, a touch that changes a ``last_access_time``, and
+``clear()``.  That makes both memos exact: a repeated read of an
+unchanged store at the same clock finds its matches already touched
+to ``now``, so re-running it would have no side effect and return the
+same cookies, hence the same string.  ``document.cookie`` returns the
+whole jar to every script (§5.5), so a visit repeats many reads
 between two writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..net.url import URL
-from .cookie import (Cookie, canonical_domain, domain_match, parse_set_cookie,
-                     path_match)
+from .cookie import Cookie, canonical_domain, parse_set_cookie, path_match
+from .serialize import to_cookie_string
 
 __all__ = ["CookieJar", "CookieChange", "MAX_COOKIES_PER_DOMAIN"]
 
 MAX_COOKIES_PER_DOMAIN = 180  # Chrome's per-eTLD+1 limit
 
-#: Bound on one jar's read memo.  Writes clear it far sooner; the cap
-#: only guards a long run of reads at distinct clocks with no write.
+#: Bound on each of one jar's read memos.  Writes clear them far
+#: sooner; the cap only guards a long run of reads at distinct clocks
+#: with no write.
 _READ_MEMO_LIMIT = 256
 
 Key = Tuple[str, str, str]
@@ -57,19 +64,6 @@ class CookieChange:
     kind: str  # "set" | "overwrite" | "delete" | "expire" | "evict"
     cookie: Cookie
     previous: Optional[Cookie] = None
-
-
-def _host_suffixes(host: str) -> Iterator[str]:
-    """``a.b.com`` → ``a.b.com``, ``b.com``, ``com``.
-
-    Exactly the candidate cookie domains domain_match() can accept for
-    ``host`` (equality or a dot-boundary suffix).
-    """
-    yield host
-    start = host.find(".")
-    while start != -1:
-        yield host[start + 1:]
-        start = host.find(".", start + 1)
 
 
 class CookieJar:
@@ -88,6 +82,9 @@ class CookieJar:
         #: (host, path, secure, include_http_only, touch, now) -> the
         #: ``cookies_for_url`` result; cleared by every ``_store`` write.
         self._reads: Dict[tuple, Tuple[Cookie, ...]] = {}
+        #: (host, path, scheme, now) -> the ``document.cookie`` string;
+        #: cleared with ``_reads``.
+        self._strings: Dict[tuple, str] = {}
         self._listeners: List[Callable[[CookieChange], None]] = []
 
     # -- listeners ------------------------------------------------------
@@ -99,19 +96,24 @@ class CookieJar:
             listener(change)
 
     # -- index maintenance ---------------------------------------------
+    def _invalidate(self) -> None:
+        """Empty the read memos; every ``_store`` write calls this."""
+        self._reads.clear()
+        self._strings.clear()
+
     def _index_put(self, cookie: Cookie) -> None:
         key = cookie.key
         if key not in self._order:
             self._seq += 1
             self._order[key] = self._seq
-        self._reads.clear()
+        self._invalidate()
         self._store[key] = cookie
         self._by_domain.setdefault(canonical_domain(cookie.domain),
                                    {})[key] = cookie
 
     def _index_drop(self, cookie: Cookie) -> None:
         key = cookie.key
-        self._reads.clear()
+        self._invalidate()
         del self._store[key]
         self._order.pop(key, None)
         bucket_key = canonical_domain(cookie.domain)
@@ -205,23 +207,33 @@ class CookieJar:
         return len(expired)
 
     # -- retrieval ------------------------------------------------------
-    def _candidates(self, host: str) -> List[Cookie]:
-        """Cookies whose domain could match ``host``, in store order.
+    def _candidates(self, host: str) -> List[Tuple[str, Key, Cookie]]:
+        """(bucket, key, cookie) for every cookie whose domain could match
+        ``host``, in no particular order.
 
-        A strict superset pre-filter: every cookie the full scan could
-        match lives in one of the host's suffix buckets, so the
-        per-cookie predicate downstream sees the same population.
+        The buckets are those of ``host``'s dot-suffixes
+        (``a.b.com`` → ``a.b.com``, ``b.com``, ``com``): exactly the
+        cookie domains RFC 6265 §5.1.3 can accept for ``host``, so the
+        per-cookie predicate downstream sees the full scan's population.
         """
-        found: List[Cookie] = []
+        found: List[Tuple[str, Key, Cookie]] = []
         by_domain = self._by_domain
-        for suffix in _host_suffixes(host):
+        suffix = host
+        while True:
             bucket = by_domain.get(suffix)
             if bucket:
-                found.extend(bucket.values())
-        if len(found) > 1:
-            order = self._order
-            found.sort(key=lambda c: order[c.key])
-        return found
+                found.extend([(suffix, key, cookie)
+                              for key, cookie in bucket.items()])
+            dot = suffix.find(".")
+            if dot == -1:
+                return found
+            suffix = suffix[dot + 1:]
+
+    def _remember(self, memo_key: tuple, matches: List[Cookie]) -> None:
+        reads = self._reads
+        if len(reads) >= _READ_MEMO_LIMIT:
+            reads.clear()
+        reads[memo_key] = tuple(matches)
 
     def cookies_for_url(self, url: URL, *, now: float = 0.0,
                         include_http_only: bool = True,
@@ -237,44 +249,69 @@ class CookieJar:
         url_secure = url.is_secure
         memo_key = (host_lower, url_path, url_secure, include_http_only,
                     touch, now)
-        reads = self._reads
-        cached = reads.get(memo_key)
+        cached = self._reads.get(memo_key)
         if cached is not None:
             return list(cached)
-        matches: List[Cookie] = []
-        for cookie in self._candidates(host_lower.rstrip(".")):
-            if cookie.is_expired(now):
+        found = self._candidates(host_lower.rstrip("."))
+        if not found:
+            self._remember(memo_key, [])
+            return []
+        # (-len(path), creation_time, insertion seq, bucket, key, cookie):
+        # sorting these tuples is the §5.4 order with ties in store
+        # order, and the unique seq keeps the sort off the cookies.
+        kept: List[tuple] = []
+        order = self._order
+        for bucket, key, cookie in found:
+            expires = cookie.expires
+            if expires is not None and expires <= now:
                 continue
             if cookie.host_only:
                 if host_lower != cookie.domain:
                     continue
-            elif not domain_match(host_lower, cookie.domain):
-                continue
-            if not path_match(url_path, cookie.path):
+            elif not bucket:
+                continue  # an empty domain matches no host
+            path = cookie.path
+            if path != url_path and not path_match(url_path, path):
                 continue
             if cookie.secure and not url_secure:
                 continue
             if cookie.http_only and not include_http_only:
                 continue
+            kept.append((-len(path), cookie.creation_time, order[key],
+                         bucket, key, cookie))
+        if len(kept) > 1:
+            kept.sort()
+        matches: List[Cookie] = []
+        touched_any = False
+        for _len, _created, _seq, bucket, key, cookie in kept:
+            if touch and cookie.last_access_time != now:
+                cookie = cookie.touched(now)
+                self._store[key] = cookie
+                self._by_domain[bucket][key] = cookie
+                touched_any = True
             matches.append(cookie)
-        matches.sort(key=lambda c: (-len(c.path), c.creation_time))
-        if touch:
-            for index, cookie in enumerate(matches):
-                if cookie.last_access_time != now:
-                    touched = cookie.touched(now)
-                    reads.clear()
-                    self._store[cookie.key] = touched
-                    self._by_domain[canonical_domain(cookie.domain)][
-                        cookie.key] = touched
-                    matches[index] = touched
-        if len(reads) >= _READ_MEMO_LIMIT:
-            reads.clear()
-        reads[memo_key] = tuple(matches)
+        if touched_any:
+            self._invalidate()
+        self._remember(memo_key, matches)
         return matches
 
     def script_visible(self, url: URL, now: float = 0.0) -> List[Cookie]:
         """Cookies visible to ``document.cookie`` readers on ``url``."""
         return self.cookies_for_url(url, now=now, include_http_only=False)
+
+    def script_cookie_string(self, url: URL, now: float = 0.0) -> str:
+        """The ``document.cookie`` string on ``url``:
+        ``to_cookie_string(script_visible(url, now))``, joined once per
+        store state and clock (see the module docstring)."""
+        memo_key = (url.host, url.path, url.scheme, now)
+        strings = self._strings
+        text = strings.get(memo_key)
+        if text is None:
+            text = to_cookie_string(self.script_visible(url, now))
+            if len(strings) >= _READ_MEMO_LIMIT:
+                strings.clear()
+            strings[memo_key] = text
+        return text
 
     def get(self, name: str, domain: str, path: str = "/") -> Optional[Cookie]:
         return self._store.get((name, domain, path))
@@ -293,7 +330,7 @@ class CookieJar:
         return key in self._store
 
     def clear(self) -> None:
-        self._reads.clear()
+        self._invalidate()
         self._store.clear()
         self._by_domain.clear()
         self._order.clear()

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .cookie import Cookie, parse_cookie_pair
 
 __all__ = [
     "to_cookie_string",
     "parse_cookie_string",
+    "cookie_names",
+    "cookie_mapping",
     "serialize_set_cookie",
 ]
 
@@ -18,19 +21,21 @@ def to_cookie_string(cookies: Iterable[Cookie]) -> str:
     return "; ".join(cookie.pair() for cookie in cookies)
 
 
-#: ``document.cookie`` string → its (name, value) pairs.  A pure
-#: function of the string, so one process-wide table is safe: every
-#: script on a page reads the same jar string, and the instrumentation,
-#: CookieGuard and behaviour layers each parse it.  A visit parses about
-#: a dozen distinct strings; the bound only caps memory across visits.
-_PARSE_CACHE: Dict[str, Tuple[Tuple[str, str], ...]] = {}
+Pairs = Tuple[Tuple[str, str], ...]
+
+#: ``document.cookie`` string → (its (name, value) pairs, its names, its
+#: read-only name → value mapping).  A pure function of the string, so
+#: one process-wide table is safe: every script on a page reads the same
+#: jar string, and the instrumentation, CookieGuard and behaviour layers
+#: each need one of the three.  The bound only caps memory across visits.
+_PARSE_CACHE: Dict[str, Tuple[Pairs, Tuple[str, ...], Mapping[str, str]]] = {}
 _PARSE_CACHE_LIMIT = 256
 
 
-def parse_cookie_string(cookie_string: str) -> Tuple[Tuple[str, str], ...]:
+def parse_cookie_string(cookie_string: str) -> Pairs:
     """Split a ``document.cookie`` string into (name, value) pairs."""
-    pairs = _PARSE_CACHE.get(cookie_string)
-    if pairs is None:
+    entry = _PARSE_CACHE.get(cookie_string)
+    if entry is None:
         if len(_PARSE_CACHE) >= _PARSE_CACHE_LIMIT:
             _PARSE_CACHE.clear()
         parsed: List[Tuple[str, str]] = []
@@ -38,8 +43,37 @@ def parse_cookie_string(cookie_string: str) -> Tuple[Tuple[str, str], ...]:
             pair = parse_cookie_pair(chunk)
             if pair is not None:
                 parsed.append(pair)
-        pairs = _PARSE_CACHE[cookie_string] = tuple(parsed)
-    return pairs
+        pairs = tuple(parsed)
+        entry = _PARSE_CACHE[cookie_string] = (
+            pairs, tuple(name for name, _value in pairs),
+            MappingProxyType(dict(pairs)))
+    return entry[0]
+
+
+def _parsed(cookie_string: str
+            ) -> Tuple[Pairs, Tuple[str, ...], Mapping[str, str]]:
+    entry = _PARSE_CACHE.get(cookie_string)
+    if entry is None:
+        # A miss parses through the public name, so a wrapper around
+        # ``parse_cookie_string`` sees every parse.
+        parse_cookie_string(cookie_string)
+        entry = _PARSE_CACHE[cookie_string]
+    return entry
+
+
+def cookie_names(cookie_string: str) -> Tuple[str, ...]:
+    """The names of :func:`parse_cookie_string`'s pairs, in order."""
+    return _parsed(cookie_string)[1]
+
+
+def cookie_mapping(cookie_string: str) -> Mapping[str, str]:
+    """``dict(parse_cookie_string(cookie_string))``, read-only.
+
+    One mapping per string is shared by every caller, hence the
+    read-only view: a duplicate name keeps its last value, in the
+    position of its first.
+    """
+    return _parsed(cookie_string)[2]
 
 
 def serialize_set_cookie(name: str, value: str, *,

@@ -45,6 +45,10 @@ from .engine import VisitEngine, WaitPoint, drive
 __all__ = ["CrawlConfig", "Crawler", "config_fingerprint",
            "crawl_population"]
 
+#: Bound on one crawler's resolved-spec memo.  A 240-site crawl resolves
+#: a few hundred distinct specs; the cap guards a long crawl.
+_SPEC_MEMO_LIMIT = 4096
+
 
 @dataclass(frozen=True)
 class CrawlConfig:
@@ -108,6 +112,9 @@ class Crawler:
         self.config = config or CrawlConfig()
         #: Guard instances from guarded crawls (one per visited site).
         self.guards: List = []
+        #: (service key, overrides, assigned children) -> the resolved
+        #: spec; see :meth:`_resolved_spec`.
+        self._specs: Dict[tuple, ServiceSpec] = {}
 
     # ------------------------------------------------------------------
     def crawl(self, sites: Optional[Iterable[SiteSpec]] = None,
@@ -202,30 +209,45 @@ class Crawler:
         return browser
 
     # ------------------------------------------------------------------
-    def _resolver_for(self, site: SiteSpec) -> Callable:
-        """Child resolver honouring the site's indirect assignments."""
-        services = self.population.services
-
-        def resolve(key: str) -> Tuple[ServiceSpec, Callable]:
-            spec = services[key]
-            overrides = site.service_overrides.get(key)
+    def _resolved_spec(self, key: str, overrides: Tuple[tuple, ...],
+                       assigned: Tuple[str, ...]) -> ServiceSpec:
+        """Service ``key`` with a site's ``overrides`` (field, value)
+        pairs and its ``assigned`` children, resolved once per distinct
+        triple: the specs are frozen and the population's services never
+        change, so sites that share a triple share the spec."""
+        memo_key = (key, overrides, assigned)
+        spec = self._specs.get(memo_key)
+        if spec is None:
+            spec = self.population.services[key]
             if overrides:
-                spec = spec.with_overrides(**overrides)
-            assigned = site.indirect_assignments.get(key)
-            if assigned:
-                spec = spec.with_overrides(children=assigned,
-                                           child_count=(len(assigned),
-                                                        len(assigned)))
-                return spec, build_behavior(spec, resolve)
+                spec = spec.with_overrides(**dict(overrides))
             # Children not assigned by the population do not fan out —
             # inclusion counts stay exactly as sampled.
-            spec = spec.with_overrides(children=(), child_count=(0, 0))
-            return spec, build_behavior(spec, None)
+            spec = spec.with_overrides(children=assigned,
+                                       child_count=(len(assigned),
+                                                    len(assigned)))
+            if len(self._specs) >= _SPEC_MEMO_LIMIT:
+                self._specs.clear()
+            self._specs[memo_key] = spec
+        return spec
+
+    def _resolver_for(self, site: SiteSpec) -> Callable:
+        """Child resolver honouring the site's indirect assignments.
+
+        Behaviours are built per visit: each closes over this visit's
+        resolver.
+        """
+
+        def resolve(key: str) -> Tuple[ServiceSpec, Callable]:
+            overrides = site.service_overrides.get(key)
+            assigned = site.indirect_assignments.get(key) or ()
+            spec = self._resolved_spec(
+                key, tuple(overrides.items()) if overrides else (), assigned)
+            return spec, build_behavior(spec, resolve if assigned else None)
 
         return resolve
 
     def _build_scripts(self, site: SiteSpec, rng) -> List[Script]:
-        services = self.population.services
         resolve = self._resolver_for(site)
         scripts: List[Script] = []
 
@@ -249,13 +271,11 @@ class Crawler:
                                            label=spec.key))
 
         for key in site.cloaked_services:
-            service = services[key]
-            cloaked_spec = service.with_overrides(children=(),
-                                                  child_count=(0, 0))
+            cloaked_spec = self._resolved_spec(key, (), ())
             scripts.append(Script.external(
-                f"https://metrics.{site.domain}{service.script_path}",
+                f"https://metrics.{site.domain}{cloaked_spec.script_path}",
                 behavior=build_behavior(cloaked_spec, None),
-                label=f"cloaked:{service.key}"))
+                label=f"cloaked:{cloaked_spec.key}"))
         return scripts
 
     # ------------------------------------------------------------------
@@ -375,19 +395,22 @@ def _stable_token(text: str, mod: int) -> int:
 
 def _site_server(site: SiteSpec):
     """The site's own web server."""
+    set_cookies: List[str] = []
+    if site.http_session_cookie:
+        flags = "; HttpOnly" if site.http_session_httponly else ""
+        set_cookies.append(
+            f"php_sessid=srv{site.rank}x{_stable_token(site.domain, 10**12)}; "
+            f"Path=/{flags}")
+    if site.http_marketing_cookie:
+        set_cookies.append(
+            f"mkt_attrib=utm{site.rank}campaign{_stable_token(site.domain[::-1], 10**10)}; "
+            f"Path=/; Max-Age=2592000")
 
     def handler(request: Request) -> Response:
         headers = Headers()
         if request.resource_type is ResourceType.DOCUMENT:
-            if site.http_session_cookie:
-                flags = "; HttpOnly" if site.http_session_httponly else ""
-                headers.add("set-cookie",
-                            f"php_sessid=srv{site.rank}x{_stable_token(site.domain, 10**12)}; "
-                            f"Path=/{flags}")
-            if site.http_marketing_cookie:
-                headers.add("set-cookie",
-                            f"mkt_attrib=utm{site.rank}campaign{_stable_token(site.domain[::-1], 10**10)}; "
-                            f"Path=/; Max-Age=2592000")
+            for text in set_cookies:
+                headers.add("set-cookie", text)
         return Response(url=request.url, status=200, headers=headers)
 
     return handler
@@ -395,13 +418,14 @@ def _site_server(site: SiteSpec):
 
 def _service_server(service: ServiceSpec):
     """A third-party service's server (scripts + collect endpoints)."""
+    set_cookie = (f"{service.key}_srv=sv{_stable_token(service.domain, 10**12)}; "
+                  f"Path=/; Max-Age=31536000"
+                  if service.sets_http_cookie else None)
 
     def handler(request: Request) -> Response:
         headers = Headers()
-        if service.sets_http_cookie:
-            headers.add("set-cookie",
-                        f"{service.key}_srv=sv{_stable_token(service.domain, 10**12)}; "
-                        f"Path=/; Max-Age=31536000")
+        if set_cookie is not None:
+            headers.add("set-cookie", set_cookie)
         return Response(url=request.url, status=200, headers=headers)
 
     return handler

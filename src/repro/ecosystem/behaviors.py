@@ -22,10 +22,10 @@ reproducible from its seed.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..browser.page import JSContext
-from ..cookies.serialize import parse_cookie_string, serialize_set_cookie
+from ..cookies.serialize import cookie_mapping, serialize_set_cookie
 from ..encoding import b64, md5_hex, sha1_hex
 from .identifiers import IdFactory
 from .services import CookieSpec, ServiceSpec
@@ -63,9 +63,12 @@ RTB_SYNC_COOKIES: Tuple[str, ...] = (
 # Shared primitives
 # ---------------------------------------------------------------------------
 
-def _visible_cookies(js: JSContext) -> Dict[str, str]:
-    """Read the jar the way scripts do (filtered under CookieGuard)."""
-    return dict(parse_cookie_string(js.get_cookie()))
+def _visible_cookies(js: JSContext) -> Mapping[str, str]:
+    """Read the jar the way scripts do (filtered under CookieGuard).
+
+    The mapping is read-only: every read of the same string shares it.
+    """
+    return cookie_mapping(js.get_cookie())
 
 
 def _param_key(cookie_name: str) -> str:
@@ -110,7 +113,7 @@ def _beacon_own(js: JSContext, service: ServiceSpec,
 _ID_SUFFIXES = ("_id", "_uid", "_vid", "_sid", "utk", "uuid")
 
 
-def _harvest_names(js: JSContext, jar: Dict[str, str],
+def _harvest_names(js: JSContext, jar: Mapping[str, str],
                    own_names: "set", service: ServiceSpec,
                    limit: int = 3) -> List[str]:
     """Identifier-shaped foreign cookie names (pattern harvesting)."""

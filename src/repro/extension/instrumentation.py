@@ -23,7 +23,7 @@ from ..browser.browser import Browser
 from ..browser.page import Page
 from ..browser.scripts import Script
 from ..cookies.cookie import parse_set_cookie
-from ..cookies.serialize import parse_cookie_string
+from ..cookies.serialize import cookie_names
 from ..records import (
     API_COOKIE_STORE,
     API_DOCUMENT_COOKIE,
@@ -92,7 +92,7 @@ class InstrumentationExtension(ExtensionBase):
                 value = prev()
                 script = page.stack.attribute()
                 url, domain, inclusion = _script_info(script)
-                names = tuple(name for name, _ in parse_cookie_string(value))
+                names = cookie_names(value)
                 self._emit(log, "cookie_reads", CookieReadEvent(
                     site=page.site_domain,
                     api=API_DOCUMENT_COOKIE,

@@ -85,9 +85,10 @@ class PublicSuffixList:
     cache_size:
         Bound of the per-instance memo tables.  Every cookie operation in
         the crawl funnels through ``public_suffix``/``registrable_domain``
-        over a small working set of hosts, so a bounded LRU in front of
-        the matching algorithm turns the hot path into a dict hit.  The
-        uncached algorithm stays available as
+        over a small working set of hosts, so a bounded LRU keyed by the
+        raw host, in front of normalization and the matching algorithm,
+        turns the hot path into one dict hit.  The uncached algorithm
+        stays available as
         ``public_suffix_uncached``/``registrable_domain_uncached`` (the
         reference implementations the property tests compare against).
     """
@@ -107,13 +108,14 @@ class PublicSuffixList:
                 self._wildcard.add(rule[2:])
             else:
                 self._exact.add(rule)
-        # Per-instance bounded memo over *normalized* hosts.  The rule
-        # sets are immutable after construction, so entries never go
-        # stale; lru_cache bounds memory on adversarial host streams.
+        # Per-instance bounded memo over *raw* hosts: the cached
+        # function normalizes, so a repeated host skips that too.  The
+        # rule sets are immutable after construction, so entries never
+        # go stale; lru_cache bounds memory on adversarial host streams.
         self._suffix_cached = lru_cache(maxsize=cache_size)(
-            self._public_suffix_normalized)
+            self.public_suffix_uncached)
         self._domain_cached = lru_cache(maxsize=cache_size)(
-            self._registrable_domain_normalized)
+            self.registrable_domain_uncached)
 
     # ------------------------------------------------------------------
     def _normalize(self, host: str) -> str:
@@ -150,9 +152,6 @@ class PublicSuffixList:
 
     def public_suffix(self, host: str) -> Optional[str]:
         """Return the public suffix of ``host`` or None for IPs/empty."""
-        host = self._normalize(host)
-        if not host:
-            return None
         return self._suffix_cached(host)
 
     def public_suffix_uncached(self, host: str) -> Optional[str]:
@@ -189,14 +188,10 @@ class PublicSuffixList:
     def registrable_domain(self, host: str) -> Optional[str]:
         """Return the eTLD+1 of ``host``.
 
-        Returns None for IP literals, empty hosts, and hosts that *are* a
-        bare public suffix (there is no +1 label to take).
-
-        (IP literals return themselves: each IP is its own "domain".)
+        Returns None for empty hosts and for hosts that *are* a bare
+        public suffix (there is no +1 label to take).  IP literals return
+        themselves, normalized: each IP is its own "domain".
         """
-        host = self._normalize(host)
-        if not host:
-            return None
         return self._domain_cached(host)
 
     def registrable_domain_uncached(self, host: str) -> Optional[str]:

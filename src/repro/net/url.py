@@ -125,14 +125,21 @@ class URL:
         return parse_qs(self.query)
 
     def __str__(self) -> str:
-        default = _DEFAULT_PORTS.get(self.scheme)
-        netloc = self.host if default == self.port else f"{self.host}:{self.port}"
-        out = f"{self.scheme}://{netloc}{self.path}"
-        if self.query:
-            out += f"?{self.query}"
-        if self.fragment:
-            out += f"#{self.fragment}"
-        return out
+        # Rendered once per instance and kept in the instance ``__dict__``
+        # under ``_text``, which is not a dataclass field: ``==``,
+        # ``hash`` and ``repr`` never see it.
+        text = self.__dict__.get("_text")
+        if text is None:
+            default = _DEFAULT_PORTS.get(self.scheme)
+            netloc = (self.host if default == self.port
+                      else f"{self.host}:{self.port}")
+            text = f"{self.scheme}://{netloc}{self.path}"
+            if self.query:
+                text += f"?{self.query}"
+            if self.fragment:
+                text += f"#{self.fragment}"
+            self.__dict__["_text"] = text
+        return text
 
 
 class URLParseError(ValueError):

@@ -289,3 +289,31 @@ class TestFormResolution:
         assert [e.site for e in events] == ["quiet.com", "hexy.com"]
         assert hashed == {"md5": [b"hexyvalue0917", b"second0917"],
                           "sha1": []}
+
+    def test_digests_stop_at_the_plain_hit(self, monkeypatch):
+        """A hex token that is a plain candidate at position k > 0 is
+        hashed against the candidates before k only, since no later
+        digest could win; a second such token extends the same table."""
+        hashed = []
+        real = hashlib.md5
+
+        def counting(data=b"", **kwargs):
+            hashed.append(data)
+            return real(data, **kwargs)
+
+        first, second = "1" * 32, "2" * 32
+        log = VisitLog(site="hexy.com", url="https://hexy.com/")
+        log.cookie_writes.append(write(
+            "uid", f"aaaa0917aaaa.bbbb0917bbbb.{first}.cccc0917cccc."
+                   f"{second}", "owner.com"))
+        log.requests.append(request(f"h={first}"))
+        log.requests.append(request(f"h={second}"))
+        expected = analysis_oracle.detect_exfiltration(log)
+        monkeypatch.setattr(hashlib, "md5", counting)
+        events = Study([log]).exfil_events
+        assert events == expected
+        assert [e.pair.name for e in events] == ["uid"]
+        # first is candidate 2, second is candidate 4: the first token
+        # hashes candidates 0 and 1, the second only 2 and 3.
+        assert hashed == [b"aaaa0917aaaa", b"bbbb0917bbbb",
+                          first.encode(), b"cccc0917cccc"]

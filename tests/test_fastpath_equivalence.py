@@ -11,7 +11,13 @@ inputs:
 * reads served from the jar's read memo == reads that re-scan, through
   seeded write/read sequences on a forward and a backward clock;
 * the memoized ``parse_cookie_string`` == the uncached split, across
-  the bound that empties its table;
+  the bound that empties its table, and the names and read-only
+  mapping served from the same table == the ones built from the split;
+* the visit hot path's per-input memos == what they replaced: the PSL
+  cache keyed by raw host, attribution off the live call stack, the
+  jar's ``document.cookie`` string memo, CookieGuard's per-site creator
+  map, the cached ``str(url)``, and the crawler's resolved service
+  specs;
 * the compact single-buffer shard serializer round-trips the golden
   fixture byte-for-byte against a line-at-a-time reference;
 * ``ShardKeyFactory`` keys == the original whole-payload hash;
@@ -31,11 +37,16 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.browser.page import Page
+from repro.browser.scripts import Script
 from repro.cookies import serialize
 from repro.cookies.cookie import (Cookie, domain_match, parse_cookie_pair,
                                   path_match)
 from repro.cookies.jar import CookieJar
+from repro.cookies.serialize import to_cookie_string
 from repro.crawler.distributed import ShardKeyFactory, ShardStore, WorkSpec
 from repro.crawler.storage import (ShardManifest, compute_digest,
                                    load_logs, save_logs, write_shard)
@@ -750,3 +761,275 @@ class TestAtomicManifestSave:
         (tmp_path / "manifest.json").write_text('{"torn', encoding="utf-8")
         self._manifest().save(tmp_path)
         assert ShardManifest.load(tmp_path).n_shards == 1
+
+
+# -- the visit hot path's per-input memos ------------------------------------
+
+_HOST_LABELS = ["a", "WWW", "Example", "co", "UK", "github", "io", "ck",
+                "www", "bd", "com", "net", "1", "255", "256", "x" * 30]
+
+
+@st.composite
+def _raw_hosts(draw):
+    """Hosts the way callers hand them over: any case, edge dots and
+    whitespace, IP literals, empty."""
+    kind = draw(st.sampled_from(["name", "name", "ipv4", "ipv6", "blank"]))
+    if kind == "ipv4":
+        host = ".".join(str(draw(st.integers(0, 300))) for _ in range(4))
+    elif kind == "ipv6":
+        host = draw(st.sampled_from(["[2001:db8::1]", "::1", "[::1]",
+                                     "fe80::1", "2001:DB8::A"]))
+    elif kind == "blank":
+        host = draw(st.sampled_from(["", " ", ".", "..", " . "]))
+    else:
+        host = ".".join(draw(st.lists(st.sampled_from(_HOST_LABELS),
+                                      min_size=1, max_size=4)))
+    host = draw(st.sampled_from(["", ".", ".."])) + host
+    host += draw(st.sampled_from(["", ".", ".."]))
+    return draw(st.sampled_from(["", " ", "\t"])) + host + \
+        draw(st.sampled_from(["", " ", "\n"]))
+
+
+class TestRawHostPSLCache:
+    """The PSL memo is keyed by the raw host; normalizing happens inside
+    the cached function, so every spelling must still agree with the
+    reference algorithm, cold and warm."""
+
+    PSL = PublicSuffixList(cache_size=32)  # shared: warm across examples
+
+    @settings(max_examples=400, deadline=None)
+    @given(_raw_hosts())
+    def test_raw_hosts_agree_with_reference(self, host):
+        psl = self.PSL
+        for _ in range(2):
+            assert psl.registrable_domain(host) == \
+                psl.registrable_domain_uncached(host)
+            assert psl.public_suffix(host) == psl.public_suffix_uncached(host)
+        assert psl._domain_cached.cache_info().currsize <= 32
+        assert psl._suffix_cached.cache_info().currsize <= 32
+
+
+class TestLiveStackAttribution:
+    """``CallStack`` and the network layer read the live frames; the
+    answers must be the ones a snapshot of the same stack gives."""
+
+    SCRIPTS = [Script.inline(label="inline"),
+               Script.external("https://site.com/main.js"),
+               Script.external("https://cdn.tracker.com/t.js"),
+               Script.inline(label="ext-owned"),
+               Script.external("https://ads.example.co.uk/a.js?v=2")]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 4),
+                              st.booleans()), max_size=30))
+    def test_live_walk_equals_snapshot(self, steps):
+        page = Page("https://site.com/")
+        stack = page.stack
+        open_frames = []
+        for push, index, async_boundary in steps:
+            if push or not open_frames:
+                frame = stack.executing(self.SCRIPTS[index],
+                                        async_boundary=async_boundary)
+                frame.__enter__()
+                open_frames.append(frame)
+            else:
+                open_frames.pop().__exit__(None, None, None)
+            snapshot = stack.snapshot()
+            for async_traces in (True, False):
+                assert stack.attribute(async_traces=async_traces) is \
+                    snapshot.attribute(async_traces=async_traces)
+            assert stack.attributed_urls() == snapshot.attributed_urls()
+            page.network.request(parse_url("https://x.com/p"))
+            request = page.network.requests[-1]
+            initiator = snapshot.attribute()
+            assert request.initiator_url == \
+                (initiator.url if initiator is not None else None)
+            assert request.initiator_stack == snapshot.attributed_urls()
+
+
+class _SetClock:
+    """A clock the test moves to any time, backwards included."""
+
+    def __init__(self) -> None:
+        self.time = 0.0
+
+    def now(self) -> float:
+        return self.time
+
+
+class TestDocumentCookieStringMemo:
+    """``document.cookie`` served from the jar's string memo == the
+    string joined from a re-scanning read, after every step of the
+    ``TestJarReadMemoEquivalence`` stream, with equal stores after."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 42, 2025])
+    def test_memoized_string_matches_rescan(self, seed):
+        from repro.browser.document_cookie import DocumentCookie
+        rng = random.Random(seed)
+        stream = TestJarReadMemoEquivalence()
+        memo, fresh = CookieJar(), CookieJar()
+        clock = _SetClock()
+        documents = {url: DocumentCookie(memo, url, clock)
+                     for url in stream.URLS}
+        joins = 0
+
+        def counting(url, now, _read=memo.script_visible):
+            nonlocal joins
+            joins += 1
+            return _read(url, now)
+
+        memo.script_visible = counting
+        gets = 0
+        for step, (kind, now, args) in enumerate(
+                stream._operations(rng, 3000)):
+            stream._apply(memo, kind, now, args, bypass=False)
+            stream._apply(fresh, kind, now, args, bypass=True)
+            urls = rng.sample(stream.URLS, 2)
+            for url in urls + urls:
+                clock.time = now
+                got = documents[url].get()
+                fresh._reads.clear()
+                assert got == to_cookie_string(
+                    fresh.script_visible(url, now)), (seed, step, str(url))
+                assert memo.all() == fresh.all(), (seed, step, str(url))
+                gets += 1
+        # The string memo really served repeats.
+        assert joins < gets * 0.6, (joins, gets)
+
+
+class TestCreatorStoreMap:
+    """The per-site creator map == the comprehension over (site, name)
+    keys it replaced, after every record and forget."""
+
+    SITES = ["a.com", "b.com", "c.org"]
+    NAMES = ["_ga", "uid", "sid", "x"]
+    CREATORS = ["a.com", "tracker.com", "cdn.net", "<inline>"]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_map_equals_comprehension(self, seed):
+        from repro.cookieguard.metadata import CreatorStore
+        rng = random.Random(seed)
+        store = CreatorStore()
+        reference = {}
+        for _ in range(600):
+            site, name = rng.choice(self.SITES), rng.choice(self.NAMES)
+            if rng.random() < 0.7:
+                creator = rng.choice(self.CREATORS)
+                store.record_creation(site, name, creator)
+                reference.setdefault((site, name), creator)
+            else:
+                store.forget(site, name)
+                reference.pop((site, name), None)
+            for each in self.SITES + ["never.com"]:
+                assert dict(store.known_cookies(each)) == \
+                    {n: c for (s, n), c in reference.items() if s == each}
+                for n in self.NAMES:
+                    assert store.creator_of(each, n) == \
+                        reference.get((each, n))
+            assert len(store) == len(reference)
+
+    def test_known_cookies_is_read_only(self):
+        from repro.cookieguard.metadata import CreatorStore
+        store = CreatorStore()
+        store.record_creation("a.com", "_ga", "tracker.com")
+        for site in ("a.com", "never.com"):
+            with pytest.raises(TypeError):
+                store.known_cookies(site)["_ga"] = "evil.com"
+        assert store.creator_of("a.com", "_ga") == "tracker.com"
+
+
+class TestURLTextCache:
+    RAWS = TestURLCacheEquivalence.RAWS + [
+        "http://example.com:8080/p?q=1#f", "https://a.b.example.com"]
+
+    def test_text_is_stable_and_invisible_to_value_semantics(self):
+        import dataclasses
+        import pickle
+        for raw in self.RAWS:
+            url = parse_url(raw)
+            fields = (url.scheme, url.host, url.port, url.path, url.query,
+                      url.fragment)
+            cold = URL(*fields)
+            first = str(url)
+            assert str(url) is first  # rendered once, then served
+            assert first == str(URL(*fields))
+            assert url == cold and hash(url) == hash(cold)
+            assert repr(url) == repr(cold)
+            assert "_text" not in {f.name for f in dataclasses.fields(URL)}
+            assert str(pickle.loads(pickle.dumps(url))) == first
+            assert url.with_query("z=1") != url
+            assert str(url.with_query("z=1")) != first
+
+
+class TestParseTableViews:
+    ALPHABET = "abXY09_-=;; \"%."
+
+    def test_names_and_mapping_agree_with_pairs(self):
+        rng = random.Random(7)
+        strings = ["", "a=1; a=2; b", " x = \"y\" ; =z; w"]
+        strings += ["".join(rng.choice(self.ALPHABET)
+                            for _ in range(rng.randint(0, 40)))
+                    for _ in range(2 * serialize._PARSE_CACHE_LIMIT)]
+        for cookie_string in strings + strings:
+            pairs = _uncached_parse_cookie_string(cookie_string)
+            assert serialize.cookie_names(cookie_string) == \
+                tuple(name for name, _value in pairs)
+            mapping = serialize.cookie_mapping(cookie_string)
+            assert dict(mapping) == dict(pairs)
+            assert list(mapping) == list(dict(pairs))
+            with pytest.raises(TypeError):
+                mapping["a"] = "mutated"
+
+    def test_behaviours_get_the_shared_read_only_mapping(self):
+        from repro.ecosystem.behaviors import _visible_cookies
+        page = Page("https://site.com/")
+        page.js.set_cookie("a=1")
+        jar = _visible_cookies(page.js)
+        assert jar is serialize.cookie_mapping(page.js.get_cookie())
+        with pytest.raises(TypeError):
+            jar["b"] = "2"
+
+
+class TestResolvedSpecMemo:
+    """The crawler's memoized spec == the ``with_overrides`` chain it
+    replaced, for direct, indirect and cloaked services, case-study
+    overrides included."""
+
+    @staticmethod
+    def _chain(services, site, key):
+        spec = services[key]
+        overrides = site.service_overrides.get(key)
+        if overrides:
+            spec = spec.with_overrides(**overrides)
+        assigned = site.indirect_assignments.get(key)
+        if assigned:
+            return spec.with_overrides(children=assigned,
+                                       child_count=(len(assigned),
+                                                    len(assigned)))
+        return spec.with_overrides(children=(), child_count=(0, 0))
+
+    def test_memo_equals_override_chain(self):
+        from repro.crawler.crawler import Crawler
+        from repro.ecosystem.population import (PopulationConfig,
+                                                generate_population)
+        population = generate_population(PopulationConfig(n_sites=320,
+                                                          seed=2025))
+        services = population.services
+        crawler = Crawler(population)
+        overridden = 0
+        for rank in list(range(1, 61)) + [240, 310]:
+            site = population.site(rank)
+            resolve = crawler._resolver_for(site)
+            keys = list(site.direct_services)
+            for children in site.indirect_assignments.values():
+                keys.extend(children)
+            for key in keys:
+                spec, _behavior = resolve(key)
+                assert spec == self._chain(services, site, key), (rank, key)
+                assert resolve(key)[0] is spec  # one spec per triple
+                overridden += bool(site.service_overrides.get(key))
+            for key in site.cloaked_services:
+                assert crawler._resolved_spec(key, (), ()) == \
+                    services[key].with_overrides(children=(),
+                                                 child_count=(0, 0))
+        assert overridden == 2  # both case-study sites were checked

@@ -168,6 +168,37 @@ class TestPage:
         with pytest.raises(RuntimeError):
             page.run_scripts()
 
+    def test_timer_inclusion_loop_is_a_script_storm(self):
+        """A script that re-includes itself from a timer is stopped by
+        the cumulative script bound, not by Python's recursion limit."""
+        page = Page("https://example.com/")
+
+        def again(js):
+            js.set_timeout(lambda j: j.include_script(behavior=again))
+
+        page.add_script(Script.inline(behavior=again))
+        with pytest.raises(RuntimeError, match="script storm"):
+            page.run_scripts()
+        assert len(page.scripts) == 10_001
+
+    def test_timer_rounds_keep_execution_order(self):
+        page = Page("https://site.com/")
+        ran = []
+
+        def step(name, later=()):
+            def behavior(js):
+                ran.append(name)
+                js.include_script(behavior=lambda _js: ran.append(name + "+"))
+                if later:
+                    js.set_timeout(lambda j: j.include_script(
+                        behavior=step(*later)), 0.1)
+            return behavior
+
+        page.add_script(Script.inline(behavior=step("a", ("c", ("e",)))))
+        page.add_script(Script.inline(behavior=step("b")))
+        assert page.run_scripts() == 8
+        assert ran == ["a", "b", "a+", "b+", "c", "c+", "e", "e+"]
+
 
 class TestBrowser:
     def test_visit_sends_document_request(self):
