@@ -41,9 +41,14 @@ Ways into a batch:
 The object API stays available as a thin view: :meth:`ShardBatch.log`
 rebuilds one ``VisitLog`` on demand and :meth:`ShardBatch.logs` a whole
 list, so callers that need records (the golden fixture, ``read_site``)
-are untouched.  :meth:`ShardBatch.row_dict` is ``log(i).to_dict()``
-built straight from the columns, with no event objects in between:
-what the serve site endpoint renders.
+are untouched.  The batch's slots, constructor and object view are
+derived from :data:`COLUMNS` and the record dataclasses.  Two hot paths
+spell the columns out by hand, since a generic loop ran them 1.5–2×
+slower: :meth:`ShardBatch.from_logs`, which every shard write runs, and
+:meth:`ShardBatch.row_dict`, ``log(i).to_dict()`` built straight from
+the columns with no event objects in between, which the serve site
+endpoint renders.  ``VisitLog.to_dict`` is ``row_dict`` of a one-log
+batch, so there is one JSON rendering of a visit.
 
 The per-site analysis kernels (:func:`build_ownership_batch`,
 :func:`detect_manipulations_batch`, :func:`detect_exfiltration_batch`)
@@ -60,15 +65,16 @@ import re
 import struct
 import sys
 from array import array
-from itertools import accumulate, chain
+from dataclasses import fields
+from itertools import accumulate, chain, repeat
 from operator import sub
 from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from ..encoding import b64, md5_hex, sha1_hex
-from ..records import (CookieReadEvent, CookieWriteEvent, DomMutationEvent,
-                       HeaderCookieEvent, RequestEvent, ScriptRecord,
-                       VisitLog)
+from ..records import (EVENT_FAMILIES, VISIT_SCALARS, CookieReadEvent,
+                       CookieWriteEvent, DomMutationEvent, HeaderCookieEvent,
+                       RequestEvent, ScriptRecord, VisitLog)
 from .attribution import (CookiePair, CrossDomainAction, SiteOwnership,
                           _attrs_from_raw)
 from .exfiltration import ExfilEvent, split_candidates_fast
@@ -130,6 +136,26 @@ COLUMNS: Tuple[Tuple[str, str, int], ...] = (
     ("s_depth", "q", 5), ("s_parent", "s", 5),
 )
 
+#: The visit's own columns as (column, kind), one per ``VISIT_SCALARS``
+#: field.
+_SCALAR_COLUMNS = tuple((name, kind) for name, kind, family in COLUMNS
+                        if family == -1)
+
+#: Per event family: its ``VisitLog`` list, record class, offset column,
+#: whether the record has a ``site`` field, and its (column, kind) pairs
+#: in field order.
+_FAMILIES = tuple(
+    (attr, record, OFFSETS[family], fields(record)[0].name == "site",
+     tuple((name, kind) for name, kind, f in COLUMNS if f == family))
+    for family, (attr, record) in enumerate(EVENT_FAMILIES))
+
+
+def _field_slices(batch: "ShardBatch", columns: Sequence[Tuple[str, str]],
+                  lo: int, hi: int) -> list:
+    """Rows ``lo:hi`` of each of ``columns``, ``b`` columns as bools."""
+    return [map(bool, getattr(batch, name)[lo:hi]) if kind == "b"
+            else getattr(batch, name)[lo:hi] for name, kind in columns]
+
 
 class ShardBatch:
     """A batch of visit logs as parallel columns.
@@ -137,101 +163,18 @@ class ShardBatch:
     Per-log columns are indexed by the batch-local position ``i``; each
     event family stores a flat column per field plus an offset array
     ``*_off`` of length ``len(batch) + 1`` so family ``f``'s events for
-    log ``i`` live at ``f_col[f_off[i]:f_off[i + 1]]``.
+    log ``i`` live at ``f_col[f_off[i]:f_off[i + 1]]``.  Every column is
+    named in :data:`COLUMNS`: ``s`` and ``t`` columns are lists, ``q``,
+    ``b`` and ``d`` columns are ``array`` s of that typecode.
     """
 
-    __slots__ = (
-        # per-log
-        "sites", "urls", "ranks", "n_scripts", "n_tp", "n_direct",
-        "n_indirect", "cookie_ops", "interacted",
-        # cookie writes
-        "w_off", "w_name", "w_value", "w_api", "w_kind", "w_script_url",
-        "w_script_domain", "w_inclusion", "w_raw", "w_prev", "w_attrs",
-        "w_ts",
-        # cookie reads
-        "r_off", "r_api", "r_script_url", "r_script_domain", "r_inclusion",
-        "r_names", "r_ts",
-        # header cookies
-        "h_off", "h_name", "h_value", "h_resp_url", "h_resp_domain",
-        "h_init_domain", "h_first", "h_ts",
-        # requests
-        "q_off", "q_url", "q_host", "q_domain", "q_method", "q_rtype",
-        "q_query", "q_body", "q_script_url", "q_script_domain", "q_stack",
-        "q_ts",
-        # dom mutations
-        "d_off", "d_kind", "d_tag", "d_actor", "d_owner", "d_cross", "d_ts",
-        # scripts
-        "s_off", "s_url", "s_domain", "s_inclusion", "s_depth", "s_parent",
-    )
+    __slots__ = OFFSETS + tuple(name for name, _kind, _family in COLUMNS)
 
     def __init__(self) -> None:
-        self.sites: List[str] = []
-        self.urls: List[str] = []
-        self.ranks = array("q")
-        self.n_scripts = array("q")
-        self.n_tp = array("q")
-        self.n_direct = array("q")
-        self.n_indirect = array("q")
-        self.cookie_ops = array("q")
-        self.interacted = array("b")
-
-        self.w_off = array("q", [0])
-        self.w_name: List[str] = []
-        self.w_value: List[str] = []
-        self.w_api: List[str] = []
-        self.w_kind: List[str] = []
-        self.w_script_url: List[Optional[str]] = []
-        self.w_script_domain: List[Optional[str]] = []
-        self.w_inclusion: List[str] = []
-        self.w_raw: List[str] = []
-        self.w_prev: List[Optional[str]] = []
-        self.w_attrs: List[Tuple[str, ...]] = []
-        self.w_ts = array("d")
-
-        self.r_off = array("q", [0])
-        self.r_api: List[str] = []
-        self.r_script_url: List[Optional[str]] = []
-        self.r_script_domain: List[Optional[str]] = []
-        self.r_inclusion: List[str] = []
-        self.r_names: List[Tuple[str, ...]] = []
-        self.r_ts = array("d")
-
-        self.h_off = array("q", [0])
-        self.h_name: List[str] = []
-        self.h_value: List[str] = []
-        self.h_resp_url: List[str] = []
-        self.h_resp_domain: List[str] = []
-        self.h_init_domain: List[Optional[str]] = []
-        self.h_first = array("b")
-        self.h_ts = array("d")
-
-        self.q_off = array("q", [0])
-        self.q_url: List[str] = []
-        self.q_host: List[str] = []
-        self.q_domain: List[str] = []
-        self.q_method: List[str] = []
-        self.q_rtype: List[str] = []
-        self.q_query: List[str] = []
-        self.q_body: List[str] = []
-        self.q_script_url: List[Optional[str]] = []
-        self.q_script_domain: List[Optional[str]] = []
-        self.q_stack: List[Tuple[str, ...]] = []
-        self.q_ts = array("d")
-
-        self.d_off = array("q", [0])
-        self.d_kind: List[str] = []
-        self.d_tag: List[str] = []
-        self.d_actor: List[Optional[str]] = []
-        self.d_owner: List[Optional[str]] = []
-        self.d_cross = array("b")
-        self.d_ts = array("d")
-
-        self.s_off = array("q", [0])
-        self.s_url: List[Optional[str]] = []
-        self.s_domain: List[Optional[str]] = []
-        self.s_inclusion: List[str] = []
-        self.s_depth = array("q")
-        self.s_parent: List[Optional[str]] = []
+        for name in OFFSETS:
+            setattr(self, name, array("q", [0]))
+        for name, kind, _family in COLUMNS:
+            setattr(self, name, [] if kind in "st" else array(kind))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -344,68 +287,34 @@ class ShardBatch:
     # Object view (thin; built on demand)
     # ------------------------------------------------------------------
     def log(self, i: int) -> VisitLog:
-        """Rebuild the :class:`VisitLog` for batch position ``i``."""
-        log = VisitLog(site=self.sites[i], url=self.urls[i],
-                       rank=self.ranks[i])
-        for j in range(self.w_off[i], self.w_off[i + 1]):
-            log.cookie_writes.append(CookieWriteEvent(
-                site=log.site, cookie_name=self.w_name[j],
-                cookie_value=self.w_value[j], api=self.w_api[j],
-                kind=self.w_kind[j], script_url=self.w_script_url[j],
-                script_domain=self.w_script_domain[j],
-                inclusion=self.w_inclusion[j], raw=self.w_raw[j],
-                prev_value=self.w_prev[j], attrs_changed=self.w_attrs[j],
-                timestamp=self.w_ts[j]))
-        for j in range(self.r_off[i], self.r_off[i + 1]):
-            log.cookie_reads.append(CookieReadEvent(
-                site=log.site, api=self.r_api[j],
-                script_url=self.r_script_url[j],
-                script_domain=self.r_script_domain[j],
-                inclusion=self.r_inclusion[j],
-                cookie_names=self.r_names[j], timestamp=self.r_ts[j]))
-        for j in range(self.h_off[i], self.h_off[i + 1]):
-            log.header_cookies.append(HeaderCookieEvent(
-                site=log.site, cookie_name=self.h_name[j],
-                cookie_value=self.h_value[j],
-                response_url=self.h_resp_url[j],
-                response_domain=self.h_resp_domain[j],
-                initiator_domain=self.h_init_domain[j],
-                first_party=bool(self.h_first[j]), timestamp=self.h_ts[j]))
-        for j in range(self.q_off[i], self.q_off[i + 1]):
-            log.requests.append(RequestEvent(
-                site=log.site, url=self.q_url[j], host=self.q_host[j],
-                domain=self.q_domain[j], method=self.q_method[j],
-                resource_type=self.q_rtype[j], query=self.q_query[j],
-                body=self.q_body[j], script_url=self.q_script_url[j],
-                script_domain=self.q_script_domain[j],
-                stack=self.q_stack[j], timestamp=self.q_ts[j]))
-        for j in range(self.d_off[i], self.d_off[i + 1]):
-            log.dom_mutations.append(DomMutationEvent(
-                site=log.site, kind=self.d_kind[j],
-                target_tag=self.d_tag[j], actor_domain=self.d_actor[j],
-                owner_domain=self.d_owner[j],
-                cross_script=bool(self.d_cross[j]), timestamp=self.d_ts[j]))
-        for j in range(self.s_off[i], self.s_off[i + 1]):
-            log.scripts.append(ScriptRecord(
-                url=self.s_url[j], domain=self.s_domain[j],
-                inclusion=self.s_inclusion[j], depth=self.s_depth[j],
-                parent_domain=self.s_parent[j]))
-        log.n_scripts = self.n_scripts[i]
-        log.n_third_party_scripts = self.n_tp[i]
-        log.n_direct_third_party = self.n_direct[i]
-        log.n_indirect_third_party = self.n_indirect[i]
-        log.cookie_op_count = self.cookie_ops[i]
-        log.interacted = bool(self.interacted[i])
+        """Rebuild the :class:`VisitLog` for batch position ``i``.
+
+        Each record is built positionally from its family's column
+        slices (column k is field k, after ``site``); ``b`` columns
+        become ``bool``.
+        """
+        (scalars,) = zip(*_field_slices(self, _SCALAR_COLUMNS, i, i + 1))
+        log = VisitLog(**dict(zip(VISIT_SCALARS, scalars)))
+        for attr, record, off_name, has_site, columns in _FAMILIES:
+            off = getattr(self, off_name)
+            lo, hi = off[i], off[i + 1]
+            if lo < hi:
+                slices = _field_slices(self, columns, lo, hi)
+                if has_site:
+                    slices.insert(0, repeat(log.site))
+                getattr(log, attr).extend(map(record, *slices))
         return log
 
     def logs(self) -> List[VisitLog]:
         return [self.log(i) for i in range(len(self))]
 
     def row_dict(self, i: int) -> Dict:
-        """``self.log(i).to_dict()``, built from the columns directly.
+        """Visit ``i`` as ``VisitLog.to_dict`` renders it, built from the
+        columns directly.
 
-        Same keys, values and types (bools for the 0/1 columns, lists
-        for the tuple columns), without the event objects in between.
+        The visit's fields, then each event's fields in field order and
+        its ``event`` tag; bools for the 0/1 columns, lists for the
+        tuple columns.  No event objects are built in between.
         """
         site = self.sites[i]
 

@@ -18,6 +18,7 @@ Conventions (locked in by ``tests/test_cliutil.py``):
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 __all__ = ["pop_choice_flag", "pop_flag", "pop_float_flag", "pop_int_flag",
@@ -78,8 +79,10 @@ def pop_float_flag(args: List[str], name: str,
                    exclusive_minimum: bool = False) -> Optional[float]:
     """Extract ``--name VALUE`` as a float (exit 2 on a bad value).
 
-    ``minimum`` validates the lower bound; with ``exclusive_minimum``
-    the bound itself is rejected too (e.g. a timeout must be > 0).
+    ``nan`` and ``inf`` are bad values: a bound compared with NaN is
+    never crossed.  ``minimum`` validates the lower bound; with
+    ``exclusive_minimum`` the bound itself is rejected too (e.g. a
+    timeout must be > 0).
     """
     raw = pop_flag(args, name)
     if raw is None:
@@ -88,6 +91,9 @@ def pop_float_flag(args: List[str], name: str,
         value = float(raw)
     except ValueError:
         print(f"{name} expects a number, got {raw!r}")
+        raise SystemExit(2)
+    if not math.isfinite(value):
+        print(f"{name} expects a finite number, got {raw!r}")
         raise SystemExit(2)
     if minimum is not None:
         if value < minimum or (exclusive_minimum and value == minimum):

@@ -41,7 +41,6 @@ class BlocklistExtension(ExtensionBase):
         self.blocked_scripts = 0
         self.allowed_scripts = 0
         self.blocked_urls: List[str] = []
-        super().__init__()
 
     def content_script(self, page: Page, browser: Browser) -> None:
         """Suppress execution of scripts whose URL the lists match.

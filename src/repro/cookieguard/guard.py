@@ -5,8 +5,8 @@ Three components, mirroring the paper's architecture:
 * ``background.js`` → the :class:`~repro.cookieguard.metadata.CreatorStore`
   plus ``webRequest.onHeadersReceived`` monitoring of first-party
   ``Set-Cookie`` headers;
-* ``contentScript.js`` → the message relay (modeled by the extension bus;
-  every read/write pays a bus round-trip, which feeds the overhead model);
+* ``contentScript.js`` → the relay between page and background, here a
+  direct call into the store;
 * ``cookieGuard.js`` → the in-page wrappers around ``document.cookie`` and
   ``cookieStore`` that enforce the per-script-domain policy.
 
@@ -52,23 +52,6 @@ class CookieGuardExtension(ExtensionBase):
         self.blocked_writes = 0
         self.filtered_cookie_reads = 0
         self._resolvers: Dict[int, object] = {}
-        super().__init__()
-
-    # -- background.js -----------------------------------------------------
-    def background_setup(self) -> None:
-        self.bus.register("record_set", self._bg_record_set)
-        self.bus.register("get_dataset", self._bg_get_dataset)
-        self.bus.register("forget", self._bg_forget)
-
-    def _bg_record_set(self, payload: dict) -> None:
-        self.store.record_creation(payload["site"], payload["name"],
-                                   payload["creator"])
-
-    def _bg_get_dataset(self, payload: dict) -> Dict[str, str]:
-        return self.store.known_cookies(payload["site"])
-
-    def _bg_forget(self, payload: dict) -> None:
-        self.store.forget(payload["site"], payload["name"])
 
     # -- webRequest: learn creators of server-set cookies ---------------------
     def on_headers_received(self, page: Page, response: Response,
@@ -85,9 +68,8 @@ class CookieGuardExtension(ExtensionBase):
             # Only first-party cookies live in the jar CookieGuard guards.
             if response_domain != page.site_domain:
                 continue
-            self.bus.send("record_set", {"site": page.site_domain,
-                                         "name": cookie.name,
-                                         "creator": response_domain})
+            self.store.record_creation(page.site_domain, cookie.name,
+                                       response_domain)
 
     # -- cookieGuard.js: the in-page wrappers -----------------------------------
     def content_script(self, page: Page, browser: Browser) -> None:
@@ -112,7 +94,7 @@ class CookieGuardExtension(ExtensionBase):
         return script.attributed_domain()
 
     def _dataset(self, page: Page) -> Dict[str, str]:
-        return self.bus.send("get_dataset", {"site": page.site_domain})
+        return self.store.known_cookies(page.site_domain)
 
     # .. document.cookie ........................................................
     def _wrap_document_cookie(self, page: Page) -> None:
@@ -169,10 +151,9 @@ class CookieGuardExtension(ExtensionBase):
         site = page.site_domain
         if change.kind in ("set", "overwrite"):
             creator = actor if actor is not None else site
-            self.bus.send("record_set", {"site": site, "name": name,
-                                         "creator": creator})
+            self.store.record_creation(site, name, creator)
         elif change.kind == "delete":
-            self.bus.send("forget", {"site": site, "name": name})
+            self.store.forget(site, name)
 
     # .. cookieStore .............................................................
     def _wrap_cookie_store(self, page: Page) -> None:
@@ -233,7 +214,7 @@ class CookieGuardExtension(ExtensionBase):
                     return None
                 change = prev(name, options)
                 if change is not None:
-                    self.bus.send("forget", {"site": site, "name": name})
+                    self.store.forget(site, name)
                 return change
             return wrapped
 

@@ -22,7 +22,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+                    Tuple)
 
 import numpy as np
 
@@ -42,8 +42,7 @@ from ..net.http import Request, Response, ResourceType
 from ..records import DomMutationEvent, ScriptRecord, VisitLog
 from .engine import VisitEngine, WaitPoint, drive
 
-__all__ = ["CrawlConfig", "Crawler", "config_fingerprint",
-           "crawl_population"]
+__all__ = ["CrawlConfig", "Crawler", "config_fingerprint"]
 
 #: Bound on one crawler's resolved-spec memo.  A 240-site crawl resolves
 #: a few hundred distinct specs; the cap guards a long crawl.
@@ -456,10 +455,3 @@ def render_site_html(site: SiteSpec, services: Dict[str, ServiceSpec]) -> str:
     links = [f"/page{i}" for i in range(min(site.n_links, 10))]
     return render_page_html(title=site.domain, script_srcs=srcs,
                             inline_bodies=inline_bodies, links=links)
-
-
-def crawl_population(population: Population,
-                     config: Optional[CrawlConfig] = None,
-                     sites: Optional[Sequence[SiteSpec]] = None) -> List[VisitLog]:
-    """One-call convenience: crawl a population and return retained logs."""
-    return Crawler(population, config).crawl(sites)

@@ -840,7 +840,8 @@ class SubprocessBackend(WorkerBackend):
                  task_timeout: Optional[float] = None):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if task_timeout is not None and task_timeout <= 0:
+        # Spelled so NaN, which no deadline ever reaches, fails too.
+        if task_timeout is not None and not task_timeout > 0:
             raise ValueError(
                 f"task_timeout must be > 0 seconds, got {task_timeout}")
         self.jobs = jobs

@@ -103,7 +103,7 @@ class RetryPolicy:
     def __post_init__(self):
         if self.attempts < 1:
             raise ValueError(f"attempts must be >= 1, got {self.attempts}")
-        if self.backoff < 0:
+        if not self.backoff >= 0:     # ``< 0`` would let NaN through
             raise ValueError(f"backoff must be >= 0, got {self.backoff}")
 
     def delay(self, retry_index: int) -> float:

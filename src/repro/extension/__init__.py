@@ -1,6 +1,6 @@
 """Extension platform and the measurement extension."""
 
-from .api import ExtensionBase, MessageBus
+from .api import ExtensionBase
 from .instrumentation import InstrumentationExtension
 
-__all__ = ["ExtensionBase", "MessageBus", "InstrumentationExtension"]
+__all__ = ["ExtensionBase", "InstrumentationExtension"]

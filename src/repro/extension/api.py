@@ -5,73 +5,34 @@ CookieGuard (§6.2) — are ordinary Chrome extensions built from:
 
 * a **content script** injected at ``document_start`` that wraps
   ``document.cookie`` / ``cookieStore`` in the page world;
-* a **background service worker** holding persistent state, reached via
-  message passing;
+* a **background service worker** holding persistent state;
 * ``webRequest.onHeadersReceived`` for server ``Set-Cookie`` headers;
 * the **debugger protocol**'s ``Network.requestWillBeSent`` for initiator
   stack traces.
 
-This module reproduces those surfaces over the simulator so the extensions
-here are structured like the originals (content script ↔ background
-message round-trips included, since they are where CookieGuard's runtime
-overhead comes from).
+This module reproduces the page and network surfaces over the
+simulator.  The content script calls its background state directly: no
+message passing is modeled, and the Table 4 overhead model
+(:mod:`repro.browser.timing`) charges per cookie operation instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
-
 from ..browser.browser import Browser
 from ..browser.page import Page
-from ..net.http import Request, Response
 
-__all__ = ["MessageBus", "ExtensionBase"]
-
-
-@dataclass
-class MessageBus:
-    """Synchronous ``chrome.runtime`` message passing.
-
-    Real extensions pay a round-trip between the page world and the
-    background service worker; the bus counts messages so the performance
-    model can charge for them.
-    """
-
-    handlers: Dict[str, Callable[[dict], Any]] = field(default_factory=dict)
-    message_count: int = 0
-
-    def register(self, message_type: str, handler: Callable[[dict], Any]) -> None:
-        self.handlers[message_type] = handler
-
-    def send(self, message_type: str, payload: Optional[dict] = None) -> Any:
-        """postMessage from the content script to the background."""
-        self.message_count += 1
-        handler = self.handlers.get(message_type)
-        if handler is None:
-            raise KeyError(f"no background handler for {message_type!r}")
-        return handler(payload or {})
+__all__ = ["ExtensionBase"]
 
 
 class ExtensionBase:
     """Common plumbing for simulated extensions.
 
-    Subclasses implement :meth:`content_script` (per page) and register
-    background message handlers in :meth:`background_setup` (once).
+    Subclasses implement :meth:`content_script` (per page).
     """
 
     name = "extension"
 
-    def __init__(self) -> None:
-        self.bus = MessageBus()
-        #: ``chrome.storage.local`` equivalent.
-        self.storage: Dict[str, Any] = {}
-        self.background_setup()
-
     # -- to be overridden ---------------------------------------------------
-    def background_setup(self) -> None:
-        """Register background message handlers (service worker boot)."""
-
     def content_script(self, page: Page, browser: Browser) -> None:
         """Injected at document_start into every page."""
         raise NotImplementedError

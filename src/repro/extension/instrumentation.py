@@ -55,23 +55,7 @@ class InstrumentationExtension(ExtensionBase):
     name = "instrumentation"
 
     def __init__(self) -> None:
-        super().__init__()
         self._logs: Dict[int, VisitLog] = {}
-
-    # -- background -------------------------------------------------------
-    def background_setup(self) -> None:
-        # The background service stores events relayed from content
-        # scripts; the bus round-trip is counted for the overhead model.
-        self.bus.register("log_event", self._background_store)
-
-    def _background_store(self, payload: dict) -> None:
-        log: VisitLog = payload["log"]
-        record = payload["record"]
-        kind = payload["kind"]
-        getattr(log, kind).append(record)
-
-    def _emit(self, log: VisitLog, kind: str, record) -> None:
-        self.bus.send("log_event", {"log": log, "kind": kind, "record": record})
 
     # -- public access -------------------------------------------------------
     def log_for(self, page: Page) -> VisitLog:
@@ -93,7 +77,7 @@ class InstrumentationExtension(ExtensionBase):
                 script = page.stack.attribute()
                 url, domain, inclusion = _script_info(script)
                 names = cookie_names(value)
-                self._emit(log, "cookie_reads", CookieReadEvent(
+                log.cookie_reads.append(CookieReadEvent(
                     site=page.site_domain,
                     api=API_DOCUMENT_COOKIE,
                     script_url=url,
@@ -114,7 +98,7 @@ class InstrumentationExtension(ExtensionBase):
                     page, raw, change, api=API_DOCUMENT_COOKIE,
                     script_url=url, script_domain=domain, inclusion=inclusion)
                 if record is not None:
-                    self._emit(log, "cookie_writes", record)
+                    log.cookie_writes.append(record)
                 return change
             return wrapped
 
@@ -189,7 +173,7 @@ class InstrumentationExtension(ExtensionBase):
         def read_event(names: Tuple[str, ...]) -> None:
             script = page.stack.attribute()
             url, domain, inclusion = _script_info(script)
-            self._emit(log, "cookie_reads", CookieReadEvent(
+            log.cookie_reads.append(CookieReadEvent(
                 site=page.site_domain,
                 api=API_COOKIE_STORE,
                 script_url=url,
@@ -224,7 +208,7 @@ class InstrumentationExtension(ExtensionBase):
                     attrs = self._attrs_changed(change)
                 else:
                     kind, cname, cvalue, prev_value, attrs = "blocked", name, value, None, ()
-                self._emit(log, "cookie_writes", CookieWriteEvent(
+                log.cookie_writes.append(CookieWriteEvent(
                     site=page.site_domain, cookie_name=cname, cookie_value=cvalue,
                     api=API_COOKIE_STORE, kind=kind, script_url=url,
                     script_domain=domain, inclusion=inclusion,
@@ -241,7 +225,7 @@ class InstrumentationExtension(ExtensionBase):
                 change = prev(name, options)
                 kind = change.kind if change is not None else "blocked"
                 value = change.previous.value if change is not None and change.previous else ""
-                self._emit(log, "cookie_writes", CookieWriteEvent(
+                log.cookie_writes.append(CookieWriteEvent(
                     site=page.site_domain, cookie_name=name, cookie_value=value,
                     api=API_COOKIE_STORE, kind=kind, script_url=url,
                     script_domain=domain, inclusion=inclusion,
@@ -272,7 +256,7 @@ class InstrumentationExtension(ExtensionBase):
                                       secure_context=response.url.is_secure)
             if cookie is None or cookie.http_only:
                 continue  # the paper logs non-HttpOnly cookies only
-            self._emit(log, "header_cookies", HeaderCookieEvent(
+            log.header_cookies.append(HeaderCookieEvent(
                 site=page.site_domain,
                 cookie_name=cookie.name,
                 cookie_value=cookie.value,
@@ -291,7 +275,7 @@ class InstrumentationExtension(ExtensionBase):
         script = page.stack.attribute()
         url, domain, _inclusion = _script_info(script)
         log_domain = DEFAULT_PSL.registrable_domain(request.url.host) or request.url.host
-        self._emit(log, "requests", RequestEvent(
+        log.requests.append(RequestEvent(
             site=page.site_domain,
             url=str(request.url),
             host=request.url.host,

@@ -6,26 +6,26 @@ so the extension layer can use the schemas without importing the crawler
 package; :mod:`repro.crawler` re-exports the record classes for
 convenience.
 
-Each record is a frozen, ``slots=True`` dataclass with ``to_dict``/
-``from_dict`` for JSON renderings (the golden fixture, the serve site
-endpoint); shards store the same fields as columns
-(:mod:`repro.analysis.columnar`).  Field names follow the paper's
-terminology: *site* is the visited eTLD+1, *script_domain* is the acting
-script's eTLD+1 (None for inline scripts), *api* is ``document.cookie`` or
-``cookieStore``.
+The visit-record schema is these dataclasses plus
+:data:`repro.analysis.columnar.COLUMNS`: column k of event family f
+there holds field k of record f here, after ``site`` (an event's site is
+its visit's, and is not stored).  :data:`EVENT_FAMILIES` pairs each
+``VisitLog`` event list with its record class and :data:`VISIT_SCALARS`
+names the visit's own fields.  The batch's slots, constructor and object
+view and :meth:`VisitLog.from_dict` are derived from these tables; only
+the two hot paths, ``ShardBatch.from_logs`` and ``ShardBatch.row_dict``
+(which :meth:`VisitLog.to_dict` renders through), spell the columns out
+by hand.  Field names follow the paper's terminology: *site* is the
+visited eTLD+1, *script_domain* is the acting script's eTLD+1 (None for
+inline scripts), *api* is ``document.cookie`` or ``cookieStore``.
 
-A crawl materializes millions of these, so the hot-path choices are
-deliberate: ``__slots__`` drops the per-instance ``__dict__`` (smaller,
-faster attribute access) and every ``to_dict`` builds its dict literally —
-``dataclasses.asdict`` recurses through ``copy.deepcopy`` machinery and
-dominated the serialization profile.  Key order is the field order with
-``event`` appended last, exactly matching the historical ``asdict`` output,
-so serialized bytes are unchanged.
+A crawl materializes millions of records, so each is a ``slots=True``
+dataclass: no per-instance ``__dict__``, smaller and faster to read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
@@ -36,7 +36,9 @@ __all__ = [
     "HeaderCookieEvent",
     "RequestEvent",
     "DomMutationEvent",
+    "EVENT_FAMILIES",
     "ScriptRecord",
+    "VISIT_SCALARS",
     "VisitLog",
 ]
 
@@ -61,23 +63,6 @@ class CookieWriteEvent:
     attrs_changed: Tuple[str, ...] = ()
     timestamp: float = 0.0
 
-    def to_dict(self) -> Dict:
-        return {
-            "site": self.site,
-            "cookie_name": self.cookie_name,
-            "cookie_value": self.cookie_value,
-            "api": self.api,
-            "kind": self.kind,
-            "script_url": self.script_url,
-            "script_domain": self.script_domain,
-            "inclusion": self.inclusion,
-            "raw": self.raw,
-            "prev_value": self.prev_value,
-            "attrs_changed": list(self.attrs_changed),
-            "timestamp": self.timestamp,
-            "event": "cookie_write",
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class CookieReadEvent:
@@ -90,18 +75,6 @@ class CookieReadEvent:
     inclusion: str
     cookie_names: Tuple[str, ...] = ()
     timestamp: float = 0.0
-
-    def to_dict(self) -> Dict:
-        return {
-            "site": self.site,
-            "api": self.api,
-            "script_url": self.script_url,
-            "script_domain": self.script_domain,
-            "inclusion": self.inclusion,
-            "cookie_names": list(self.cookie_names),
-            "timestamp": self.timestamp,
-            "event": "cookie_read",
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,19 +89,6 @@ class HeaderCookieEvent:
     initiator_domain: Optional[str]
     first_party: bool
     timestamp: float = 0.0
-
-    def to_dict(self) -> Dict:
-        return {
-            "site": self.site,
-            "cookie_name": self.cookie_name,
-            "cookie_value": self.cookie_value,
-            "response_url": self.response_url,
-            "response_domain": self.response_domain,
-            "initiator_domain": self.initiator_domain,
-            "first_party": self.first_party,
-            "timestamp": self.timestamp,
-            "event": "header_cookie",
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,23 +108,6 @@ class RequestEvent:
     stack: Tuple[str, ...] = ()
     timestamp: float = 0.0
 
-    def to_dict(self) -> Dict:
-        return {
-            "site": self.site,
-            "url": self.url,
-            "host": self.host,
-            "domain": self.domain,
-            "method": self.method,
-            "resource_type": self.resource_type,
-            "query": self.query,
-            "body": self.body,
-            "script_url": self.script_url,
-            "script_domain": self.script_domain,
-            "stack": list(self.stack),
-            "timestamp": self.timestamp,
-            "event": "request",
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class DomMutationEvent:
@@ -178,18 +121,6 @@ class DomMutationEvent:
     cross_script: bool
     timestamp: float = 0.0
 
-    def to_dict(self) -> Dict:
-        return {
-            "site": self.site,
-            "kind": self.kind,
-            "target_tag": self.target_tag,
-            "actor_domain": self.actor_domain,
-            "owner_domain": self.owner_domain,
-            "cross_script": self.cross_script,
-            "timestamp": self.timestamp,
-            "event": "dom_mutation",
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class ScriptRecord:
@@ -200,16 +131,6 @@ class ScriptRecord:
     inclusion: str                # "direct" | "indirect" | "inline"
     depth: int = 0                # inclusion-chain depth (0 = direct)
     parent_domain: Optional[str] = None
-
-    def to_dict(self) -> Dict:
-        return {
-            "url": self.url,
-            "domain": self.domain,
-            "inclusion": self.inclusion,
-            "depth": self.depth,
-            "parent_domain": self.parent_domain,
-            "event": "script",
-        }
 
 
 @dataclass(slots=True)
@@ -240,54 +161,39 @@ class VisitLog:
         return has_cookie_data and bool(self.requests)
 
     def to_dict(self) -> Dict:
-        return {
-            "site": self.site,
-            "url": self.url,
-            "rank": self.rank,
-            "cookie_writes": [e.to_dict() for e in self.cookie_writes],
-            "cookie_reads": [e.to_dict() for e in self.cookie_reads],
-            "header_cookies": [e.to_dict() for e in self.header_cookies],
-            "requests": [e.to_dict() for e in self.requests],
-            "dom_mutations": [e.to_dict() for e in self.dom_mutations],
-            "scripts": [e.to_dict() for e in self.scripts],
-            "n_scripts": self.n_scripts,
-            "n_third_party_scripts": self.n_third_party_scripts,
-            "n_direct_third_party": self.n_direct_third_party,
-            "n_indirect_third_party": self.n_indirect_third_party,
-            "cookie_op_count": self.cookie_op_count,
-            "interacted": self.interacted,
-        }
+        """The JSON rendering: :meth:`ShardBatch.row_dict` of this log.
+
+        The visit's fields in field order, each event's fields in field
+        order and then its ``event`` tag; tuples become lists.
+        """
+        from .analysis.columnar import ShardBatch
+        return ShardBatch.from_logs([self]).row_dict(0)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "VisitLog":
-        def strip(d: Dict) -> Dict:
-            d = dict(d)
-            d.pop("event", None)
-            return d
-
-        log = cls(site=data["site"], url=data["url"], rank=data.get("rank", 0))
-        for raw in data.get("cookie_writes", []):
-            raw = strip(raw)
-            raw["attrs_changed"] = tuple(raw.get("attrs_changed", ()))
-            log.cookie_writes.append(CookieWriteEvent(**raw))
-        for raw in data.get("cookie_reads", []):
-            raw = strip(raw)
-            raw["cookie_names"] = tuple(raw.get("cookie_names", ()))
-            log.cookie_reads.append(CookieReadEvent(**raw))
-        for raw in data.get("header_cookies", []):
-            log.header_cookies.append(HeaderCookieEvent(**strip(raw)))
-        for raw in data.get("requests", []):
-            raw = strip(raw)
-            raw["stack"] = tuple(raw.get("stack", ()))
-            log.requests.append(RequestEvent(**raw))
-        for raw in data.get("dom_mutations", []):
-            log.dom_mutations.append(DomMutationEvent(**strip(raw)))
-        for raw in data.get("scripts", []):
-            log.scripts.append(ScriptRecord(**strip(raw)))
-        log.n_scripts = data.get("n_scripts", 0)
-        log.n_third_party_scripts = data.get("n_third_party_scripts", 0)
-        log.n_direct_third_party = data.get("n_direct_third_party", 0)
-        log.n_indirect_third_party = data.get("n_indirect_third_party", 0)
-        log.cookie_op_count = data.get("cookie_op_count", 0)
-        log.interacted = data.get("interacted", False)
+        """The log :meth:`to_dict` rendered: each event's ``event`` tag
+        is dropped and its lists become tuples again."""
+        log = cls(**{name: data[name] for name in VISIT_SCALARS
+                     if name in data})
+        for attr, record in EVENT_FAMILIES:
+            getattr(log, attr).extend(record(**{
+                key: tuple(value) if isinstance(value, list) else value
+                for key, value in raw.items() if key != "event"})
+                for raw in data.get(attr, ()))
         return log
+
+
+#: Each event family as (``VisitLog`` list attribute, record class), in
+#: the order of :data:`repro.analysis.columnar.OFFSETS`.
+EVENT_FAMILIES: Tuple[Tuple[str, type], ...] = (
+    ("cookie_writes", CookieWriteEvent),
+    ("cookie_reads", CookieReadEvent),
+    ("header_cookies", HeaderCookieEvent),
+    ("requests", RequestEvent),
+    ("dom_mutations", DomMutationEvent),
+    ("scripts", ScriptRecord),
+)
+
+#: The ``VisitLog`` fields that are not event lists, in field order.
+VISIT_SCALARS: Tuple[str, ...] = tuple(
+    f.name for f in fields(VisitLog) if f.name not in dict(EVENT_FAMILIES))

@@ -106,3 +106,19 @@ def test_task_timeout_needs_the_subprocess_backend(tmp_path, capsys, flags):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and "--backend subprocess" in lines[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--backend", "subprocess", "--task-timeout", "nan"],
+    ["--store-backoff", "nan"]], ids=["task-timeout", "store-backoff"])
+def test_nan_float_flag_exits_2_before_creating_out(tmp_path, capsys,
+                                                    flags):
+    """A NaN deadline would never fire and a NaN backoff would crash the
+    first store retry; both are refused on one line."""
+    out = tmp_path / "crawl"
+    with pytest.raises(SystemExit) as exc:
+        main(["crawl", N_SITES, str(out), *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == \
+        f"{flags[-2]} expects a finite number, got 'nan'\n"
+    assert not out.exists()

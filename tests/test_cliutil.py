@@ -238,6 +238,21 @@ class TestPopFloatFlag:
                            minimum=0, exclusive_minimum=True)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "-nan", "inf", "-inf",
+                                     "infinity"])
+    def test_non_finite_exits_2(self, raw, capsys):
+        # NaN fails every comparison, so no bound can refuse it: a NaN
+        # --task-timeout would arm a deadline that never fires, and a
+        # NaN --store-backoff would crash the first retry's sleep.
+        for name, kwargs in (("--task-timeout", {"minimum": 0,
+                                                 "exclusive_minimum": True}),
+                             ("--store-backoff", {"minimum": 0})):
+            with pytest.raises(SystemExit) as exc:
+                pop_float_flag([name, raw], name, **kwargs)
+            assert exc.value.code == 2
+            out = capsys.readouterr().out
+            assert out == f"{name} expects a finite number, got {raw!r}\n"
+
     def test_repeated_last_wins(self):
         args = ["--task-timeout", "5", "--task-timeout", "30"]
         assert pop_float_flag(args, "--task-timeout") == 30.0

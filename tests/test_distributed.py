@@ -1041,7 +1041,7 @@ class TestDurabilityFsync:
 
 class TestTaskDeadline:
     def test_subprocess_backend_rejects_nonpositive_timeout(self):
-        for bad in (0, -1.5):
+        for bad in (0, -1.5, float("nan")):
             with pytest.raises(ValueError):
                 SubprocessBackend(task_timeout=bad)
 

@@ -826,25 +826,32 @@ class TestLiveStackAttribution:
         page = Page("https://site.com/")
         stack = page.stack
         open_frames = []
-        for push, index, async_boundary in steps:
-            if push or not open_frames:
-                frame = stack.executing(self.SCRIPTS[index],
-                                        async_boundary=async_boundary)
-                frame.__enter__()
-                open_frames.append(frame)
-            else:
+        try:
+            for push, index, async_boundary in steps:
+                if push or not open_frames:
+                    frame = stack.executing(self.SCRIPTS[index],
+                                            async_boundary=async_boundary)
+                    frame.__enter__()
+                    open_frames.append(frame)
+                else:
+                    open_frames.pop().__exit__(None, None, None)
+                snapshot = stack.snapshot()
+                for async_traces in (True, False):
+                    assert stack.attribute(async_traces=async_traces) is \
+                        snapshot.attribute(async_traces=async_traces)
+                assert stack.attributed_urls() == snapshot.attributed_urls()
+                page.network.request(parse_url("https://x.com/p"))
+                request = page.network.requests[-1]
+                initiator = snapshot.attribute()
+                assert request.initiator_url == \
+                    (initiator.url if initiator is not None else None)
+                assert request.initiator_stack == snapshot.attributed_urls()
+        finally:
+            # Innermost first, as the frames were entered: left to the
+            # garbage collector they unwind in any order and the stack
+            # raises "call stack corrupted" from a finalizer.
+            while open_frames:
                 open_frames.pop().__exit__(None, None, None)
-            snapshot = stack.snapshot()
-            for async_traces in (True, False):
-                assert stack.attribute(async_traces=async_traces) is \
-                    snapshot.attribute(async_traces=async_traces)
-            assert stack.attributed_urls() == snapshot.attributed_urls()
-            page.network.request(parse_url("https://x.com/p"))
-            request = page.network.requests[-1]
-            initiator = snapshot.attribute()
-            assert request.initiator_url == \
-                (initiator.url if initiator is not None else None)
-            assert request.initiator_stack == snapshot.attributed_urls()
 
 
 class _SetClock:

@@ -226,8 +226,3 @@ class TestVisitLogCompleteness:
             Script.inline(behavior=lambda js: js.set_cookie("a=1"))])
         log = inst(browser).log_for(page)
         assert log.complete  # navigation request + cookie write
-
-    def test_message_bus_counts(self, browser):
-        browser.visit("https://site.com/", scripts=[
-            Script.inline(behavior=lambda js: js.set_cookie("a=1"))])
-        assert inst(browser).bus.message_count > 0

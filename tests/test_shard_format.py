@@ -4,6 +4,9 @@
   (non-ASCII, NUL, empty), ``None`` in every optional column, empty
   families and tuples, float64 timestamps bit for bit, ints and bools.
   ``row_dict`` equals ``log(i).to_dict()`` leaf for leaf.
+* The record dataclasses and ``COLUMNS`` agree: a log with every field
+  set survives a row group, renders to the dict spelled out here, and
+  parses back from it.
 * One crawl written as v2 JSON lines (``v2_oracle``) and as v3 row
   groups decodes to identical columns, report bytes and
   ``/sites/<rank>`` bodies.
@@ -35,9 +38,10 @@ from repro.crawler.distributed import (QUEUE_NAME, CoordinationError,
 from repro.crawler.storage import (load_shard, read_site, save_logs,
                                    shard_filename, write_shard)
 from repro.ecosystem import PopulationConfig, generate_population
-from repro.records import (CookieReadEvent, CookieWriteEvent,
-                           DomMutationEvent, HeaderCookieEvent, RequestEvent,
-                           ScriptRecord, VisitLog)
+from repro.records import (EVENT_FAMILIES, VISIT_SCALARS, CookieReadEvent,
+                           CookieWriteEvent, DomMutationEvent,
+                           HeaderCookieEvent, RequestEvent, ScriptRecord,
+                           VisitLog)
 from repro.serve.app import render_json
 from v2_oracle import columns, from_dicts, read_v2_dicts, write_v2_shard
 
@@ -167,6 +171,118 @@ class TestRowDict:
 
     def test_on_seeded_crawls(self, seeded_logs):
         self._check(seeded_logs)
+
+
+def _every_field_log() -> VisitLog:
+    """One event in every family; every field holds a distinct value
+    that is not its default."""
+    site = "site.test"
+    return VisitLog(
+        site=site, url="https://site.test/", rank=101,
+        cookie_writes=[CookieWriteEvent(
+            site=site, cookie_name="w-name", cookie_value="w-value",
+            api="w-api", kind="w-kind", script_url="w-script-url",
+            script_domain="w-script-domain", inclusion="w-inclusion",
+            raw="w-raw", prev_value="w-prev", attrs_changed=("w-a1", "w-a2"),
+            timestamp=1.25)],
+        cookie_reads=[CookieReadEvent(
+            site=site, api="r-api", script_url="r-script-url",
+            script_domain="r-script-domain", inclusion="r-inclusion",
+            cookie_names=("r-n1", "r-n2"), timestamp=2.25)],
+        header_cookies=[HeaderCookieEvent(
+            site=site, cookie_name="h-name", cookie_value="h-value",
+            response_url="h-response-url", response_domain="h-response-domain",
+            initiator_domain="h-initiator-domain", first_party=True,
+            timestamp=3.25)],
+        requests=[RequestEvent(
+            site=site, url="q-url", host="q-host", domain="q-domain",
+            method="q-method", resource_type="q-resource-type",
+            query="q-query", body="q-body", script_url="q-script-url",
+            script_domain="q-script-domain", stack=("q-s1", "q-s2"),
+            timestamp=4.25)],
+        dom_mutations=[DomMutationEvent(
+            site=site, kind="d-kind", target_tag="d-target-tag",
+            actor_domain="d-actor-domain", owner_domain="d-owner-domain",
+            cross_script=False, timestamp=5.25)],
+        scripts=[ScriptRecord(
+            url="s-url", domain="s-domain", inclusion="s-inclusion",
+            depth=107, parent_domain="s-parent-domain")],
+        n_scripts=102, n_third_party_scripts=103, n_direct_third_party=104,
+        n_indirect_third_party=105, cookie_op_count=106, interacted=True)
+
+
+#: ``_every_field_log().to_dict()``: each record's keys in field order,
+#: then ``event``; lists in place of tuples.
+EVERY_FIELD_DICT = {
+    "site": "site.test", "url": "https://site.test/", "rank": 101,
+    "cookie_writes": [{
+        "site": "site.test", "cookie_name": "w-name",
+        "cookie_value": "w-value", "api": "w-api", "kind": "w-kind",
+        "script_url": "w-script-url", "script_domain": "w-script-domain",
+        "inclusion": "w-inclusion", "raw": "w-raw", "prev_value": "w-prev",
+        "attrs_changed": ["w-a1", "w-a2"], "timestamp": 1.25,
+        "event": "cookie_write"}],
+    "cookie_reads": [{
+        "site": "site.test", "api": "r-api", "script_url": "r-script-url",
+        "script_domain": "r-script-domain", "inclusion": "r-inclusion",
+        "cookie_names": ["r-n1", "r-n2"], "timestamp": 2.25,
+        "event": "cookie_read"}],
+    "header_cookies": [{
+        "site": "site.test", "cookie_name": "h-name",
+        "cookie_value": "h-value", "response_url": "h-response-url",
+        "response_domain": "h-response-domain",
+        "initiator_domain": "h-initiator-domain", "first_party": True,
+        "timestamp": 3.25, "event": "header_cookie"}],
+    "requests": [{
+        "site": "site.test", "url": "q-url", "host": "q-host",
+        "domain": "q-domain", "method": "q-method",
+        "resource_type": "q-resource-type", "query": "q-query",
+        "body": "q-body", "script_url": "q-script-url",
+        "script_domain": "q-script-domain", "stack": ["q-s1", "q-s2"],
+        "timestamp": 4.25, "event": "request"}],
+    "dom_mutations": [{
+        "site": "site.test", "kind": "d-kind", "target_tag": "d-target-tag",
+        "actor_domain": "d-actor-domain", "owner_domain": "d-owner-domain",
+        "cross_script": False, "timestamp": 5.25, "event": "dom_mutation"}],
+    "scripts": [{
+        "url": "s-url", "domain": "s-domain", "inclusion": "s-inclusion",
+        "depth": 107, "parent_domain": "s-parent-domain",
+        "event": "script"}],
+    "n_scripts": 102, "n_third_party_scripts": 103,
+    "n_direct_third_party": 104, "n_indirect_third_party": 105,
+    "cookie_op_count": 106, "interacted": True,
+}
+
+
+class TestSchemaTable:
+    """The record dataclasses and ``COLUMNS`` agree field for column: a
+    swapped pair of columns, or a field without a column, fails here."""
+
+    def test_every_field_has_a_column_and_a_value(self):
+        log = _every_field_log()
+        for family, (attr, record) in enumerate(EVENT_FAMILIES):
+            names = [f.name for f in dataclasses.fields(record)
+                     if f.name != "site"]
+            assert len(names) == sum(f == family for _n, _k, f in COLUMNS)
+            (event,) = getattr(log, attr)
+            for f in dataclasses.fields(record):
+                assert getattr(event, f.name) != f.default, (attr, f.name)
+        assert len(VISIT_SCALARS) == sum(f == -1 for _n, _k, f in COLUMNS)
+
+    def test_every_field_survives_the_row_group(self):
+        log = _every_field_log()
+        back = decode_row_group(encode_row_group(ShardBatch.from_logs([log])))
+        assert back.log(0) == log
+
+    def test_to_dict_spells_every_field_in_order(self):
+        got = _every_field_log().to_dict()
+        assert got == EVERY_FIELD_DICT
+        # Key order and JSON types (true, not 1) too.
+        assert json.dumps(got) == json.dumps(EVERY_FIELD_DICT)
+
+    def test_from_dict_inverts_to_dict(self):
+        log = _every_field_log()
+        assert VisitLog.from_dict(log.to_dict()) == log
 
 
 # ---------------------------------------------------------------------------

@@ -352,7 +352,7 @@ class TestRetryPolicy:
             == [0.25, 0.5, 1.0, 2.0, 2.0]
 
     @pytest.mark.parametrize("kwargs", [
-        {"attempts": 0}, {"backoff": -0.1},
+        {"attempts": 0}, {"backoff": -0.1}, {"backoff": float("nan")},
     ])
     def test_invalid_knobs_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
