@@ -21,6 +21,11 @@ Layers (bottom-up):
   detection, exfiltration detection, and table/figure generators.
 * :mod:`repro.evaluation` — Figure 5 / Table 3 / Table 4 evaluations.
 
+The names this package exports load on first use (PEP 562), as do
+those of :mod:`repro.crawler` and :mod:`repro.ecosystem`: ``import
+repro`` loads no layer, and a process that only analyzes or serves
+shards never imports the browser simulator, CookieGuard or numpy.
+
 Quickstart::
 
     from repro import Browser, CookieGuardExtension, Script
@@ -34,35 +39,28 @@ Quickstart::
     )
 """
 
-from .browser import Browser, Page, Script
-from .cookieguard import (
-    AccessPolicy,
-    CookieGuardExtension,
-    Decision,
-    InlineMode,
-    PolicyConfig,
-)
-from .cookies import Cookie, CookieJar
-from .extension import InstrumentationExtension
-from .net import URL, Origin, parse_url, registrable_domain
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Browser",
-    "Page",
-    "Script",
-    "AccessPolicy",
-    "CookieGuardExtension",
-    "Decision",
-    "InlineMode",
-    "PolicyConfig",
-    "Cookie",
-    "CookieJar",
-    "InstrumentationExtension",
-    "URL",
-    "Origin",
-    "parse_url",
-    "registrable_domain",
-    "__version__",
-]
+#: Each public name and the submodule that defines it, in ``__all__``
+#: order.  ``__getattr__`` imports the submodule the first time the name
+#: is read.
+_LAZY = {name: module for module, names in (
+    (".browser", "Browser Page Script"),
+    (".cookieguard", "AccessPolicy CookieGuardExtension Decision InlineMode "
+                     "PolicyConfig"),
+    (".cookies", "Cookie CookieJar"),
+    (".extension", "InstrumentationExtension"),
+    (".net", "URL Origin parse_url registrable_domain"),
+) for name in names.split()}
+
+__all__ = [*_LAZY, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name], __name__), name)
+    globals()[name] = value
+    return value

@@ -11,18 +11,18 @@ subset those lists rely on:
 * options: ``$script``, ``$image``, ``$third-party``, ``$~third-party``,
   ``$domain=a.com|~b.com``.
 
-Rules compile to anchored regular expressions once and are bucketed by a
-domain key so matching a URL is a handful of dict probes, not a scan of
-every rule.
+Rules are parsed when a list is built and bucketed by a domain key, so
+matching a URL is a handful of dict probes, not a scan of every rule.
+Each rule compiles to an anchored regular expression the first time a
+URL reaches it and keeps it, so a study compiles only the rules its
+script hosts reach.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-from ..net.psl import DEFAULT_PSL
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["FilterRule", "FilterRuleError", "FilterList", "RuleOptions"]
 
@@ -60,7 +60,12 @@ _KNOWN_TYPES = {"script", "image", "stylesheet", "xhr", "fetch", "beacon",
 
 
 class FilterRule:
-    """One compiled filter rule."""
+    """One parsed filter rule; its regex compiles on first match.
+
+    Parsing raises :class:`FilterRuleError` for every rule the engine
+    cannot use.  Compiling cannot fail, because :meth:`_to_regex`
+    escapes every literal, so deferring it changes no decision.
+    """
 
     def __init__(self, text: str):
         raw = text.strip()
@@ -77,7 +82,7 @@ class FilterRule:
             raise FilterRuleError(f"empty pattern: {text!r}")
         self.pattern = raw
         self.anchor_domain = self._extract_anchor_domain(raw)
-        self._regex = re.compile(self._to_regex(raw))
+        self._regex: Optional[re.Pattern] = None
 
     # -- parsing ----------------------------------------------------------
     @staticmethod
@@ -159,7 +164,12 @@ class FilterRule:
                                     is_third_party=is_third_party,
                                     page_domain=page_domain):
             return False
-        return self._regex.search(url) is not None
+        regex = self._regex
+        if regex is None:
+            # Two threads may both compile here; they build equal
+            # patterns, so keeping either is safe.
+            regex = self._regex = re.compile(self._to_regex(self.pattern))
+        return regex.search(url) is not None
 
     def __repr__(self) -> str:
         return f"FilterRule({self.text!r})"
@@ -194,9 +204,15 @@ class FilterList:
                 self._unanchored.append(rule)
 
     @property
+    def rules(self) -> List[FilterRule]:
+        """Every rule: the domain buckets', the unanchored, the exceptions."""
+        return ([rule for bucket in self._by_domain.values()
+                 for rule in bucket]
+                + self._unanchored + self._exceptions)
+
+    @property
     def rule_count(self) -> int:
-        return (sum(len(v) for v in self._by_domain.values())
-                + len(self._unanchored) + len(self._exceptions))
+        return len(self.rules)
 
     def _candidate_rules(self, host: str) -> Iterable[FilterRule]:
         probe = host.lower()
@@ -232,11 +248,8 @@ class FilterList:
         page, so the decision cache may drop the page domain from its
         key and one site's answers serve the whole study.
         """
-        rules = [rule for bucket in self._by_domain.values()
-                 for rule in bucket]
-        rules += self._unanchored + self._exceptions
         return any(rule.options.include_domains or
-                   rule.options.exclude_domains for rule in rules)
+                   rule.options.exclude_domains for rule in self.rules)
 
     def should_block_cached(self, url: str, *, resource_type: str = "script",
                             page_domain: str = "",
@@ -245,8 +258,10 @@ class FilterList:
 
         Study aggregation asks about the same script URLs once per site
         that embeds them; the full rule walk runs once per distinct
-        decision instead.  Safe because a ``FilterList`` is immutable
-        after construction.
+        decision instead.  Safe because a ``FilterList``'s rules never
+        change after construction, and what it memoizes (this table,
+        :attr:`domain_sensitive`, each rule's compiled regex) changes no
+        decision.
         """
         sensitive = self.__dict__.get("_domain_sensitive")
         if sensitive is None:

@@ -125,10 +125,11 @@ def combined_list(services: Sequence[ServiceSpec] = ()) -> FilterList:
 def default_combined_list() -> FilterList:
     """The default-catalog :func:`combined_list`, built once per process.
 
-    The nine snapshots and the catalog are static, yet every
-    ``StudyAccumulator()`` used to re-parse and re-compile all their
-    rules — ~30% of a full study pass.  ``FilterList`` is immutable
-    after construction and its decision cache is additive, so one shared
-    instance is safe across accumulators and threads serving reports.
+    The nine snapshots and the catalog are static, so every
+    ``StudyAccumulator`` shares one parsed list.  A ``FilterList``'s
+    rules never change after construction, and what it memoizes (each
+    rule's regex, compiled on first match, and its decision cache)
+    changes no decision, so one shared instance is safe across
+    accumulators and threads serving reports.
     """
     return combined_list()

@@ -36,7 +36,7 @@ import hashlib
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -148,12 +148,19 @@ class SnapshotPart:
     ``file``/``sha256``/``count`` bind the part to a shard file: a part
     whose digest still appears in the dataset's manifest can be merged
     as-is on refresh.
+
+    A part that :func:`refresh_study` re-ingested in this process also
+    carries the live ``accumulator`` its ``state`` was read off, so
+    :meth:`StudySnapshot.accumulator` merges it instead of rebuilding
+    it.  It is never written or compared, and nothing mutates it.
     """
 
     state: Dict
     file: str
     sha256: str
     count: int
+    accumulator: Optional[StudyAccumulator] = field(
+        default=None, compare=False, repr=False)
 
     def to_dict(self) -> Dict:
         return {"state": self.state, "file": self.file,
@@ -169,7 +176,12 @@ class SnapshotPart:
 
 
 class StudySnapshot:
-    """A saved analysis: versioned, digest-stamped accumulator parts."""
+    """A saved analysis: versioned, digest-stamped accumulator parts.
+
+    Parts built in this process carry their live accumulator beside
+    their state (see :class:`SnapshotPart`); it is never written, so
+    a loaded snapshot equals the one that was saved.
+    """
 
     def __init__(self, parts: Iterable[SnapshotPart]):
         self.parts: Tuple[SnapshotPart, ...] = tuple(parts)
@@ -213,12 +225,17 @@ class StudySnapshot:
     def accumulator(self) -> StudyAccumulator:
         """Merge every part into one resumed :class:`StudyAccumulator`.
 
-        ``update()`` enforces the no-overlapping-sites invariant, so a
-        snapshot holding the same shard twice fails loudly here.
+        A part's live accumulator is merged as it is; only a reused or
+        loaded part is rebuilt from its state.  ``update()`` only reads
+        its argument, and every report derivation is order-independent,
+        so both give the same reports.  ``update()`` also enforces the
+        no-overlapping-sites invariant, so a snapshot holding the same
+        shard twice fails loudly here.
         """
         out = StudyAccumulator()
         for part in self.parts:
-            out.update(state_accumulator(part.state))
+            out.update(part.accumulator if part.accumulator is not None
+                       else state_accumulator(part.state))
         return out
 
     def study(self) -> Study:
@@ -237,12 +254,19 @@ def save_snapshot(snapshot: StudySnapshot, path: Union[str, Path]) -> Path:
     produces the same bytes, and :func:`load_snapshot` verifies the
     stamp so a torn write or hand edit is refused rather than merged
     into an analysis.
+
+    The payload is serialized once.  Its last key is ``"version"``, and
+    ``"sha256"`` sorts just before it, so splicing the stamp in before
+    the last ``,"version":`` gives the bytes ``json.dumps`` would write
+    for the stamped body.  An earlier ``,"version":`` (a cookie named
+    ``version`` in a part's state) is never the last one.
     """
     path = Path(path)
-    body = snapshot.to_dict()
-    body["sha256"] = snapshot.digest()
-    data = json.dumps(body, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8") + b"\n"
+    payload = snapshot.payload_bytes()
+    stamp = hashlib.sha256(payload).hexdigest().encode("ascii")
+    cut = payload.rindex(b',"version":')
+    data = (payload[:cut] + b',"sha256":"' + stamp + b'"' + payload[cut:]
+            + b"\n")
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as handle:
         handle.write(data)
@@ -352,7 +376,8 @@ def refresh_study(snapshot: Optional[StudySnapshot],
         acc = _ingest_shard(dataset, manifest, pos)
         parts.append(SnapshotPart(state=accumulator_state(acc), file=name,
                                   sha256=digest,
-                                  count=manifest.counts[pos]))
+                                  count=manifest.counts[pos],
+                                  accumulator=acc))
         reingested.append(name)
     dropped = sum(1 for digest in old if digest not in seen)
     return RefreshResult(snapshot=StudySnapshot(parts),

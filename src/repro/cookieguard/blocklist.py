@@ -19,7 +19,7 @@ two structural weaknesses are exactly the ones the paper names:
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from ..analysis.filterlists import FilterList
 from ..analysis.lists_data import combined_list

@@ -17,7 +17,7 @@ vantage point the paper's Figure 5 evaluation has.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..browser.browser import Browser
 from ..browser.page import Page
@@ -27,7 +27,7 @@ from ..extension.api import ExtensionBase
 from ..net.http import Request, Response
 from ..net.psl import DEFAULT_PSL
 from .metadata import CreatorStore
-from .policy import AccessPolicy, Decision, InlineMode, PolicyConfig
+from .policy import AccessPolicy, Decision, PolicyConfig
 
 __all__ = ["CookieGuardExtension"]
 

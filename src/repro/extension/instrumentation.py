@@ -33,7 +33,7 @@ from ..records import (
     RequestEvent,
     VisitLog,
 )
-from ..net.http import Request, Response, ResourceType
+from ..net.http import Request, Response
 from ..net.psl import DEFAULT_PSL
 from .api import ExtensionBase
 

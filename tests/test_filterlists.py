@@ -1,14 +1,20 @@
 """The Adblock-Plus filter engine and the embedded lists."""
 
+import re
+import sys
+import threading
+
 import pytest
 
+from repro.analysis import Study
 from repro.analysis.filterlists import (
     FilterList,
     FilterRule,
     FilterRuleError,
     RuleOptions,
 )
-from repro.analysis.lists_data import LIST_NAMES, build_lists, combined_list
+from repro.analysis.lists_data import (LIST_NAMES, build_lists, combined_list,
+                                       default_combined_list)
 
 
 class TestRuleParsing:
@@ -170,3 +176,94 @@ class TestEmbeddedLists:
         assert lists["fanboy-annoyances"].should_block(
             "https://cdn-cookieyes.com/client_data/cookieyes.js",
             page_domain="site.com")
+
+
+#: URL shapes the crawl does not produce, each aimed at a listed host.
+EDGE_URLS = (
+    "HTTPS://WWW.GOOGLETAGMANAGER.COM/gtm.js",   # upper-case scheme, host
+    "https://doubleclick.net:8443/pagead/js/x.js",  # port
+    "https://user:pw@doubleclick.net/x.js",      # userinfo
+    "https://doubleclick.net./x.js",             # trailing dot
+    "https://bücher.doubleclick.net/x.js",       # non-ASCII host
+    "doubleclick.net/pagead/js/x.js",            # no scheme
+    "//google-analytics.com/analytics.js",       # no scheme, no colon
+    "https://x.com/analytics.js\n",              # trailing newline
+)
+
+#: Every (resource_type, is_third_party) a rule's options tell apart.
+COMBOS = [(rtype, third) for rtype in ("script", "image")
+          for third in (True, False)]
+
+
+@pytest.fixture(scope="module")
+def crawled_urls(crawl_logs):
+    """Every script URL of the crawl, every 40th distinct request URL,
+    and the edge cases."""
+    scripts = {s.url for log in crawl_logs for s in log.scripts if s.url}
+    requests = sorted({r.url for log in crawl_logs for r in log.requests})
+    return sorted(scripts) + requests[::40] + list(EDGE_URLS)
+
+
+def _eager(flist):
+    for rule in flist.rules:
+        rule._regex = re.compile(FilterRule._to_regex(rule.pattern))
+    return flist
+
+
+def _decisions(flist, urls):
+    return [flist.should_block(url, resource_type=rtype,
+                               page_domain="site.com", is_third_party=third)
+            for url in urls for rtype, third in COMBOS]
+
+
+class TestLazyCompile:
+    """A rule compiles its regex on first match: the same decisions as
+    compiling every rule up front, for only the rules a URL reaches."""
+
+    def test_lazy_match_equals_eager_regex(self, crawled_urls):
+        for rule in default_combined_list().rules:
+            eager = re.compile(FilterRule._to_regex(rule.pattern))
+            for url in crawled_urls:
+                found = eager.search(url) is not None
+                for rtype, third in COMBOS:
+                    expected = rule.options.permits(
+                        resource_type=rtype, is_third_party=third,
+                        page_domain="") and found
+                    assert rule.matches(url, resource_type=rtype,
+                                        is_third_party=third) == expected, \
+                        (rule, url, rtype, third)
+
+    def test_lazy_list_decides_like_eager_list(self, crawled_urls):
+        assert _decisions(combined_list(), crawled_urls) == _decisions(
+            _eager(combined_list()), crawled_urls)
+
+    def test_threads_sharing_a_lazy_list_decide_like_eager(
+            self, crawled_urls):
+        """Threads racing to compile one rule each keep an equal
+        pattern, so no thread's decision can differ."""
+        expected = _decisions(_eager(combined_list()), crawled_urls)
+        shared = combined_list()
+        results = [None] * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def run(slot):
+                results[slot] = _decisions(shared, crawled_urls)
+            threads = [threading.Thread(target=run, args=(slot,))
+                       for slot in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * len(results)
+
+    def test_a_study_compiles_only_the_rules_it_reaches(self, crawl_logs):
+        default_combined_list.cache_clear()
+        flist = default_combined_list()
+        assert not any(rule._regex for rule in flist.rules)
+        Study(crawl_logs)
+        compiled = sum(rule._regex is not None for rule in flist.rules)
+        assert 0 < compiled < flist.rule_count

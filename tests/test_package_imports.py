@@ -1,0 +1,57 @@
+"""The package ``__init__``s load their names on first use.
+
+``repro``, ``repro.crawler`` and ``repro.ecosystem`` resolve each public
+name through a PEP 562 ``__getattr__``, so a process that only reads
+shards (``analyze``, ``serve``) never imports the crawl stack, while
+every public import path keeps working.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+#: What a crawl needs and ``analyze``/``serve`` do not.
+CRAWL_STACK = ("numpy", "repro.browser", "repro.cookieguard",
+               "repro.ecosystem.behaviors", "repro.crawler.crawler",
+               "repro.crawler.distributed")
+
+LAZY_PACKAGES = ("repro", "repro.crawler", "repro.ecosystem")
+
+
+def _fresh_interpreter(script: str) -> str:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+
+
+def test_analyze_and_serve_load_no_crawl_stack():
+    script = (
+        "import json, sys\n"
+        "import repro.__main__, repro.analysis.snapshot, repro.serve.app\n"
+        f"print(json.dumps([m for m in {CRAWL_STACK!r} "
+        "if m in sys.modules]))\n"
+        "from repro import Browser, CookieGuardExtension, Script\n"
+        "from repro.crawler import Coordinator\n"
+        "from repro.analysis import Study\n"
+        "from repro.ecosystem import generate_population\n"
+        "print(Coordinator.__module__, generate_population.__module__)\n")
+    loaded, resolved = _fresh_interpreter(script).splitlines()
+    assert json.loads(loaded) == []
+    assert resolved == "repro.crawler.distributed repro.ecosystem.population"
+
+
+@pytest.mark.parametrize("name", LAZY_PACKAGES)
+def test_every_exported_name_resolves(name):
+    package = importlib.import_module(name)
+    for export in package.__all__:
+        getattr(package, export)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        package.nope

@@ -19,6 +19,7 @@ from repro.analysis.reports import COUNTER_FIELDS, Study, StudyAccumulator
 from repro.analysis.snapshot import (
     SNAPSHOT_VERSION,
     SnapshotError,
+    SnapshotPart,
     StudySnapshot,
     accumulator_state,
     load_snapshot,
@@ -108,6 +109,50 @@ class TestSaveLoad:
         save_snapshot(refresh_study(None, directory).snapshot, a)
         save_snapshot(refresh_study(None, directory).snapshot, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("names, occurrences", [
+        (None, 1), ({"uid": 1, "version": 2}, 2)],
+        ids=["no-parts", "version-cookie"])
+    def test_saved_bytes_are_the_stamped_canonical_dump(
+            self, tmp_path, names, occurrences):
+        """``save_snapshot`` splices the stamp into the payload it
+        hashed, before the last ``,"version":``; a cookieStore name
+        ``version`` puts an earlier one inside ``parts``."""
+        parts = []
+        if names is not None:
+            acc = StudyAccumulator()
+            acc.store_name_counts.update(names)
+            parts.append(SnapshotPart(state=accumulator_state(acc),
+                                      file="shard-0000.jsonl",
+                                      sha256="0" * 64, count=0))
+        snap = StudySnapshot(parts)
+        assert snap.payload_bytes().count(b',"version":') == occurrences
+        path = tmp_path / "snap.json"
+        save_snapshot(snap, path)
+        expected = json.dumps({**snap.to_dict(), "sha256": snap.digest()},
+                              sort_keys=True,
+                              separators=(",", ":")).encode() + b"\n"
+        assert path.read_bytes() == expected
+        assert load_snapshot(path).parts == snap.parts
+
+    def test_cold_snapshot_merges_the_accumulators_it_filled(
+            self, logs, tmp_path):
+        """A cold refresh's parts carry the accumulators they were read
+        off, and merging them equals rebuilding every part from its
+        saved state, with two empty shards (one digest) among them."""
+        directory = _dataset(tmp_path, logs[:2], n_shards=4)
+        assert ShardManifest.load(directory).counts == (1, 1, 0, 0)
+        cold = refresh_study(None, directory).snapshot
+        assert all(part.accumulator is not None for part in cold.parts)
+        path = tmp_path / "snap.json"
+        save_snapshot(cold, path)
+        loaded = load_snapshot(path)
+        assert loaded.parts == cold.parts
+        assert all(part.accumulator is None for part in loaded.parts)
+        assert cold.study().report_bytes() == \
+            loaded.study().report_bytes() == Study(logs[:2]).report_bytes()
+        assert accumulator_state(cold.accumulator()) == \
+            accumulator_state(loaded.accumulator())
 
     def test_version_mismatch_is_refused_with_reanalyze_message(
             self, logs, tmp_path):
