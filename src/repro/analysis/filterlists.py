@@ -28,6 +28,11 @@ __all__ = ["FilterRule", "FilterRuleError", "FilterList", "RuleOptions"]
 
 _SEPARATOR_RE = r"[^\w.%-]"  # ABP '^' placeholder
 
+#: The authority after the first ``://``: optional userinfo (through
+#: the last ``@``), the host, and an optional trailing dot before the
+#: port or path.
+_AUTHORITY_RE = re.compile(r"://(?:[^/?#]*@)?([^/?#:]*?)\.?(?=[/?#:]|$)")
+
 
 class FilterRuleError(ValueError):
     """Raised for rule text the engine cannot parse."""
@@ -80,7 +85,10 @@ class FilterRule:
         raw, self.options = self._split_options(raw)
         if not raw:
             raise FilterRuleError(f"empty pattern: {text!r}")
-        self.pattern = raw
+        # Adblock Plus matches case-insensitively unless a rule says
+        # $match-case, an option this engine refuses; URLs are
+        # lower-cased before matching (FilterList.should_block).
+        self.pattern = raw.lower()
         self.anchor_domain = self._extract_anchor_domain(raw)
         self._regex: Optional[re.Pattern] = None
 
@@ -215,7 +223,7 @@ class FilterList:
         return len(self.rules)
 
     def _candidate_rules(self, host: str) -> Iterable[FilterRule]:
-        probe = host.lower()
+        probe = host
         while probe:
             for rule in self._by_domain.get(probe, ()):
                 yield rule
@@ -226,7 +234,15 @@ class FilterList:
 
     def should_block(self, url: str, *, resource_type: str = "script",
                      page_domain: str = "", is_third_party: bool = True) -> bool:
-        """Would this URL occurrence be classified ad/tracking?"""
+        """Would this URL occurrence be classified ad/tracking?
+
+        ``url`` is decided like its lower-case form, and an absolute
+        ``scheme://`` URL also without the userinfo and the trailing dot
+        of its host.  A scheme-relative ``//host/x.js`` is not an
+        absolute URL: its host is not parsed, so only unanchored rules
+        can match it.
+        """
+        url = _AUTHORITY_RE.sub(r"://\1", url.lower(), count=1)
         host = _host_of(url)
         hit = any(rule.matches(url, resource_type=resource_type,
                                page_domain=page_domain,
@@ -294,4 +310,4 @@ class FilterList:
 def _host_of(url: str) -> str:
     rest = url.split("://", 1)[-1]
     host = rest.split("/", 1)[0].split("?", 1)[0]
-    return host.split(":", 1)[0].lower()
+    return host.split(":", 1)[0]

@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from ..crawler.storage import ShardManifest
+from ..crawler.storage import ShardManifest, atomic_write
 from .attribution import CookiePair, CrossDomainAction
 from .columnar import iter_shard_batches
 from .exfiltration import ExfilEvent
@@ -247,7 +246,8 @@ class StudySnapshot:
 # ---------------------------------------------------------------------------
 
 def save_snapshot(snapshot: StudySnapshot, path: Union[str, Path]) -> Path:
-    """Write a snapshot atomically (tmp + ``os.replace``), digest-stamped.
+    """Write a snapshot with :func:`~repro.crawler.storage.atomic_write`,
+    digest-stamped.
 
     The file is the canonical payload plus a ``sha256`` stamp over that
     payload, itself rendered canonically — saving the same state always
@@ -261,19 +261,11 @@ def save_snapshot(snapshot: StudySnapshot, path: Union[str, Path]) -> Path:
     for the stamped body.  An earlier ``,"version":`` (a cookie named
     ``version`` in a part's state) is never the last one.
     """
-    path = Path(path)
     payload = snapshot.payload_bytes()
     stamp = hashlib.sha256(payload).hexdigest().encode("ascii")
     cut = payload.rindex(b',"version":')
-    data = (payload[:cut] + b',"sha256":"' + stamp + b'"' + payload[cut:]
-            + b"\n")
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return path
+    return atomic_write(path, payload[:cut] + b',"sha256":"' + stamp + b'"'
+                        + payload[cut:] + b"\n")
 
 
 def load_snapshot(path: Union[str, Path]) -> StudySnapshot:

@@ -14,7 +14,6 @@ from typing import Callable, Dict, List, Optional, Protocol, Sequence
 
 from ..cookies.jar import CookieJar
 from ..net.dns import Resolver
-from ..net.headers import Headers
 from ..net.http import Request, Response, ResourceType
 from ..net.psl import DEFAULT_PSL
 from ..net.url import URL, parse_url

@@ -10,7 +10,7 @@ installation order, innermost wrapper installed last.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from ..cookies.jar import CookieChange, CookieJar
 from ..net.url import URL

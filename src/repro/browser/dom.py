@@ -10,7 +10,7 @@ sites), reproduced by :mod:`repro.evaluation.dompilot`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
 from .scripts import Script

@@ -11,7 +11,6 @@ unrestricted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..net.url import URL, Origin

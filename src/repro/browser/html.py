@@ -21,7 +21,7 @@ is property-tested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["HtmlTag", "ParsedScript", "HtmlParser", "extract_scripts",
            "render_page_html"]

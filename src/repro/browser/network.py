@@ -11,7 +11,6 @@ request and response events fan out to extension listeners
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..cookies.jar import CookieJar

@@ -8,7 +8,6 @@ dynamic ``<script>`` insertion, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..cookies.jar import CookieChange, CookieJar
@@ -17,8 +16,8 @@ from ..net.psl import DEFAULT_PSL
 from ..net.url import URL, parse_url
 from .cookiestore import CookieStore
 from .document_cookie import DocumentCookie
-from .dom import Document, Element
-from .events import Clock, EventLoop, Promise
+from .dom import Document
+from .events import Clock, EventLoop
 from .frames import Frame
 from .network import NetworkManager, Transport
 from .scripts import Script

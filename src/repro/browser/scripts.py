@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from ..net.dns import Resolver
 from ..net.psl import DEFAULT_PSL, PublicSuffixList

@@ -21,8 +21,7 @@ This module is the generative model substituted for the live measurements:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

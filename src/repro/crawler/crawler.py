@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Tuple)
 
@@ -29,7 +29,7 @@ import numpy as np
 from ..browser.browser import Browser
 from ..browser.scripts import Script
 from ..cookieguard.guard import CookieGuardExtension
-from ..cookieguard.policy import PolicyConfig
+from ..cookieguard.policy import InlineMode, PolicyConfig
 from ..cookies.serialize import serialize_set_cookie
 from ..ecosystem.behaviors import build_behavior, first_party_behavior
 from ..ecosystem.population import Population
@@ -65,9 +65,48 @@ class CrawlConfig:
     guard_policy: Optional[PolicyConfig] = None
     guard_uncloak_dns: bool = False
 
+    def to_dict(self) -> Dict:
+        """Every field, in declaration order: the payload of
+        :func:`config_fingerprint` and the ``config`` of a worker's
+        ``workspec.json``.
+
+        A guard policy is written as its ``inline_mode`` name, its
+        ``owner_full_access`` switch and ``entity_whitelist``, whether
+        it has an ``entity_of`` callable: a presence bit only.
+        """
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        policy = self.guard_policy
+        if policy is not None:
+            data["guard_policy"] = {
+                "inline_mode": policy.inline_mode.name,
+                "owner_full_access": bool(policy.owner_full_access),
+                "entity_whitelist": policy.entity_of is not None,
+            }
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "CrawlConfig":
+        """Inverse of :meth:`to_dict`; each other field is converted to
+        its default's type.
+
+        Raises ``ValueError`` for ``entity_whitelist: true``: no dict
+        carries the ``entity_of`` callable itself.
+        """
+        kwargs = {f.name: type(f.default)(data[f.name]) for f in fields(cls)
+                  if f.name != "guard_policy"}
+        policy = data["guard_policy"]
+        if policy is not None:
+            if policy.get("entity_whitelist"):
+                raise ValueError("a guard policy's entity_of callable "
+                                 "cannot be read from a dict")
+            kwargs["guard_policy"] = PolicyConfig(
+                inline_mode=InlineMode[policy["inline_mode"]],
+                owner_full_access=bool(policy["owner_full_access"]))
+        return cls(**kwargs)
+
 
 def config_fingerprint(config: CrawlConfig) -> str:
-    """Stable SHA-256 over every output-affecting crawl switch.
+    """SHA-256 of the canonical JSON of :meth:`CrawlConfig.to_dict`.
 
     This is the crawl half of the shard-cache key (see
     :mod:`repro.crawler.distributed`): two configs with the same
@@ -82,23 +121,7 @@ def config_fingerprint(config: CrawlConfig) -> str:
     such configs must not participate in shard caching (the coordinator
     refuses a :class:`~repro.crawler.distributed.ShardStore` for them).
     """
-    policy = config.guard_policy
-    policy_desc = None
-    if policy is not None:
-        policy_desc = {
-            "inline_mode": policy.inline_mode.name,
-            "owner_full_access": bool(policy.owner_full_access),
-            "entity_whitelist": policy.entity_of is not None,
-        }
-    payload = {
-        "seed": config.seed,
-        "interact": config.interact,
-        "max_clicks": config.max_clicks,
-        "install_guard": config.install_guard,
-        "guard_policy": policy_desc,
-        "guard_uncloak_dns": config.guard_uncloak_dns,
-    }
-    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+    blob = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 

@@ -27,8 +27,9 @@ This module turns that contract into a coordinator/worker system:
   then assembles, saves, and verifies the final
   :class:`~repro.crawler.storage.ShardManifest`.
 * :class:`ShardStore` — a content-addressed shard cache keyed by
-  ``sha256(population fingerprint, config fingerprint, shard ranks,
-  compress)``.  Population fingerprint covers every
+  :func:`shard_key`: ``sha256(population fingerprint, config
+  fingerprint, shard ranks, compress, shard format)``.  Population
+  fingerprint covers every
   :class:`~repro.ecosystem.population.PopulationConfig` lever; config
   fingerprint is :func:`~repro.crawler.crawler.config_fingerprint`
   (everything output-affecting, including the cookie-guard policy).
@@ -79,9 +80,10 @@ from ..faults import InjectedFault, maybe_fire
 from .crawler import CrawlConfig, Crawler, config_fingerprint
 from .parallel import CrawlProgress, ShardPlan
 from .storage import (ManifestError, SHARD_FORMAT_VERSION,
-                      ShardManifest, ShardWriteResult, compute_digest,
-                      shard_filename, verify_shard_files, write_shard)
-from .storebackends import (META_NAME, HTTPStoreBackend, InMemoryBackend,
+                      ShardManifest, ShardWriteResult, atomic_write,
+                      compute_digest, shard_filename, verify_shard_files,
+                      write_shard)
+from .storebackends import (META_NAME, HTTPStoreBackend,
                             LocalDirectoryBackend, ShardStoreBackend,
                             StoreBackendError)
 
@@ -89,17 +91,11 @@ __all__ = [
     "CoordinationError",
     "Coordinator",
     "CrawlReport",
-    "HTTPStoreBackend",
-    "InMemoryBackend",
     "InProcessBackend",
-    "LocalDirectoryBackend",
     "ProcessPoolBackend",
-    "ShardKeyFactory",
     "ShardOutcome",
     "ShardStore",
-    "ShardStoreBackend",
     "ShardTask",
-    "StoreBackendError",
     "SubprocessBackend",
     "WorkQueue",
     "WorkSpec",
@@ -109,6 +105,7 @@ __all__ = [
     "make_backend",
     "population_fingerprint",
     "run_shard_worker",
+    "shard_key",
 ]
 
 QUEUE_NAME = "queue.jsonl"
@@ -159,45 +156,19 @@ def population_fingerprint(population: Union[Population,
     return hashlib.sha256(blob).hexdigest()
 
 
-class ShardKeyFactory:
-    """Precomputed shard-key maker for one (population, config, compress).
+def shard_key(population_fp: str, config_fp: str, ranks: Sequence[int],
+              compress: bool) -> str:
+    """The shard store's cache key: population × config × ranks ×
+    compression × shard format.
 
-    The cache key hashes a canonical JSON payload.  Within one plan only
-    the ranks vary shard to shard, so the factory serializes the fixed
-    fields once into a prefix and completes each key with the ranks
-    list — divide-and-conquer precomputation instead of rebuilding and
-    re-sorting the whole payload per shard.  Keys are byte-identical to
-    :func:`_shard_key` (locked in by the equivalence tests).
-
-    The payload includes :data:`~repro.crawler.storage.
-    SHARD_FORMAT_VERSION`: shard bytes are a function of the serializer
-    too, so entries written by an older serializer miss (and re-crawl)
-    rather than smuggling old-format bytes — and their unreproducible
-    digests — into a newer run's journal and manifest.
+    Scheduling (worker count, backend, shard *index*) is absent by
+    design — only inputs that can change the shard's bytes count.  The
+    payload includes :data:`~repro.crawler.storage.SHARD_FORMAT_VERSION`:
+    shard bytes are a function of the serializer too, so entries
+    written by an older serializer miss (and re-crawl) rather than
+    smuggling old-format bytes — and their unreproducible digests —
+    into a newer run's journal and manifest.
     """
-
-    def __init__(self, population_fp: str, config_fp: str, compress: bool):
-        self.population_fp = population_fp
-        self.config_fp = config_fp
-        self.compress = bool(compress)
-        # json.dumps(payload, sort_keys=True) orders the keys
-        # compress < config < format < population < ranks; everything
-        # up to the ranks value is constant across the plan.
-        self._prefix = (
-            f'{{"compress": {json.dumps(self.compress)}, '
-            f'"config": {json.dumps(config_fp)}, '
-            f'"format": {SHARD_FORMAT_VERSION}, '
-            f'"population": {json.dumps(population_fp)}, '
-            f'"ranks": '
-        )
-
-    def key_for(self, ranks: Sequence[int]) -> str:
-        blob = (self._prefix + json.dumps(list(ranks)) + "}").encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
-
-
-def _shard_key(population_fp: str, config_fp: str, ranks: Sequence[int],
-               compress: bool) -> str:
     payload = {
         "population": population_fp,
         "config": config_fp,
@@ -223,7 +194,7 @@ def encode_ranks(ranks: Sequence[int]) -> Union[Dict, List[int]]:
     progression normalizes to the same encoding regardless of the
     sequence type); irregular rank sets fall back to an explicit list.
     Cache keys are NOT affected: they always serialize the explicit
-    rank list (see :class:`ShardKeyFactory`).
+    rank list (see :func:`shard_key`).
     """
     seq: Optional[range] = None
     if isinstance(ranks, range):
@@ -255,51 +226,6 @@ def decode_ranks(data: Union[Dict, List]) -> Sequence[int]:
 # ---------------------------------------------------------------------------
 # The work spec (worker protocol input)
 # ---------------------------------------------------------------------------
-
-def _config_to_dict(config: CrawlConfig) -> Dict:
-    """JSON form of a :class:`CrawlConfig` for the worker protocol.
-
-    A ``guard_policy`` carrying an ``entity_of`` callable cannot cross a
-    process boundary; the in-process backends keep the live object, so
-    only the subprocess worker path hits this limit.
-    """
-    policy = config.guard_policy
-    policy_desc = None
-    if policy is not None:
-        if policy.entity_of is not None:
-            raise CoordinationError(
-                "guard policies with an entity_of callable are not "
-                "serializable for subprocess workers; use an in-process "
-                "backend")
-        policy_desc = {"inline_mode": policy.inline_mode.name,
-                       "owner_full_access": bool(policy.owner_full_access)}
-    return {
-        "seed": config.seed,
-        "interact": config.interact,
-        "max_clicks": config.max_clicks,
-        "install_guard": config.install_guard,
-        "guard_policy": policy_desc,
-        "guard_uncloak_dns": config.guard_uncloak_dns,
-    }
-
-
-def _config_from_dict(data: Dict) -> CrawlConfig:
-    policy = None
-    if data.get("guard_policy") is not None:
-        from ..cookieguard.policy import InlineMode, PolicyConfig
-        desc = data["guard_policy"]
-        policy = PolicyConfig(
-            inline_mode=InlineMode[desc["inline_mode"]],
-            owner_full_access=bool(desc["owner_full_access"]))
-    return CrawlConfig(
-        seed=int(data["seed"]),
-        interact=bool(data["interact"]),
-        max_clicks=int(data["max_clicks"]),
-        install_guard=bool(data["install_guard"]),
-        guard_policy=policy,
-        guard_uncloak_dns=bool(data["guard_uncloak_dns"]),
-    )
-
 
 def _population_config_from_dict(data: Dict) -> PopulationConfig:
     kwargs = {}
@@ -335,10 +261,24 @@ class WorkSpec:
     @classmethod
     def build(cls, population: Population, config: CrawlConfig,
               plan: ShardPlan, compress: bool) -> "WorkSpec":
+        """The spec of ``plan``, with ``config`` as its
+        :meth:`CrawlConfig.to_dict`.
+
+        A guard policy with an ``entity_of`` callable cannot cross a
+        process boundary and raises :class:`CoordinationError`; the
+        in-process backends keep the live object, so only the
+        subprocess worker path hits this limit.
+        """
+        policy = config.guard_policy
+        if policy is not None and policy.entity_of is not None:
+            raise CoordinationError(
+                "guard policies with an entity_of callable are not "
+                "serializable for subprocess workers; use an in-process "
+                "backend")
         return cls(
             population=json.loads(json.dumps(
                 dataclasses.asdict(population.config), default=list)),
-            config=_config_to_dict(config),
+            config=config.to_dict(),
             shards=tuple(shard.ranks if isinstance(shard.ranks, range)
                          else tuple(shard.ranks) for shard in plan),
             compress=compress,
@@ -346,11 +286,11 @@ class WorkSpec:
             config_fp=config_fingerprint(config),
         )
 
-    def key_factory(self) -> ShardKeyFactory:
-        """Shard-cache keys for this spec's plan, from the fingerprints
-        the spec carries."""
-        return ShardKeyFactory(self.population_fp, self.config_fp,
-                               self.compress)
+    def shard_key(self, index: int) -> str:
+        """Shard ``index``'s cache key, from the fingerprints the spec
+        carries."""
+        return shard_key(self.population_fp, self.config_fp,
+                         self.shards[index], self.compress)
 
     def to_dict(self) -> Dict:
         return {
@@ -498,10 +438,10 @@ class WorkQueue:
     @classmethod
     def create(cls, path: Union[str, Path], plan: ShardPlan,
                run_key: str) -> "WorkQueue":
-        """Write the plan header atomically (temp file, fsync,
-        ``os.replace``, as :meth:`ShardManifest.save` does): a crash
-        mid-write leaves no ``queue.jsonl``, so the next run starts
-        over instead of refusing a header it cannot read."""
+        """Write the plan header with :func:`~repro.crawler.storage.
+        atomic_write`: a crash mid-write leaves no ``queue.jsonl``, so
+        the next run starts over instead of refusing a header it cannot
+        read."""
         path = Path(path)
         tasks: Dict[int, ShardTask] = {}
         records = [{"event": "plan", "version": QUEUE_VERSION,
@@ -510,13 +450,8 @@ class WorkQueue:
                      "ranks": encode_ranks(shard.ranks)} for shard in plan]
         for record in records[1:]:
             _apply(tasks, record)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write("".join(json.dumps(record, sort_keys=True) + "\n"
-                                 for record in records))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        atomic_write(path, "".join(json.dumps(record, sort_keys=True) + "\n"
+                                   for record in records).encode("utf-8"))
         return cls(path, run_key, tasks)
 
     @classmethod
@@ -686,11 +621,12 @@ def run_shard_worker(spec_path: Union[str, Path], index: int,
 
     With ``cache_dir`` the worker consults (and backfills) a
     :class:`ShardStore` *on its side of the protocol* — keyed via
-    :meth:`WorkSpec.key_factory` from the fingerprints the spec
-    carries, so the worker never re-hashes the population/config
-    payloads.  A remote worker sharing a cache volume can then satisfy
-    repeat shards with zero visits while speaking the exact same result
-    protocol.  A spec from another build's ``QUEUE_VERSION`` raises
+    :meth:`WorkSpec.shard_key` from the fingerprints the spec carries,
+    so the worker never re-hashes the population/config payloads.  A
+    remote worker sharing a cache volume can then satisfy repeat shards
+    with zero visits while speaking the exact same result protocol.  A
+    spec from another build's ``QUEUE_VERSION``, or one whose config
+    :meth:`CrawlConfig.from_dict` refuses, raises
     :class:`CoordinationError`.
     """
     spec_path = Path(spec_path)
@@ -707,15 +643,19 @@ def run_shard_worker(spec_path: Union[str, Path], index: int,
         # failing the task (the coordinator reconciles later).
         store = ShardStore(cache_dir,
                            overflow_dir=target / "store-overflow")
-        key = spec.key_factory().key_for(spec.shards[index])
+        key = spec.shard_key(index)
         cached = store.fetch(key, target, index)
         if cached is not None:
             return {"index": index, "file": cached.name,
                     "count": cached.count, "sha256": cached.sha256}
     from ..ecosystem.population import generate_population
+    try:
+        config = CrawlConfig.from_dict(spec.config)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CoordinationError(
+            f"malformed workspec config in {spec_path}: {exc}") from exc
     population = generate_population(
         _population_config_from_dict(spec.population))
-    config = _config_from_dict(spec.config)
     written = _execute_shard(population, config, spec.shards[index], index,
                              target, spec.compress)
     if store is not None and key is not None:
@@ -1003,7 +943,7 @@ class ShardStore:
     ShardStoreBackend`; every semantic guarantee lives here, above the
     seam, and holds for *any* backend:
 
-    * **Content addressing** — entries are keyed :meth:`shard_key`
+    * **Content addressing** — entries are keyed :func:`shard_key`
       (population fp × config fp × ranks × compression × shard format);
       scheduling knobs never enter the key.
     * **Atomic publication** — an entry's blobs are written data-first,
@@ -1067,17 +1007,6 @@ class ShardStore:
             f"shard store degraded ({op}: {exc}); continuing with local "
             f"overflow at {self.overflow_dir}", RuntimeWarning,
             stacklevel=3)
-
-    # -- keys --------------------------------------------------------------
-    @staticmethod
-    def shard_key(population_fp: str, config_fp: str, ranks: Sequence[int],
-                  compress: bool = False) -> str:
-        """The cache key: population × config × ranks × compression.
-
-        Scheduling (worker count, backend, shard *index*) is absent by
-        design — only inputs that can change the shard's bytes count.
-        """
-        return _shard_key(population_fp, config_fp, ranks, compress)
 
     def _data_name(self, compress: bool) -> str:
         return "shard.jsonl" + (".gz" if compress else "")
@@ -1246,12 +1175,10 @@ class Coordinator:
         self.progress = progress
         # Both fingerprints are computed once per coordinator (they
         # hash the full population/config payloads); every shard key
-        # derives from the precomputed factory, and the workspec
-        # carries the same two fingerprints to workers.
+        # derives from them, and the workspec carries the same two
+        # fingerprints to workers.
         self.population_fp = population_fingerprint(population)
         self.config_fp = config_fingerprint(self.config)
-        self._key_factory = ShardKeyFactory(self.population_fp,
-                                            self.config_fp, self.compress)
 
     # ------------------------------------------------------------------
     def plan(self, n_shards: int) -> ShardPlan:
@@ -1273,9 +1200,9 @@ class Coordinator:
     def _key_for(self, task: ShardTask) -> str:
         # No memo here on purpose: a second run() can use a different
         # plan, and shard *index* does not identify shard *ranks*
-        # across plans.  The factory's precomputed prefix already makes
-        # each key one small json.dumps + sha256.
-        return self._key_factory.key_for(task.ranks)
+        # across plans.
+        return shard_key(self.population_fp, self.config_fp, task.ranks,
+                         self.compress)
 
     # ------------------------------------------------------------------
     def run(self, out_dir: Union[str, Path],

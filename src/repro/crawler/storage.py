@@ -64,6 +64,7 @@ __all__ = [
     "ShardIndex",
     "ShardManifest",
     "ShardWriteResult",
+    "atomic_write",
     "compute_digest",
     "iter_logs",
     "load_logs",
@@ -118,6 +119,25 @@ def compute_digest(path: Union[str, Path]) -> str:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def atomic_write(path: Union[str, Path], data: bytes) -> Path:
+    """Publish ``data`` at ``path`` whole or not at all.
+
+    The bytes go to ``<name>.tmp`` beside ``path``, are fsynced, and
+    the temp file is renamed over ``path`` with ``os.replace``, so a
+    reader sees the old file or the new one, never a prefix.  Without
+    the fsync, an OS crash could reorder the rename ahead of the data
+    blocks and publish a file full of holes.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    return path
 
 
 def _is_gzip(name: str) -> bool:
@@ -208,24 +228,15 @@ class ShardManifest:
         return manifest
 
     def save(self, directory: Union[str, Path]) -> Path:
-        """Write ``manifest.json`` atomically (temp file + ``os.replace``).
+        """Write ``manifest.json`` with :func:`atomic_write`.
 
         The manifest is the index a resuming coordinator trusts; an
         in-place write interrupted by a crash could leave a torn file
-        that neither loads nor signals "no manifest yet".  With the
-        rename, readers see either the old complete manifest or the new
-        one, never a prefix.  The tmp file is fsynced before the rename:
-        without it, an OS crash could reorder the rename ahead of the
-        data blocks and publish a manifest full of holes.
+        that neither loads nor signals "no manifest yet".
         """
-        path = Path(directory) / MANIFEST_NAME
-        tmp = path.with_name(MANIFEST_NAME + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(self.to_dict(), indent=2) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        return path
+        text = json.dumps(self.to_dict(), indent=2) + "\n"
+        return atomic_write(Path(directory) / MANIFEST_NAME,
+                            text.encode("utf-8"))
 
     @classmethod
     def load(cls, directory: Union[str, Path]) -> "ShardManifest":

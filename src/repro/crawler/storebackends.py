@@ -45,7 +45,6 @@ or output bytes.
 from __future__ import annotations
 
 import http.client
-import os
 import shutil
 import time
 import urllib.error
@@ -53,6 +52,8 @@ import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Union
+
+from .storage import atomic_write
 
 __all__ = [
     "META_NAME",
@@ -163,17 +164,12 @@ class LocalDirectoryBackend(ShardStoreBackend):
         entry = self._entry_dir(key)
         entry.mkdir(parents=True, exist_ok=True)
         for name in _meta_last(blobs):
-            tmp = entry / (name + ".tmp")
-            # fsync before the rename (the journal-append / manifest-save
-            # precedent): without it a host crash can publish a committed
-            # name whose bytes never reached the platter — a torn object
-            # behind a valid meta.json.  This is also store-serve's PUT
-            # durability, since the handler delegates here.
-            with open(tmp, "wb") as handle:
-                handle.write(blobs[name])
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, entry / name)
+            # atomic_write fsyncs before the rename: without it a host
+            # crash can publish a committed name whose bytes never
+            # reached the platter — a torn object behind a valid
+            # meta.json.  This is also store-serve's PUT durability,
+            # since the handler delegates here.
+            atomic_write(entry / name, blobs[name])
 
     def exists(self, key: str) -> bool:
         return (self._entry_dir(key) / META_NAME).exists()

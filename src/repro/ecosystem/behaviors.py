@@ -28,7 +28,7 @@ from ..browser.page import JSContext
 from ..cookies.serialize import cookie_mapping, serialize_set_cookie
 from ..encoding import b64, md5_hex, sha1_hex
 from .identifiers import IdFactory
-from .services import CookieSpec, ServiceSpec
+from .services import ServiceSpec
 
 __all__ = ["ARCHETYPES", "build_behavior", "first_party_behavior",
            "ChildResolver"]

@@ -11,8 +11,8 @@ other services it transitively includes.  The concrete catalog lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 __all__ = ["CookieSpec", "ServiceSpec", "DAY", "YEAR"]
 

@@ -13,12 +13,12 @@ timings come from :class:`~repro.browser.timing.PageLoadModel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..browser.timing import PageLoadModel, TimingConfig
+from ..browser.timing import PageLoadModel
 from ..ecosystem.population import Population
 from ..records import VisitLog
 from ..stats.boxplot import BoxplotStats

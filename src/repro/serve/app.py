@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..crawler.storage import ManifestError

@@ -7,7 +7,7 @@ Computes exactly what matplotlib draws: median, quartiles, whiskers at
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 

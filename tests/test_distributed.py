@@ -9,6 +9,8 @@ retry, across coordinator crash/resume, and across a cold-vs-warm
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import os
 import warnings
@@ -35,15 +37,13 @@ from repro.crawler import (
 from repro.crawler.distributed import (
     QUEUE_NAME,
     QUEUE_VERSION,
-    ShardKeyFactory,
     ShardOutcome,
     ShardTask,
     WorkQueue,
     WorkSpec,
     _apply,
-    _config_from_dict,
-    _config_to_dict,
     run_shard_worker,
+    shard_key,
 )
 from repro.crawler.storage import ShardManifest
 from repro.ecosystem import PopulationConfig, generate_population
@@ -292,7 +292,7 @@ class TestWorkQueue:
         """The plan header is published whole or not at all: a crawl
         killed while writing it leaves no ``queue.jsonl`` to refuse, and
         the next run into OUT starts over and writes the golden bytes."""
-        from repro.crawler import distributed as dist
+        from repro.crawler import storage
 
         class DiesMidWrite:
             def __init__(self, handle):
@@ -304,19 +304,19 @@ class TestWorkQueue:
             def __exit__(self, *exc_info):
                 self.handle.close()
 
-            def write(self, text):
-                self.handle.write(text[:len(text) // 2])
+            def write(self, data):
+                self.handle.write(data[:len(data) // 2])
                 self.handle.flush()
                 raise OSError("killed mid-write")
 
         def dying_open(file, mode="r", *args, **kwargs):
             handle = open(file, mode, *args, **kwargs)
-            if mode == "w" and Path(file).name.startswith(QUEUE_NAME):
+            if mode == "wb" and Path(file).name.startswith(QUEUE_NAME):
                 return DiesMidWrite(handle)
             return handle
 
         out = tmp_path / "out"
-        monkeypatch.setattr(dist, "open", dying_open, raising=False)
+        monkeypatch.setattr(storage, "open", dying_open, raising=False)
         with pytest.raises(OSError, match="killed mid-write"):
             Coordinator(small_population, CrawlConfig(seed=SEED)).run(
                 out, n_shards=N_SHARDS)
@@ -521,7 +521,7 @@ class TestShardStore:
         store = ShardStore(tmp_path / "cache")
         payload = tmp_path / "shard-0000.jsonl"
         payload.write_text('{"x": 1}\n')
-        key = ShardStore.shard_key("pop", "cfg", [1, 2, 3])
+        key = shard_key("pop", "cfg", [1, 2, 3], False)
         assert store.fetch(key, tmp_path / "out", 0) is None
         store.put(key, payload, count=1, compress=False)
         fetched = store.fetch(key, tmp_path / "out", 4)
@@ -539,9 +539,8 @@ class TestShardStoreKeying:
     def _key(self, config=None, pop_seed=SEED, ranks=(1, 2, 3)):
         pop_fp = population_fingerprint(
             PopulationConfig(n_sites=N_SITES, seed=pop_seed))
-        return ShardStore.shard_key(pop_fp,
-                                    config_fingerprint(config or self.BASE),
-                                    ranks)
+        return shard_key(pop_fp, config_fingerprint(config or self.BASE),
+                         ranks, False)
 
     def test_population_seed_changes_key(self):
         assert self._key(pop_seed=SEED) != self._key(pop_seed=SEED + 1)
@@ -596,18 +595,35 @@ class TestWorkerProtocol:
             seed=7, max_clicks=1, install_guard=True,
             guard_policy=PolicyConfig(inline_mode=InlineMode.RELAXED,
                                       owner_full_access=False))
-        restored = _config_from_dict(_config_to_dict(config))
+        restored = CrawlConfig.from_dict(config.to_dict())
         assert restored.seed == 7
         assert restored.guard_policy.inline_mode is InlineMode.RELAXED
         assert restored.guard_policy.owner_full_access is False
         assert config_fingerprint(restored) == config_fingerprint(config)
 
-    def test_entity_whitelist_policy_not_serializable(self):
+    def test_entity_whitelist_policy_not_serializable(self,
+                                                      small_population):
         config = CrawlConfig(
             install_guard=True,
             guard_policy=PolicyConfig(entity_of=lambda domain: None))
+        plan = Coordinator(small_population, config).plan(N_SHARDS)
         with pytest.raises(CoordinationError, match="entity_of"):
-            _config_to_dict(config)
+            WorkSpec.build(small_population, config, plan, compress=False)
+
+    def test_worker_refuses_a_spec_claiming_an_entity_whitelist(
+            self, small_population, tmp_path):
+        """Only a hand-written spec can say ``entity_whitelist: true``;
+        the worker cannot rebuild the callable, so it refuses."""
+        config = CrawlConfig(
+            install_guard=True,
+            guard_policy=PolicyConfig(inline_mode=InlineMode.RELAXED))
+        plan = Coordinator(small_population, config).plan(N_SHARDS)
+        spec = WorkSpec.build(small_population, config, plan, compress=False)
+        spec.config["guard_policy"]["entity_whitelist"] = True
+        with pytest.raises(ValueError, match="entity_of"):
+            CrawlConfig.from_dict(spec.config)
+        with pytest.raises(CoordinationError, match="entity_of"):
+            run_shard_worker(spec.save(tmp_path), 0)
 
     def test_entity_whitelist_policy_refuses_the_cache(self, tmp_path,
                                                        small_population):
@@ -708,10 +724,53 @@ class TestFingerprints:
                              "a36a9ec0009cba69487123f68fe74b94")
         assert population_fp == ("af805380292add231ced6284aabaf9e0"
                                  "0e628dd35f08415a8d1958ba0a7df7e1")
-        key = ShardKeyFactory(population_fp, config_fp, True) \
-            .key_for(range(1, 257))
+        key = shard_key(population_fp, config_fp, range(1, 257), True)
         assert key == ("325d9d0e35b1b009a092907816f6ab33"
                        "323bb11a32f13ea63fdd126450a83bae")
+
+    def test_guard_policy_fingerprint_is_pinned(self):
+        config = CrawlConfig(
+            install_guard=True,
+            guard_policy=PolicyConfig(inline_mode=InlineMode.RELAXED,
+                                      owner_full_access=False))
+        assert config_fingerprint(config) == (
+            "e57f496e88b01bbd178613f8b625f8a1"
+            "cbed0f080d00f3c5234abbe5171b2e6e")
+
+    def test_run_key_and_workspec_bytes_are_pinned(self, small_population,
+                                                   tmp_path):
+        """A resumed crawl matches its journal by the run key, and a
+        subprocess worker reads its config from ``workspec.json``."""
+        coordinator = Coordinator(small_population, CrawlConfig(seed=SEED),
+                                  compress=True)
+        plan = coordinator.plan(3)
+        assert coordinator._run_key(plan) == (
+            "91fa8d7e9d551cfcf4dc603f8effda04"
+            "43c7209e97b7964cb01029d1a2b33def")
+        data = WorkSpec.build(small_population, coordinator.config, plan,
+                              compress=True).save(tmp_path).read_bytes()
+        assert len(data) == 1361
+        assert hashlib.sha256(data).hexdigest() == (
+            "90b23ffd5c858b3de772142fdeca7620"
+            "b35d2577b954ec6be8737f4d944effa9")
+
+    def test_every_config_field_reaches_the_key_and_the_worker(self):
+        """Each field set off its default moves the fingerprint and
+        survives the worker spec's dict, so a field added later cannot
+        miss the cache key or reach a worker at its default."""
+        base = CrawlConfig()
+        for f in dataclasses.fields(CrawlConfig):
+            default = getattr(base, f.name)
+            if default is None:
+                value = PolicyConfig(inline_mode=InlineMode.RELAXED)
+            elif isinstance(default, bool):
+                value = not default
+            else:
+                value = default + 1
+            config = dataclasses.replace(base, **{f.name: value})
+            assert config_fingerprint(config) \
+                != config_fingerprint(base), f.name
+            assert CrawlConfig.from_dict(config.to_dict()) == config, f.name
 
     def test_config_fingerprint_covers_guard_switches(self):
         base = CrawlConfig(seed=1)

@@ -20,7 +20,9 @@ inputs:
   specs;
 * the compact single-buffer shard serializer round-trips the golden
   fixture byte-for-byte against a line-at-a-time reference;
-* ``ShardKeyFactory`` keys == the original whole-payload hash;
+* shard keys keep ``SHARD_FORMAT_VERSION`` in their payload, and a
+  worker keys its side of the store from the fingerprints its spec
+  carries;
 * the columnar analysis pipeline (``ShardBatch`` + batch report
   passes) == the per-log oracle in ``tests/analysis_oracle.py``, event
   for event and down to the report bytes, over randomly seeded crawled
@@ -47,7 +49,7 @@ from repro.cookies.cookie import (Cookie, domain_match, parse_cookie_pair,
                                   path_match)
 from repro.cookies.jar import CookieJar
 from repro.cookies.serialize import to_cookie_string
-from repro.crawler.distributed import ShardKeyFactory, ShardStore, WorkSpec
+from repro.crawler.distributed import WorkSpec, shard_key
 from repro.crawler.storage import (ShardManifest, compute_digest,
                                    load_logs, save_logs, write_shard)
 from repro.net.psl import DEFAULT_PSL, PublicSuffixList
@@ -494,14 +496,8 @@ class TestSerializerEquivalence:
 
 
 class TestShardKeyFactoryEquivalence:
-    @pytest.mark.parametrize("compress", [False, True])
-    def test_factory_matches_reference_key(self, compress):
-        rng = random.Random(5)
-        factory = ShardKeyFactory("pop" * 20, "cfg" * 20, compress)
-        for _ in range(50):
-            ranks = sorted(rng.sample(range(10_000), rng.randint(1, 40)))
-            assert factory.key_for(ranks) == ShardStore.shard_key(
-                "pop" * 20, "cfg" * 20, ranks, compress)
+    """Shard keys, computed by the coordinator or by a worker from its
+    spec."""
 
     def test_serializer_format_version_is_part_of_the_key(self):
         """Pre-PR5 cache entries (old JSON separators) must MISS under
@@ -512,8 +508,7 @@ class TestShardKeyFactoryEquivalence:
                           "ranks": [1, 2], "compress": False}
         legacy_key = hashlib.sha256(json.dumps(
             legacy_payload, sort_keys=True).encode("utf-8")).hexdigest()
-        assert ShardStore.shard_key("p" * 64, "c" * 64, (1, 2), False) \
-            != legacy_key
+        assert shard_key("p" * 64, "c" * 64, (1, 2), False) != legacy_key
 
     def test_workspec_threads_fingerprints(self, tmp_path):
         spec = WorkSpec(population={"n_sites": 4, "seed": 1},
@@ -527,9 +522,8 @@ class TestShardKeyFactoryEquivalence:
         loaded = WorkSpec.load(tmp_path / "workspec.json")
         assert loaded.population_fp == "p" * 64
         assert loaded.config_fp == "c" * 64
-        factory = loaded.key_factory()
-        assert factory.key_for((0, 1)) == ShardStore.shard_key(
-            "p" * 64, "c" * 64, (0, 1), False)
+        assert loaded.shard_key(0) == shard_key("p" * 64, "c" * 64, (0, 1),
+                                                False)
 
     def test_worker_side_cache_serves_repeat_shards(self, tmp_path,
                                                     monkeypatch):

@@ -29,6 +29,7 @@ from repro.crawler import (
     StoreBackendError,
     SubprocessBackend,
 )
+from repro.crawler.distributed import shard_key
 from repro.ecosystem import PopulationConfig, generate_population
 from repro.faults import (
     FAULT_PLAN_ENV,
@@ -343,10 +344,10 @@ class TestChaosMatrix:
         plan = plain.plan(N_SHARDS)
         assert plain._run_key(plan) == tuned._run_key(plan)
         for shard in plan:
-            key = ShardStore.shard_key(plain.population_fp, plain.config_fp,
-                                       shard.ranks)
-            assert key == ShardStore.shard_key(
-                tuned.population_fp, tuned.config_fp, shard.ranks)
+            key = shard_key(plain.population_fp, plain.config_fp,
+                            shard.ranks, False)
+            assert key == shard_key(tuned.population_fp, tuned.config_fp,
+                                    shard.ranks, False)
 
 
 class TestReadiness:

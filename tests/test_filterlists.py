@@ -135,6 +135,27 @@ class TestFilterList:
         flist = FilterList(["||tracker.co.uk^"])
         assert flist.should_block("https://deep.sub.tracker.co.uk/x.js")
 
+    @pytest.mark.parametrize("url, plain", [
+        ("HTTPS://WWW.GOOGLETAGMANAGER.COM/gtm.js",
+         "https://www.googletagmanager.com/gtm.js"),
+        ("https://user:pw@doubleclick.net/x.js",
+         "https://doubleclick.net/x.js"),
+        ("https://doubleclick.net./x.js", "https://doubleclick.net/x.js"),
+    ])
+    def test_url_decided_like_its_lower_case_plain_host_form(self, url,
+                                                             plain):
+        """Adblock Plus matches case-insensitively (this engine has no
+        ``$match-case``) and on the host alone."""
+        flist = combined_list()
+        assert flist.should_block(plain)
+        assert flist.should_block(url)
+        assert flist.should_block_cached(url)
+
+    def test_rules_match_case_insensitively(self):
+        flist = FilterList(["/Ads/Banner.js"])
+        assert flist.should_block("https://x.com/ads/banner.js")
+        assert flist.should_block("https://x.com/ADS/BANNER.JS")
+
 
 class TestEmbeddedLists:
     def test_nine_lists_built(self):
