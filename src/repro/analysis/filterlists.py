@@ -13,9 +13,15 @@ subset those lists rely on:
 
 Rules are parsed when a list is built and bucketed by a domain key, so
 matching a URL is a handful of dict probes, not a scan of every rule.
-Each rule compiles to an anchored regular expression the first time a
-URL reaches it and keeps it, so a study compiles only the rules its
-script hosts reach.
+A ``||domain^`` rule decides a *plain* URL by its host alone: it
+matches when the host is the domain or ends in ``.domain``, which is
+what its regex decides for that shape.  A plain URL is a lower-case
+scheme, ``://``, a host made only of word characters, ``.``, ``%`` and
+``-``, an optional numeric port, then ``/``, ``?``, ``#`` or the end;
+the crawl's script URLs all are.  Every other rule form, and every
+other URL shape, goes through the rule's anchored regular expression,
+compiled the first time a URL reaches it and kept, so a study of plain
+URLs compiles only the unanchored rules it reaches.
 """
 
 from __future__ import annotations
@@ -32,6 +38,17 @@ _SEPARATOR_RE = r"[^\w.%-]"  # ABP '^' placeholder
 #: the last ``@``), the host, and an optional trailing dot before the
 #: port or path.
 _AUTHORITY_RE = re.compile(r"://(?:[^/?#]*@)?([^/?#:]*?)\.?(?=[/?#:]|$)")
+
+#: A plain URL; group 1 is its host.  On this shape the regex of a
+#: ``||domain^`` rule matches exactly when the host is ``domain`` or
+#: ends in ``.domain``: the scheme is one the regex accepts, and the
+#: host holds no ``^`` separator, so the separator after ``domain`` can
+#: only be whatever ends the host.
+_PLAIN_URL_RE = re.compile(
+    r"[a-z][a-z0-9+.-]*://([\w.%-]*)(?::[0-9]*)?(?=[/?#]|\Z)")
+
+#: The one rule form that decides plain URLs by host: ``||domain^``.
+_HOST_RULE_RE = re.compile(r"\|\|([\w.%-]+)\^")
 
 
 class FilterRuleError(ValueError):
@@ -65,11 +82,14 @@ _KNOWN_TYPES = {"script", "image", "stylesheet", "xhr", "fetch", "beacon",
 
 
 class FilterRule:
-    """One parsed filter rule; its regex compiles on first match.
+    """One parsed filter rule.
 
-    Parsing raises :class:`FilterRuleError` for every rule the engine
-    cannot use.  Compiling cannot fail, because :meth:`_to_regex`
-    escapes every literal, so deferring it changes no decision.
+    A ``||domain^`` rule decides a plain URL by its host (see the module
+    docstring) and compiles nothing for it.  Any other rule, or URL,
+    goes through the rule's regex, compiled on first use.  Parsing
+    raises :class:`FilterRuleError` for every rule the engine cannot
+    use.  Compiling cannot fail, because :meth:`_to_regex` escapes every
+    literal, so deferring it changes no decision.
     """
 
     def __init__(self, text: str):
@@ -90,6 +110,9 @@ class FilterRule:
         # lower-cased before matching (FilterList.should_block).
         self.pattern = raw.lower()
         self.anchor_domain = self._extract_anchor_domain(raw)
+        host_rule = _HOST_RULE_RE.fullmatch(self.pattern)
+        #: The domain of a ``||domain^`` rule, else ``None``.
+        self._host_domain = host_rule.group(1) if host_rule else None
         self._regex: Optional[re.Pattern] = None
 
     # -- parsing ----------------------------------------------------------
@@ -168,10 +191,21 @@ class FilterRule:
     # -- matching -----------------------------------------------------------
     def matches(self, url: str, *, resource_type: str = "script",
                 page_domain: str = "", is_third_party: bool = True) -> bool:
+        host = _plain_host(url) if self._host_domain is not None else None
+        return self._match(url, host, resource_type=resource_type,
+                           page_domain=page_domain,
+                           is_third_party=is_third_party)
+
+    def _match(self, url: str, host: Optional[str], *, resource_type: str,
+               page_domain: str, is_third_party: bool) -> bool:
+        """:meth:`matches`, given ``url``'s :func:`_plain_host`."""
         if not self.options.permits(resource_type=resource_type,
                                     is_third_party=is_third_party,
                                     page_domain=page_domain):
             return False
+        domain = self._host_domain
+        if domain is not None and host is not None:
+            return host == domain or host.endswith("." + domain)
         regex = self._regex
         if regex is None:
             # Two threads may both compile here; they build equal
@@ -240,19 +274,22 @@ class FilterList:
         ``scheme://`` URL also without the userinfo and the trailing dot
         of its host.  A scheme-relative ``//host/x.js`` is not an
         absolute URL: its host is not parsed, so only unanchored rules
-        can match it.
+        can match it.  The URL is parsed once per call; if it is plain,
+        its host picks the candidate rules and decides each
+        ``||domain^`` rule among them.
         """
         url = _AUTHORITY_RE.sub(r"://\1", url.lower(), count=1)
-        host = _host_of(url)
-        hit = any(rule.matches(url, resource_type=resource_type,
-                               page_domain=page_domain,
-                               is_third_party=is_third_party)
-                  for rule in self._candidate_rules(host))
+        host = _plain_host(url)
+        hit = any(rule._match(url, host, resource_type=resource_type,
+                              page_domain=page_domain,
+                              is_third_party=is_third_party)
+                  for rule in self._candidate_rules(
+                      _host_of(url) if host is None else host))
         if not hit:
             return False
-        return not any(exc.matches(url, resource_type=resource_type,
-                                   page_domain=page_domain,
-                                   is_third_party=is_third_party)
+        return not any(exc._match(url, host, resource_type=resource_type,
+                                  page_domain=page_domain,
+                                  is_third_party=is_third_party)
                        for exc in self._exceptions)
 
     @property
@@ -307,7 +344,13 @@ class FilterList:
         return combined
 
 
+def _plain_host(url: str) -> Optional[str]:
+    """The host of a plain URL, or ``None`` for any other URL shape."""
+    match = _PLAIN_URL_RE.match(url)
+    return match.group(1) if match is not None else None
+
+
 def _host_of(url: str) -> str:
     rest = url.split("://", 1)[-1]
-    host = rest.split("/", 1)[0].split("?", 1)[0]
+    host = rest.split("/", 1)[0].split("?", 1)[0].split("#", 1)[0]
     return host.split(":", 1)[0]

@@ -126,10 +126,13 @@ def default_combined_list() -> FilterList:
     """The default-catalog :func:`combined_list`, built once per process.
 
     The nine snapshots and the catalog are static, so every
-    ``StudyAccumulator`` shares one parsed list.  A ``FilterList``'s
-    rules never change after construction, and what it memoizes (each
-    rule's regex, compiled on first match, and its decision cache)
-    changes no decision, so one shared instance is safe across
-    accumulators and threads serving reports.
+    ``StudyAccumulator`` shares one parsed list.  Nearly all of its
+    rules are ``||domain^`` rules, which decide a plain URL (every
+    crawled script URL is one) by its host; the few others, and any
+    other URL shape, compile the rule's regex on first match.  A
+    ``FilterList``'s rules never change after construction, and what it
+    memoizes (those regexes and its decision cache) changes no
+    decision, so one shared instance is safe across accumulators and
+    threads serving reports.
     """
     return combined_list()

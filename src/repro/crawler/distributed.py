@@ -227,16 +227,24 @@ def decode_ranks(data: Union[Dict, List]) -> Sequence[int]:
 # The work spec (worker protocol input)
 # ---------------------------------------------------------------------------
 
-def _population_config_from_dict(data: Dict) -> PopulationConfig:
+def _population_config_from_dict(data: Dict,
+                                 fingerprint: str) -> PopulationConfig:
+    """The :class:`PopulationConfig` a :class:`WorkSpec` carries.
+
+    Every field must be present (``KeyError`` otherwise), and the config
+    must hash to ``fingerprint``, the spec's ``population_fp`` that keys
+    its shards in the store (``ValueError`` otherwise).  A field left at
+    its default would crawl another population under that key.
+    """
     kwargs = {}
     for f in dataclasses.fields(PopulationConfig):
-        if f.name not in data:
-            continue
         value = data[f.name]
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[f.name] = value
-    return PopulationConfig(**kwargs)
+        kwargs[f.name] = tuple(value) if isinstance(value, list) else value
+    config = PopulationConfig(**kwargs)
+    if population_fingerprint(config) != fingerprint:
+        raise ValueError(f"its fields do not hash to its population_fp "
+                         f"{fingerprint}")
+    return config
 
 
 @dataclass(frozen=True)
@@ -625,9 +633,10 @@ def run_shard_worker(spec_path: Union[str, Path], index: int,
     so the worker never re-hashes the population/config payloads.  A
     remote worker sharing a cache volume can then satisfy repeat shards
     with zero visits while speaking the exact same result protocol.  A
-    spec from another build's ``QUEUE_VERSION``, or one whose config
-    :meth:`CrawlConfig.from_dict` refuses, raises
-    :class:`CoordinationError`.
+    spec from another build's ``QUEUE_VERSION``, one whose config
+    :meth:`CrawlConfig.from_dict` refuses, or one whose population lacks
+    a field or does not hash to its ``population_fp``, raises
+    :class:`CoordinationError` before the store is consulted.
     """
     spec_path = Path(spec_path)
     spec = WorkSpec.load(spec_path)
@@ -635,6 +644,17 @@ def run_shard_worker(spec_path: Union[str, Path], index: int,
         raise CoordinationError(
             f"shard index {index} out of range 0..{len(spec.shards) - 1}")
     _worker_exec_fault(index)
+    try:
+        config = CrawlConfig.from_dict(spec.config)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CoordinationError(
+            f"malformed workspec config in {spec_path}: {exc}") from exc
+    try:
+        population_config = _population_config_from_dict(
+            spec.population, spec.population_fp)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CoordinationError(
+            f"malformed workspec population in {spec_path}: {exc}") from exc
     target = spec_path.parent
     store = key = None
     if cache_dir is not None:
@@ -649,13 +669,7 @@ def run_shard_worker(spec_path: Union[str, Path], index: int,
             return {"index": index, "file": cached.name,
                     "count": cached.count, "sha256": cached.sha256}
     from ..ecosystem.population import generate_population
-    try:
-        config = CrawlConfig.from_dict(spec.config)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CoordinationError(
-            f"malformed workspec config in {spec_path}: {exc}") from exc
-    population = generate_population(
-        _population_config_from_dict(spec.population))
+    population = generate_population(population_config)
     written = _execute_shard(population, config, spec.shards[index], index,
                              target, spec.compress)
     if store is not None and key is not None:

@@ -698,6 +698,50 @@ class TestWorkerProtocol:
             assert [path.name for path in tmp_path.iterdir()] \
                 == ["workspec.json"]
 
+    def test_worker_refuses_a_population_its_key_does_not_name(
+            self, tmp_path, capsys):
+        """A worker files its shard under the spec's ``population_fp``,
+        so the population it crawls must be the one that hashes to it.
+        A 12-site ``p_crawl_fail=0.0`` spec without ``p_crawl_fail``
+        once crawled the default's 11 visits into the store under the
+        12-visit population's key.  A missing field, or a field that no
+        longer hashes to ``population_fp``, is refused before any visit
+        or store put, by ``run_shard_worker`` and by ``crawl-shard``."""
+        from repro.__main__ import main
+        from repro.crawler import ShardPlan
+        population = generate_population(
+            PopulationConfig(n_sites=12, seed=SEED, p_crawl_fail=0.0))
+        spec = WorkSpec.build(population, CrawlConfig(seed=SEED),
+                              ShardPlan.for_population(population, 1),
+                              compress=False)
+        cache = tmp_path / "cache"
+        missing = {name: value for name, value in spec.population.items()
+                   if name != "p_crawl_fail"}
+        edited = dict(spec.population, p_crawl_fail=0.254)
+        for damaged, reason in ((missing, "'p_crawl_fail'"),
+                                (edited, "do not hash to its population_fp")):
+            spec_path = dataclasses.replace(
+                spec, population=damaged).save(tmp_path)
+            message = f"malformed workspec population in {spec_path}: "
+            with pytest.raises(CoordinationError) as exc_info:
+                run_shard_worker(spec_path, 0, cache_dir=cache)
+            assert str(exc_info.value).startswith(message)
+            assert reason in str(exc_info.value)
+            with pytest.raises(SystemExit) as exit_info:
+                main(["crawl-shard", str(spec_path), "0",
+                      "--cache-dir", str(cache)])
+            assert exit_info.value.code == 1
+            captured = capsys.readouterr()
+            assert captured.out.startswith(f"crawl-shard: {message}")
+            assert "Traceback" not in captured.out + captured.err
+            assert not any(cache.rglob("*"))
+            assert [path.name for path in tmp_path.iterdir()] \
+                == ["workspec.json"]
+        # The intact spec crawls all 12 sites and files them under its key.
+        result = run_shard_worker(spec.save(tmp_path), 0, cache_dir=cache)
+        assert result["count"] == 12
+        assert ShardStore(cache).contains(spec.shard_key(0))
+
 
 # ---------------------------------------------------------------------------
 # Fingerprints

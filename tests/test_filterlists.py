@@ -151,6 +151,18 @@ class TestFilterList:
         assert flist.should_block(url)
         assert flist.should_block_cached(url)
 
+    @pytest.mark.parametrize("url", [
+        "https://a.com#x",           # plain: decided by host
+        "https://a.com/#x",
+        "https://a.com:8080#x",
+        "https://x;.a.com#x",        # not plain: decided by the regex
+    ])
+    def test_fragment_after_the_host_ends_it(self, url):
+        """The host ends at ``#`` as the rule regex's authority does, so
+        the list finds the rule its regex matches."""
+        assert FilterRule("||a.com^").matches(url)
+        assert FilterList(["||a.com^"]).should_block(url)
+
     def test_rules_match_case_insensitively(self):
         flist = FilterList(["/Ads/Banner.js"])
         assert flist.should_block("https://x.com/ads/banner.js")
@@ -200,6 +212,9 @@ class TestEmbeddedLists:
 
 
 #: URL shapes the crawl does not produce, each aimed at a listed host.
+#: The later ones sit on either side of the plain-URL shape whose host
+#: decides a ``||domain^`` rule, so a host decision that strays from
+#: the rule's regex fails ``test_lazy_match_equals_eager_regex``.
 EDGE_URLS = (
     "HTTPS://WWW.GOOGLETAGMANAGER.COM/gtm.js",   # upper-case scheme, host
     "https://doubleclick.net:8443/pagead/js/x.js",  # port
@@ -209,6 +224,19 @@ EDGE_URLS = (
     "doubleclick.net/pagead/js/x.js",            # no scheme
     "//google-analytics.com/analytics.js",       # no scheme, no colon
     "https://x.com/analytics.js\n",              # trailing newline
+    "https://a.com#x",                           # fragment after the host
+    "https://doubleclick.net;x/",                # separators in the
+    "https://doubleclick.net&/",                 # authority
+    "https://doubleclick.net\\x/",
+    "https://doubleclick.net:80.x/",             # a port that is not one
+    "https://doubleclick.net:/",                 # an empty port
+    "https://_x.doubleclick.net/",               # word characters,
+    "https://doubleclick.net%2f/x",              # no separator
+    "https://xdoubleclick.net/",                 # not a dot-aligned suffix
+    "https://doubleclick.net-x/",                # a longer host
+    "h_t://doubleclick.net/",                    # schemes the regex
+    "1http://doubleclick.net/",                  # refuses
+    "wss://a.b.doubleclick.net/",                # another scheme
 )
 
 #: Every (resource_type, is_third_party) a rule's options tell apart.
@@ -238,8 +266,9 @@ def _decisions(flist, urls):
 
 
 class TestLazyCompile:
-    """A rule compiles its regex on first match: the same decisions as
-    compiling every rule up front, for only the rules a URL reaches."""
+    """A ``||domain^`` rule decides a plain URL by host, and any other
+    rule or URL compiles the rule's regex on first match: the same
+    decisions as compiling every rule up front."""
 
     def test_lazy_match_equals_eager_regex(self, crawled_urls):
         for rule in default_combined_list().rules:
@@ -253,6 +282,17 @@ class TestLazyCompile:
                     assert rule.matches(url, resource_type=rtype,
                                         is_third_party=third) == expected, \
                         (rule, url, rtype, third)
+
+    @pytest.mark.parametrize("text", ["||x^", "||80.x^", "||net^",
+                                      "||net-x^", "||net%2f^",
+                                      "||_x.doubleclick.net^"])
+    def test_host_rules_off_the_lists_match_like_their_regex(self, text):
+        """Domains the lists lack, each ending where an edge URL's port,
+        separator or word character could mislead a host decision."""
+        rule = FilterRule(text)
+        eager = re.compile(FilterRule._to_regex(rule.pattern))
+        for url in EDGE_URLS:
+            assert rule.matches(url) == (eager.search(url) is not None), url
 
     def test_lazy_list_decides_like_eager_list(self, crawled_urls):
         assert _decisions(combined_list(), crawled_urls) == _decisions(
@@ -282,9 +322,18 @@ class TestLazyCompile:
         assert results == [expected] * len(results)
 
     def test_a_study_compiles_only_the_rules_it_reaches(self, crawl_logs):
+        """The crawl's script URLs are plain, so every ``||domain^``
+        rule decides them by host: only unanchored or exception rules
+        may compile a regex."""
         default_combined_list.cache_clear()
         flist = default_combined_list()
         assert not any(rule._regex for rule in flist.rules)
         Study(crawl_logs)
-        compiled = sum(rule._regex is not None for rule in flist.rules)
-        assert 0 < compiled < flist.rule_count
+        host_rules = [rule for rule in flist.rules
+                      if re.fullmatch(r"\|\|[\w.%-]+\^", rule.pattern)]
+        assert host_rules
+        assert not any(rule._regex for rule in host_rules)
+        compiled = [rule for rule in flist.rules if rule._regex is not None]
+        assert compiled
+        assert all(rule.anchor_domain is None or rule.is_exception
+                   for rule in compiled)
